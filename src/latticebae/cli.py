@@ -39,9 +39,6 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                                  "double-direct", "double-schur"])
     parser.add_argument("--ell", type=float, default=0.15,
                         help="computational box margin beyond the unit geometry")
-    parser.add_argument("--nonhomogeneous", action="store_true",
-                        help="solve the forced problem (bounded geometries always do)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timing", action="store_true",
                         help="include wall times in the CSV output")
     parser.add_argument("--out", default=None, help="CSV output path")
@@ -59,8 +56,6 @@ def _config_from_args(args, n=None, n_list=()) -> harness.ExperimentConfig:
         r2=args.r2,
         radius=args.radius,
         ell=args.ell,
-        nonhomogeneous=args.nonhomogeneous,
-        seed=args.seed,
         compute_cond=getattr(args, "cond", False),
         timing=args.timing,
     )
@@ -82,13 +77,13 @@ def _emit(rows, cfg, args) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args, n=args.n)
-    row = harness.run_solve(cfg)
+    sol, row = harness.solve_with_row(cfg)
     cond = "" if row.cond is None else f"  cond={row.cond:.6g}"
     print(f"n={row.n}  h={row.h:.6g}  {row.geometry}  {row.bc}  "
           f"{row.formulation}  max_error={row.max_error:.6e}{cond}")
     _emit([row], cfg, args)
     if args.dump_solution:
-        harness.dump_solution_csv(harness.solve_problem(cfg), args.dump_solution)
+        harness.dump_solution_csv(sol, args.dump_solution)
         print(f"wrote {args.dump_solution}")
     return 0
 

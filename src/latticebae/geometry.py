@@ -46,11 +46,6 @@ from .lgf import LatticeIndex
 #: positive step before negative.
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
-#: Exterior connections of a gamma- node exclude its gamma- neighbours
-#: (they must lie in M- minus gamma-).  Flip to False to experiment with
-#: the looser reading that admits any M- neighbour.
-CONNECTIONS_EXCLUDE_GAMMA_MINUS = True
-
 _BISECT_ITERS = 50
 _MULTI_ROOT_SAMPLES = 17
 
@@ -421,9 +416,7 @@ def exterior_connections(ps: PointSets, n) -> set:
     out = set()
     for d1, d2 in _DIRECTIONS:
         jj, kk = j + d1, k + d2
-        if not ps.grid.contains_index(jj, kk) or ps.m_plus[jj, kk]:
-            continue
-        if CONNECTIONS_EXCLUDE_GAMMA_MINUS and ps.gamma_minus[jj, kk]:
+        if not ps.grid.contains_index(jj, kk) or ps.m_plus[jj, kk] or ps.gamma_minus[jj, kk]:
             continue
         out.add(LatticeIndex(jj, kk))
     return out

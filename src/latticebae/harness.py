@@ -48,8 +48,6 @@ class ExperimentConfig:
     r2: float = 0.5
     radius: float = 1.0
     ell: float = 0.15
-    nonhomogeneous: bool = False
-    seed: int = 0
     compute_cond: bool = False
     timing: bool = False
 
@@ -70,10 +68,6 @@ class ExperimentConfig:
         for n in self.all_n():
             if n < 32 or n > 1024 or (n & (n - 1)) != 0:
                 raise ConfigError(f"n must be a power of two in [32, 1024], got {n}")
-        if self.unbounded and self.nonhomogeneous:
-            raise ConfigError(
-                "the unbounded study is homogeneous; drop the nonhomogeneous flag"
-            )
 
     @property
     def unbounded(self) -> bool:
@@ -204,62 +198,61 @@ class SolutionField:
         return tuple(int(v) for v in self.ps.m_plus_indices[int(self.errors.argmax())])
 
 
-def _validate_runtime_combination(cfg: ExperimentConfig, form: solver.Formulation):
-    if cfg.unbounded and form.kernel is potentials.LayerKind.DOUBLE:
-        raise DoubleLayerInapplicableError(
-            "the double-layer matrix D- is singular for the unbounded exterior "
-            "domain; use a single-layer formulation"
-        )
+def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> bool:
+    """The double-layer matrix D- is singular on the unbounded exterior."""
+    return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
-def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
-    """Run the full pipeline for one grid size."""
-    n = cfg.single_n() if n is None else n
-    form = solver.formulation_from_tag(cfg.formulation)
-    _validate_runtime_combination(cfg, form)
+def _discretize(cfg: ExperimentConfig, n: int):
+    """Grid, manufactured solution, point sets and closure for one grid size."""
     shape = build_shape(cfg)
     grid = build_grid(cfg, n)
     mf = manufactured_solution(cfg)
     ps = geometry.classify(grid, shape)
     xs = geometry.select_intersections(ps, shape, grid)
     bc = make_boundary_condition(cfg, shape, mf)
-    cm = closure_mod.assemble_closure(ps, xs, bc, grid)
+    return grid, mf, ps, closure_mod.assemble_closure(ps, xs, bc, grid)
+
+
+def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
+    """Run the full pipeline for one grid size."""
+    n = cfg.single_n() if n is None else n
+    form = solver.formulation_from_tag(cfg.formulation)
+    if _double_on_exterior(cfg, form.kernel):
+        raise DoubleLayerInapplicableError(
+            "the double-layer matrix D- is singular for the unbounded exterior "
+            "domain; use a single-layer formulation"
+        )
+    grid, mf, ps, cm = _discretize(cfg, n)
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
 
-    if cfg.unbounded:
-        result = solver.solve_system(
-            form, cm, ps, k_plus, k_minus, compute_cond=cfg.compute_cond
-        )
-        density = result.density
-        values = potentials.evaluate_potential(
-            ps.m_plus_indices, density, form.kernel, ps
-        )
-    else:
+    if not cfg.unbounded:
         box = diffpot.AuxiliaryBox.for_pointsets(ps)
         u_p = diffpot.particular_solution(mf.f, ps, box, grid)
-        corrected = diffpot.correct_boundary_rhs(cm, u_p)
-        result = solver.solve_system(
-            form, replace(cm, rhs=corrected), ps, k_plus, k_minus,
-            compute_cond=cfg.compute_cond,
-        )
-        u_h = diffpot.difference_potential(scatter_gamma_trace(result, ps), ps, box)
-        total = diffpot.superpose(u_h, u_p)
-        mp = ps.m_plus_indices
-        values = total.values[mp[:, 0], mp[:, 1]]
-
+        cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    result = solver.solve_system(
+        form, cm, ps, k_plus, k_minus, compute_cond=cfg.compute_cond
+    )
     mp = ps.m_plus_indices
+    if cfg.unbounded:
+        values = potentials.evaluate_potential(mp, result.density, form.kernel, ps)
+    else:
+        u_h = diffpot.difference_potential(scatter_gamma_trace(result, ps), ps, box)
+        values = diffpot.superpose(u_h, u_p).values[mp[:, 0], mp[:, 1]]
+
     x = grid.origin[0] + grid.h * mp[:, 0]
     y = grid.origin[1] + grid.h * mp[:, 1]
     exact = mf.u(x, y)
     return SolutionField(grid=grid, ps=ps, values=values, exact=exact, result=result)
 
 
-def run_solve(cfg: ExperimentConfig, n: Optional[int] = None) -> ResultRow:
+def solve_with_row(cfg: ExperimentConfig, n: Optional[int] = None):
+    """Solve one grid size; the SolutionField and its timed CSV row."""
     n = cfg.single_n() if n is None else n
     start = time.perf_counter()
     sol = solve_problem(cfg, n)
     elapsed = time.perf_counter() - start
-    return ResultRow(
+    row = ResultRow(
         n=n,
         h=sol.grid.h,
         geometry=build_shape(cfg).label,
@@ -269,6 +262,11 @@ def run_solve(cfg: ExperimentConfig, n: Optional[int] = None) -> ResultRow:
         cond=sol.result.system_cond,
         wall_time=elapsed,
     )
+    return sol, row
+
+
+def run_solve(cfg: ExperimentConfig, n: Optional[int] = None) -> ResultRow:
+    return solve_with_row(cfg, n)[1]
 
 
 @dataclass
@@ -304,33 +302,25 @@ class ConditioningReport:
 
 def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
     """Condition numbers of all six study matrices per ladder rung."""
-    shape = build_shape(cfg)
-    mf = manufactured_solution(cfg)
+    shape_label = build_shape(cfg).label
     rows = []
     notes = []
     for n in cfg.ladder():
-        grid = build_grid(cfg, n)
-        ps = geometry.classify(grid, shape)
-        xs = geometry.select_intersections(ps, shape, grid)
-        bc = make_boundary_condition(cfg, shape, mf)
-        cm = closure_mod.assemble_closure(ps, xs, bc, grid)
+        grid, _, ps, cm = _discretize(cfg, n)
         conds = {}
         for kernel in (potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE):
             suffix = "s" if kernel is potentials.LayerKind.SINGLE else "d"
             minus_label = "S-" if kernel is potentials.LayerKind.SINGLE else "D-"
-            if cfg.unbounded and kernel is potentials.LayerKind.DOUBLE:
+            if _double_on_exterior(cfg, kernel):
                 notes.append(
                     f"n={n}: double-layer family skipped (singular on unbounded domain)"
                 )
-                conds[minus_label] = None
-                conds[f"A_{suffix}"] = None
-                conds[f"M_{suffix}"] = None
                 continue
             k_plus, k_minus = solver.build_layer_matrices(cm, ps, kernel)
             conds[minus_label] = solver.condition_number(k_minus.entries)
             for form_name in ("schur", "direct"):
                 tag = f"{kernel.value}-{form_name}"
-                matrix, _ = solver.assemble_system(
+                matrix, _, _ = solver.assemble_system(
                     solver.formulation_from_tag(tag), cm, k_plus, k_minus
                 )
                 label = ("A_" if form_name == "schur" else "M_") + suffix
@@ -340,7 +330,7 @@ def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
                 ResultRow(
                     n=n,
                     h=grid.h,
-                    geometry=shape.label,
+                    geometry=shape_label,
                     bc=cfg.bc,
                     formulation=label,
                     max_error=None,

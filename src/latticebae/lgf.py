@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -185,47 +184,15 @@ def _asymptotic_array(m1, m2):
 
 @dataclass
 class LgfTable:
-    """Memo table over the canonical octant 0 <= m2 <= m1.
+    """Memo table over the canonical octant 0 <= m2 <= m1."""
 
-    ``radius`` records the largest index magnitude guaranteed covered
-    (informational; lookups outside it simply miss).
-    """
-
-    radius: int = 0
     values: dict = field(default_factory=dict)
 
     def lookup(self, m):
         return self.values.get(canonical_index(m))
 
     def store(self, m, value: float) -> None:
-        key = canonical_index(m)
-        self.values[key] = float(value)
-        if key.m1 > self.radius:
-            self.radius = key.m1
-
-    def save(self, path) -> None:
-        """Write the cache file: header line, then ``m1,m2,value`` rows."""
-        lines = [f"lgf-cache v1 radius={self.radius}"]
-        for (a, b) in sorted(self.values):
-            lines.append(f"{a},{b},{self.values[(a, b)]:.17g}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "LgfTable":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            match = re.fullmatch(r"lgf-cache v1 radius=(\d+)", header)
-            if match is None:
-                raise ValueError(f"not an lgf cache file: {header!r}")
-            table = cls(radius=int(match.group(1)))
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b, value = line.split(",")
-                table.values[LatticeIndex(int(a), int(b))] = float(value)
-        return table
+        self.values[canonical_index(m)] = float(value)
 
 
 _DEFAULT_TABLE = LgfTable()
@@ -264,7 +231,6 @@ def warm(radius: int, table: LgfTable | None = None) -> LgfTable:
     for a in range(radius + 1):
         for b in range(a + 1):
             lgf((a, b), table)
-    table.radius = max(table.radius, radius)
     return table
 
 
@@ -296,7 +262,7 @@ def lgf_recursion_table(jmax: int) -> LgfTable:
         g[(j + 1, 0)] = 4.0 * g[(j, 0)] - g[(j - 1, 0)] - 2.0 * g[(j, 1)]
         for k in range(1, j):
             g[(j + 1, k)] = 4.0 * g[(j, k)] - g[(j - 1, k)] - g[(j, k + 1)] - g[(j, k - 1)]
-    table = LgfTable(radius=jmax)
+    table = LgfTable()
     for key, value in g.items():
         table.values[LatticeIndex(*key)] = value
     return table

@@ -13,8 +13,12 @@ v = K- q as the unknown, turning the system into
 
 whose conditioning mirrors the preconditioned operator the trace map
 induces.  W is realized by factoring K- (transposed) and multi-solving;
-no inverse is ever formed.  For Dirichlet closures the Phi'-/R blocks
-have zero extent and both formulas collapse to their classical shapes.
+no inverse is ever formed, and recovery reuses that factor for the
+density q = K-^{-1} v.  For Dirichlet closures the Phi'-/R blocks have
+zero extent and both formulas collapse to their classical shapes.
+
+All factorizations share one pivot-guarded LU: a singular system raises
+SingularSystemError, a singular K- FormulationSingularError.
 
 Everything here is dense: at desk scales |gamma-| stays in the low
 thousands, and the conditioning study wants the explicit matrices
@@ -93,35 +97,28 @@ def _check_alignment(cm: ClosureMatrices, k_plus: LayerMatrix, k_minus: LayerMat
         raise AssemblyError("K+ rows/columns do not match the closure orderings")
 
 
-def _lu_factor_quietly(matrix: np.ndarray):
+def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
+    """LU factors, or ``singular_error(message)`` if a pivot is below threshold."""
     # The pivot check below is the singularity diagnosis; scipy's own
     # warning about exact zeros would just duplicate it on stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        return linalg.lu_factor(matrix)
-
-
-def _factor(matrix: np.ndarray, owner: str):
-    lu, piv = _lu_factor_quietly(matrix)
+        lu, piv = linalg.lu_factor(matrix)
     pivots = np.abs(np.diag(lu))
     scale = np.abs(matrix).max()
     if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
-        raise FormulationSingularError(
-            f"{owner} is numerically singular; its Schur form is unavailable"
-        )
+        raise singular_error(message)
     return lu, piv
-
-
-def _kernel_matrix_name(kernel: LayerKind) -> str:
-    return "D-" if kernel is LayerKind.DOUBLE else "S-"
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices,
                     k_plus: LayerMatrix, k_minus: LayerMatrix):
-    """The square |gamma-| system matrix and right-hand side."""
+    """The square |gamma-| system matrix, its right-hand side, and the Schur
+    form's LU factor of K-^T, which :func:`recover` reuses (None if direct)."""
     _check_alignment(cm, k_plus, k_minus)
     kp = k_plus.entries
     km = k_minus.entries
+    kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
         matrix = (
             cm.phi_plus @ kp
@@ -129,8 +126,12 @@ def assemble_system(formulation: Formulation, cm: ClosureMatrices,
             - cm.phi_prime_minus @ (cm.r_plus @ kp + cm.r_minus @ km)
         )
     else:
-        lu = _factor(km.T, _kernel_matrix_name(formulation.kernel))
-        w = linalg.lu_solve(lu, kp.T).T
+        name = "D-" if formulation.kernel is LayerKind.DOUBLE else "S-"
+        kernel_lu = _guarded_lu(
+            km.T, FormulationSingularError,
+            f"{name} is numerically singular; its Schur form is unavailable",
+        )
+        w = linalg.lu_solve(kernel_lu, kp.T).T
         matrix = (
             cm.phi_plus @ w
             + cm.phi_minus.toarray()
@@ -138,7 +139,7 @@ def assemble_system(formulation: Formulation, cm: ClosureMatrices,
         )
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return matrix, cm.rhs.copy()
+    return matrix, cm.rhs.copy(), kernel_lu
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -146,12 +147,8 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise AssemblyError(f"system matrix has shape {matrix.shape}")
-    lu, piv = _lu_factor_quietly(matrix)
-    pivots = np.abs(np.diag(lu))
-    scale = np.abs(matrix).max()
-    if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
-        raise SingularSystemError("system matrix is numerically singular")
-    return linalg.lu_solve((lu, piv), rhs)
+    lu = _guarded_lu(matrix, SingularSystemError, "system matrix is numerically singular")
+    return linalg.lu_solve(lu, rhs)
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -170,16 +167,16 @@ def _gamma_plus_rows(cm: ClosureMatrices, ps: PointSets) -> np.ndarray:
 
 def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
             k_plus: LayerMatrix, k_minus: LayerMatrix, ps: PointSets,
-            system_cond: Optional[float] = None,
+            kernel_lu: Optional[tuple] = None, system_cond: Optional[float] = None,
             residual_norm: float = 0.0) -> SolveResult:
-    """Density and both traces from the solved primary unknown."""
+    """Density and both traces from the solved primary unknown; the Schur
+    form needs the ``kernel_lu`` that :func:`assemble_system` returned."""
     if formulation.form is SystemForm.DIRECT:
         density = solution
         trace_minus = k_minus.entries @ density
     else:
         trace_minus = solution
-        lu = _factor(k_minus.entries, _kernel_matrix_name(formulation.kernel))
-        density = linalg.lu_solve(lu, trace_minus)
+        density = linalg.lu_solve(kernel_lu, trace_minus, trans=1)
     trace_tilde = k_plus.entries @ density
     trace_plus = trace_tilde[_gamma_plus_rows(cm, ps)]
     return SolveResult(
@@ -195,11 +192,11 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
                  k_plus: LayerMatrix, k_minus: LayerMatrix,
                  compute_cond: bool = False) -> SolveResult:
     """Assemble, solve, and recover in one sweep."""
-    matrix, rhs = assemble_system(formulation, cm, k_plus, k_minus)
+    matrix, rhs, kernel_lu = assemble_system(formulation, cm, k_plus, k_minus)
     solution = dense_solve(matrix, rhs)
     residual = float(np.abs(matrix @ solution - rhs).max())
     cond = condition_number(matrix) if compute_cond else None
     return recover(
         solution, formulation, cm, k_plus, k_minus, ps,
-        system_cond=cond, residual_norm=residual,
+        kernel_lu=kernel_lu, system_cond=cond, residual_norm=residual,
     )

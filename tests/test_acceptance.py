@@ -207,9 +207,9 @@ def test_criterion_06_convergence_robin_ellipse():
 
 
 def test_criterion_06_convergence_nonhomogeneous_ellipse():
-    # the bounded problems always carry forcing; the flag documents it
+    # the bounded problems always carry forcing
     _ladder_report(geometry="ellipse", aspect=2.0, bc="dirichlet",
-                   formulation="single-direct", nonhomogeneous=True)
+                   formulation="single-direct")
 
 
 def test_criterion_06_convergence_unbounded():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticebae import harness
+from latticebae import cli, harness
 from latticebae.errors import ConfigError
 
 
@@ -42,12 +42,6 @@ def test_config_rejects_bad_ladders():
                                    n_list=(64, 32, 128))
     with pytest.raises(ConfigError):
         cfg.ladder()
-
-
-def test_config_rejects_nonhomogeneous_unbounded():
-    with pytest.raises(ConfigError):
-        harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet",
-                                 n=32, nonhomogeneous=True)
 
 
 def test_config_rejects_nonpositive_parameters():
@@ -286,6 +280,27 @@ def test_dump_solution_csv(tmp_path):
     first = records[0]
     assert abs(float(first["error"])
                - abs(float(first["value"]) - float(first["exact"]))) < 1e-15
+
+
+def test_cli_dump_solution_solves_once(tmp_path, monkeypatch):
+    calls = []
+    solve = harness.solve_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_problem", counted)
+    row_path, dump_path = tmp_path / "row.csv", tmp_path / "field.csv"
+    code = cli.main(["solve", "--geometry", "ellipse", "--bc", "dirichlet", "--n", "32",
+                     "--out", str(row_path), "--dump-solution", str(dump_path)])
+    assert code == 0
+    assert len(calls) == 1
+    with open(dump_path) as fh:
+        records = list(csv.DictReader(fh))
+    max_error = max(float(r["error"]) for r in records)
+    with open(row_path) as fh:
+        assert float(next(csv.DictReader(fh))["max_error"]) == max_error
 
 
 class TestCli:

@@ -181,24 +181,6 @@ def test_grid_matches_pointwise_values():
     assert not grid.flags.writeable
 
 
-def test_cache_file_round_trip(tmp_path):
-    table = warm(5, LgfTable())
-    path = tmp_path / "lgf.cache"
-    table.save(path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "lgf-cache v1 radius=5"
-    reloaded = LgfTable.load(path)
-    assert reloaded.radius == 5
-    assert reloaded.values == table.values
-
-
-def test_cache_file_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bogus.cache"
-    path.write_text("something else\n1,0,-0.25\n")
-    with pytest.raises(ValueError):
-        LgfTable.load(path)
-
-
 def test_quadrature_error_carries_estimate():
     err = QuadratureError("no convergence", achieved=3e-9)
     assert err.achieved == 3e-9

@@ -7,6 +7,7 @@ from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
 from latticebae.geometry import Grid, classify, ellipse, exterior_connections
 from latticebae.lgf import lgf
 from latticebae.potentials import (
+    _EVAL_CHUNK,
     DensityVector,
     LayerKind,
     LayerMatrix,
@@ -139,14 +140,18 @@ def test_potential_is_discretely_harmonic(circle_setup, kind):
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
 def test_evaluation_matches_matrix_action(circle_setup, kind):
-    _, _, ps = circle_setup
+    _, shape, small = circle_setup
+    # The 96-cell lattice has more M+ nodes than one evaluation chunk, so
+    # the summation there crosses at least one chunk seam.
+    large = classify(Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 96), shape)
+    assert len(large.m_plus_indices) > _EVAL_CHUNK
     rng = np.random.default_rng(5)
-    q = DensityVector(ps.gamma_minus_indices,
-                      rng.standard_normal(len(ps.gamma_minus_indices)))
-    targets = ps.gamma_plus_indices
-    lm = assemble_layer_matrix(targets, q.support, kind, ps)
-    direct = evaluate_potential(targets, q, kind, ps)
-    np.testing.assert_allclose(direct, lm.entries @ q.values, rtol=1e-13, atol=1e-15)
+    for ps, targets in ((small, small.gamma_plus_indices), (large, large.m_plus_indices)):
+        q = DensityVector(ps.gamma_minus_indices,
+                          rng.standard_normal(len(ps.gamma_minus_indices)))
+        lm = assemble_layer_matrix(targets, q.support, kind, ps)
+        direct = evaluate_potential(targets, q, kind, ps)
+        np.testing.assert_allclose(direct, lm.entries @ q.values, rtol=1e-13, atol=1e-15)
 
 
 def test_zero_density_gives_zero_field(circle_setup):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from latticebae import closure, diffpot, geometry, potentials, solver
 from latticebae.errors import (
@@ -153,6 +154,25 @@ def test_formulation_equivalence(circle_problem):
             assert np.abs(values[i] - values[j]).max() <= 1e-8
 
 
+@pytest.mark.parametrize("tag", FORMULATION_TAGS)
+def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
+    # One factorization of the system; the Schur form adds one of K-^T,
+    # which both its assembly and its density recovery use.
+    grid, ps, cm, _ = circle_problem
+    form = solver.formulation_from_tag(tag)
+    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    solver.solve_system(form, cm, ps, k_plus, k_minus)
+    assert len(calls) == (2 if form.form is solver.SystemForm.SCHUR else 1)
+
+
 def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm, _ = circle_problem
     form = solver.formulation_from_tag("single-direct")
@@ -166,7 +186,7 @@ def test_residual_invariant(circle_problem):
     grid, ps, cm, _ = circle_problem
     form = solver.formulation_from_tag("double-schur")
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    matrix, rhs = solver.assemble_system(form, cm, k_plus, k_minus)
+    matrix, rhs, _ = solver.assemble_system(form, cm, k_plus, k_minus)
     result = solver.solve_system(form, cm, ps, k_plus, k_minus, compute_cond=True)
     bound = 1e-10 * (
         np.abs(matrix).max() * np.abs(result.trace_minus).max() + np.abs(rhs).max()
