@@ -2,8 +2,10 @@
 
 The boundary equations live on a thin layer of lattice nodes around
 the circle; no artificial boundary condition is imposed anywhere.  The
-reference field is the x-dipole u = x / (x^2 + y^2); interior values
-inside the viewing box come from direct kernel summation.
+reference field is the x-dipole u = x / (x^2 + y^2).  Interior values
+inside the viewing box come from the same difference-potential box
+solve as on bounded domains, with the lattice potential's own values,
+summed directly from the density, as data on the box edge.
 """
 
 import numpy as np

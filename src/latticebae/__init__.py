@@ -6,9 +6,11 @@ classical 5-point stencil on a regular lattice that does not fit the
 boundary.  The discrete solution is represented by single- or
 double-layer lattice potentials whose densities live on a thin layer of
 exterior grid nodes; boundary conditions enter through local polynomial
-interpolation on cut cells, and interior values are recovered either by
-direct kernel summation or by an FFT-accelerated difference-potential
-solve on an auxiliary box.
+interpolation on cut cells, and interior values are recovered by an
+FFT-accelerated difference-potential solve on an auxiliary box.  On the
+unbounded exterior the box edge lies inside the domain; there the box
+solve takes the lattice potential's own edge values, summed directly
+from the density, so no artificial boundary condition enters.
 """
 
 from .errors import (
@@ -29,8 +31,6 @@ from .errors import (
     UnderResolvedBoundaryError,
 )
 from .lgf import (
-    E1,
-    E2,
     R_SWITCH,
     LatticeIndex,
     LgfTable,
@@ -57,7 +57,6 @@ from .potentials import (
     DensityVector,
     LayerKind,
     LayerMatrix,
-    TraceVector,
     assemble_layer_matrix,
     evaluate_potential,
 )

@@ -75,6 +75,16 @@ def _emit(rows, cfg, args) -> None:
         print(f"wrote {args.out}")
 
 
+def _emit_study(rows, cfg, args) -> None:
+    """The CSV, then the plot script of the study named by the subcommand."""
+    _emit(rows, cfg, args)
+    if args.plot_script:
+        if not args.out:
+            raise ConfigError("--plot-script needs --out, the CSV it will read")
+        harness.write_plot_script(args.out, args.plot_script, args.command)
+        print(f"wrote {args.plot_script}")
+
+
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args, n=args.n)
     sol, row = harness.solve_with_row(cfg)
@@ -97,12 +107,7 @@ def _cmd_convergence(args) -> int:
         print(f"failed: {note}", file=sys.stderr)
     if report.order is not None:
         print(f"fitted order: {report.order:.3f}")
-    _emit(report.rows, cfg, args)
-    if args.plot_script:
-        if not args.out:
-            raise ConfigError("--plot-script needs --out, the CSV it will read")
-        harness.write_plot_script(args.out, args.plot_script, "convergence")
-        print(f"wrote {args.plot_script}")
+    _emit_study(report.rows, cfg, args)
     return 0
 
 
@@ -114,12 +119,7 @@ def _cmd_conditioning(args) -> int:
         print(f"n={row.n:5d}  {row.formulation:4s}  cond={cond}")
     for note in report.notes:
         print(f"note: {note}", file=sys.stderr)
-    _emit(report.rows, cfg, args)
-    if args.plot_script:
-        if not args.out:
-            raise ConfigError("--plot-script needs --out, the CSV it will read")
-        harness.write_plot_script(args.out, args.plot_script, "conditioning")
-        print(f"wrote {args.plot_script}")
+    _emit_study(report.rows, cfg, args)
     return 0
 
 
@@ -147,18 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write x,y,value,exact,error CSV here")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_conv = sub.add_parser("convergence", help="error ladder over grid sizes")
-    _add_problem_flags(p_conv)
-    p_conv.add_argument("--n-list", default="64,128,256,512")
-    p_conv.add_argument("--plot-script", default=None)
-    p_conv.set_defaults(func=_cmd_convergence)
-
-    p_cond = sub.add_parser("conditioning",
-                            help="condition numbers of the six study matrices")
-    _add_problem_flags(p_cond)
-    p_cond.add_argument("--n-list", default="64,128,256,512")
-    p_cond.add_argument("--plot-script", default=None)
-    p_cond.set_defaults(func=_cmd_conditioning)
+    for name, help_text, func in (
+        ("convergence", "error ladder over grid sizes", _cmd_convergence),
+        ("conditioning", "condition numbers of the six study matrices", _cmd_conditioning),
+    ):
+        p_study = sub.add_parser(name, help=help_text)
+        _add_problem_flags(p_study)
+        p_study.add_argument("--n-list", default="64,128,256,512")
+        p_study.add_argument("--plot-script", default=None)
+        p_study.set_defaults(func=func)
 
     p_lgf = sub.add_parser("lgf", help="print one lattice Green's function value")
     p_lgf.add_argument("--m1", type=int, required=True)

@@ -2,20 +2,23 @@
 
 Interior values of a homogeneous solution could be recovered by direct
 lattice convolution at O(N^3) cost.  Cheaper: embed the domain in the
-rectangular computational box, impose zero data on the box edge, and
-solve the 5-point system with a sine transform.  The difference
-potential of boundary data u_gamma is the box solution whose right-hand
-side is [A u] of the zero-extension of u_gamma, restricted to the
-exterior band; it is discretely harmonic on M+ and reproduces u_gamma
-on gamma, so a single FFT solve replaces the convolution.
+rectangular computational box and solve the 5-point system there with a
+sine transform.  The difference potential of boundary data u_gamma is
+the box solution whose right-hand side is [A u] of the zero-extension of
+u_gamma, restricted to the exterior band; it is discretely harmonic on
+M+ and reproduces u_gamma on gamma, so a single FFT solve replaces the
+convolution.
+
+The box edge carries Dirichlet data: zero where the edge lies outside
+the domain, and the lattice potential's own values on the edge nodes of
+M+.  A bounded domain has no such nodes.  On the unbounded exterior
+every edge node is one, and its value, summed directly from the
+density, makes the box solve reproduce the lattice potential on the
+whole box-restricted domain without any artificial boundary condition.
 
 The same box solver yields particular solutions of the nonhomogeneous
 problem from rhs = h^2 f on M+, after which the boundary right-hand
 side is corrected and the homogeneous and particular parts superpose.
-
-Unbounded geometries never enter here; no bounded box contains them,
-and the direct convolution stays affordable on the box-restricted node
-set.
 """
 
 from __future__ import annotations
@@ -33,26 +36,9 @@ from .geometry import Grid, PointSets
 
 @dataclass(frozen=True)
 class AuxiliaryBox:
-    """The rectangular box carrying the fast solver's zero boundary."""
+    """The rectangular box whose edge carries the fast solver's Dirichlet data."""
 
     grid: Grid
-
-    @classmethod
-    def for_pointsets(cls, ps: PointSets) -> "AuxiliaryBox":
-        """Wrap the classification grid, checking the one-node margin.
-
-        Every node of N+ must be a box-interior node, otherwise some
-        gamma node sits against the edge and the zero boundary would
-        contaminate the potential.
-        """
-        edge = np.zeros_like(ps.n_plus)
-        edge[0, :] = edge[-1, :] = True
-        edge[:, 0] = edge[:, -1] = True
-        if (ps.n_plus & edge).any():
-            raise BoxTooSmallError(
-                "N+ touches the box edge; enlarge the computational box"
-            )
-        return cls(grid=ps.grid)
 
     @property
     def boundary_mask(self) -> np.ndarray:
@@ -123,11 +109,18 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     return w
 
 
-def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox) -> GridFunction:
+def edge_nodes(ps: PointSets, box: AuxiliaryBox) -> np.ndarray:
+    """The M+ nodes on the box edge, in canonical order: where u_edge lives."""
+    return np.argwhere(box.boundary_mask & ps.m_plus)
+
+
+def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox,
+                         u_edge=()) -> GridFunction:
     """Box solution reproducing u_gamma on gamma, discretely harmonic on M+.
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
-    result on the exterior band only, and solves the box system.
+    result on the exterior band only, and solves the box system with
+    u_edge imposed on :func:`edge_nodes` (zero on the rest of the edge).
     """
     if box.grid != ps.grid:
         raise AssemblyError("auxiliary box grid differs from the classification grid")
@@ -136,6 +129,12 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox) 
     if u_gamma.shape != (len(gamma_nodes),):
         raise AssemblyError(
             f"gamma data has shape {u_gamma.shape}, expected ({len(gamma_nodes)},)"
+        )
+    on_edge = edge_nodes(ps, box)
+    u_edge = np.asarray(u_edge, dtype=float)
+    if u_edge.shape != (len(on_edge),):
+        raise AssemblyError(
+            f"edge data has shape {u_edge.shape}, expected ({len(on_edge)},)"
         )
     edge = box.boundary_mask
     near_edge = edge.copy()
@@ -149,7 +148,13 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox) 
     rhs = GridFunction.zeros(box)
     band = ps.m_minus & ~edge
     rhs.values[band] = apply_stencil(extension)[band]
-    return fft_poisson_solve(rhs)
+    # Lift the edge values into the rhs of the adjacent interior ring.
+    lift = np.zeros_like(extension)
+    lift[on_edge[:, 0], on_edge[:, 1]] = u_edge
+    rhs.values -= apply_stencil(lift)
+    w = fft_poisson_solve(rhs)
+    w.values[on_edge[:, 0], on_edge[:, 1]] = u_edge
+    return w
 
 
 def particular_solution(f: Callable, ps: PointSets, box: AuxiliaryBox, grid: Grid) -> GridFunction:

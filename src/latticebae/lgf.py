@@ -73,10 +73,6 @@ class LatticeIndex(NamedTuple):
         return LatticeIndex(-self.m1, -self.m2)
 
 
-E1 = LatticeIndex(1, 0)
-E2 = LatticeIndex(0, 1)
-
-
 def canonical_index(m) -> LatticeIndex:
     """Map an index to its symmetry representative with m1 >= m2 >= 0.
 
@@ -188,9 +184,6 @@ class LgfTable:
 
     values: dict = field(default_factory=dict)
 
-    def lookup(self, m):
-        return self.values.get(canonical_index(m))
-
     def store(self, m, value: float) -> None:
         self.values[canonical_index(m)] = float(value)
 
@@ -288,7 +281,8 @@ def lgf_grid(radius: int) -> np.ndarray:
     a_idx, b_idx = np.meshgrid(np.arange(radius + 1), np.arange(radius + 1), indexing="ij")
     far = np.hypot(a_idx, b_idx) >= R_SWITCH
     octant[far] = _asymptotic_array(a_idx[far], b_idx[far])
-    for a in range(radius + 1):
+    # Near entries have a <= |m| < R_SWITCH, so only the first rows hold any.
+    for a in range(min(radius + 1, math.ceil(R_SWITCH))):
         for b in range(a + 1):
             if not far[a, b]:
                 octant[a, b] = lgf((a, b))

@@ -25,8 +25,11 @@ structure.
 Everything is dense: at the intended problem sizes (a few thousand
 boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
-gathered from a precomputed table of G over the needed index-difference
-range, so each distinct lattice offset costs one evaluation in total.
+gathered from one precomputed table of G per grid, covering every index
+difference inside the box, so each distinct lattice offset costs one
+evaluation in total.  Direct summation serves only the box-edge values
+of the exterior's difference potential and the test oracles; interior
+values come from the box solve in :mod:`latticebae.diffpot`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import numpy as np
 from .errors import AssemblyError, DoubleLayerInapplicableError
 from .geometry import PointSets, exterior_connections
 from .lgf import lgf, lgf_grid
-
-_EVAL_CHUNK = 4096
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -88,10 +89,6 @@ class DensityVector:
             )
 
 
-#: Traces u restricted to gamma+/gamma- reuse the same layout.
-TraceVector = DensityVector
-
-
 def single_kernel(m, n) -> float:
     """S(m, n) = G(m - n); finite even at m = n (where it is 0)."""
     return lgf((m[0] - n[0], m[1] - n[1]))
@@ -128,12 +125,6 @@ def _check_membership(indices, mask, what):
         raise AssemblyError(f"{what} contains node {tuple(int(v) for v in bad)} outside its allowed set")
 
 
-def _difference_radius(targets, sources, pad=0) -> int:
-    dj = max(targets[:, 0].max() - sources[:, 0].min(), sources[:, 0].max() - targets[:, 0].min())
-    dk = max(targets[:, 1].max() - sources[:, 1].min(), sources[:, 1].max() - targets[:, 1].min())
-    return int(max(dj, dk)) + pad
-
-
 def _connection_structure(ps: PointSets, sources):
     """Connection counts and per-direction presence masks for sources."""
     counts = np.zeros(len(sources), dtype=np.int64)
@@ -152,32 +143,31 @@ def _connection_structure(ps: PointSets, sources):
     return counts, present
 
 
-def _gathered_block(grid_table, radius, targets, sources, row_slice=slice(None)):
-    dj = targets[row_slice, 0:1] - sources[None, :, 0].reshape(1, -1)
-    dk = targets[row_slice, 1:2] - sources[None, :, 1].reshape(1, -1)
-    return grid_table[dj + radius, dk + radius]
+def _gathered_block(table, radius, targets, sources):
+    dj = targets[:, 0:1] - sources[None, :, 0]
+    dk = targets[:, 1:2] - sources[None, :, 1]
+    return table[dj + radius, dk + radius]
 
 
-def _kernel_blocks(targets, sources, kind: LayerKind, ps: PointSets):
-    """Row slice -> dense kernel block; table and connections resolved once."""
-    pad = 1 if kind is LayerKind.DOUBLE else 0
-    radius = _difference_radius(targets, sources, pad=pad)
+def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
+    """Dense single or double kernel block, gathered from one table per grid.
+
+    Targets, sources and exterior connections all lie in the box, so no
+    index difference exceeds the box's own extent.
+    """
+    radius = max(ps.grid.nx, ps.grid.ny) - 1
     table = lgf_grid(radius)
+    block = _gathered_block(table, radius, targets, sources)
     if kind is LayerKind.SINGLE:
-        return lambda rows: _gathered_block(table, radius, targets, sources, row_slice=rows)
-    counts, present = _connection_structure(ps, sources)
-
-    def double_block(rows):
-        block = _gathered_block(table, radius, targets, sources, row_slice=rows)
-        block = block * counts[None, :]
-        for d, (d1, d2) in enumerate(_DIRECTIONS):
-            cols = np.nonzero(present[d])[0]
-            if len(cols):
-                shifted = sources[cols] + np.array([d1, d2])
-                block[:, cols] -= _gathered_block(table, radius, targets, shifted, row_slice=rows)
         return block
-
-    return double_block
+    counts, present = _connection_structure(ps, sources)
+    block = block * counts[None, :]
+    for d, (d1, d2) in enumerate(_DIRECTIONS):
+        cols = np.nonzero(present[d])[0]
+        if len(cols):
+            shifted = sources[cols] + np.array([d1, d2])
+            block[:, cols] -= _gathered_block(table, radius, targets, shifted)
+    return block
 
 
 def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> LayerMatrix:
@@ -191,31 +181,21 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> L
     sources = _as_index_array(sources)
     _check_membership(sources, ps.gamma_minus, "source set")
     _check_membership(targets, ps.n_plus, "target set")
-    entries = _kernel_blocks(targets, sources, kind, ps)(slice(None))
+    entries = _kernel_block(targets, sources, kind, ps)
     return LayerMatrix(rows=targets, cols=sources, entries=np.ascontiguousarray(entries), kind=kind)
 
 
 def evaluate_potential(points, density: DensityVector, kind: LayerKind, ps: PointSets) -> np.ndarray:
     """Direct summation u(m) = sum_n K(m, n) q(n) at interior points.
 
-    Chunks the target list so the gathered kernel block stays small;
-    cost is O(|points| * |gamma-|) kernel lookups either way.
+    Costs O(|points| * |gamma-|) kernel lookups and one dense block of
+    that size.
     """
     points = _as_index_array(points)
     _check_membership(points, ps.m_plus, "evaluation point set")
     sources = _as_index_array(density.support)
     _check_membership(sources, ps.gamma_minus, "density support")
-    kernel_block = _kernel_blocks(points, sources, kind, ps)
-    out = np.empty(len(points))
-    for start in range(0, len(points), _EVAL_CHUNK):
-        rows = slice(start, min(start + _EVAL_CHUNK, len(points)))
-        # Keep each block alive until the next one is built: freeing it
-        # first lets the allocator hand the chunk's memory back to the OS
-        # and fault it in again for every chunk (50x the minor page faults
-        # and 1.5x the time for the exterior n=512 solve, 2-core x86-64).
-        block = kernel_block(rows)
-        out[rows] = block @ density.values
-    return out
+    return _kernel_block(points, sources, kind, ps) @ density.values
 
 
 def dump_layer_matrix(matrix: LayerMatrix, path) -> None:

@@ -131,7 +131,7 @@ def _dense_interior_solve(rhs_interior, m):
 def test_criterion_05_projection_and_fft():
     grid = geometry.Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 32)
     ps = geometry.classify(grid, geometry.ellipse(2.0))
-    box = diffpot.AuxiliaryBox.for_pointsets(ps)
+    box = diffpot.AuxiliaryBox(grid=ps.grid)
     gamma = ps.gamma_indices
     ny = grid.ny
     gamma_flat = gamma[:, 0] * ny + gamma[:, 1]
@@ -289,7 +289,7 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
         cm, ps, potentials.LayerKind.SINGLE)
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
                                  cm, ps, k_plus, k_minus)
-    box = diffpot.AuxiliaryBox.for_pointsets(ps)
+    box = diffpot.AuxiliaryBox(grid=ps.grid)
     u = diffpot.difference_potential(
         harness.scatter_gamma_trace(result, ps), ps, box)
     mp = ps.m_plus_indices

@@ -17,7 +17,7 @@ def ellipse_box():
     grid = centered_grid(1.15, 32)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    box = diffpot.AuxiliaryBox.for_pointsets(ps)
+    box = diffpot.AuxiliaryBox(grid=ps.grid)
     return grid, ps, box
 
 
@@ -124,20 +124,41 @@ def test_projection_idempotence(ellipse_box):
         assert np.abs(twice - once).max() <= 1e-10 * np.abs(once).max()
 
 
-def test_interior_equivalence_with_direct_summation(ellipse_box):
-    grid, ps, box = ellipse_box
-    rng = np.random.default_rng(31)
-    q = rng.standard_normal(len(ps.gamma_minus_indices))
-    density = potentials.DensityVector(support=ps.gamma_minus_indices, values=q)
-    direct = potentials.evaluate_potential(
-        ps.m_plus_indices, density, potentials.LayerKind.SINGLE, ps
-    )
-    k_gamma = potentials.assemble_layer_matrix(
-        ps.gamma_indices, ps.gamma_minus_indices, potentials.LayerKind.SINGLE, ps
-    ).entries
-    w = diffpot.difference_potential(k_gamma @ q, ps, box)
-    mp = ps.m_plus_indices
-    assert np.abs(w.values[mp[:, 0], mp[:, 1]] - direct).max() < 1e-8
+@pytest.fixture(scope="module")
+def exterior_box():
+    grid = centered_grid(3.0, 32)
+    ps = geometry.classify(grid, geometry.circle_exterior(1.0))
+    return grid, ps, diffpot.AuxiliaryBox(grid=grid)
+
+
+def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
+    for _, ps, box in (ellipse_box, exterior_box):
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal(len(ps.gamma_minus_indices))
+        density = potentials.DensityVector(support=ps.gamma_minus_indices, values=q)
+        direct = potentials.evaluate_potential(
+            ps.m_plus_indices, density, potentials.LayerKind.SINGLE, ps
+        )
+        k_gamma = potentials.assemble_layer_matrix(
+            ps.gamma_indices, ps.gamma_minus_indices, potentials.LayerKind.SINGLE, ps
+        ).entries
+        # Empty for the bounded ellipse; every box-edge node for the exterior.
+        u_edge = potentials.evaluate_potential(
+            diffpot.edge_nodes(ps, box), density, potentials.LayerKind.SINGLE, ps
+        )
+        w = diffpot.difference_potential(k_gamma @ q, ps, box, u_edge)
+        mp = ps.m_plus_indices
+        assert np.abs(w.values[mp[:, 0], mp[:, 1]] - direct).max() < 1e-8
+
+
+def test_difference_potential_rejects_wrong_edge_length(exterior_box):
+    _, ps, box = exterior_box
+    n_edge = len(diffpot.edge_nodes(ps, box))
+    assert n_edge == 4 * (ps.grid.nx - 1)
+    with pytest.raises(AssemblyError):
+        diffpot.difference_potential(
+            np.zeros(len(ps.gamma_indices)), ps, box, np.zeros(n_edge - 1)
+        )
 
 
 def test_difference_potential_grid_mismatch(ellipse_box):
@@ -164,7 +185,9 @@ def test_box_margin_is_enforced():
         gamma_minus=gamma & ~m_plus,
     )
     with pytest.raises(BoxTooSmallError):
-        diffpot.AuxiliaryBox.for_pointsets(ps)
+        diffpot.difference_potential(
+            np.zeros(len(ps.gamma_indices)), ps, diffpot.AuxiliaryBox(grid=grid)
+        )
 
 
 # ---------------------------------------------------------------------------

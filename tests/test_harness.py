@@ -73,7 +73,8 @@ def test_manufactured_bounded_consistency():
 def test_manufactured_unbounded_is_harmonic():
     cfg = harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", n=32)
     mf = harness.manufactured_solution(cfg)
-    assert mf.f is None
+    xs = np.linspace(-3.0, 3.0, 7)
+    assert np.all(mf.f(xs, xs[::-1]) == 0.0)
     rng = np.random.default_rng(7)
     for _ in range(20):
         r = rng.uniform(1.2, 2.5)
@@ -349,3 +350,12 @@ class TestCli:
         assert "fitted order" in proc.stdout
         assert script.exists()
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("command", ["convergence", "conditioning"])
+    def test_plot_script_without_out_exits_2(self, tmp_path, command):
+        script = tmp_path / "p.py"
+        proc = self.run_cli(command, "--geometry", "ellipse", "--bc", "dirichlet",
+                            "--n-list", "32,64,128", "--plot-script", str(script))
+        assert proc.returncode == 2
+        assert "--plot-script needs --out" in proc.stderr
+        assert not script.exists()

@@ -181,6 +181,16 @@ def test_grid_matches_pointwise_values():
     assert not grid.flags.writeable
 
 
+def test_grid_is_centre_slice_of_larger_grid():
+    # Kernel gathers take one table per lattice, so a smaller table must
+    # agree bit for bit with the centre of a larger one.
+    small, large = 37, 64
+    assert large > R_SWITCH
+    offset = large - small
+    centre = lgf_grid(large)[offset:offset + 2 * small + 1, offset:offset + 2 * small + 1]
+    assert np.array_equal(lgf_grid(small), centre)
+
+
 def test_quadrature_error_carries_estimate():
     err = QuadratureError("no convergence", achieved=3e-9)
     assert err.achieved == 3e-9

@@ -7,7 +7,6 @@ from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
 from latticebae.geometry import Grid, classify, ellipse, exterior_connections
 from latticebae.lgf import lgf
 from latticebae.potentials import (
-    _EVAL_CHUNK,
     DensityVector,
     LayerKind,
     LayerMatrix,
@@ -141,10 +140,7 @@ def test_potential_is_discretely_harmonic(circle_setup, kind):
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
 def test_evaluation_matches_matrix_action(circle_setup, kind):
     _, shape, small = circle_setup
-    # The 96-cell lattice has more M+ nodes than one evaluation chunk, so
-    # the summation there crosses at least one chunk seam.
     large = classify(Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 96), shape)
-    assert len(large.m_plus_indices) > _EVAL_CHUNK
     rng = np.random.default_rng(5)
     for ps, targets in ((small, small.gamma_plus_indices), (large, large.m_plus_indices)):
         q = DensityVector(ps.gamma_minus_indices,

@@ -43,7 +43,7 @@ def circle_problem():
     ps = geometry.classify(grid, shape)
     xs = geometry.select_intersections(ps, shape, grid)
     cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
-    box = diffpot.AuxiliaryBox.for_pointsets(ps)
+    box = diffpot.AuxiliaryBox(grid=ps.grid)
     return grid, ps, cm, box
 
 
@@ -217,7 +217,7 @@ def test_robin_system_solves_and_satisfies_closure():
 
     bc = closure.robin(1.0, 1.0, g)
     cm = closure.assemble_closure(ps, xs, bc, grid)
-    box = diffpot.AuxiliaryBox.for_pointsets(ps)
+    box = diffpot.AuxiliaryBox(grid=ps.grid)
     interiors = {}
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
