@@ -192,6 +192,26 @@ def _empty_index_array() -> np.ndarray:
     return np.empty((0, 2), dtype=np.int64)
 
 
+class _Triplets:
+    """(row, col, value) entries of one sparse block, each (row, col) given once."""
+
+    def __init__(self):
+        self.rows, self.cols, self.values = [], [], []
+
+    def add(self, row: int, col: int, value: float) -> None:
+        self.rows.append(row)
+        self.cols.append(col)
+        self.values.append(value)
+
+    def csr(self, shape) -> sparse.csr_array:
+        # int32 indices: the dtype scipy itself picks for blocks this small.
+        return sparse.csr_array(
+            (np.array(self.values, dtype=float),
+             (np.array(self.rows, dtype=np.int32), np.array(self.cols, dtype=np.int32))),
+            shape=shape,
+        )
+
+
 def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMatrices:
     """Bilinear interpolation rows at the intersection points.
 
@@ -202,8 +222,7 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
     plus_map = _column_map(ps.gamma_plus_indices)
     minus_map = _column_map(ps.gamma_minus_indices)
     n = len(ps.gamma_minus_indices)
-    plus = sparse.lil_array((n, len(ps.gamma_plus_indices)))
-    minus = sparse.lil_array((n, n))
+    plus, minus = _Triplets(), _Triplets()
     rhs = np.empty(n)
     for i, point in enumerate(xs):
         # On the lattice segment the hats of all other nodes vanish, so
@@ -216,9 +235,9 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
                 continue
             key = (int(node[0]), int(node[1]))
             if key in plus_map:
-                plus[i, plus_map[key]] += weight
+                plus.add(i, plus_map[key], weight)
             elif key in minus_map:
-                minus[i, minus_map[key]] += weight
+                minus.add(i, minus_map[key], weight)
             else:
                 raise AssemblyError(
                     f"node {key} carries interpolation weight at "
@@ -229,8 +248,8 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
             raise ClosureDegeneracyError(f"empty boundary row at {point.location}")
         rhs[i] = g(*point.location)
     return ClosureMatrices(
-        phi_plus=sparse.csr_array(plus),
-        phi_minus=sparse.csr_array(minus),
+        phi_plus=plus.csr((n, len(ps.gamma_plus_indices))),
+        phi_minus=minus.csr((n, n)),
         phi_prime_minus=sparse.csr_array((n, 0)),
         r_plus=sparse.csr_array((0, len(ps.gamma_plus_indices))),
         r_minus=sparse.csr_array((0, n)),
@@ -380,9 +399,7 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
     eta_map = _column_map(support.eta)
     n = len(ps.gamma_minus_indices)
     n_eta = len(support.eta)
-    plus = sparse.lil_array((n, len(support.gamma_tilde_plus)))
-    minus = sparse.lil_array((n, n))
-    prime = sparse.lil_array((n, n_eta))
+    plus, minus, prime = _Triplets(), _Triplets(), _Triplets()
     rhs = np.empty(n)
     for i, (point, cell) in enumerate(zip(xs, support.cells)):
         nx_, ny_ = point.normal
@@ -396,11 +413,11 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
                 if coeff == 0.0:
                     continue
                 if node in tilde_map:
-                    plus[i, tilde_map[node]] += coeff
+                    plus.add(i, tilde_map[node], coeff)
                 elif node in minus_map:
-                    minus[i, minus_map[node]] += coeff
+                    minus.add(i, minus_map[node], coeff)
                 elif node in eta_map:
-                    prime[i, eta_map[node]] += coeff
+                    prime.add(i, eta_map[node], coeff)
                 else:
                     raise AssemblyError(
                         f"cell node {node} missing from every closure column set"
@@ -410,22 +427,21 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
             raise ClosureDegeneracyError(f"empty boundary row at {point.location}")
         rhs[i] = bc.data(*point.location)
 
-    r_plus = sparse.lil_array((n_eta, len(support.gamma_tilde_plus)))
-    r_minus = sparse.lil_array((n_eta, n))
+    r_plus, r_minus = _Triplets(), _Triplets()
     for e, stencil in enumerate(support.eta_stencils):
         for node, weight in stencil:
             if node in tilde_map:
-                r_plus[e, tilde_map[node]] = -weight
+                r_plus.add(e, tilde_map[node], -weight)
             elif node in minus_map:
-                r_minus[e, minus_map[node]] = -weight
+                r_minus.add(e, minus_map[node], -weight)
             else:
                 raise AssemblyError(f"extrapolation node {node} missing from column sets")
     return ClosureMatrices(
-        phi_plus=sparse.csr_array(plus),
-        phi_minus=sparse.csr_array(minus),
-        phi_prime_minus=sparse.csr_array(prime),
-        r_plus=sparse.csr_array(r_plus),
-        r_minus=sparse.csr_array(r_minus),
+        phi_plus=plus.csr((n, len(support.gamma_tilde_plus))),
+        phi_minus=minus.csr((n, n)),
+        phi_prime_minus=prime.csr((n, n_eta)),
+        r_plus=r_plus.csr((n_eta, len(support.gamma_tilde_plus))),
+        r_minus=r_minus.csr((n_eta, n)),
         rhs=rhs,
         gamma_tilde_plus=np.array(support.gamma_tilde_plus, copy=True),
         gamma_minus=np.array(ps.gamma_minus_indices, copy=True),

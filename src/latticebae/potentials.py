@@ -27,7 +27,14 @@ boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
 gathered from one precomputed table of G per grid, covering every index
 difference inside the box, so each distinct lattice offset costs one
-evaluation in total.  Direct summation serves only the box-edge values
+evaluation in total.  Since G depends only on m - n, the table is read
+raveled: with R its radius and W = 2R + 1 its row length, G(m - n) sits
+at flat offset t(m) - s(n), where t(m) = (m1 + R) W + m2 + R and
+s(n) = n1 W + n2 are computed once per target and once per source.  A
+block is filled a fixed number of target rows at a time, so index
+temporaries never grow to the block's size.  The double kernel forms
+|D_n| G(m - n) and subtracts G(m - k) one direction at a time inside
+the same row block.  Direct summation serves only the box-edge values
 of the exterior's difference potential and the test oracles; interior
 values come from the box solve in :mod:`latticebae.diffpot`.
 """
@@ -40,10 +47,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import AssemblyError, DoubleLayerInapplicableError
-from .geometry import PointSets, exterior_connections
+from .geometry import PointSets
 from .lgf import lgf, lgf_grid
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+#: Target rows gathered per step of a kernel block.
+_ROW_BLOCK = 64
 
 
 class LayerKind(Enum):
@@ -126,48 +135,55 @@ def _check_membership(indices, mask, what):
 
 
 def _connection_structure(ps: PointSets, sources):
-    """Connection counts and per-direction presence masks for sources."""
-    counts = np.zeros(len(sources), dtype=np.int64)
-    present = np.zeros((4, len(sources)), dtype=bool)
-    for col, idx in enumerate(sources):
-        conn = exterior_connections(ps, idx)
-        if not conn:
-            raise DoubleLayerInapplicableError(
-                f"double-layer matrix inapplicable: source {tuple(int(v) for v in idx)} "
-                "has no exterior connections"
-            )
-        counts[col] = len(conn)
-        for d, (d1, d2) in enumerate(_DIRECTIONS):
-            if (idx[0] + d1, idx[1] + d2) in conn:
-                present[d, col] = True
+    """Connection counts and per-direction presence masks for sources.
+
+    ``present[d, col]`` says whether the neighbour of source ``col`` in
+    direction ``_DIRECTIONS[d]`` is an exterior connection: inside the
+    box, in M- and not in gamma-.
+    """
+    connectable = np.pad(~(ps.m_plus | ps.gamma_minus), 1)  # False outside the box
+    present = np.stack([
+        connectable[sources[:, 0] + 1 + d1, sources[:, 1] + 1 + d2]
+        for d1, d2 in _DIRECTIONS
+    ])
+    counts = present.sum(axis=0)
+    if not counts.all():
+        bad = sources[np.flatnonzero(counts == 0)[0]]
+        raise DoubleLayerInapplicableError(
+            f"double-layer matrix inapplicable: source {tuple(int(v) for v in bad)} "
+            "has no exterior connections"
+        )
     return counts, present
-
-
-def _gathered_block(table, radius, targets, sources):
-    dj = targets[:, 0:1] - sources[None, :, 0]
-    dk = targets[:, 1:2] - sources[None, :, 1]
-    return table[dj + radius, dk + radius]
 
 
 def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
     """Dense single or double kernel block, gathered from one table per grid.
 
     Targets, sources and exterior connections all lie in the box, so no
-    index difference exceeds the box's own extent.
+    flat offset leaves the table.
     """
     radius = max(ps.grid.nx, ps.grid.ny) - 1
-    table = lgf_grid(radius)
-    block = _gathered_block(table, radius, targets, sources)
-    if kind is LayerKind.SINGLE:
-        return block
-    counts, present = _connection_structure(ps, sources)
-    block = block * counts[None, :]
-    for d, (d1, d2) in enumerate(_DIRECTIONS):
-        cols = np.nonzero(present[d])[0]
-        if len(cols):
-            shifted = sources[cols] + np.array([d1, d2])
-            block[:, cols] -= _gathered_block(table, radius, targets, shifted)
-    return block
+    width = 2 * radius + 1
+    flat = lgf_grid(radius).ravel()
+    t_flat = (targets[:, 0] + radius) * width + targets[:, 1] + radius
+    s_flat = sources[:, 0] * width + sources[:, 1]
+    connections = []  # (columns, shifted source offsets) per direction
+    if kind is LayerKind.DOUBLE:
+        counts, present = _connection_structure(ps, sources)
+        for d, (d1, d2) in enumerate(_DIRECTIONS):
+            cols = np.nonzero(present[d])[0]
+            if len(cols):
+                connections.append((cols, s_flat[cols] + (d1 * width + d2)))
+    out = np.empty((len(targets), len(sources)))
+    for start in range(0, len(targets), _ROW_BLOCK):
+        rows = t_flat[start : start + _ROW_BLOCK, None]
+        block = out[start : start + _ROW_BLOCK]
+        np.take(flat, rows - s_flat, out=block)
+        if kind is LayerKind.DOUBLE:
+            block *= counts
+            for cols, k_flat in connections:
+                block[:, cols] -= flat[rows - k_flat]
+    return out
 
 
 def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> LayerMatrix:

@@ -1,11 +1,13 @@
 """Tests for lattice layer kernels and their dense assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
-from latticebae.geometry import Grid, classify, ellipse, exterior_connections
-from latticebae.lgf import lgf
+from latticebae.geometry import Grid, circle_exterior, classify, ellipse, exterior_connections
+from latticebae.lgf import lgf, lgf_grid
 from latticebae.potentials import (
     DensityVector,
     LayerKind,
@@ -24,6 +26,34 @@ def circle_setup():
     shape = ellipse(1.0)
     ps = classify(grid, shape)
     return grid, shape, ps
+
+
+@pytest.fixture(scope="module")
+def ellipse256():
+    """Ellipse a=2 at n=256: 496 gamma+ targets, several gather row blocks."""
+    return classify(Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 256), ellipse(2.0))
+
+
+def _reference_block(ps, targets, sources, kind):
+    """The block from 2-D table indexing and per-source connection sets."""
+    radius = max(ps.grid.nx, ps.grid.ny) - 1
+    table = lgf_grid(radius)
+
+    def gather(src):
+        return table[targets[:, 0:1] - src[None, :, 0] + radius,
+                     targets[:, 1:2] - src[None, :, 1] + radius]
+
+    block = gather(sources)
+    if kind is LayerKind.SINGLE:
+        return block
+    conns = [exterior_connections(ps, idx) for idx in sources]
+    block = block * np.array([len(c) for c in conns])[None, :]
+    for d1, d2 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        cols = [j for j, (idx, conn) in enumerate(zip(sources, conns))
+                if (idx[0] + d1, idx[1] + d2) in conn]
+        if cols:
+            block[:, cols] -= gather(sources[cols] + np.array([d1, d2]))
+    return block
 
 
 def test_single_kernel_values():
@@ -78,6 +108,45 @@ def test_assembled_double_block_matches_entrywise(circle_setup):
             assert lm.entries[i, j] == pytest.approx(
                 double_kernel(targets[i], sources[j], conn), abs=1e-13
             )
+
+
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+def test_gather_is_bitwise_reference(ellipse256, kind):
+    ps = ellipse256
+    sources = ps.gamma_minus_indices
+    full = ps.gamma_plus_indices
+    assert len(full) == 496
+    for targets in (full, full[:1], full[:0]):
+        lm = assemble_layer_matrix(targets, sources, kind, ps)
+        assert lm.entries.shape == (len(targets), len(sources))
+        assert np.array_equal(lm.entries, _reference_block(ps, targets, sources, kind))
+
+
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+def test_gather_scratch_memory(ellipse256, kind):
+    # Beyond the block itself, temporaries stay at row-block size.
+    ps = ellipse256
+    lgf_grid(max(ps.grid.nx, ps.grid.ny) - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lm = assemble_layer_matrix(ps.gamma_plus_indices, ps.gamma_minus_indices, kind, ps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * lm.entries.nbytes
+
+
+def test_double_block_names_first_unconnected_source():
+    # Around a circle smaller than two cells some gamma- nodes touch
+    # only M+ and gamma- nodes.
+    ps = classify(Grid.from_box((-3.0, 3.0), (-3.0, 3.0), 32), circle_exterior(0.3))
+    for sources in (ps.gamma_minus_indices, ps.gamma_minus_indices[::-1]):
+        first = next(tuple(int(v) for v in idx) for idx in sources
+                     if not exterior_connections(ps, idx))
+        with pytest.raises(DoubleLayerInapplicableError,
+                           match=rf"source \({first[0]}, {first[1]}\) has no exterior"):
+            assemble_layer_matrix(sources, sources, LayerKind.DOUBLE, ps)
 
 
 def test_minus_single_block_symmetric_zero_diagonal(circle_setup):
