@@ -7,10 +7,11 @@ boundary.  The discrete solution is represented by single- or
 double-layer lattice potentials whose densities live on a thin layer of
 exterior grid nodes; boundary conditions enter through local polynomial
 interpolation on cut cells, and interior values are recovered by an
-FFT-accelerated difference-potential solve on an auxiliary box.  On the
-unbounded exterior the box edge lies inside the domain; there the box
-solve takes the lattice potential's own edge values, summed directly
-from the density, so no artificial boundary condition enters.
+FFT-accelerated difference-potential solve on the lattice's own
+rectangular box.  On the unbounded exterior the box edge lies inside the
+domain; there the box solve takes the lattice potential's own edge
+values, summed directly from the density, so no artificial boundary
+condition enters.
 """
 
 from .errors import (
@@ -82,13 +83,11 @@ from .solver import (
     solve_system,
 )
 from .diffpot import (
-    AuxiliaryBox,
     GridFunction,
     correct_boundary_rhs,
     difference_potential,
     fft_poisson_solve,
     particular_solution,
-    superpose,
 )
 from .harness import (
     ConditioningReport,

@@ -49,7 +49,7 @@ from .errors import (
     ExtrapolationStencilError,
     UnderResolvedBoundaryError,
 )
-from .geometry import Grid, IntersectionPoint, PointSets
+from .geometry import DIRECTIONS, Grid, IntersectionPoint, PointSets
 from .lgf import LatticeIndex
 
 #: Quadratic extrapolation weights at distances (1, 2, 3) from the target.
@@ -357,7 +357,7 @@ def _eta_stencil(node, ps: PointSets):
     j, k = node
     grid = ps.grid
     usable_runs = {}
-    for d1, d2 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+    for d1, d2 in DIRECTIONS:
         run = 0
         for step in (1, 2, 3):
             jj, kk = j + step * d1, k + step * d2
@@ -378,7 +378,7 @@ def _eta_stencil(node, ps: PointSets):
             f"eta node {tuple(int(v) for v in node)} has no direction with "
             "three consecutive usable nodes"
         )
-    directions = ((1, 0), (-1, 0)) if axis == "x" else ((0, 1), (0, -1))
+    directions = DIRECTIONS[:2] if axis == "x" else DIRECTIONS[2:]
     d1, d2 = max(directions, key=lambda d: (usable_runs[d], -d[0], -d[1]))
     return [((j + step * d1, k + step * d2), w)
             for step, w in zip((1, 2, 3), _EXTRAP_WEIGHTS)]
@@ -455,18 +455,3 @@ def assemble_closure(ps: PointSets, xs, bc: BoundaryCondition, grid: Grid) -> Cl
         return assemble_dirichlet(ps, xs, bc.data, grid)
     support = build_support_cells(xs, ps, grid)
     return assemble_robin(ps, xs, support, bc, grid)
-
-
-def dump_closure_csv(cm: ClosureMatrices, path) -> None:
-    """Debug dump of all closure entries: row, column index, value, block."""
-    blocks = (
-        ("phi_plus", cm.phi_plus), ("phi_minus", cm.phi_minus),
-        ("phi_prime_minus", cm.phi_prime_minus),
-        ("r_plus", cm.r_plus), ("r_minus", cm.r_minus),
-    )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("row,col_index,value,block\n")
-        for name, mat in blocks:
-            coo = mat.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r},{c},{v:.17g},{name}\n")

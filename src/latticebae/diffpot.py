@@ -1,8 +1,8 @@
-"""Auxiliary-box fast solves and difference potentials.
+"""Difference potentials and particular solutions by fast box solves.
 
 Interior values of a homogeneous solution could be recovered by direct
-lattice convolution at O(N^3) cost.  Cheaper: embed the domain in the
-rectangular computational box and solve the 5-point system there with a
+lattice convolution at O(N^3) cost.  Cheaper: solve the 5-point system
+on the classification grid itself, whose edge is the box edge, with a
 sine transform.  The difference potential of boundary data u_gamma is
 the box solution whose right-hand side is [A u] of the zero-extension of
 u_gamma, restricted to the exterior band; it is discretely harmonic on
@@ -18,7 +18,7 @@ whole box-restricted domain without any artificial boundary condition.
 
 The same box solver yields particular solutions of the nonhomogeneous
 problem from rhs = h^2 f on M+, after which the boundary right-hand
-side is corrected and the homogeneous and particular parts superpose.
+side is corrected; the caller adds the homogeneous and particular parts.
 """
 
 from __future__ import annotations
@@ -34,38 +34,32 @@ from .errors import AssemblyError, BoxTooSmallError
 from .geometry import Grid, PointSets
 
 
-@dataclass(frozen=True)
-class AuxiliaryBox:
-    """The rectangular box whose edge carries the fast solver's Dirichlet data."""
-
-    grid: Grid
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros((self.grid.nx, self.grid.ny), dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
+def _edge_mask(grid: Grid) -> np.ndarray:
+    """The nodes on the edge of a grid, where box solves take Dirichlet data."""
+    mask = np.zeros((grid.nx, grid.ny), dtype=bool)
+    mask[0, :] = mask[-1, :] = True
+    mask[:, 0] = mask[:, -1] = True
+    return mask
 
 
 @dataclass
 class GridFunction:
-    """A real field sampled on every node of an auxiliary box."""
+    """A real field sampled on every node of a grid."""
 
-    box: AuxiliaryBox
+    grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        shape = (self.box.grid.nx, self.box.grid.ny)
+        shape = (self.grid.nx, self.grid.ny)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != shape:
             raise AssemblyError(
-                f"grid function has shape {self.values.shape}, box wants {shape}"
+                f"grid function has shape {self.values.shape}, grid wants {shape}"
             )
 
     @classmethod
-    def zeros(cls, box: AuxiliaryBox) -> "GridFunction":
-        return cls(box=box, values=np.zeros((box.grid.nx, box.grid.ny)))
+    def zeros(cls, grid: Grid) -> "GridFunction":
+        return cls(grid=grid, values=np.zeros((grid.nx, grid.ny)))
 
 
 def apply_stencil(values: np.ndarray) -> np.ndarray:
@@ -88,7 +82,7 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
     n's counting grid intervals per axis.
     """
-    grid = rhs.box.grid
+    grid = rhs.grid
     edge_max = max(
         np.abs(rhs.values[0, :]).max(),
         np.abs(rhs.values[-1, :]).max(),
@@ -104,39 +98,36 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
         np.pi * k / my
     )[None, :]
     coeff = sfft.dstn(rhs.values[1:-1, 1:-1], type=1)
-    w = GridFunction.zeros(rhs.box)
+    w = GridFunction.zeros(grid)
     w.values[1:-1, 1:-1] = sfft.idstn(coeff / lam, type=1)
     return w
 
 
-def edge_nodes(ps: PointSets, box: AuxiliaryBox) -> np.ndarray:
-    """The M+ nodes on the box edge, in canonical order: where u_edge lives."""
-    return np.argwhere(box.boundary_mask & ps.m_plus)
+def edge_nodes(ps: PointSets) -> np.ndarray:
+    """The M+ nodes on the grid edge, in canonical order: where u_edge lives."""
+    return np.argwhere(_edge_mask(ps.grid) & ps.m_plus)
 
 
-def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox,
-                         u_edge=()) -> GridFunction:
+def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridFunction:
     """Box solution reproducing u_gamma on gamma, discretely harmonic on M+.
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
     result on the exterior band only, and solves the box system with
     u_edge imposed on :func:`edge_nodes` (zero on the rest of the edge).
     """
-    if box.grid != ps.grid:
-        raise AssemblyError("auxiliary box grid differs from the classification grid")
     gamma_nodes = ps.gamma_indices
     u_gamma = np.asarray(u_gamma, dtype=float)
     if u_gamma.shape != (len(gamma_nodes),):
         raise AssemblyError(
             f"gamma data has shape {u_gamma.shape}, expected ({len(gamma_nodes)},)"
         )
-    on_edge = edge_nodes(ps, box)
+    on_edge = edge_nodes(ps)
     u_edge = np.asarray(u_edge, dtype=float)
     if u_edge.shape != (len(on_edge),):
         raise AssemblyError(
             f"edge data has shape {u_edge.shape}, expected ({len(on_edge)},)"
         )
-    edge = box.boundary_mask
+    edge = _edge_mask(ps.grid)
     near_edge = edge.copy()
     near_edge[1:-1, 1:-1] = (
         edge[:-2, 1:-1] | edge[2:, 1:-1] | edge[1:-1, :-2] | edge[1:-1, 2:]
@@ -145,7 +136,7 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox,
         raise BoxTooSmallError("a gamma node touches or neighbors the box edge")
     extension = np.zeros((ps.grid.nx, ps.grid.ny))
     extension[gamma_nodes[:, 0], gamma_nodes[:, 1]] = u_gamma
-    rhs = GridFunction.zeros(box)
+    rhs = GridFunction.zeros(ps.grid)
     band = ps.m_minus & ~edge
     rhs.values[band] = apply_stencil(extension)[band]
     # Lift the edge values into the rhs of the adjacent interior ring.
@@ -157,25 +148,17 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, box: AuxiliaryBox,
     return w
 
 
-def particular_solution(f: Callable, ps: PointSets, box: AuxiliaryBox, grid: Grid) -> GridFunction:
+def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain)."""
-    if box.grid != ps.grid or grid != ps.grid:
-        raise AssemblyError("particular solution grids are inconsistent")
+    grid = ps.grid
     x, y = grid.mesh()
-    rhs = GridFunction.zeros(box)
-    inside = ps.m_plus & ~box.boundary_mask
+    rhs = GridFunction.zeros(grid)
+    inside = ps.m_plus & ~_edge_mask(grid)
     rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))[inside]
     return fft_poisson_solve(rhs)
 
 
 def _restrict(gf: GridFunction, indices: np.ndarray) -> np.ndarray:
-    if len(indices) == 0:
-        return np.zeros(0)
-    nx, ny = gf.values.shape
-    if indices[:, 0].min() < 0 or indices[:, 0].max() >= nx or (
-        indices[:, 1].min() < 0 or indices[:, 1].max() >= ny
-    ):
-        raise AssemblyError("particular solution does not cover a closure node")
     return gf.values[indices[:, 0], indices[:, 1]]
 
 
@@ -193,20 +176,3 @@ def correct_boundary_rhs(cm: ClosureMatrices, u_p: GridFunction) -> np.ndarray:
         - cm.phi_minus @ _restrict(u_p, cm.gamma_minus)
         - cm.phi_prime_minus @ _restrict(u_p, cm.eta)
     )
-
-
-def superpose(u_h: GridFunction, u_p: GridFunction) -> GridFunction:
-    """Pointwise sum of the homogeneous and particular parts."""
-    if u_h.box.grid != u_p.box.grid:
-        raise AssemblyError("cannot superpose grid functions on different boxes")
-    return GridFunction(box=u_h.box, values=u_h.values + u_p.values)
-
-
-def dump_grid_function_csv(gf: GridFunction, ps: PointSets, path) -> None:
-    """Write x,y,value rows over the interior nodes in canonical order."""
-    grid = gf.box.grid
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,value\n")
-        for j, k in ps.m_plus_indices:
-            x, y = grid.node(int(j), int(k))
-            fh.write(f"{x:.17g},{y:.17g},{gf.values[j, k]:.17g}\n")

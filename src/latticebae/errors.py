@@ -82,5 +82,5 @@ class SingularSystemError(LatticeBaeError):
 
 
 class BoxTooSmallError(LatticeBaeError):
-    """The auxiliary box cannot accommodate the requested operation (a
+    """The grid's box cannot accommodate the requested operation (a
     boundary-layer node touches its edge)."""

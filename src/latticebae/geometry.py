@@ -28,7 +28,7 @@ no truncation, so no artificial boundary condition ever appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -42,9 +42,11 @@ from .errors import (
 )
 from .lgf import LatticeIndex
 
-#: Candidate segment directions in tie-break order: x-axis before y-axis,
-#: positive step before negative.
-_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+#: The four lattice directions in tie-break order: x-axis before y-axis,
+#: positive step before negative.  It fixes the tie-breaks of
+#: select_intersections and of the closure's eta stencils, and the order
+#: in which the double-layer kernel subtracts its shifted gathers.
+DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 _BISECT_ITERS = 50
 _MULTI_ROOT_SAMPLES = 17
@@ -108,16 +110,13 @@ class LevelSetShape:
 
     ``psi`` must accept numpy arrays and broadcast.  ``grad`` (optional)
     returns the two gradient components; when absent, intersection
-    normals fall back to central differences.  ``unbounded`` marks
-    exterior domains whose M+ extends past every finite box.
+    normals fall back to central differences.
     """
 
     kind: str
     psi: Callable
     grad: Optional[Callable] = None
     label: str = ""
-    unbounded: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.label:
@@ -137,8 +136,7 @@ def ellipse(aspect: float = 1.0) -> LevelSetShape:
         return 2.0 * x, 2.0 * a2 * y
 
     return LevelSetShape(
-        kind="ellipse", psi=psi, grad=grad, label=f"ellipse-a{aspect:g}",
-        params={"aspect": float(aspect)},
+        kind="ellipse", psi=psi, grad=grad, label=f"ellipse-a{aspect:g}"
     )
 
 
@@ -155,8 +153,7 @@ def diamond(r1: float = 0.9, r2: float = 0.5) -> LevelSetShape:
         return np.copysign(1.0 / r1, x), np.copysign(1.0 / r2, y)
 
     return LevelSetShape(
-        kind="diamond", psi=psi, grad=grad, label=f"diamond-r{r1:g}x{r2:g}",
-        params={"r1": float(r1), "r2": float(r2)},
+        kind="diamond", psi=psi, grad=grad, label=f"diamond-r{r1:g}x{r2:g}"
     )
 
 
@@ -173,14 +170,12 @@ def circle_exterior(radius: float = 1.0) -> LevelSetShape:
         return -2.0 * x, -2.0 * y
 
     return LevelSetShape(
-        kind="circle_exterior", psi=psi, grad=grad, label=f"circle-exterior-r{radius:g}",
-        unbounded=True, params={"radius": float(radius)},
+        kind="circle_exterior", psi=psi, grad=grad, label=f"circle-exterior-r{radius:g}"
     )
 
 
-def custom(psi: Callable, grad: Optional[Callable] = None, label: str = "custom",
-           unbounded: bool = False) -> LevelSetShape:
-    return LevelSetShape(kind="custom", psi=psi, grad=grad, label=label, unbounded=unbounded)
+def custom(psi: Callable, grad: Optional[Callable] = None, label: str = "custom") -> LevelSetShape:
+    return LevelSetShape(kind="custom", psi=psi, grad=grad, label=label)
 
 
 @dataclass
@@ -323,7 +318,7 @@ def select_intersections(ps: PointSets, shape: LevelSetShape, grid: Grid) -> lis
     cand_dir = []
     for row, (j, k) in enumerate(owners):
         found = False
-        for d1, d2 in _DIRECTIONS:
+        for d1, d2 in DIRECTIONS:
             jj, kk = j + d1, k + d2
             if grid.contains_index(jj, kk) and m_plus[jj, kk]:
                 cand_owner_row.append(row)
@@ -414,7 +409,7 @@ def exterior_connections(ps: PointSets, n) -> set:
     if not ps.gamma_minus[j, k]:
         raise ValueError(f"node {(j, k)} is not a gamma- node")
     out = set()
-    for d1, d2 in _DIRECTIONS:
+    for d1, d2 in DIRECTIONS:
         jj, kk = j + d1, k + d2
         if not ps.grid.contains_index(jj, kk) or ps.m_plus[jj, kk] or ps.gamma_minus[jj, kk]:
             continue

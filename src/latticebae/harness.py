@@ -2,10 +2,10 @@
 
 Bounded runs all solve the Poisson problem manufactured from
 u = sin(x)cos(y) (which is not discretely harmonic, so the particular
-solution and superposition machinery is always exercised); boundary
-data comes from the same u.  The unbounded study solves potential flow
-past the unit circle with u = x/(x^2 + y^2), harmonic away from the
-origin, so its forcing is zero.  Every solve recovers interior values
+solution machinery is always exercised); boundary data comes from the
+same u.  The unbounded study solves potential flow past the unit circle
+with u = x/(x^2 + y^2), harmonic away from the origin, so its forcing
+is zero.  Every solve recovers interior values
 through the same difference-potential box solve; on the exterior the
 box edge lies in the domain and takes the lattice potential's own
 values there, summed directly from the density.
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import closure as closure_mod
 from . import diffpot, geometry, potentials, solver
-from .errors import AssemblyError, ConfigError, DoubleLayerInapplicableError
+from .errors import AssemblyError, ConfigError, DoubleLayerInapplicableError, LatticeBaeError
 
 CSV_HEADER = "n,h,geometry,bc,formulation,max_error,cond,wall_time"
 
@@ -166,18 +166,6 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
     return closure_mod.robin(alpha_c, beta_c, g)
 
 
-def scatter_gamma_trace(result: solver.SolveResult, ps: geometry.PointSets) -> np.ndarray:
-    """Interleave the gamma+ and gamma- traces into canonical gamma order."""
-    ny = ps.grid.ny
-    gamma_flat = ps.gamma_indices[:, 0] * ny + ps.gamma_indices[:, 1]
-    plus_flat = ps.gamma_plus_indices[:, 0] * ny + ps.gamma_plus_indices[:, 1]
-    minus_flat = ps.gamma_minus_indices[:, 0] * ny + ps.gamma_minus_indices[:, 1]
-    out = np.empty(len(gamma_flat))
-    out[np.searchsorted(gamma_flat, plus_flat)] = result.trace_plus
-    out[np.searchsorted(gamma_flat, minus_flat)] = result.trace_minus
-    return out
-
-
 @dataclass
 class SolutionField:
     """A solved problem with its pointwise errors on the interior nodes."""
@@ -202,6 +190,22 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
     return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
+def _gamma_trace(result: solver.SolveResult, cm: closure_mod.ClosureMatrices,
+                 ps: geometry.PointSets) -> np.ndarray:
+    """Both traces in canonical gamma order, for the difference potential.
+
+    They are written on one grid array at their closure nodes and read
+    back on gamma; the gamma~+ nodes off gamma drop out, which is exact
+    because the difference potential reads gamma values only.  The grid
+    array is freed before the box solve that follows.
+    """
+    traces = np.zeros((ps.grid.nx, ps.grid.ny))
+    tp, tm = cm.gamma_tilde_plus, cm.gamma_minus
+    traces[tp[:, 0], tp[:, 1]] = result.trace_plus
+    traces[tm[:, 0], tm[:, 1]] = result.trace_minus
+    return traces[ps.gamma]
+
+
 def _discretize(cfg: ExperimentConfig, n: int):
     """Grid, manufactured solution, point sets and closure for one grid size."""
     shape = build_shape(cfg)
@@ -224,18 +228,15 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
         )
     grid, mf, ps, cm = _discretize(cfg, n)
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    box = diffpot.AuxiliaryBox(grid=grid)
-    u_p = diffpot.particular_solution(mf.f, ps, box, grid)
+    u_p = diffpot.particular_solution(mf.f, ps)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
-    result = solver.solve_system(
-        form, cm, ps, k_plus, k_minus, compute_cond=cfg.compute_cond
-    )
+    result = solver.solve_system(form, cm, k_plus, k_minus, compute_cond=cfg.compute_cond)
     u_edge = potentials.evaluate_potential(
-        diffpot.edge_nodes(ps, box), result.density, form.kernel, ps
+        diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
-    u_h = diffpot.difference_potential(scatter_gamma_trace(result, ps), ps, box, u_edge)
+    u_h = diffpot.difference_potential(_gamma_trace(result, cm, ps), ps, u_edge)
     mp = ps.m_plus_indices
-    values = diffpot.superpose(u_h, u_p).values[mp[:, 0], mp[:, 1]]
+    values = (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
 
     x = grid.origin[0] + grid.h * mp[:, 0]
     y = grid.origin[1] + grid.h * mp[:, 1]
@@ -280,7 +281,7 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     for n in cfg.ladder():
         try:
             rows.append(run_solve(cfg, n))
-        except Exception as exc:  # keep the partial table
+        except LatticeBaeError as exc:  # keep the partial table
             failures.append(f"n={n}: {type(exc).__name__}: {exc}")
     order = None
     good = [r for r in rows if r.max_error is not None and r.max_error > 0.0]

@@ -47,10 +47,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import AssemblyError, DoubleLayerInapplicableError
-from .geometry import PointSets
+from .geometry import DIRECTIONS, PointSets
 from .lgf import lgf, lgf_grid
 
-_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 #: Target rows gathered per step of a kernel block.
 _ROW_BLOCK = 64
 
@@ -138,13 +137,13 @@ def _connection_structure(ps: PointSets, sources):
     """Connection counts and per-direction presence masks for sources.
 
     ``present[d, col]`` says whether the neighbour of source ``col`` in
-    direction ``_DIRECTIONS[d]`` is an exterior connection: inside the
+    direction ``DIRECTIONS[d]`` is an exterior connection: inside the
     box, in M- and not in gamma-.
     """
     connectable = np.pad(~(ps.m_plus | ps.gamma_minus), 1)  # False outside the box
     present = np.stack([
         connectable[sources[:, 0] + 1 + d1, sources[:, 1] + 1 + d2]
-        for d1, d2 in _DIRECTIONS
+        for d1, d2 in DIRECTIONS
     ])
     counts = present.sum(axis=0)
     if not counts.all():
@@ -170,7 +169,7 @@ def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarra
     connections = []  # (columns, shifted source offsets) per direction
     if kind is LayerKind.DOUBLE:
         counts, present = _connection_structure(ps, sources)
-        for d, (d1, d2) in enumerate(_DIRECTIONS):
+        for d, (d1, d2) in enumerate(DIRECTIONS):
             cols = np.nonzero(present[d])[0]
             if len(cols):
                 connections.append((cols, s_flat[cols] + (d1 * width + d2)))
@@ -212,11 +211,3 @@ def evaluate_potential(points, density: DensityVector, kind: LayerKind, ps: Poin
     sources = _as_index_array(density.support)
     _check_membership(sources, ps.gamma_minus, "density support")
     return _kernel_block(points, sources, kind, ps) @ density.values
-
-
-def dump_layer_matrix(matrix: LayerMatrix, path) -> None:
-    """Text dump: `rows cols` header then row-major entries, one row per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{len(matrix.rows)} {len(matrix.cols)}\n")
-        for row in matrix.entries:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -72,6 +72,10 @@ def formulation_from_tag(tag: str) -> Formulation:
 
 @dataclass
 class SolveResult:
+    """A solved density with the layer potential's traces on the closure's
+    own orderings: ``trace_plus`` on gamma~+ (the columns of Phi+, which
+    equals gamma+ for Dirichlet), ``trace_minus`` on gamma-."""
+
     density: DensityVector
     trace_minus: np.ndarray
     trace_plus: np.ndarray
@@ -159,14 +163,8 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def _gamma_plus_rows(cm: ClosureMatrices, ps: PointSets) -> np.ndarray:
-    plus = {tuple(map(int, idx)) for idx in ps.gamma_plus_indices}
-    rows = [i for i, node in enumerate(cm.gamma_tilde_plus) if tuple(map(int, node)) in plus]
-    return np.array(rows, dtype=np.int64)
-
-
 def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
-            k_plus: LayerMatrix, k_minus: LayerMatrix, ps: PointSets,
+            k_plus: LayerMatrix, k_minus: LayerMatrix,
             kernel_lu: Optional[tuple] = None, system_cond: Optional[float] = None,
             residual_norm: float = 0.0) -> SolveResult:
     """Density and both traces from the solved primary unknown; the Schur
@@ -177,18 +175,16 @@ def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
     else:
         trace_minus = solution
         density = linalg.lu_solve(kernel_lu, trace_minus, trans=1)
-    trace_tilde = k_plus.entries @ density
-    trace_plus = trace_tilde[_gamma_plus_rows(cm, ps)]
     return SolveResult(
         density=DensityVector(support=cm.gamma_minus, values=density),
         trace_minus=np.asarray(trace_minus, dtype=float),
-        trace_plus=trace_plus,
+        trace_plus=k_plus.entries @ density,
         system_cond=system_cond,
         residual_norm=residual_norm,
     )
 
 
-def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
+def solve_system(formulation: Formulation, cm: ClosureMatrices,
                  k_plus: LayerMatrix, k_minus: LayerMatrix,
                  compute_cond: bool = False) -> SolveResult:
     """Assemble, solve, and recover in one sweep."""
@@ -197,6 +193,6 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
     residual = float(np.abs(matrix @ solution - rhs).max())
     cond = condition_number(matrix) if compute_cond else None
     return recover(
-        solution, formulation, cm, k_plus, k_minus, ps,
+        solution, formulation, cm, k_plus, k_minus,
         kernel_lu=kernel_lu, system_cond=cond, residual_norm=residual,
     )

@@ -404,24 +404,3 @@ def test_assembly_is_deterministic(ellipse_setup):
         assert diff.nnz == 0
     assert np.array_equal(a.gamma_tilde_plus, b.gamma_tilde_plus)
     assert np.array_equal(a.eta, b.eta)
-
-
-def test_dump_closure_csv(tmp_path, ellipse_setup):
-    grid, ps, xs = ellipse_setup
-    cm = closure.assemble_closure(ps, xs, closure.neumann(lambda x, y: 0.0), grid)
-    path = tmp_path / "closure.csv"
-    closure.dump_closure_csv(cm, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col_index,value,block"
-    total = sum(
-        getattr(cm, name).nnz
-        for name in ("phi_plus", "phi_minus", "phi_prime_minus", "r_plus", "r_minus")
-    )
-    assert len(lines) == total + 1
-    assert lines[1].split(",")[3] in {
-        "phi_plus",
-        "phi_minus",
-        "phi_prime_minus",
-        "r_plus",
-        "r_minus",
-    }

@@ -1,4 +1,4 @@
-"""Tests for the auxiliary-box solver and difference potentials."""
+"""Tests for the box solver and difference potentials."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,7 @@ def ellipse_box():
     grid = centered_grid(1.15, 32)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    box = diffpot.AuxiliaryBox(grid=ps.grid)
-    return grid, ps, box
+    return grid, ps
 
 
 def dense_interior_solve(rhs_interior):
@@ -40,14 +39,13 @@ def dense_interior_solve(rhs_interior):
 
 
 def test_fft_zero_rhs_gives_zero(ellipse_box):
-    _, _, box = ellipse_box
-    w = diffpot.fft_poisson_solve(diffpot.GridFunction.zeros(box))
+    grid, _ = ellipse_box
+    w = diffpot.fft_poisson_solve(diffpot.GridFunction.zeros(grid))
     assert np.all(w.values == 0.0)
 
 
 def test_fft_eigenfunction_round_trip():
     grid = geometry.Grid.from_box((-1.0, 1.0), (-1.0, 1.0), 16)
-    box = diffpot.AuxiliaryBox(grid=grid)
     j = np.arange(grid.nx)
     sine = np.outer(np.sin(np.pi * j / 16.0), np.sin(np.pi * j / 16.0))
     sine[0, :] = sine[-1, :] = 0.0
@@ -55,7 +53,7 @@ def test_fft_eigenfunction_round_trip():
     lam = 4.0 - 4.0 * np.cos(np.pi / 16.0)
     stencil = diffpot.apply_stencil(sine)
     assert np.abs(stencil[1:-1, 1:-1] - lam * sine[1:-1, 1:-1]).max() < 1e-13
-    rhs = diffpot.GridFunction(box=box, values=lam * sine)
+    rhs = diffpot.GridFunction(grid=grid, values=lam * sine)
     w = diffpot.fft_poisson_solve(rhs)
     assert np.abs(w.values - sine).max() < 1e-13
 
@@ -63,9 +61,8 @@ def test_fft_eigenfunction_round_trip():
 @pytest.mark.parametrize("n_nodes", [16, 32])
 def test_fft_matches_dense_oracle(n_nodes):
     grid = geometry.Grid(h=0.1, origin=(0.0, 0.0), nx=n_nodes, ny=n_nodes)
-    box = diffpot.AuxiliaryBox(grid=grid)
     rng = np.random.default_rng(17 + n_nodes)
-    rhs = diffpot.GridFunction.zeros(box)
+    rhs = diffpot.GridFunction.zeros(grid)
     rhs.values[1:-1, 1:-1] = rng.standard_normal((n_nodes - 2, n_nodes - 2))
     w = diffpot.fft_poisson_solve(rhs)
     oracle = dense_interior_solve(rhs.values[1:-1, 1:-1])
@@ -75,8 +72,8 @@ def test_fft_matches_dense_oracle(n_nodes):
 
 
 def test_fft_rejects_boundary_data(ellipse_box):
-    _, _, box = ellipse_box
-    rhs = diffpot.GridFunction.zeros(box)
+    grid, _ = ellipse_box
+    rhs = diffpot.GridFunction.zeros(grid)
     rhs.values[0, 3] = 1.0
     with pytest.raises(AssemblyError):
         diffpot.fft_poisson_solve(rhs)
@@ -87,14 +84,14 @@ def test_fft_rejects_boundary_data(ellipse_box):
 
 
 def test_difference_potential_of_zero_data(ellipse_box):
-    _, ps, box = ellipse_box
-    w = diffpot.difference_potential(np.zeros(len(ps.gamma_indices)), ps, box)
+    _, ps = ellipse_box
+    w = diffpot.difference_potential(np.zeros(len(ps.gamma_indices)), ps)
     assert np.all(w.values == 0.0)
 
 
 @pytest.mark.parametrize("kind", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
 def test_trace_reproduction_for_layer_data(ellipse_box, kind):
-    grid, ps, box = ellipse_box
+    grid, ps = ellipse_box
     k_gamma = potentials.assemble_layer_matrix(
         ps.gamma_indices, ps.gamma_minus_indices, kind, ps
     ).entries
@@ -103,18 +100,18 @@ def test_trace_reproduction_for_layer_data(ellipse_box, kind):
     for _ in range(20):
         q = rng.standard_normal(k_gamma.shape[1])
         u_gamma = k_gamma @ q
-        w = diffpot.difference_potential(u_gamma, ps, box)
+        w = diffpot.difference_potential(u_gamma, ps)
         trace = w.values[gamma[:, 0], gamma[:, 1]]
         assert np.abs(trace - u_gamma).max() <= 1e-10 * np.abs(u_gamma).max()
 
 
 def test_projection_idempotence(ellipse_box):
-    grid, ps, box = ellipse_box
+    grid, ps = ellipse_box
     gamma = ps.gamma_indices
     rng = np.random.default_rng(2)
 
     def project(data):
-        w = diffpot.difference_potential(data, ps, box)
+        w = diffpot.difference_potential(data, ps)
         return w.values[gamma[:, 0], gamma[:, 1]]
 
     for _ in range(5):
@@ -128,11 +125,11 @@ def test_projection_idempotence(ellipse_box):
 def exterior_box():
     grid = centered_grid(3.0, 32)
     ps = geometry.classify(grid, geometry.circle_exterior(1.0))
-    return grid, ps, diffpot.AuxiliaryBox(grid=grid)
+    return grid, ps
 
 
 def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
-    for _, ps, box in (ellipse_box, exterior_box):
+    for _, ps in (ellipse_box, exterior_box):
         rng = np.random.default_rng(31)
         q = rng.standard_normal(len(ps.gamma_minus_indices))
         density = potentials.DensityVector(support=ps.gamma_minus_indices, values=q)
@@ -144,28 +141,21 @@ def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
         ).entries
         # Empty for the bounded ellipse; every box-edge node for the exterior.
         u_edge = potentials.evaluate_potential(
-            diffpot.edge_nodes(ps, box), density, potentials.LayerKind.SINGLE, ps
+            diffpot.edge_nodes(ps), density, potentials.LayerKind.SINGLE, ps
         )
-        w = diffpot.difference_potential(k_gamma @ q, ps, box, u_edge)
+        w = diffpot.difference_potential(k_gamma @ q, ps, u_edge)
         mp = ps.m_plus_indices
         assert np.abs(w.values[mp[:, 0], mp[:, 1]] - direct).max() < 1e-8
 
 
 def test_difference_potential_rejects_wrong_edge_length(exterior_box):
-    _, ps, box = exterior_box
-    n_edge = len(diffpot.edge_nodes(ps, box))
+    _, ps = exterior_box
+    n_edge = len(diffpot.edge_nodes(ps))
     assert n_edge == 4 * (ps.grid.nx - 1)
     with pytest.raises(AssemblyError):
         diffpot.difference_potential(
-            np.zeros(len(ps.gamma_indices)), ps, box, np.zeros(n_edge - 1)
+            np.zeros(len(ps.gamma_indices)), ps, np.zeros(n_edge - 1)
         )
-
-
-def test_difference_potential_grid_mismatch(ellipse_box):
-    _, ps, _ = ellipse_box
-    other = diffpot.AuxiliaryBox(grid=centered_grid(1.15, 16))
-    with pytest.raises(AssemblyError):
-        diffpot.difference_potential(np.zeros(len(ps.gamma_indices)), ps, other)
 
 
 def test_box_margin_is_enforced():
@@ -185,13 +175,11 @@ def test_box_margin_is_enforced():
         gamma_minus=gamma & ~m_plus,
     )
     with pytest.raises(BoxTooSmallError):
-        diffpot.difference_potential(
-            np.zeros(len(ps.gamma_indices)), ps, diffpot.AuxiliaryBox(grid=grid)
-        )
+        diffpot.difference_potential(np.zeros(len(ps.gamma_indices)), ps)
 
 
 # ---------------------------------------------------------------------------
-# particular solutions and superposition
+# particular solutions and the boundary right-hand side
 
 
 def forcing(x, y):
@@ -199,8 +187,8 @@ def forcing(x, y):
 
 
 def test_particular_solution_stencil_residual(ellipse_box):
-    grid, ps, box = ellipse_box
-    u_p = diffpot.particular_solution(forcing, ps, box, grid)
+    grid, ps = ellipse_box
+    u_p = diffpot.particular_solution(forcing, ps)
     x, y = grid.mesh()
     rhs_exact = grid.h**2 * forcing(x, y)
     stencil = diffpot.apply_stencil(u_p.values)
@@ -212,29 +200,29 @@ def test_particular_solution_stencil_residual(ellipse_box):
         j, k = mp[idx]
         assert abs(stencil[j, k] - rhs_exact[j, k]) <= 1e-11 * scale
     # Outside the domain the forcing is zeroed.
-    band = ps.m_minus & ~box.boundary_mask
-    assert np.abs(stencil[band]).max() <= 1e-11 * scale
+    band = ps.m_minus[1:-1, 1:-1]
+    assert np.abs(stencil[1:-1, 1:-1][band]).max() <= 1e-11 * scale
 
 
 def test_particular_solution_of_zero_forcing(ellipse_box):
-    grid, ps, box = ellipse_box
-    u_p = diffpot.particular_solution(lambda x, y: np.zeros_like(x), ps, box, grid)
+    _, ps = ellipse_box
+    u_p = diffpot.particular_solution(lambda x, y: np.zeros_like(x), ps)
     assert np.all(u_p.values == 0.0)
 
 
 def test_rhs_correction_trivial_and_affine(ellipse_box):
     from latticebae import closure
 
-    grid, ps, box = ellipse_box
+    grid, ps = ellipse_box
     shape = geometry.ellipse(2.0)
     xs = geometry.select_intersections(ps, shape, grid)
     cm = closure.assemble_dirichlet(ps, xs, lambda x, y: np.sin(x) * np.cos(y), grid)
-    zero = diffpot.GridFunction.zeros(box)
+    zero = diffpot.GridFunction.zeros(grid)
     assert np.array_equal(diffpot.correct_boundary_rhs(cm, zero), cm.rhs)
     rng = np.random.default_rng(7)
-    u1 = diffpot.GridFunction(box=box, values=rng.standard_normal(zero.values.shape))
-    u2 = diffpot.GridFunction(box=box, values=rng.standard_normal(zero.values.shape))
-    both = diffpot.GridFunction(box=box, values=u1.values + u2.values)
+    u1 = diffpot.GridFunction(grid=grid, values=rng.standard_normal(zero.values.shape))
+    u2 = diffpot.GridFunction(grid=grid, values=rng.standard_normal(zero.values.shape))
+    both = diffpot.GridFunction(grid=grid, values=u1.values + u2.values)
     lhs = diffpot.correct_boundary_rhs(cm, both)
     rhs = (
         diffpot.correct_boundary_rhs(cm, u1)
@@ -242,29 +230,3 @@ def test_rhs_correction_trivial_and_affine(ellipse_box):
         - cm.rhs
     )
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_superpose(ellipse_box):
-    _, _, box = ellipse_box
-    rng = np.random.default_rng(13)
-    a = diffpot.GridFunction(box=box, values=rng.standard_normal((box.grid.nx, box.grid.ny)))
-    zero = diffpot.GridFunction.zeros(box)
-    assert np.array_equal(diffpot.superpose(a, zero).values, a.values)
-    assert np.array_equal(diffpot.superpose(zero, a).values, a.values)
-    other_box = diffpot.AuxiliaryBox(grid=centered_grid(1.15, 16))
-    with pytest.raises(AssemblyError):
-        diffpot.superpose(a, diffpot.GridFunction.zeros(other_box))
-
-
-def test_dump_grid_function(tmp_path, ellipse_box):
-    grid, ps, box = ellipse_box
-    gf = diffpot.GridFunction.zeros(box)
-    gf.values[:, :] = 3.5
-    path = tmp_path / "surface.csv"
-    diffpot.dump_grid_function_csv(gf, ps, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + len(ps.m_plus_indices)
-    j, k = ps.m_plus_indices[0]
-    x, y = grid.node(int(j), int(k))
-    assert lines[1] == f"{x:.17g},{y:.17g},{3.5:.17g}"

@@ -158,6 +158,18 @@ def test_convergence_keeps_partial_table_on_failure():
     assert len(rep.rows) + len(rep.failures) == 3
 
 
+def test_convergence_propagates_untyped_errors(monkeypatch):
+    # Only library errors are ladder failures; a bug must not become a note.
+    def broken(cfg, n=None):
+        raise TypeError("bug in the pipeline")
+
+    monkeypatch.setattr(harness, "run_solve", broken)
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
+                                   n_list=(32, 64, 128))
+    with pytest.raises(TypeError, match="bug in the pipeline"):
+        harness.run_convergence(cfg)
+
+
 def test_conditioning_report_layout():
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
                                    n_list=(32, 64, 128))

@@ -14,7 +14,6 @@ from latticebae.potentials import (
     LayerMatrix,
     assemble_layer_matrix,
     double_kernel,
-    dump_layer_matrix,
     evaluate_potential,
     single_kernel,
 )
@@ -248,15 +247,3 @@ def test_layer_matrix_validates_shape():
     with pytest.raises(AssemblyError):
         LayerMatrix(rows=np.zeros((3, 2), dtype=int), cols=np.zeros((2, 2), dtype=int),
                     entries=np.zeros((3, 3)), kind=LayerKind.SINGLE)
-
-
-def test_matrix_dump_format(tmp_path, circle_setup):
-    _, _, ps = circle_setup
-    lm = assemble_layer_matrix(ps.gamma_plus_indices[:3], ps.gamma_minus_indices[:4],
-                               LayerKind.SINGLE, ps)
-    path = tmp_path / "block.txt"
-    dump_layer_matrix(lm, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "3 4"
-    parsed = np.array([[float(v) for v in line.split()] for line in lines[1:]])
-    np.testing.assert_allclose(parsed, lm.entries, rtol=1e-15)

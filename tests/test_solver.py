@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from latticebae import closure, diffpot, geometry, potentials, solver
+from latticebae import closure, diffpot, geometry, harness, potentials, solver
 from latticebae.errors import (
     AssemblyError,
     FormulationSingularError,
@@ -18,20 +18,8 @@ def centered_grid(half, n):
     return geometry.Grid.from_box((-half, half), (-half, half), n)
 
 
-def gamma_trace(result, ps):
-    """Scatter the gamma+ and gamma- traces into canonical gamma order."""
-    ny = ps.grid.ny
-    gamma_flat = ps.gamma_indices[:, 0] * ny + ps.gamma_indices[:, 1]
-    out = np.empty(len(gamma_flat))
-    plus_flat = ps.gamma_plus_indices[:, 0] * ny + ps.gamma_plus_indices[:, 1]
-    minus_flat = ps.gamma_minus_indices[:, 0] * ny + ps.gamma_minus_indices[:, 1]
-    out[np.searchsorted(gamma_flat, plus_flat)] = result.trace_plus
-    out[np.searchsorted(gamma_flat, minus_flat)] = result.trace_minus
-    return out
-
-
-def interior_values(result, ps, box):
-    w = diffpot.difference_potential(gamma_trace(result, ps), ps, box)
+def interior_values(result, cm, ps):
+    w = diffpot.difference_potential(harness._gamma_trace(result, cm, ps), ps)
     mp = ps.m_plus_indices
     return w.values[mp[:, 0], mp[:, 1]]
 
@@ -43,8 +31,7 @@ def circle_problem():
     ps = geometry.classify(grid, shape)
     xs = geometry.select_intersections(ps, shape, grid)
     cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
-    box = diffpot.AuxiliaryBox(grid=ps.grid)
-    return grid, ps, cm, box
+    return grid, ps, cm
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +79,7 @@ def test_formulation_tags_round_trip():
 
 
 def test_assemble_rejects_misaligned_layers(circle_problem):
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     form = solver.formulation_from_tag("single-direct")
     with pytest.raises(AssemblyError):
@@ -100,7 +87,7 @@ def test_assemble_rejects_misaligned_layers(circle_problem):
 
 
 def test_schur_rejects_singular_kernel_matrix(circle_problem):
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     broken = potentials.LayerMatrix(
         rows=k_minus.rows,
@@ -118,32 +105,32 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem):
 
 
 def test_recover_zero_density(circle_problem):
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     form = solver.formulation_from_tag("single-direct")
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), form, cm, k_plus, k_minus, ps)
+    result = solver.recover(np.zeros(len(cm.gamma_minus)), form, cm, k_plus, k_minus)
     assert np.all(result.trace_minus == 0.0)
     assert np.all(result.trace_plus == 0.0)
 
 
 @pytest.mark.parametrize("tag", ["single-direct", "double-direct"])
 def test_constant_dirichlet_is_exact(circle_problem, tag):
-    grid, ps, cm, box = circle_problem
+    grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, ps, k_plus, k_minus)
-    u = interior_values(result, ps, box)
+    result = solver.solve_system(form, cm, k_plus, k_minus)
+    u = interior_values(result, cm, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
 
 def test_formulation_equivalence(circle_problem):
-    grid, ps, cm, box = circle_problem
+    grid, ps, cm = circle_problem
     solutions = {}
     for tag in FORMULATION_TAGS:
         form = solver.formulation_from_tag(tag)
         k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, ps, k_plus, k_minus)
-        solutions[tag] = interior_values(result, ps, box)
+        result = solver.solve_system(form, cm, k_plus, k_minus)
+        solutions[tag] = interior_values(result, cm, ps)
         if form.form is solver.SystemForm.DIRECT:
             direct_trace = k_minus.entries @ result.density.values
         else:
@@ -158,7 +145,7 @@ def test_formulation_equivalence(circle_problem):
 def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
     # One factorization of the system; the Schur form adds one of K-^T,
     # which both its assembly and its density recovery use.
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
     calls = []
@@ -169,25 +156,25 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
         return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    solver.solve_system(form, cm, ps, k_plus, k_minus)
+    solver.solve_system(form, cm, k_plus, k_minus)
     assert len(calls) == (2 if form.form is solver.SystemForm.SCHUR else 1)
 
 
 def test_closure_rows_are_satisfied(circle_problem):
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, ps, k_plus, k_minus)
+    result = solver.solve_system(form, cm, k_plus, k_minus)
     lhs = cm.phi_plus @ result.trace_plus + cm.phi_minus @ result.trace_minus
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
 
 def test_residual_invariant(circle_problem):
-    grid, ps, cm, _ = circle_problem
+    grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("double-schur")
     k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
     matrix, rhs, _ = solver.assemble_system(form, cm, k_plus, k_minus)
-    result = solver.solve_system(form, cm, ps, k_plus, k_minus, compute_cond=True)
+    result = solver.solve_system(form, cm, k_plus, k_minus, compute_cond=True)
     bound = 1e-10 * (
         np.abs(matrix).max() * np.abs(result.trace_minus).max() + np.abs(rhs).max()
     )
@@ -217,22 +204,19 @@ def test_robin_system_solves_and_satisfies_closure():
 
     bc = closure.robin(1.0, 1.0, g)
     cm = closure.assemble_closure(ps, xs, bc, grid)
-    box = diffpot.AuxiliaryBox(grid=ps.grid)
     interiors = {}
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
         k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, ps, k_plus, k_minus)
-        q = result.density.values
-        trace_tilde = k_plus.entries @ q
-        trace_minus = k_minus.entries @ q
-        eta_vals = -(cm.r_plus @ trace_tilde + cm.r_minus @ trace_minus)
+        result = solver.solve_system(form, cm, k_plus, k_minus)
+        trace_minus = k_minus.entries @ result.density.values
+        eta_vals = -(cm.r_plus @ result.trace_plus + cm.r_minus @ trace_minus)
         lhs = (
-            cm.phi_plus @ trace_tilde
+            cm.phi_plus @ result.trace_plus
             + cm.phi_minus @ trace_minus
             + cm.phi_prime_minus @ eta_vals
         )
         assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
-        interiors[tag] = interior_values(result, ps, box)
+        interiors[tag] = interior_values(result, cm, ps)
     diff = np.abs(interiors["single-direct"] - interiors["single-schur"]).max()
     assert diff <= 1e-8
