@@ -59,6 +59,7 @@ from .potentials import (
     LayerKind,
     LayerMatrix,
     assemble_layer_matrix,
+    contract_layer_matrix,
     evaluate_potential,
 )
 from .closure import (
@@ -73,6 +74,7 @@ from .closure import (
 )
 from .solver import (
     Formulation,
+    LayerBlocks,
     SolveResult,
     SystemForm,
     assemble_system,

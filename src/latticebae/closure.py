@@ -37,7 +37,8 @@ equispaced nodes are (1/(2h^2), -1/h^2, 1/(2h^2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -49,7 +50,7 @@ from .errors import (
     ExtrapolationStencilError,
     UnderResolvedBoundaryError,
 )
-from .geometry import DIRECTIONS, Grid, IntersectionPoint, PointSets
+from .geometry import DIRECTIONS, Grid, PointSets
 from .lgf import LatticeIndex
 
 #: Quadratic extrapolation weights at distances (1, 2, 3) from the target.
@@ -182,6 +183,17 @@ class ClosureMatrices:
                 )
         if len(self.rhs) != n:
             raise AssemblyError(f"rhs length {len(self.rhs)} for {n} boundary rows")
+
+    @cached_property
+    def c_plus(self) -> sparse.csr_array:
+        """C+ = Phi+ - Phi'- R+, the gamma~+ weights of the boundary rows
+        once u_eta = -(R+ u_{gamma~+} + R- u_{gamma-}) is substituted."""
+        return self.phi_plus - self.phi_prime_minus @ self.r_plus
+
+    @cached_property
+    def c_minus(self) -> sparse.csr_array:
+        """C- = Phi- - Phi'- R-, the gamma- weights of the same rows."""
+        return self.phi_minus - self.phi_prime_minus @ self.r_minus
 
 
 def _column_map(indices) -> dict:

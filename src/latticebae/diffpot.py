@@ -80,9 +80,12 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
 
     The sine basis diagonalizes the 5-point operator on the interior
     nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
-    n's counting grid intervals per axis.
+    n's counting grid intervals per axis.  A zero rhs returns zero
+    without transforms (the exterior's particular solution).
     """
     grid = rhs.grid
+    if not rhs.values.any():
+        return GridFunction.zeros(grid)
     edge_max = max(
         np.abs(rhs.values[0, :]).max(),
         np.abs(rhs.values[-1, :]).max(),

@@ -194,13 +194,13 @@ def _gamma_trace(result: solver.SolveResult, cm: closure_mod.ClosureMatrices,
                  ps: geometry.PointSets) -> np.ndarray:
     """Both traces in canonical gamma order, for the difference potential.
 
-    They are written on one grid array at their closure nodes and read
-    back on gamma; the gamma~+ nodes off gamma drop out, which is exact
-    because the difference potential reads gamma values only.  The grid
-    array is freed before the box solve that follows.
+    They are written on one grid array at their nodes, the gamma+ nodes
+    of gamma~+ and gamma-, and read back on gamma.  The grid array is
+    freed before the box solve that follows.
     """
     traces = np.zeros((ps.grid.nx, ps.grid.ny))
     tp, tm = cm.gamma_tilde_plus, cm.gamma_minus
+    tp = tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]]
     traces[tp[:, 0], tp[:, 1]] = result.trace_plus
     traces[tm[:, 0], tm[:, 1]] = result.trace_minus
     return traces[ps.gamma]
@@ -227,10 +227,10 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
             "domain; use a single-layer formulation"
         )
     grid, mf, ps, cm = _discretize(cfg, n)
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     u_p = diffpot.particular_solution(mf.f, ps)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
-    result = solver.solve_system(form, cm, k_plus, k_minus, compute_cond=cfg.compute_cond)
+    result = solver.solve_system(form, cm, layers, compute_cond=cfg.compute_cond)
     u_edge = potentials.evaluate_potential(
         diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
@@ -314,12 +314,13 @@ def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
                     f"n={n}: double-layer family skipped (singular on unbounded domain)"
                 )
                 continue
-            k_plus, k_minus = solver.build_layer_matrices(cm, ps, kernel)
-            conds[minus_label] = solver.condition_number(k_minus.entries)
+            layers = solver.build_layer_matrices(cm, ps, kernel)
+            conds[minus_label] = solver.condition_number(layers.k_minus.entries)
             for form_name in ("schur", "direct"):
                 tag = f"{kernel.value}-{form_name}"
                 matrix, _, _ = solver.assemble_system(
-                    solver.formulation_from_tag(tag), cm, k_plus, k_minus
+                    solver.formulation_from_tag(tag), cm,
+                    layers.copy() if form_name == "schur" else layers,
                 )
                 label = ("A_" if form_name == "schur" else "M_") + suffix
                 conds[label] = solver.condition_number(matrix)

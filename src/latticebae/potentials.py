@@ -34,9 +34,15 @@ s(n) = n1 W + n2 are computed once per target and once per source.  A
 block is filled a fixed number of target rows at a time, so index
 temporaries never grow to the block's size.  The double kernel forms
 |D_n| G(m - n) and subtracts G(m - k) one direction at a time inside
-the same row block.  Direct summation serves only the box-edge values
-of the exterior's difference potential and the test oracles; interior
-values come from the box solve in :mod:`latticebae.diffpot`.
+the same row block.
+
+The solver never needs the large target blocks themselves, only sparse
+combinations of their rows plus a subset of the rows:
+:func:`contract_layer_matrix` adds each row block into such a product
+as it is gathered and copies out the rows to keep, so the block is never
+held whole.  Direct summation serves only the box-edge values of the
+exterior's difference potential and the test oracles; interior values
+come from the box solve in :mod:`latticebae.diffpot`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .errors import AssemblyError, DoubleLayerInapplicableError
 from .geometry import DIRECTIONS, PointSets
@@ -155,8 +162,10 @@ def _connection_structure(ps: PointSets, sources):
     return counts, present
 
 
-def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
-    """Dense single or double kernel block, gathered from one table per grid.
+def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
+    """A function ``fill(out, start=0)`` writing the kernel rows
+    ``start : start + len(out)`` of the (targets, sources) block into
+    ``out``, one row block at a time, from one table per grid.
 
     Targets, sources and exterior connections all lie in the box, so no
     flat offset leaves the table.
@@ -173,15 +182,24 @@ def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarra
             cols = np.nonzero(present[d])[0]
             if len(cols):
                 connections.append((cols, s_flat[cols] + (d1 * width + d2)))
+
+    def fill(out, start=0):
+        for lo in range(0, len(out), _ROW_BLOCK):
+            block = out[lo : lo + _ROW_BLOCK]
+            rows = t_flat[start + lo : start + lo + len(block), None]
+            np.take(flat, rows - s_flat, out=block)
+            if kind is LayerKind.DOUBLE:
+                block *= counts
+                for cols, k_flat in connections:
+                    block[:, cols] -= flat[rows - k_flat]
+
+    return fill
+
+
+def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
+    """Dense single or double kernel block."""
     out = np.empty((len(targets), len(sources)))
-    for start in range(0, len(targets), _ROW_BLOCK):
-        rows = t_flat[start : start + _ROW_BLOCK, None]
-        block = out[start : start + _ROW_BLOCK]
-        np.take(flat, rows - s_flat, out=block)
-        if kind is LayerKind.DOUBLE:
-            block *= counts
-            for cols, k_flat in connections:
-                block[:, cols] -= flat[rows - k_flat]
+    _row_gatherer(targets, sources, kind, ps)(out)
     return out
 
 
@@ -198,6 +216,68 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> L
     _check_membership(targets, ps.n_plus, "target set")
     entries = _kernel_block(targets, sources, kind, ps)
     return LayerMatrix(rows=targets, cols=sources, entries=np.ascontiguousarray(entries), kind=kind)
+
+
+def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: PointSets):
+    """``weights @ K`` and the rows ``K[keep]``, for K the kernel block on
+    (targets, sources), without ever holding K.
+
+    ``weights`` is sparse with one column per target, ``keep`` a boolean
+    mask over the targets.  When every target is kept, K is the kept
+    rows: they are gathered in place and contracted in one product.
+    Otherwise K is gathered one row block at a time in target order
+    (neighbouring targets read neighbouring table entries).  Each block
+    is added into the product through the slab of weight rows it
+    reaches, and its kept rows are copied out, or, for a block kept
+    whole, gathered straight into place.  Returns the dense product and
+    the kept rows as a :class:`LayerMatrix`.
+    """
+    targets = _as_index_array(targets)
+    sources = _as_index_array(sources)
+    _check_membership(sources, ps.gamma_minus, "source set")
+    _check_membership(targets, ps.n_plus, "target set")
+    keep = np.asarray(keep, dtype=bool)
+    weights = sparse.coo_array(weights)
+    if keep.shape != (len(targets),) or weights.shape[1] != len(targets):
+        raise AssemblyError(
+            f"{weights.shape[1]} weight columns and {keep.shape} keep mask "
+            f"for {len(targets)} targets"
+        )
+    fill = _row_gatherer(targets, sources, kind, ps)
+    rows_kept = LayerMatrix(
+        rows=targets[keep], cols=sources,
+        entries=np.empty((np.count_nonzero(keep), len(sources))), kind=kind,
+    )
+    kept = rows_kept.entries
+    if keep.all():
+        fill(kept)
+        return weights.tocsr() @ kept, rows_kept
+    # The weights' entries grouped by the row block of their column.
+    blocks = weights.col // _ROW_BLOCK
+    order = np.argsort(blocks, kind="stable")
+    rows, cols, values = weights.row[order], weights.col[order], weights.data[order]
+    starts = np.arange(0, len(targets), _ROW_BLOCK)
+    edges = np.searchsorted(blocks[order], np.arange(len(starts) + 1))
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    product = np.zeros((weights.shape[0], len(sources)))
+    scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
+    for start, first, last in zip(starts, edges[:-1], edges[1:]):
+        stop = min(start + _ROW_BLOCK, len(targets))
+        into = kept[kept_before[start] : kept_before[stop]]
+        whole = len(into) == stop - start
+        block = into if whole else scratch[: stop - start]
+        fill(block, start)
+        if not whole:
+            np.compress(keep[start:stop], block, axis=0, out=into)
+        if first < last:
+            # The block reaches product rows lo:hi through one sparse slab.
+            lo, hi = rows[first:last].min(), rows[first:last].max() + 1
+            slab = sparse.csr_array(
+                (values[first:last], (rows[first:last] - lo, cols[first:last] - start)),
+                shape=(hi - lo, len(block)),
+            )
+            product[lo:hi] += slab @ block
+    return product, rows_kept
 
 
 def evaluate_potential(points, density: DensityVector, kind: LayerKind, ps: PointSets) -> np.ndarray:

@@ -1,21 +1,28 @@
 """Dense assembly and solution of the boundary algebraic systems.
 
 Combining a closure with layer matrices gives a square system of size
-|gamma-| in one of two algebraically equivalent forms per kernel.  The
-direct form keeps the density as the unknown,
+|gamma-| in one of two algebraically equivalent forms per kernel.  With
+the eta rows eliminated, the boundary rows weight gamma~+ by the sparse
+C+ = Phi+ - Phi'- R+ and gamma- by C- = Phi- - Phi'- R-.  The direct
+form keeps the density as the unknown,
 
-    (Phi+ K+ + Phi- K- - Phi'-(R+ K+ + R- K-)) q = g,
+    (C+ K+ + C- K-) q = g,
 
 and needs no inversion.  The Schur form substitutes the gamma- trace
 v = K- q as the unknown, turning the system into
 
-    (Phi+ W + Phi- - Phi'-(R+ W + R-)) v = g,    W = K+ K-^{-1},
+    ((C+ K+) K-^{-1} + C-) v = g,
 
 whose conditioning mirrors the preconditioned operator the trace map
-induces.  W is realized by factoring K- (transposed) and multi-solving;
-no inverse is ever formed, and recovery reuses that factor for the
-density q = K-^{-1} v.  For Dirichlet closures the Phi'-/R blocks have
-zero extent and both formulas collapse to their classical shapes.
+induces.  (C+ K+) K-^{-1} is realized by factoring K-^T and solving
+|gamma-| right-hand sides against it; no inverse is ever formed, and
+recovery reuses that factor for the density q = K-^{-1} v.  For
+Dirichlet closures eta is empty, so C+ = Phi+ and C- = Phi-.
+
+K+ (|gamma~+| x |gamma-|) enters only through C+ K+ and through its
+gamma+ rows, which give the gamma+ trace; both are taken from the
+kernel gather block by block, so K+ itself is never held.  Either form
+is then assembled in place in the one |gamma-|^2 array of C+ K+.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.
@@ -28,7 +35,7 @@ anyway.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -39,7 +46,14 @@ from scipy.linalg import LinAlgWarning
 from .closure import ClosureMatrices
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
-from .potentials import DensityVector, LayerKind, LayerMatrix, assemble_layer_matrix
+from .potentials import (
+    _ROW_BLOCK,
+    DensityVector,
+    LayerKind,
+    LayerMatrix,
+    assemble_layer_matrix,
+    contract_layer_matrix,
+)
 
 #: Relative pivot threshold below which an LU factor counts as singular.
 _PIVOT_RTOL = 1e-14
@@ -72,9 +86,10 @@ def formulation_from_tag(tag: str) -> Formulation:
 
 @dataclass
 class SolveResult:
-    """A solved density with the layer potential's traces on the closure's
-    own orderings: ``trace_plus`` on gamma~+ (the columns of Phi+, which
-    equals gamma+ for Dirichlet), ``trace_minus`` on gamma-."""
+    """A solved density with the layer potential's traces: ``trace_minus``
+    on gamma-, ``trace_plus`` on the gamma+ nodes of the closure's
+    gamma~+ in their gamma~+ order (all of gamma~+ for Dirichlet, where
+    the two sets coincide)."""
 
     density: DensityVector
     trace_minus: np.ndarray
@@ -83,22 +98,55 @@ class SolveResult:
     residual_norm: float
 
 
-def build_layer_matrices(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind):
-    """The (K+, K-) pair a closure needs, on its own orderings."""
-    k_plus = assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+@dataclass
+class LayerBlocks:
+    """What a closure needs of one kernel: K+ only through C+ K+ and its
+    gamma+ rows, and K- whole.
+
+    ``c_plus_k_plus`` (|gamma-| x |gamma-|) is K+ on gamma~+ contracted
+    with :attr:`ClosureMatrices.c_plus` as it was gathered;
+    :func:`assemble_system` builds the system in that array, so it can be
+    taken once (:meth:`copy` first to assemble twice).  ``k_plus_gamma``
+    holds K+ on the gamma+ nodes of gamma~+, which trace recovery reads.
+    """
+
+    c_plus_k_plus: Optional[np.ndarray]
+    k_plus_gamma: LayerMatrix
+    k_minus: LayerMatrix
+
+    def take_contracted(self) -> np.ndarray:
+        """C+ K+, handed out once: the system is assembled in its array."""
+        if self.c_plus_k_plus is None:
+            raise AssemblyError("C+ K+ was already assembled into a system")
+        out, self.c_plus_k_plus = self.c_plus_k_plus, None
+        return out
+
+    def copy(self) -> "LayerBlocks":
+        return replace(self, c_plus_k_plus=np.array(self.c_plus_k_plus))
+
+
+def build_layer_matrices(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> LayerBlocks:
+    """K- and the contracted K+ a closure needs, on its own orderings; the
+    |gamma~+| x |gamma-| block K+ itself is never held."""
+    tp = cm.gamma_tilde_plus
+    c_plus_k_plus, k_plus_gamma = contract_layer_matrix(
+        cm.c_plus, tp, ps.gamma_plus[tp[:, 0], tp[:, 1]], cm.gamma_minus, kernel, ps
+    )
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    return k_plus, k_minus
+    return LayerBlocks(c_plus_k_plus, k_plus_gamma, k_minus)
 
 
-def _check_alignment(cm: ClosureMatrices, k_plus: LayerMatrix, k_minus: LayerMatrix):
+def _check_alignment(cm: ClosureMatrices, layers: LayerBlocks):
+    n = len(cm.gamma_minus)
+    k_minus = layers.k_minus
     if not np.array_equal(k_minus.rows, cm.gamma_minus) or not np.array_equal(
         k_minus.cols, cm.gamma_minus
     ):
         raise AssemblyError("K- rows/columns do not match the closure gamma- ordering")
-    if not np.array_equal(k_plus.rows, cm.gamma_tilde_plus) or not np.array_equal(
-        k_plus.cols, cm.gamma_minus
+    if not np.array_equal(layers.k_plus_gamma.cols, cm.gamma_minus) or (
+        layers.c_plus_k_plus is not None and layers.c_plus_k_plus.shape != (n, n)
     ):
-        raise AssemblyError("K+ rows/columns do not match the closure orderings")
+        raise AssemblyError("K+ blocks do not match the closure orderings")
 
 
 def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
@@ -109,38 +157,37 @@ def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = linalg.lu_factor(matrix)
     pivots = np.abs(np.diag(lu))
-    scale = np.abs(matrix).max()
+    scale = max(matrix.max(), -matrix.min())
     if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
         raise singular_error(message)
     return lu, piv
 
 
-def assemble_system(formulation: Formulation, cm: ClosureMatrices,
-                    k_plus: LayerMatrix, k_minus: LayerMatrix):
+def assemble_system(formulation: Formulation, cm: ClosureMatrices, layers: LayerBlocks):
     """The square |gamma-| system matrix, its right-hand side, and the Schur
-    form's LU factor of K-^T, which :func:`recover` reuses (None if direct)."""
-    _check_alignment(cm, k_plus, k_minus)
-    kp = k_plus.entries
-    km = k_minus.entries
+    form's LU factor of K-^T, which :func:`recover` reuses (None if direct).
+
+    The matrix is built in place in the array of ``layers.c_plus_k_plus``,
+    which this takes.
+    """
+    _check_alignment(cm, layers)
+    km = layers.k_minus.entries
     kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
-        matrix = (
-            cm.phi_plus @ kp
-            + cm.phi_minus @ km
-            - cm.phi_prime_minus @ (cm.r_plus @ kp + cm.r_minus @ km)
-        )
+        matrix = layers.take_contracted()
+        for start in range(0, len(matrix), _ROW_BLOCK):
+            stop = start + _ROW_BLOCK
+            matrix[start:stop] += cm.c_minus[start:stop] @ km
     else:
         name = "D-" if formulation.kernel is LayerKind.DOUBLE else "S-"
         kernel_lu = _guarded_lu(
             km.T, FormulationSingularError,
             f"{name} is numerically singular; its Schur form is unavailable",
         )
-        w = linalg.lu_solve(kernel_lu, kp.T).T
-        matrix = (
-            cm.phi_plus @ w
-            + cm.phi_minus.toarray()
-            - cm.phi_prime_minus @ (cm.r_plus @ w + cm.r_minus.toarray())
-        )
+        # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
+        matrix = linalg.lu_solve(kernel_lu, layers.take_contracted().T, overwrite_b=True).T
+        c_minus = cm.c_minus.tocoo()
+        np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("assembled system contains non-finite entries")
     return matrix, cm.rhs.copy(), kernel_lu
@@ -164,35 +211,34 @@ def condition_number(matrix: np.ndarray) -> float:
 
 
 def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
-            k_plus: LayerMatrix, k_minus: LayerMatrix,
-            kernel_lu: Optional[tuple] = None, system_cond: Optional[float] = None,
-            residual_norm: float = 0.0) -> SolveResult:
+            layers: LayerBlocks, kernel_lu: Optional[tuple] = None,
+            system_cond: Optional[float] = None, residual_norm: float = 0.0) -> SolveResult:
     """Density and both traces from the solved primary unknown; the Schur
     form needs the ``kernel_lu`` that :func:`assemble_system` returned."""
     if formulation.form is SystemForm.DIRECT:
         density = solution
-        trace_minus = k_minus.entries @ density
+        trace_minus = layers.k_minus.entries @ density
     else:
         trace_minus = solution
         density = linalg.lu_solve(kernel_lu, trace_minus, trans=1)
     return SolveResult(
         density=DensityVector(support=cm.gamma_minus, values=density),
         trace_minus=np.asarray(trace_minus, dtype=float),
-        trace_plus=k_plus.entries @ density,
+        trace_plus=layers.k_plus_gamma.entries @ density,
         system_cond=system_cond,
         residual_norm=residual_norm,
     )
 
 
-def solve_system(formulation: Formulation, cm: ClosureMatrices,
-                 k_plus: LayerMatrix, k_minus: LayerMatrix,
+def solve_system(formulation: Formulation, cm: ClosureMatrices, layers: LayerBlocks,
                  compute_cond: bool = False) -> SolveResult:
-    """Assemble, solve, and recover in one sweep."""
-    matrix, rhs, kernel_lu = assemble_system(formulation, cm, k_plus, k_minus)
+    """Assemble, solve, and recover in one sweep; ``layers`` gives up its
+    contracted block to the system matrix."""
+    matrix, rhs, kernel_lu = assemble_system(formulation, cm, layers)
     solution = dense_solve(matrix, rhs)
     residual = float(np.abs(matrix @ solution - rhs).max())
     cond = condition_number(matrix) if compute_cond else None
     return recover(
-        solution, formulation, cm, k_plus, k_minus,
+        solution, formulation, cm, layers,
         kernel_lu=kernel_lu, system_cond=cond, residual_norm=residual,
     )

@@ -12,7 +12,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from scipy import sparse
 from latticebae import closure as closure_mod
 from latticebae import diffpot, geometry, harness, potentials, solver
 from latticebae.lgf import (
-    LatticeIndex,
-    canonical_index,
     lgf,
     lgf_asymptotic,
     lgf_grid,
@@ -283,10 +280,9 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     xs = geometry.select_intersections(ps, shape, grid)
     cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(
         lambda x, y: 1.0), grid)
-    k_plus, k_minus = solver.build_layer_matrices(
-        cm, ps, potentials.LayerKind.SINGLE)
+    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
-                                 cm, k_plus, k_minus)
+                                 cm, layers)
     u = diffpot.difference_potential(harness._gamma_trace(result, cm, ps), ps)
     mp = ps.m_plus_indices
     assert np.abs(u.values[mp[:, 0], mp[:, 1]] - 1.0).max() <= 1e-9

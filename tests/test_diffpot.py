@@ -230,3 +230,23 @@ def test_rhs_correction_trivial_and_affine(ellipse_box):
         - cm.rhs
     )
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("geometry_name, transforms", [("circle-exterior", 1), ("ellipse", 2)])
+def test_zero_forcing_costs_no_transform(monkeypatch, geometry_name, transforms):
+    # The exterior's forcing is zero, so only its difference potential
+    # needs a box solve; a bounded solve also transforms its forcing.
+    from scipy import fft as sfft
+
+    from latticebae import harness
+
+    calls = []
+    dstn = sfft.dstn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dstn(*args, **kwargs)
+
+    monkeypatch.setattr(sfft, "dstn", counted)
+    harness.solve_problem(harness.ExperimentConfig(geometry_name, "dirichlet", n=64))
+    assert len(calls) == transforms

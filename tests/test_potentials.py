@@ -5,14 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latticebae import closure
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
-from latticebae.geometry import Grid, circle_exterior, classify, ellipse, exterior_connections
-from latticebae.lgf import lgf, lgf_grid
+from latticebae.geometry import (
+    Grid,
+    circle_exterior,
+    classify,
+    ellipse,
+    exterior_connections,
+    select_intersections,
+)
+from latticebae.lgf import lgf_grid
 from latticebae.potentials import (
+    _ROW_BLOCK,
     DensityVector,
     LayerKind,
     LayerMatrix,
     assemble_layer_matrix,
+    contract_layer_matrix,
     double_kernel,
     evaluate_potential,
     single_kernel,
@@ -134,6 +144,52 @@ def test_gather_scratch_memory(ellipse256, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * lm.entries.nbytes
+
+
+@pytest.fixture(scope="module", params=["dirichlet", "robin"])
+def closure256(request, ellipse256):
+    ps = ellipse256
+    xs = select_intersections(ps, ellipse(2.0), ps.grid)
+    if request.param == "dirichlet":
+        bc = closure.dirichlet(lambda x, y: x)
+    else:
+        bc = closure.robin(1.0, 1.0, lambda x, y: x)
+    return ps, closure.assemble_closure(ps, xs, bc, ps.grid)
+
+
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+@pytest.mark.parametrize("kept, streamed", [
+    (0, 0), (1, 0), (0, 1),
+    (_ROW_BLOCK - 1, _ROW_BLOCK + 1), (_ROW_BLOCK, _ROW_BLOCK), (_ROW_BLOCK + 1, _ROW_BLOCK - 1),
+    (None, None),
+])
+def test_contraction_matches_full_block(closure256, kind, kept, streamed):
+    # Targets are the first `kept` gamma+ nodes and the first `streamed`
+    # other nodes of gamma~+ (all of them for None), in gamma~+ order.
+    ps, cm = closure256
+    tp = cm.gamma_tilde_plus
+    on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
+    chosen = np.zeros(len(tp), dtype=bool)
+    chosen[np.flatnonzero(on_gamma)[:kept]] = True
+    chosen[np.flatnonzero(~on_gamma)[:streamed]] = True
+    targets, keep = tp[chosen], on_gamma[chosen]
+    weights = cm.c_plus[:, np.flatnonzero(chosen)]
+    product, rows = contract_layer_matrix(weights, targets, keep, ps.gamma_minus_indices, kind, ps)
+    full = assemble_layer_matrix(targets, ps.gamma_minus_indices, kind, ps).entries
+    reference = weights @ full
+    assert product.shape == (len(cm.gamma_minus), len(cm.gamma_minus))
+    scale = np.abs(reference).max() if reference.size else 0.0
+    np.testing.assert_allclose(product, reference, rtol=1e-13, atol=1e-13 * scale)
+    assert np.array_equal(rows.rows, targets[keep])
+    assert np.array_equal(rows.entries, full[keep])
+
+
+def test_contraction_validates_its_weights(closure256):
+    ps, cm = closure256
+    tp = cm.gamma_tilde_plus
+    with pytest.raises(AssemblyError):
+        contract_layer_matrix(cm.c_plus[:, 1:], tp, np.ones(len(tp), dtype=bool),
+                              ps.gamma_minus_indices, LayerKind.SINGLE, ps)
 
 
 def test_double_block_names_first_unconnected_source():

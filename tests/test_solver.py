@@ -1,5 +1,8 @@
 """Tests for the dense boundary-system solver."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +13,7 @@ from latticebae.errors import (
     FormulationSingularError,
     SingularSystemError,
 )
+from latticebae.lgf import lgf_grid
 
 FORMULATION_TAGS = ("single-direct", "single-schur", "double-direct", "double-schur")
 
@@ -80,15 +84,16 @@ def test_formulation_tags_round_trip():
 
 def test_assemble_rejects_misaligned_layers(circle_problem):
     grid, ps, cm = circle_problem
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
+    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     form = solver.formulation_from_tag("single-direct")
     with pytest.raises(AssemblyError):
-        solver.assemble_system(form, cm, k_minus, k_minus)
+        solver.assemble_system(form, cm, replace(layers, k_minus=layers.k_plus_gamma))
 
 
 def test_schur_rejects_singular_kernel_matrix(circle_problem):
     grid, ps, cm = circle_problem
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
+    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
+    k_minus = layers.k_minus
     broken = potentials.LayerMatrix(
         rows=k_minus.rows,
         cols=k_minus.cols,
@@ -97,7 +102,7 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem):
     )
     form = solver.formulation_from_tag("single-schur")
     with pytest.raises(FormulationSingularError):
-        solver.assemble_system(form, cm, k_plus, broken)
+        solver.assemble_system(form, cm, replace(layers, k_minus=broken))
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +111,9 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem):
 
 def test_recover_zero_density(circle_problem):
     grid, ps, cm = circle_problem
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
+    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     form = solver.formulation_from_tag("single-direct")
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), form, cm, k_plus, k_minus)
+    result = solver.recover(np.zeros(len(cm.gamma_minus)), form, cm, layers)
     assert np.all(result.trace_minus == 0.0)
     assert np.all(result.trace_plus == 0.0)
 
@@ -117,8 +122,8 @@ def test_recover_zero_density(circle_problem):
 def test_constant_dirichlet_is_exact(circle_problem, tag):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, k_plus, k_minus)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    result = solver.solve_system(form, cm, layers)
     u = interior_values(result, cm, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
@@ -128,11 +133,11 @@ def test_formulation_equivalence(circle_problem):
     solutions = {}
     for tag in FORMULATION_TAGS:
         form = solver.formulation_from_tag(tag)
-        k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, k_plus, k_minus)
+        layers = solver.build_layer_matrices(cm, ps, form.kernel)
+        result = solver.solve_system(form, cm, layers)
         solutions[tag] = interior_values(result, cm, ps)
         if form.form is solver.SystemForm.DIRECT:
-            direct_trace = k_minus.entries @ result.density.values
+            direct_trace = layers.k_minus.entries @ result.density.values
         else:
             assert np.abs(result.trace_minus - direct_trace).max() <= 1e-8
     values = list(solutions.values())
@@ -147,7 +152,7 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
     # which both its assembly and its density recovery use.
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
@@ -156,15 +161,15 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
         return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    solver.solve_system(form, cm, k_plus, k_minus)
+    solver.solve_system(form, cm, layers)
     assert len(calls) == (2 if form.form is solver.SystemForm.SCHUR else 1)
 
 
 def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, k_plus, k_minus)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    result = solver.solve_system(form, cm, layers)
     lhs = cm.phi_plus @ result.trace_plus + cm.phi_minus @ result.trace_minus
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
@@ -172,9 +177,9 @@ def test_closure_rows_are_satisfied(circle_problem):
 def test_residual_invariant(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("double-schur")
-    k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-    matrix, rhs, _ = solver.assemble_system(form, cm, k_plus, k_minus)
-    result = solver.solve_system(form, cm, k_plus, k_minus, compute_cond=True)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    matrix, rhs, _ = solver.assemble_system(form, cm, layers.copy())
+    result = solver.solve_system(form, cm, layers, compute_cond=True)
     bound = 1e-10 * (
         np.abs(matrix).max() * np.abs(result.trace_minus).max() + np.abs(rhs).max()
     )
@@ -207,12 +212,22 @@ def test_robin_system_solves_and_satisfies_closure():
     interiors = {}
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
-        k_plus, k_minus = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, k_plus, k_minus)
-        trace_minus = k_minus.entries @ result.density.values
-        eta_vals = -(cm.r_plus @ result.trace_plus + cm.r_minus @ trace_minus)
+        layers = solver.build_layer_matrices(cm, ps, form.kernel)
+        result = solver.solve_system(form, cm, layers)
+        # trace_plus covers gamma+ only; the closure rows need all of gamma~+.
+        k_plus = potentials.assemble_layer_matrix(
+            cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
+        )
+        trace_plus = k_plus.entries @ result.density.values
+        tp = cm.gamma_tilde_plus
+        on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
+        assert not on_gamma.all()
+        np.testing.assert_allclose(result.trace_plus, trace_plus[on_gamma],
+                                   rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
+        trace_minus = layers.k_minus.entries @ result.density.values
+        eta_vals = -(cm.r_plus @ trace_plus + cm.r_minus @ trace_minus)
         lhs = (
-            cm.phi_plus @ result.trace_plus
+            cm.phi_plus @ trace_plus
             + cm.phi_minus @ trace_minus
             + cm.phi_prime_minus @ eta_vals
         )
@@ -220,3 +235,69 @@ def test_robin_system_solves_and_satisfies_closure():
         interiors[tag] = interior_values(result, cm, ps)
     diff = np.abs(interiors["single-direct"] - interiors["single-schur"]).max()
     assert diff <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# what the solve holds
+
+
+@pytest.fixture(scope="module")
+def robin_ellipse256():
+    cfg = harness.ExperimentConfig("ellipse", "robin", n=256, aspect=2.0)
+    _, _, ps, cm = harness._discretize(cfg, 256)
+    return ps, cm
+
+
+@pytest.mark.parametrize("tag", ["single-direct", "double-schur"])
+def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
+    # The peak of layer build, assembly and solve is bounded by the arrays
+    # that must be held: K-, the gamma+ rows of K+, the system matrix with
+    # its LU copy, one row block, and for the Schur form the K-^T factor.
+    # The |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2 here) would
+    # not fit.
+    ps, cm = robin_ellipse256
+    form = solver.formulation_from_tag(tag)
+    lgf_grid(max(ps.grid.nx, ps.grid.ny) - 1)
+    cm.c_plus, cm.c_minus  # sparse, and cached on the closure
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver.solve_system(form, cm, solver.build_layer_matrices(cm, ps, form.kernel))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n = len(cm.gamma_minus)
+    tp = cm.gamma_tilde_plus
+    n_plus = int(ps.gamma_plus[tp[:, 0], tp[:, 1]].sum())
+    assert len(tp) > 2 * n
+    squares = 4 if form.form is solver.SystemForm.SCHUR else 3
+    assert peak <= 8 * (squares * n * n + n_plus * n + potentials._ROW_BLOCK * n)
+
+
+def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
+    ps, cm = robin_ellipse256
+    form = solver.formulation_from_tag("single-schur")
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    shapes = []
+    lu_solve = scipy.linalg.lu_solve
+
+    def recorded(lu_and_piv, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return lu_solve(lu_and_piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", recorded)
+    solver.assemble_system(form, cm, layers)
+    n = len(cm.gamma_minus)
+    assert len(cm.gamma_tilde_plus) != n
+    assert shapes == [(n, n)]
+
+
+def test_layer_blocks_are_assembled_once(circle_problem):
+    grid, ps, cm = circle_problem
+    form = solver.formulation_from_tag("single-direct")
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    first, _, _ = solver.assemble_system(form, cm, layers.copy())
+    second, _, _ = solver.assemble_system(form, cm, layers)
+    assert np.array_equal(first, second)
+    with pytest.raises(AssemblyError):
+        solver.assemble_system(form, cm, layers)
