@@ -190,17 +190,14 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
     return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
-def _gamma_trace(result: solver.SolveResult, cm: closure_mod.ClosureMatrices,
-                 ps: geometry.PointSets) -> np.ndarray:
+def _gamma_trace(result: solver.SolveResult, ps: geometry.PointSets) -> np.ndarray:
     """Both traces in canonical gamma order, for the difference potential.
 
-    They are written on one grid array at their nodes, the gamma+ nodes
-    of gamma~+ and gamma-, and read back on gamma.  The grid array is
-    freed before the box solve that follows.
+    They are written on one grid array at their nodes, and read back on
+    gamma.  The grid array is freed before the box solve that follows.
     """
     traces = np.zeros((ps.grid.nx, ps.grid.ny))
-    tp, tm = cm.gamma_tilde_plus, cm.gamma_minus
-    tp = tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]]
+    tp, tm = result.trace_plus_nodes, result.density.support
     traces[tp[:, 0], tp[:, 1]] = result.trace_plus
     traces[tm[:, 0], tm[:, 1]] = result.trace_minus
     return traces[ps.gamma]
@@ -234,7 +231,7 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     u_edge = potentials.evaluate_potential(
         diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
-    u_h = diffpot.difference_potential(_gamma_trace(result, cm, ps), ps, u_edge)
+    u_h = diffpot.difference_potential(_gamma_trace(result, ps), ps, u_edge)
     mp = ps.m_plus_indices
     values = (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
 

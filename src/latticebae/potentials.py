@@ -228,9 +228,8 @@ def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: 
     Otherwise K is gathered one row block at a time in target order
     (neighbouring targets read neighbouring table entries).  Each block
     is added into the product through the slab of weight rows it
-    reaches, and its kept rows are copied out, or, for a block kept
-    whole, gathered straight into place.  Returns the dense product and
-    the kept rows as a :class:`LayerMatrix`.
+    reaches, and its kept rows are copied out.  Returns the dense product
+    and the kept rows as a :class:`LayerMatrix`.
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
@@ -263,12 +262,10 @@ def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: 
     scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
     for start, first, last in zip(starts, edges[:-1], edges[1:]):
         stop = min(start + _ROW_BLOCK, len(targets))
-        into = kept[kept_before[start] : kept_before[stop]]
-        whole = len(into) == stop - start
-        block = into if whole else scratch[: stop - start]
+        block = scratch[: stop - start]
         fill(block, start)
-        if not whole:
-            np.compress(keep[start:stop], block, axis=0, out=into)
+        np.compress(keep[start:stop], block, axis=0,
+                    out=kept[kept_before[start] : kept_before[stop]])
         if first < last:
             # The block reaches product rows lo:hi through one sparse slab.
             lo, hi = rows[first:last].min(), rows[first:last].max() + 1

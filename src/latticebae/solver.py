@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
@@ -87,13 +87,15 @@ def formulation_from_tag(tag: str) -> Formulation:
 @dataclass
 class SolveResult:
     """A solved density with the layer potential's traces: ``trace_minus``
-    on gamma-, ``trace_plus`` on the gamma+ nodes of the closure's
+    on gamma- (the density's support), ``trace_plus`` on the nodes
+    ``trace_plus_nodes``, which are the gamma+ nodes of the closure's
     gamma~+ in their gamma~+ order (all of gamma~+ for Dirichlet, where
     the two sets coincide)."""
 
     density: DensityVector
     trace_minus: np.ndarray
     trace_plus: np.ndarray
+    trace_plus_nodes: np.ndarray
     system_cond: Optional[float]
     residual_norm: float
 
@@ -103,13 +105,18 @@ class LayerBlocks:
     """What a closure needs of one kernel: K+ only through C+ K+ and its
     gamma+ rows, and K- whole.
 
-    ``c_plus_k_plus`` (|gamma-| x |gamma-|) is K+ on gamma~+ contracted
-    with :attr:`ClosureMatrices.c_plus` as it was gathered;
-    :func:`assemble_system` builds the system in that array, so it can be
-    taken once (:meth:`copy` first to assemble twice).  ``k_plus_gamma``
-    holds K+ on the gamma+ nodes of gamma~+, which trace recovery reads.
+    ``c_plus_k_plus`` (|gamma-| x |gamma-|) is K+ on the targets
+    ``gamma_tilde_plus`` contracted with the weights ``c_plus`` as it was
+    gathered; :func:`assemble_system` builds the system in that array, so
+    it can be taken once (:meth:`copy` first to assemble twice).
+    ``k_plus_gamma`` holds K+ on the targets marked ``on_gamma_plus``,
+    which trace recovery reads.  The targets and weights are kept so that
+    the blocks can be checked against the closure they are used with.
     """
 
+    c_plus: sparse.csr_array
+    gamma_tilde_plus: np.ndarray
+    on_gamma_plus: np.ndarray
     c_plus_k_plus: Optional[np.ndarray]
     k_plus_gamma: LayerMatrix
     k_minus: LayerMatrix
@@ -129,21 +136,34 @@ def build_layer_matrices(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) 
     """K- and the contracted K+ a closure needs, on its own orderings; the
     |gamma~+| x |gamma-| block K+ itself is never held."""
     tp = cm.gamma_tilde_plus
+    on_gamma_plus = ps.gamma_plus[tp[:, 0], tp[:, 1]]
     c_plus_k_plus, k_plus_gamma = contract_layer_matrix(
-        cm.c_plus, tp, ps.gamma_plus[tp[:, 0], tp[:, 1]], cm.gamma_minus, kernel, ps
+        cm.c_plus, tp, on_gamma_plus, cm.gamma_minus, kernel, ps
     )
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    return LayerBlocks(c_plus_k_plus, k_plus_gamma, k_minus)
+    return LayerBlocks(cm.c_plus, tp, on_gamma_plus, c_plus_k_plus, k_plus_gamma, k_minus)
+
+
+def _same_sparse(a, b) -> bool:
+    return a is b or (a.shape == b.shape and (a != b).nnz == 0)
 
 
 def _check_alignment(cm: ClosureMatrices, layers: LayerBlocks):
+    """Raise AssemblyError unless ``layers`` were built for ``cm``'s
+    orderings and C+ weights."""
     n = len(cm.gamma_minus)
     k_minus = layers.k_minus
     if not np.array_equal(k_minus.rows, cm.gamma_minus) or not np.array_equal(
         k_minus.cols, cm.gamma_minus
     ):
         raise AssemblyError("K- rows/columns do not match the closure gamma- ordering")
-    if not np.array_equal(layers.k_plus_gamma.cols, cm.gamma_minus) or (
+    if not np.array_equal(layers.gamma_tilde_plus, cm.gamma_tilde_plus) or not _same_sparse(
+        layers.c_plus, cm.c_plus
+    ):
+        raise AssemblyError("C+ K+ was contracted over another closure's gamma~+ or C+")
+    if not np.array_equal(
+        layers.k_plus_gamma.rows, layers.gamma_tilde_plus[layers.on_gamma_plus]
+    ) or not np.array_equal(layers.k_plus_gamma.cols, cm.gamma_minus) or (
         layers.c_plus_k_plus is not None and layers.c_plus_k_plus.shape != (n, n)
     ):
         raise AssemblyError("K+ blocks do not match the closure orderings")
@@ -215,6 +235,7 @@ def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
             system_cond: Optional[float] = None, residual_norm: float = 0.0) -> SolveResult:
     """Density and both traces from the solved primary unknown; the Schur
     form needs the ``kernel_lu`` that :func:`assemble_system` returned."""
+    _check_alignment(cm, layers)
     if formulation.form is SystemForm.DIRECT:
         density = solution
         trace_minus = layers.k_minus.entries @ density
@@ -225,6 +246,7 @@ def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
         density=DensityVector(support=cm.gamma_minus, values=density),
         trace_minus=np.asarray(trace_minus, dtype=float),
         trace_plus=layers.k_plus_gamma.entries @ density,
+        trace_plus_nodes=layers.k_plus_gamma.rows,
         system_cond=system_cond,
         residual_norm=residual_norm,
     )

@@ -283,7 +283,7 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
                                  cm, layers)
-    u = diffpot.difference_potential(harness._gamma_trace(result, cm, ps), ps)
+    u = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
     mp = ps.m_plus_indices
     assert np.abs(u.values[mp[:, 0], mp[:, 1]] - 1.0).max() <= 1e-9
 

@@ -22,8 +22,8 @@ def centered_grid(half, n):
     return geometry.Grid.from_box((-half, half), (-half, half), n)
 
 
-def interior_values(result, cm, ps):
-    w = diffpot.difference_potential(harness._gamma_trace(result, cm, ps), ps)
+def interior_values(result, ps):
+    w = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
     mp = ps.m_plus_indices
     return w.values[mp[:, 0], mp[:, 1]]
 
@@ -88,6 +88,32 @@ def test_assemble_rejects_misaligned_layers(circle_problem):
     form = solver.formulation_from_tag("single-direct")
     with pytest.raises(AssemblyError):
         solver.assemble_system(form, cm, replace(layers, k_minus=layers.k_plus_gamma))
+    with pytest.raises(AssemblyError):
+        solver.assemble_system(form, cm, replace(layers, k_plus_gamma=layers.k_minus))
+
+
+def test_blocks_are_tied_to_their_closure():
+    # Blocks carry C+ K+, so they fit only a closure with their gamma~+
+    # and C+ weights, even where gamma- is the same.
+    grid = centered_grid(1.5, 16)
+    shape = geometry.ellipse(2.0)
+    ps = geometry.classify(grid, shape)
+    xs = geometry.select_intersections(ps, shape, grid)
+    dirichlet = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
+    robin = closure.assemble_closure(ps, xs, closure.robin(1.0, 1.0, lambda x, y: 1.0), grid)
+    other = closure.assemble_closure(ps, xs, closure.robin(1.0, 3.0, lambda x, y: 1.0), grid)
+    assert np.array_equal(dirichlet.gamma_minus, robin.gamma_minus)
+    assert np.array_equal(robin.gamma_tilde_plus, other.gamma_tilde_plus)
+    form = solver.formulation_from_tag("single-direct")
+    for built_for, used_with in ((dirichlet, robin), (robin, dirichlet), (other, robin)):
+        layers = solver.build_layer_matrices(built_for, ps, form.kernel)
+        with pytest.raises(AssemblyError):
+            solver.assemble_system(form, used_with, layers.copy())
+        with pytest.raises(AssemblyError):
+            solver.recover(np.zeros(len(used_with.gamma_minus)), form, used_with, layers)
+    rebuilt = closure.assemble_closure(ps, xs, closure.robin(1.0, 1.0, lambda x, y: 1.0), grid)
+    layers = solver.build_layer_matrices(robin, ps, form.kernel)
+    solver.assemble_system(form, rebuilt, layers)
 
 
 def test_schur_rejects_singular_kernel_matrix(circle_problem):
@@ -124,7 +150,7 @@ def test_constant_dirichlet_is_exact(circle_problem, tag):
     form = solver.formulation_from_tag(tag)
     layers = solver.build_layer_matrices(cm, ps, form.kernel)
     result = solver.solve_system(form, cm, layers)
-    u = interior_values(result, cm, ps)
+    u = interior_values(result, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
 
@@ -135,7 +161,7 @@ def test_formulation_equivalence(circle_problem):
         form = solver.formulation_from_tag(tag)
         layers = solver.build_layer_matrices(cm, ps, form.kernel)
         result = solver.solve_system(form, cm, layers)
-        solutions[tag] = interior_values(result, cm, ps)
+        solutions[tag] = interior_values(result, ps)
         if form.form is solver.SystemForm.DIRECT:
             direct_trace = layers.k_minus.entries @ result.density.values
         else:
@@ -222,6 +248,7 @@ def test_robin_system_solves_and_satisfies_closure():
         tp = cm.gamma_tilde_plus
         on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
         assert not on_gamma.all()
+        assert np.array_equal(result.trace_plus_nodes, tp[on_gamma])
         np.testing.assert_allclose(result.trace_plus, trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
         trace_minus = layers.k_minus.entries @ result.density.values
@@ -232,7 +259,7 @@ def test_robin_system_solves_and_satisfies_closure():
             + cm.phi_prime_minus @ eta_vals
         )
         assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
-        interiors[tag] = interior_values(result, cm, ps)
+        interiors[tag] = interior_values(result, ps)
     diff = np.abs(interiors["single-direct"] - interiors["single-schur"]).max()
     assert diff <= 1e-8
 
@@ -252,9 +279,10 @@ def robin_ellipse256():
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     # The peak of layer build, assembly and solve is bounded by the arrays
     # that must be held: K-, the gamma+ rows of K+, the system matrix with
-    # its LU copy, one row block, and for the Schur form the K-^T factor.
-    # The |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2 here) would
-    # not fit.
+    # its LU copy, one row block, and for the Schur form the K-^T factor,
+    # with |gamma-|^2 / 2 to spare for library workspace.  The
+    # |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2 here) would not
+    # fit.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     lgf_grid(max(ps.grid.nx, ps.grid.ny) - 1)
@@ -271,7 +299,7 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     n_plus = int(ps.gamma_plus[tp[:, 0], tp[:, 1]].sum())
     assert len(tp) > 2 * n
     squares = 4 if form.form is solver.SystemForm.SCHUR else 3
-    assert peak <= 8 * (squares * n * n + n_plus * n + potentials._ROW_BLOCK * n)
+    assert peak <= 8 * ((squares + 0.5) * n * n + n_plus * n + potentials._ROW_BLOCK * n)
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
