@@ -224,8 +224,10 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
             "domain; use a single-layer formulation"
         )
     grid, mf, ps, cm = _discretize(cfg, n)
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
+    # The box solve's grid-sized transients come before the layer blocks
+    # are held, not on top of them.
     u_p = diffpot.particular_solution(mf.f, ps)
+    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
     result = solver.solve_system(form, cm, layers, compute_cond=cfg.compute_cond)
     u_edge = potentials.evaluate_potential(
