@@ -74,12 +74,12 @@ from .closure import (
 )
 from .solver import (
     Formulation,
-    LayerBlocks,
     SolveResult,
+    System,
     SystemForm,
     assemble_system,
-    build_layer_matrices,
     condition_number,
+    condition_numbers,
     dense_solve,
     formulation_from_tag,
     solve_system,

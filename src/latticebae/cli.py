@@ -57,7 +57,6 @@ def _config_from_args(args, n=None, n_list=()) -> harness.ExperimentConfig:
         radius=args.radius,
         ell=args.ell,
         compute_cond=getattr(args, "cond", False),
-        timing=args.timing,
     )
 
 
@@ -70,7 +69,7 @@ def _parse_n_list(text: str):
 
 def _emit(rows, cfg, args) -> None:
     if args.out:
-        harness.emit_csv(rows, args.out, include_timing=cfg.timing,
+        harness.emit_csv(rows, args.out, include_timing=args.timing,
                          metadata=harness.csv_metadata(cfg))
         print(f"wrote {args.out}")
 

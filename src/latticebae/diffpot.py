@@ -152,12 +152,17 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
 
 
 def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
-    """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain)."""
+    """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain).
+
+    f is evaluated only at the box-interior nodes of M+.
+    """
     grid = ps.grid
-    x, y = grid.mesh()
     rhs = GridFunction.zeros(grid)
     inside = ps.m_plus & ~_edge_mask(grid)
-    rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))[inside]
+    j, k = np.nonzero(inside)
+    x = grid.origin[0] + grid.h * j
+    y = grid.origin[1] + grid.h * k
+    rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))
     return fft_poisson_solve(rhs)
 
 

@@ -51,7 +51,6 @@ class ExperimentConfig:
     radius: float = 1.0
     ell: float = 0.15
     compute_cond: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         if self.geometry not in _GEOMETRIES:
@@ -224,12 +223,11 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
             "domain; use a single-layer formulation"
         )
     grid, mf, ps, cm = _discretize(cfg, n)
-    # The box solve's grid-sized transients come before the layer blocks
+    # The box solve's grid-sized transients come before the kernel blocks
     # are held, not on top of them.
     u_p = diffpot.particular_solution(mf.f, ps)
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
-    result = solver.solve_system(form, cm, layers, compute_cond=cfg.compute_cond)
+    result = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
     u_edge = potentials.evaluate_potential(
         diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
@@ -305,24 +303,16 @@ def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
     for n in cfg.ladder():
         grid, _, ps, cm = _discretize(cfg, n)
         conds = {}
-        for kernel in (potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE):
-            suffix = "s" if kernel is potentials.LayerKind.SINGLE else "d"
-            minus_label = "S-" if kernel is potentials.LayerKind.SINGLE else "D-"
+        for kernel, minus_label, suffix in ((potentials.LayerKind.SINGLE, "S-", "s"),
+                                            (potentials.LayerKind.DOUBLE, "D-", "d")):
             if _double_on_exterior(cfg, kernel):
                 notes.append(
                     f"n={n}: double-layer family skipped (singular on unbounded domain)"
                 )
                 continue
-            layers = solver.build_layer_matrices(cm, ps, kernel)
-            conds[minus_label] = solver.condition_number(layers.k_minus.entries)
-            for form_name in ("schur", "direct"):
-                tag = f"{kernel.value}-{form_name}"
-                matrix, _, _ = solver.assemble_system(
-                    solver.formulation_from_tag(tag), cm,
-                    layers.copy() if form_name == "schur" else layers,
-                )
-                label = ("A_" if form_name == "schur" else "M_") + suffix
-                conds[label] = solver.condition_number(matrix)
+            conds[minus_label], conds["A_" + suffix], conds["M_" + suffix] = (
+                solver.condition_numbers(kernel, cm, ps)
+            )
         for label in CONDITIONING_LABELS:
             rows.append(
                 ResultRow(

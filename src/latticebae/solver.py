@@ -24,6 +24,14 @@ gamma+ rows, which give the gamma+ trace; both are taken from the
 kernel gather block by block, so K+ itself is never held.  Either form
 is then assembled in place in the one |gamma-|^2 array of C+ K+.
 
+These kernel blocks never leave the module: :func:`assemble_system`
+gathers them from the closure it is given and returns a :class:`System`,
+which :func:`recover` reads, and :func:`solve_system` runs the whole
+line in one call.  :func:`condition_numbers` serves the conditioning
+study: from one gather it returns cond(K-), then builds the Schur form
+on a copy of C+ K+ and the direct form in place, and takes each
+system's condition number before the next is built.
+
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.
 
@@ -35,12 +43,12 @@ anyway.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
@@ -101,72 +109,27 @@ class SolveResult:
 
 
 @dataclass
-class LayerBlocks:
-    """What a closure needs of one kernel: K+ only through C+ K+ and its
-    gamma+ rows, and K- whole.
+class System:
+    """One closure's square |gamma-| system in one formulation, with what
+    recovery reads: the gamma+ rows of K+, K- whole, and for the Schur
+    form the LU factor of K-^T (None for the direct form)."""
 
-    ``c_plus_k_plus`` (|gamma-| x |gamma-|) is K+ on the targets
-    ``gamma_tilde_plus`` contracted with the weights ``c_plus`` as it was
-    gathered; :func:`assemble_system` builds the system in that array, so
-    it can be taken once (:meth:`copy` first to assemble twice).
-    ``k_plus_gamma`` holds K+ on the targets marked ``on_gamma_plus``,
-    which trace recovery reads.  The targets and weights are kept so that
-    the blocks can be checked against the closure they are used with.
-    """
-
-    c_plus: sparse.csr_array
-    gamma_tilde_plus: np.ndarray
-    on_gamma_plus: np.ndarray
-    c_plus_k_plus: Optional[np.ndarray]
+    formulation: Formulation
+    matrix: np.ndarray
     k_plus_gamma: LayerMatrix
     k_minus: LayerMatrix
-
-    def take_contracted(self) -> np.ndarray:
-        """C+ K+, handed out once: the system is assembled in its array."""
-        if self.c_plus_k_plus is None:
-            raise AssemblyError("C+ K+ was already assembled into a system")
-        out, self.c_plus_k_plus = self.c_plus_k_plus, None
-        return out
-
-    def copy(self) -> "LayerBlocks":
-        return replace(self, c_plus_k_plus=np.array(self.c_plus_k_plus))
+    kernel_lu: Optional[tuple]
 
 
-def build_layer_matrices(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> LayerBlocks:
-    """K- and the contracted K+ a closure needs, on its own orderings; the
-    |gamma~+| x |gamma-| block K+ itself is never held."""
+def _layer_blocks(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind):
+    """C+ K+, the gamma+ rows of K+, and K-, on the closure's orderings;
+    the |gamma~+| x |gamma-| block K+ itself is never held."""
     tp = cm.gamma_tilde_plus
-    on_gamma_plus = ps.gamma_plus[tp[:, 0], tp[:, 1]]
     c_plus_k_plus, k_plus_gamma = contract_layer_matrix(
-        cm.c_plus, tp, on_gamma_plus, cm.gamma_minus, kernel, ps
+        cm.c_plus, tp, ps.gamma_plus[tp[:, 0], tp[:, 1]], cm.gamma_minus, kernel, ps
     )
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    return LayerBlocks(cm.c_plus, tp, on_gamma_plus, c_plus_k_plus, k_plus_gamma, k_minus)
-
-
-def _same_sparse(a, b) -> bool:
-    return a is b or (a.shape == b.shape and (a != b).nnz == 0)
-
-
-def _check_alignment(cm: ClosureMatrices, layers: LayerBlocks):
-    """Raise AssemblyError unless ``layers`` were built for ``cm``'s
-    orderings and C+ weights."""
-    n = len(cm.gamma_minus)
-    k_minus = layers.k_minus
-    if not np.array_equal(k_minus.rows, cm.gamma_minus) or not np.array_equal(
-        k_minus.cols, cm.gamma_minus
-    ):
-        raise AssemblyError("K- rows/columns do not match the closure gamma- ordering")
-    if not np.array_equal(layers.gamma_tilde_plus, cm.gamma_tilde_plus) or not _same_sparse(
-        layers.c_plus, cm.c_plus
-    ):
-        raise AssemblyError("C+ K+ was contracted over another closure's gamma~+ or C+")
-    if not np.array_equal(
-        layers.k_plus_gamma.rows, layers.gamma_tilde_plus[layers.on_gamma_plus]
-    ) or not np.array_equal(layers.k_plus_gamma.cols, cm.gamma_minus) or (
-        layers.c_plus_k_plus is not None and layers.c_plus_k_plus.shape != (n, n)
-    ):
-        raise AssemblyError("K+ blocks do not match the closure orderings")
+    return c_plus_k_plus, k_plus_gamma, k_minus
 
 
 def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
@@ -183,18 +146,13 @@ def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
     return lu, piv
 
 
-def assemble_system(formulation: Formulation, cm: ClosureMatrices, layers: LayerBlocks):
-    """The square |gamma-| system matrix, its right-hand side, and the Schur
-    form's LU factor of K-^T, which :func:`recover` reuses (None if direct).
-
-    The matrix is built in place in the array of ``layers.c_plus_k_plus``,
-    which this takes.
-    """
-    _check_alignment(cm, layers)
-    km = layers.k_minus.entries
+def _build_system(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
+                  k_plus_gamma: LayerMatrix, k_minus: LayerMatrix) -> System:
+    """The system of one formulation, built in place in ``c_plus_k_plus``."""
+    km = k_minus.entries
     kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
-        matrix = layers.take_contracted()
+        matrix = c_plus_k_plus
         for start in range(0, len(matrix), _ROW_BLOCK):
             stop = start + _ROW_BLOCK
             matrix[start:stop] += cm.c_minus[start:stop] @ km
@@ -205,12 +163,18 @@ def assemble_system(formulation: Formulation, cm: ClosureMatrices, layers: Layer
             f"{name} is numerically singular; its Schur form is unavailable",
         )
         # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
-        matrix = linalg.lu_solve(kernel_lu, layers.take_contracted().T, overwrite_b=True).T
+        matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True).T
         c_minus = cm.c_minus.tocoo()
         np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return matrix, cm.rhs.copy(), kernel_lu
+    return System(formulation, matrix, k_plus_gamma, k_minus, kernel_lu)
+
+
+def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
+    """The square |gamma-| system of ``cm`` in one formulation, with the
+    blocks :func:`recover` reads; its right-hand side is ``cm.rhs``."""
+    return _build_system(formulation, cm, *_layer_blocks(cm, ps, formulation.kernel))
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -230,37 +194,46 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def recover(solution: np.ndarray, formulation: Formulation, cm: ClosureMatrices,
-            layers: LayerBlocks, kernel_lu: Optional[tuple] = None,
-            system_cond: Optional[float] = None, residual_norm: float = 0.0) -> SolveResult:
-    """Density and both traces from the solved primary unknown; the Schur
-    form needs the ``kernel_lu`` that :func:`assemble_system` returned."""
-    _check_alignment(cm, layers)
-    if formulation.form is SystemForm.DIRECT:
+def recover(solution: np.ndarray, system: System, system_cond: Optional[float] = None,
+            residual_norm: float = 0.0) -> SolveResult:
+    """Density and both traces from the solved primary unknown."""
+    if system.formulation.form is SystemForm.DIRECT:
         density = solution
-        trace_minus = layers.k_minus.entries @ density
+        trace_minus = system.k_minus.entries @ density
     else:
         trace_minus = solution
-        density = linalg.lu_solve(kernel_lu, trace_minus, trans=1)
+        density = linalg.lu_solve(system.kernel_lu, trace_minus, trans=1)
     return SolveResult(
-        density=DensityVector(support=cm.gamma_minus, values=density),
+        density=DensityVector(support=system.k_minus.cols, values=density),
         trace_minus=np.asarray(trace_minus, dtype=float),
-        trace_plus=layers.k_plus_gamma.entries @ density,
-        trace_plus_nodes=layers.k_plus_gamma.rows,
+        trace_plus=system.k_plus_gamma.entries @ density,
+        trace_plus_nodes=system.k_plus_gamma.rows,
         system_cond=system_cond,
         residual_norm=residual_norm,
     )
 
 
-def solve_system(formulation: Formulation, cm: ClosureMatrices, layers: LayerBlocks,
+def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
                  compute_cond: bool = False) -> SolveResult:
-    """Assemble, solve, and recover in one sweep; ``layers`` gives up its
-    contracted block to the system matrix."""
-    matrix, rhs, kernel_lu = assemble_system(formulation, cm, layers)
-    solution = dense_solve(matrix, rhs)
-    residual = float(np.abs(matrix @ solution - rhs).max())
-    cond = condition_number(matrix) if compute_cond else None
-    return recover(
-        solution, formulation, cm, layers,
-        kernel_lu=kernel_lu, system_cond=cond, residual_norm=residual,
-    )
+    """Gather, assemble, solve, and recover in one sweep."""
+    system = assemble_system(formulation, cm, ps)
+    solution = dense_solve(system.matrix, cm.rhs)
+    residual = float(np.abs(system.matrix @ solution - cm.rhs).max())
+    cond = condition_number(system.matrix) if compute_cond else None
+    return recover(solution, system, system_cond=cond, residual_norm=residual)
+
+
+def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:
+    """cond(K-), then the condition numbers of the Schur and the direct
+    system of ``cm``, all from one gather of the kernel blocks."""
+    c_plus_k_plus, k_plus_gamma, k_minus = _layer_blocks(cm, ps, kernel)
+    cond_minus = condition_number(k_minus.entries)
+    # The Schur form is built on a copy and dropped before the direct form
+    # is built in place.
+    schur = _build_system(Formulation(kernel, SystemForm.SCHUR), cm,
+                          np.array(c_plus_k_plus), k_plus_gamma, k_minus)
+    cond_schur = condition_number(schur.matrix)
+    del schur
+    direct = _build_system(Formulation(kernel, SystemForm.DIRECT), cm,
+                           c_plus_k_plus, k_plus_gamma, k_minus)
+    return cond_minus, cond_schur, condition_number(direct.matrix)

@@ -280,9 +280,8 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     xs = geometry.select_intersections(ps, shape, grid)
     cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(
         lambda x, y: 1.0), grid)
-    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
-                                 cm, layers)
+                                 cm, ps)
     u = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
     mp = ps.m_plus_indices
     assert np.abs(u.values[mp[:, 0], mp[:, 1]] - 1.0).max() <= 1e-9

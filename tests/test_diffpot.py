@@ -210,6 +210,23 @@ def test_particular_solution_of_zero_forcing(ellipse_box):
     assert np.all(u_p.values == 0.0)
 
 
+def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
+    grid, ps = ellipse_box
+    shapes = []
+
+    def recorded(x, y):
+        shapes.append(np.shape(x))
+        return forcing(x, y)
+
+    u_p = diffpot.particular_solution(recorded, ps)
+    inside = ps.m_plus & ~diffpot._edge_mask(grid)
+    assert shapes == [(int(inside.sum()),)]
+    x, y = grid.mesh()
+    rhs = diffpot.GridFunction.zeros(grid)
+    rhs.values[inside] = grid.h**2 * forcing(x, y)[inside]
+    assert np.array_equal(u_p.values, diffpot.fft_poisson_solve(rhs).values)
+
+
 def test_rhs_correction_trivial_and_affine(ellipse_box):
     from latticebae import closure
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticebae import cli, harness
+from latticebae import cli, harness, solver
 from latticebae.errors import ConfigError
 
 
@@ -194,6 +194,24 @@ def test_conditioning_unbounded_skips_double_family():
             assert r.cond > 1.0
 
 
+@pytest.mark.parametrize("geometry_name, gathers", [("ellipse", 2), ("circle-exterior", 1)])
+def test_conditioning_gathers_once_per_kernel(monkeypatch, geometry_name, gathers):
+    # K- and both forms of a kernel come from one gather; the exterior
+    # skips the double layer.
+    calls = []
+    contract = solver.contract_layer_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "contract_layer_matrix", counted)
+    cfg = harness.ExperimentConfig(geometry=geometry_name, bc="dirichlet",
+                                   n_list=(32, 64, 128))
+    harness.run_conditioning(cfg)
+    assert len(calls) == gathers * 3
+
+
 def _csv_bytes(rows, **kw):
     import tempfile, os
 
@@ -314,6 +332,19 @@ def test_cli_dump_solution_solves_once(tmp_path, monkeypatch):
     max_error = max(float(r["error"]) for r in records)
     with open(row_path) as fh:
         assert float(next(csv.DictReader(fh))["max_error"]) == max_error
+
+
+def test_cli_timing_fills_wall_time(tmp_path):
+    walls = {}
+    for flags in ((), ("--timing",)):
+        out = tmp_path / f"row{len(flags)}.csv"
+        code = cli.main(["solve", "--geometry", "ellipse", "--bc", "dirichlet", "--n", "32",
+                         "--out", str(out), *flags])
+        assert code == 0
+        with open(out) as fh:
+            walls[flags] = next(csv.DictReader(fh))["wall_time"]
+    assert walls[()] == ""
+    assert float(walls[("--timing",)]) > 0.0
 
 
 class TestCli:

@@ -1,7 +1,6 @@
 """Tests for the dense boundary-system solver."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,53 +81,23 @@ def test_formulation_tags_round_trip():
 # assembly guards
 
 
-def test_assemble_rejects_misaligned_layers(circle_problem):
+def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
     grid, ps, cm = circle_problem
-    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
-    form = solver.formulation_from_tag("single-direct")
-    with pytest.raises(AssemblyError):
-        solver.assemble_system(form, cm, replace(layers, k_minus=layers.k_plus_gamma))
-    with pytest.raises(AssemblyError):
-        solver.assemble_system(form, cm, replace(layers, k_plus_gamma=layers.k_minus))
+    assemble = potentials.assemble_layer_matrix
 
+    def zeroed(*args, **kwargs):
+        k_minus = assemble(*args, **kwargs)
+        return potentials.LayerMatrix(
+            rows=k_minus.rows,
+            cols=k_minus.cols,
+            entries=np.zeros_like(k_minus.entries),
+            kind=k_minus.kind,
+        )
 
-def test_blocks_are_tied_to_their_closure():
-    # Blocks carry C+ K+, so they fit only a closure with their gamma~+
-    # and C+ weights, even where gamma- is the same.
-    grid = centered_grid(1.5, 16)
-    shape = geometry.ellipse(2.0)
-    ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    dirichlet = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
-    robin = closure.assemble_closure(ps, xs, closure.robin(1.0, 1.0, lambda x, y: 1.0), grid)
-    other = closure.assemble_closure(ps, xs, closure.robin(1.0, 3.0, lambda x, y: 1.0), grid)
-    assert np.array_equal(dirichlet.gamma_minus, robin.gamma_minus)
-    assert np.array_equal(robin.gamma_tilde_plus, other.gamma_tilde_plus)
-    form = solver.formulation_from_tag("single-direct")
-    for built_for, used_with in ((dirichlet, robin), (robin, dirichlet), (other, robin)):
-        layers = solver.build_layer_matrices(built_for, ps, form.kernel)
-        with pytest.raises(AssemblyError):
-            solver.assemble_system(form, used_with, layers.copy())
-        with pytest.raises(AssemblyError):
-            solver.recover(np.zeros(len(used_with.gamma_minus)), form, used_with, layers)
-    rebuilt = closure.assemble_closure(ps, xs, closure.robin(1.0, 1.0, lambda x, y: 1.0), grid)
-    layers = solver.build_layer_matrices(robin, ps, form.kernel)
-    solver.assemble_system(form, rebuilt, layers)
-
-
-def test_schur_rejects_singular_kernel_matrix(circle_problem):
-    grid, ps, cm = circle_problem
-    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
-    k_minus = layers.k_minus
-    broken = potentials.LayerMatrix(
-        rows=k_minus.rows,
-        cols=k_minus.cols,
-        entries=np.zeros_like(k_minus.entries),
-        kind=k_minus.kind,
-    )
+    monkeypatch.setattr(solver, "assemble_layer_matrix", zeroed)
     form = solver.formulation_from_tag("single-schur")
     with pytest.raises(FormulationSingularError):
-        solver.assemble_system(form, cm, replace(layers, k_minus=broken))
+        solver.assemble_system(form, cm, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +106,9 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem):
 
 def test_recover_zero_density(circle_problem):
     grid, ps, cm = circle_problem
-    layers = solver.build_layer_matrices(cm, ps, potentials.LayerKind.SINGLE)
     form = solver.formulation_from_tag("single-direct")
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), form, cm, layers)
+    system = solver.assemble_system(form, cm, ps)
+    result = solver.recover(np.zeros(len(cm.gamma_minus)), system)
     assert np.all(result.trace_minus == 0.0)
     assert np.all(result.trace_plus == 0.0)
 
@@ -148,8 +117,7 @@ def test_recover_zero_density(circle_problem):
 def test_constant_dirichlet_is_exact(circle_problem, tag):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, layers)
+    result = solver.solve_system(form, cm, ps)
     u = interior_values(result, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
@@ -159,11 +127,10 @@ def test_formulation_equivalence(circle_problem):
     solutions = {}
     for tag in FORMULATION_TAGS:
         form = solver.formulation_from_tag(tag)
-        layers = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, layers)
+        result = solver.solve_system(form, cm, ps)
         solutions[tag] = interior_values(result, ps)
         if form.form is solver.SystemForm.DIRECT:
-            direct_trace = layers.k_minus.entries @ result.density.values
+            direct_trace = result.trace_minus
         else:
             assert np.abs(result.trace_minus - direct_trace).max() <= 1e-8
     values = list(solutions.values())
@@ -178,7 +145,6 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
     # which both its assembly and its density recovery use.
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
@@ -187,15 +153,14 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
         return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    solver.solve_system(form, cm, layers)
+    solver.solve_system(form, cm, ps)
     assert len(calls) == (2 if form.form is solver.SystemForm.SCHUR else 1)
 
 
 def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
-    result = solver.solve_system(form, cm, layers)
+    result = solver.solve_system(form, cm, ps)
     lhs = cm.phi_plus @ result.trace_plus + cm.phi_minus @ result.trace_minus
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
@@ -203,14 +168,26 @@ def test_closure_rows_are_satisfied(circle_problem):
 def test_residual_invariant(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("double-schur")
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
-    matrix, rhs, _ = solver.assemble_system(form, cm, layers.copy())
-    result = solver.solve_system(form, cm, layers, compute_cond=True)
+    matrix, rhs = solver.assemble_system(form, cm, ps).matrix, cm.rhs
+    result = solver.solve_system(form, cm, ps, compute_cond=True)
     bound = 1e-10 * (
         np.abs(matrix).max() * np.abs(result.trace_minus).max() + np.abs(rhs).max()
     )
     assert result.residual_norm <= bound
     assert result.system_cond is not None and result.system_cond > 1.0
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_condition_numbers_match_each_system(circle_problem, kernel):
+    # One gather serves K- and both forms; each number is the one its own
+    # assembly gives.
+    grid, ps, cm = circle_problem
+    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    expected = [solver.condition_number(k_minus.entries)]
+    for form in (solver.SystemForm.SCHUR, solver.SystemForm.DIRECT):
+        system = solver.assemble_system(solver.Formulation(kernel, form), cm, ps)
+        expected.append(solver.condition_number(system.matrix))
+    assert solver.condition_numbers(kernel, cm, ps) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +215,7 @@ def test_robin_system_solves_and_satisfies_closure():
     interiors = {}
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
-        layers = solver.build_layer_matrices(cm, ps, form.kernel)
-        result = solver.solve_system(form, cm, layers)
+        result = solver.solve_system(form, cm, ps)
         # trace_plus covers gamma+ only; the closure rows need all of gamma~+.
         k_plus = potentials.assemble_layer_matrix(
             cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
@@ -251,7 +227,10 @@ def test_robin_system_solves_and_satisfies_closure():
         assert np.array_equal(result.trace_plus_nodes, tp[on_gamma])
         np.testing.assert_allclose(result.trace_plus, trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
-        trace_minus = layers.k_minus.entries @ result.density.values
+        k_minus = potentials.assemble_layer_matrix(
+            cm.gamma_minus, cm.gamma_minus, form.kernel, ps
+        )
+        trace_minus = k_minus.entries @ result.density.values
         eta_vals = -(cm.r_plus @ trace_plus + cm.r_minus @ trace_minus)
         lhs = (
             cm.phi_plus @ trace_plus
@@ -290,7 +269,7 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solver.solve_system(form, cm, solver.build_layer_matrices(cm, ps, form.kernel))
+        solver.solve_system(form, cm, ps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -305,7 +284,6 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag("single-schur")
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
     shapes = []
     lu_solve = scipy.linalg.lu_solve
 
@@ -314,18 +292,7 @@ def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, mo
         return lu_solve(lu_and_piv, b, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_solve", recorded)
-    solver.assemble_system(form, cm, layers)
+    solver.assemble_system(form, cm, ps)
     n = len(cm.gamma_minus)
     assert len(cm.gamma_tilde_plus) != n
     assert shapes == [(n, n)]
-
-
-def test_layer_blocks_are_assembled_once(circle_problem):
-    grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag("single-direct")
-    layers = solver.build_layer_matrices(cm, ps, form.kernel)
-    first, _, _ = solver.assemble_system(form, cm, layers.copy())
-    second, _, _ = solver.assemble_system(form, cm, layers)
-    assert np.array_equal(first, second)
-    with pytest.raises(AssemblyError):
-        solver.assemble_system(form, cm, layers)
