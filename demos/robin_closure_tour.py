@@ -18,9 +18,9 @@ ps = classify(grid, shape)
 xs = select_intersections(ps, shape, grid)
 
 support = build_support_cells(xs, ps, grid)
-counts = [c.interior_count for c in support.cells]
-print(f"support cells: {len(support.cells)}, interior nodes per cell "
-      f"min/max = {min(counts)}/{max(counts)}")
+counts = support.interior_counts
+print(f"support cells: {len(support.anchors)}, interior nodes per cell "
+      f"min/max = {counts.min()}/{counts.max()}")
 print(f"gamma+ grew from {len(ps.gamma_plus_indices)} to "
       f"{len(support.gamma_tilde_plus)} trace nodes")
 print(f"exterior helper nodes (eta): {len(support.eta)}")

@@ -65,7 +65,7 @@ from .potentials import (
 from .closure import (
     BoundaryCondition,
     ClosureMatrices,
-    SupportCell,
+    RobinSupport,
     assemble_closure,
     build_support_cells,
     dirichlet,

@@ -38,7 +38,8 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                         choices=["single-direct", "single-schur",
                                  "double-direct", "double-schur"])
     parser.add_argument("--ell", type=float, default=0.15,
-                        help="computational box margin beyond the unit geometry")
+                        help="computational box margin beyond the unit geometry; "
+                             "bounded geometries only (circle-exterior uses [-3, 3]^2)")
     parser.add_argument("--timing", action="store_true",
                         help="include wall times in the CSV output")
     parser.add_argument("--out", default=None, help="CSV output path")

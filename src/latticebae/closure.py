@@ -36,25 +36,27 @@ equispaced nodes are (1/(2h^2), -1/h^2, 1/(2h^2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .errors import (
     AssemblyError,
-    ClosureDegeneracyError,
     ConfigError,
     ExtrapolationStencilError,
     UnderResolvedBoundaryError,
 )
 from .geometry import DIRECTIONS, Grid, PointSets
-from .lgf import LatticeIndex
 
 #: Quadratic extrapolation weights at distances (1, 2, 3) from the target.
 _EXTRAP_WEIGHTS = (3.0, -3.0, 1.0)
+
+#: Offsets of the 9 nodes of a 3x3 support cell from its anchor, x offset major.
+_CELL = np.array([(i, j) for i in range(3) for j in range(3)])
 
 
 @dataclass(frozen=True)
@@ -93,57 +95,29 @@ def neumann(g: Callable) -> BoundaryCondition:
     return robin(1.0, 0.0, g)
 
 
-def bilinear_eval(node, point, grid: Grid) -> float:
-    """P1 hat of the given node evaluated at a physical point."""
-    xn, yn = grid.node(int(node[0]), int(node[1]))
-    tx = 1.0 - abs(point[0] - xn) / grid.h
-    ty = 1.0 - abs(point[1] - yn) / grid.h
-    return max(0.0, tx) * max(0.0, ty)
+def _lagrange3(t: np.ndarray):
+    """Quadratic Lagrange basis on nodes {0, 1, 2} and its derivative at t,
+    each shaped t.shape + (3,)."""
+    value = np.stack([0.5 * (t - 1.0) * (t - 2.0), t * (2.0 - t), 0.5 * t * (t - 1.0)], axis=-1)
+    slope = np.stack([t - 1.5, 2.0 - 2.0 * t, t - 0.5], axis=-1)
+    return value, slope
 
 
-def _lagrange3(xi: float):
-    """Values of the quadratic Lagrange basis on nodes {0, 1, 2} at xi."""
-    return (
-        0.5 * (xi - 1.0) * (xi - 2.0),
-        xi * (2.0 - xi),
-        0.5 * xi * (xi - 1.0),
-    )
+def quadratic_basis(anchors, points, grid: Grid):
+    """Tensor-product quadratic Lagrange basis of 3x3 cells at points.
 
-
-def _lagrange3_prime(xi: float):
-    return (xi - 1.5, 2.0 - 2.0 * xi, xi - 0.5)
-
-
-@dataclass(frozen=True)
-class SupportCell:
-    """A 3x3 node patch anchored at its lower-left node."""
-
-    anchor: LatticeIndex
-    interior_count: int
-
-    @property
-    def nodes(self):
-        """The 9 nodes in local order (i, j), x-offset major."""
-        a, b = self.anchor
-        return [LatticeIndex(a + i, b + j) for i in range(3) for j in range(3)]
-
-
-def quadratic_eval(cell: SupportCell, local, point, grid: Grid) -> float:
-    """Tensor-product quadratic Lagrange basis value at a physical point."""
-    xa, yb = grid.node(*cell.anchor)
-    xi = (point[0] - xa) / grid.h
-    eta = (point[1] - yb) / grid.h
-    return _lagrange3(xi)[local[0]] * _lagrange3(eta)[local[1]]
-
-
-def quadratic_grad(cell: SupportCell, local, point, grid: Grid):
-    """Analytic gradient of the quadratic basis at a physical point."""
-    xa, yb = grid.node(*cell.anchor)
-    xi = (point[0] - xa) / grid.h
-    eta = (point[1] - yb) / grid.h
-    gx = _lagrange3_prime(xi)[local[0]] * _lagrange3(eta)[local[1]] / grid.h
-    gy = _lagrange3(xi)[local[0]] * _lagrange3_prime(eta)[local[1]] / grid.h
-    return gx, gy
+    ``anchors`` are the cells' lower-left nodes and ``points`` physical
+    points, both (P, 2).  Returns the basis values and their x and y
+    derivatives, each (P, 3, 3) indexed by [point, x offset, y offset].
+    """
+    h = grid.h
+    xi = (np.asarray(points, dtype=float) - (np.asarray(grid.origin) + np.asarray(anchors) * h)) / h
+    lx, dlx = _lagrange3(xi[:, 0])
+    ly, dly = _lagrange3(xi[:, 1])
+    value = lx[:, :, None] * ly[:, None, :]
+    gx = dlx[:, :, None] * ly[:, None, :] / h
+    gy = lx[:, :, None] * dly[:, None, :] / h
+    return value, gx, gy
 
 
 @dataclass
@@ -196,32 +170,45 @@ class ClosureMatrices:
         return self.phi_minus - self.phi_prime_minus @ self.r_minus
 
 
-def _column_map(indices) -> dict:
-    return {(int(j), int(k)): col for col, (j, k) in enumerate(indices)}
+def _point_arrays(xs, ps: PointSets, *names):
+    """The named IntersectionPoint fields as arrays, one row per point.
 
-
-def _empty_index_array() -> np.ndarray:
-    return np.empty((0, 2), dtype=np.int64)
-
-
-class _Triplets:
-    """(row, col, value) entries of one sparse block, each (row, col) given once."""
-
-    def __init__(self):
-        self.rows, self.cols, self.values = [], [], []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        self.rows.append(row)
-        self.cols.append(col)
-        self.values.append(value)
-
-    def csr(self, shape) -> sparse.csr_array:
-        # int32 indices: the dtype scipy itself picks for blocks this small.
-        return sparse.csr_array(
-            (np.array(self.values, dtype=float),
-             (np.array(self.rows, dtype=np.int32), np.array(self.cols, dtype=np.int32))),
-            shape=shape,
+    The points must be those of ``ps``: their owners are its gamma-
+    nodes in canonical order, one point per node.
+    """
+    owners = np.array([p.owner for p in xs], dtype=np.int64).reshape(-1, 2)
+    if not np.array_equal(owners, ps.gamma_minus_indices):
+        raise AssemblyError(
+            f"{len(xs)} intersection points are not owned one to one, in canonical "
+            f"order, by the {len(ps.gamma_minus_indices)} gamma- nodes of the point sets"
         )
+    return [np.array([getattr(p, name) for p in xs]) for name in names]
+
+
+def _boundary_data(g: Callable, xs) -> np.ndarray:
+    """g at each intersection point, one call per point."""
+    return np.array([g(*p.location) for p in xs], dtype=float)
+
+
+def _labels(grid: Grid, *index_sets) -> np.ndarray:
+    """Grid-shaped column labels: each node's row in its index set, -1
+    off every set.  The sets are disjoint, so one array serves them all."""
+    labels = np.full((grid.nx, grid.ny), -1, dtype=np.int32)
+    for indices in index_sets:
+        labels[indices[:, 0], indices[:, 1]] = np.arange(len(indices), dtype=np.int32)
+    return labels
+
+
+def _rows(count: int, width: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(count, dtype=np.int32)[:, None], (count, width))
+
+
+def _block(keep, rows, cols, values, shape) -> sparse.csr_array:
+    """One sparse block from the kept (row, col, value) entries, each
+    (row, col) given once; exact zeros are dropped.  Indices are int32,
+    the dtype scipy itself picks for blocks this small."""
+    keep = keep & (values != 0.0)
+    return sparse.csr_array((values[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMatrices:
@@ -229,46 +216,29 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
 
     Row i collects the hat values at x_i of every gamma node whose
     support covers it; on the lattice segment those are just the inner
-    gamma+ node (weight 1 - alpha) and the owner (weight alpha).
+    gamma+ node (weight 1 - alpha) and the owner (weight alpha).  The
+    row is written as exactly that pair: evaluating the hats in floating
+    point would leak one-ulp weights onto third nodes.
     """
-    plus_map = _column_map(ps.gamma_plus_indices)
-    minus_map = _column_map(ps.gamma_minus_indices)
-    n = len(ps.gamma_minus_indices)
-    plus, minus = _Triplets(), _Triplets()
-    rhs = np.empty(n)
-    for i, point in enumerate(xs):
-        # On the lattice segment the hats of all other nodes vanish, so
-        # the row is exactly the endpoint pair; evaluating the hats in
-        # floating point would leak one-ulp weights onto third nodes.
-        wrote = False
-        for node, weight in ((point.inner, 1.0 - point.alpha),
-                             (point.owner, point.alpha)):
-            if weight == 0.0:
-                continue
-            key = (int(node[0]), int(node[1]))
-            if key in plus_map:
-                plus.add(i, plus_map[key], weight)
-            elif key in minus_map:
-                minus.add(i, minus_map[key], weight)
-            else:
-                raise AssemblyError(
-                    f"node {key} carries interpolation weight at "
-                    f"{point.location} but is not a gamma node"
-                )
-            wrote = True
-        if not wrote:
-            raise ClosureDegeneracyError(f"empty boundary row at {point.location}")
-        rhs[i] = g(*point.location)
+    inner, alpha = _point_arrays(xs, ps, "inner", "alpha")
+    on_plus = ps.gamma_plus[inner[:, 0], inner[:, 1]]
+    if not on_plus.all():
+        i = int(np.argmin(on_plus))
+        raise AssemblyError(f"inner node {tuple(map(int, inner[i]))} of the "
+                            f"intersection at {xs[i].location} is not a gamma+ node")
+    n, n_plus = len(xs), len(ps.gamma_plus_indices)
+    rows = np.arange(n, dtype=np.int32)
+    cols = _labels(grid, ps.gamma_plus_indices)[inner[:, 0], inner[:, 1]]
     return ClosureMatrices(
-        phi_plus=plus.csr((n, len(ps.gamma_plus_indices))),
-        phi_minus=minus.csr((n, n)),
+        phi_plus=_block(True, rows, cols, 1.0 - alpha, (n, n_plus)),
+        phi_minus=_block(True, rows, rows, alpha, (n, n)),
         phi_prime_minus=sparse.csr_array((n, 0)),
-        r_plus=sparse.csr_array((0, len(ps.gamma_plus_indices))),
+        r_plus=sparse.csr_array((0, n_plus)),
         r_minus=sparse.csr_array((0, n)),
-        rhs=rhs,
+        rhs=_boundary_data(g, xs),
         gamma_tilde_plus=np.array(ps.gamma_plus_indices, copy=True),
         gamma_minus=np.array(ps.gamma_minus_indices, copy=True),
-        eta=_empty_index_array(),
+        eta=np.empty((0, 2), dtype=np.int64),
     )
 
 
@@ -276,23 +246,25 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
 class RobinSupport:
     """Support cells plus the augmented sets they induce.
 
-    ``eta_stencils[e]`` lists (node, weight) pairs whose weighted sum
-    reproduces the value at eta node e by one-sided extrapolation.
+    Row i of ``anchors`` is the lower-left node of the 3x3 cell of
+    intersection i, and ``interior_counts[i]`` its number of M+ nodes.
+    Row e of ``eta_stencils`` (E, 3, 2) holds the nodes at distances
+    1, 2, 3 from eta node e whose values, weighted by ``_EXTRAP_WEIGHTS``,
+    extrapolate to it.
     """
 
-    cells: list
+    anchors: np.ndarray
+    interior_counts: np.ndarray
     gamma_tilde_plus: np.ndarray
     eta: np.ndarray
-    eta_stencils: list = field(default_factory=list)
+    eta_stencils: np.ndarray
 
 
-def _candidate_anchors(coord: float, origin: float, h: float, n_nodes: int):
-    xi = (coord - origin) / h
-    if abs(xi - round(xi)) < 1e-9:
-        xi = round(xi)
-    lo = int(np.ceil(xi)) - 2
-    hi = int(np.floor(xi))
-    return [a for a in range(lo, hi + 1) if 0 <= a <= n_nodes - 3]
+def _cell_nodes(anchors: np.ndarray):
+    """Lattice indices (j, k) of the 9 nodes of each 3x3 cell, each
+    (P, 9) in local order (x offset major)."""
+    nodes = anchors[:, None, :] + _CELL
+    return nodes[..., 0], nodes[..., 1]
 
 
 def build_support_cells(xs, ps: PointSets, grid: Grid) -> RobinSupport:
@@ -305,95 +277,70 @@ def build_support_cells(xs, ps: PointSets, grid: Grid) -> RobinSupport:
     interior nodes the eta extrapolations reach); eta collects the
     exterior cell nodes outside gamma-.
     """
-    m_plus = ps.m_plus
-    cells = []
-    plus_extra = set()
-    eta_set = set()
-    for point in xs:
-        ax = _candidate_anchors(point.location[0], grid.origin[0], grid.h, grid.nx)
-        ay = _candidate_anchors(point.location[1], grid.origin[1], grid.h, grid.ny)
-        if not ax or not ay:
-            raise UnderResolvedBoundaryError(
-                f"no 3x3 support cell fits around {point.location}"
-            )
-        best = None
-        best_count = -1
-        for a in ax:
-            for b in ay:
-                count = int(m_plus[a : a + 3, b : b + 3].sum())
-                if count > best_count:
-                    best, best_count = (a, b), count
-        cell = SupportCell(anchor=LatticeIndex(*best), interior_count=best_count)
-        cells.append(cell)
-        for node in cell.nodes:
-            if m_plus[node]:
-                plus_extra.add(tuple(node))
-            elif not ps.gamma_minus[node]:
-                eta_set.add(tuple(node))
+    (location,) = _point_arrays(xs, ps, "location")
+    xi = (location - np.asarray(grid.origin)) / grid.h
+    xi = np.where(np.abs(xi - np.round(xi)) < 1e-9, np.round(xi), xi)
+    # Per axis the candidates run from ceil(xi) - 2 to floor(xi), within the grid.
+    cand = np.ceil(xi).astype(np.int64)[:, :, None] - 2 + np.arange(3)
+    fits = ((cand <= np.floor(xi)[:, :, None]) & (cand >= 0)
+            & (cand <= np.array([grid.nx - 3, grid.ny - 3])[:, None]))
+    placed = fits.any(axis=2).all(axis=1)
+    if not placed.all():
+        i = int(np.argmin(placed))
+        raise UnderResolvedBoundaryError(f"no 3x3 support cell fits around {xs[i].location}")
+    ca, cb = np.clip(cand[:, 0], 0, grid.nx - 3), np.clip(cand[:, 1], 0, grid.ny - 3)
+    # The 3x3 windows of M+ at the candidate anchors, (P, a, b, 3, 3).
+    windows = sliding_window_view(ps.m_plus, (3, 3))[ca[:, :, None], cb[:, None, :]]
+    counts = np.where(fits[:, 0, :, None] & fits[:, 1, None, :],
+                      windows.sum(axis=(3, 4)), -1).reshape(len(xs), 9)
+    # argmax takes the first maximum, and the 9 candidates run in (a, b) order.
+    best = counts.argmax(axis=1)
+    points = np.arange(len(xs))
+    anchors = np.stack([ca[points, best // 3], cb[points, best % 3]], axis=1)
 
-    gamma_minus_set = {tuple(map(int, idx)) for idx in ps.gamma_minus_indices}
-    eta = sorted(eta_set)
-    stencils = []
-    for node in eta:
-        stencil = _eta_stencil(node, ps)
-        for (j, k), _ in stencil:
-            if m_plus[j, k]:
-                plus_extra.add((j, k))
-        stencils.append(stencil)
-
-    tilde = {tuple(map(int, idx)) for idx in ps.gamma_plus_indices} | plus_extra
-    support = RobinSupport(
-        cells=cells,
-        gamma_tilde_plus=np.array(sorted(tilde), dtype=np.int64).reshape(-1, 2),
-        eta=np.array(eta, dtype=np.int64).reshape(-1, 2),
+    covered = np.zeros_like(ps.m_plus)
+    covered[_cell_nodes(anchors)] = True
+    eta = np.argwhere(covered & ~ps.m_plus & ~ps.gamma_minus)
+    stencils = _eta_stencils(eta, ps)
+    covered[stencils[..., 0], stencils[..., 1]] = True
+    return RobinSupport(
+        anchors=anchors,
+        interior_counts=counts[points, best],
+        gamma_tilde_plus=np.argwhere(ps.gamma_plus | (covered & ps.m_plus)),
+        eta=eta,
         eta_stencils=stencils,
     )
-    # Sanity: extrapolations may only reference interior or gamma- nodes.
-    for stencil in stencils:
-        for (j, k), _ in stencil:
-            if not m_plus[j, k] and (j, k) not in gamma_minus_set:
-                raise ExtrapolationStencilError(
-                    f"stencil node {(j, k)} is neither interior nor gamma-"
-                )
-    return support
 
 
-def _eta_stencil(node, ps: PointSets):
-    """One-sided quadratic extrapolation stencil for an eta node.
+def _eta_stencils(eta: np.ndarray, ps: PointSets) -> np.ndarray:
+    """One-sided quadratic extrapolation stencils of the eta nodes.
 
-    Scans both directions of both axes for three consecutive usable
-    nodes (interior or gamma-) starting next to the eta node; prefers
-    the axis with the longer usable run (x on ties), then the positive
-    direction.  Fails if no direction offers three nodes.
+    Along each of the four ``DIRECTIONS`` an eta node's run counts the
+    usable nodes (interior or gamma-, inside the grid) met in a row at
+    steps 1, 2, 3.  The axis with the longer run wins, x on ties.  On
+    that axis the negative direction is taken when its run is three,
+    else the positive one.  Returns the nodes at steps 1, 2, 3, shaped
+    (E, 3, 2); every one of them is usable.  Fails for the first eta
+    node, in canonical order, that no direction gives three usable nodes.
     """
-    j, k = node
-    grid = ps.grid
-    usable_runs = {}
-    for d1, d2 in DIRECTIONS:
-        run = 0
-        for step in (1, 2, 3):
-            jj, kk = j + step * d1, k + step * d2
-            if not grid.contains_index(jj, kk):
-                break
-            if ps.m_plus[jj, kk] or ps.gamma_minus[jj, kk]:
-                run += 1
-            else:
-                break
-        usable_runs[(d1, d2)] = run
-    axis_best = {
-        "x": max(usable_runs[(1, 0)], usable_runs[(-1, 0)]),
-        "y": max(usable_runs[(0, 1)], usable_runs[(0, -1)]),
-    }
-    axis = "x" if axis_best["x"] >= axis_best["y"] else "y"
-    if axis_best[axis] < 3:
+    steps = np.arange(1, 4)[None, None, :, None] * np.array(DIRECTIONS)[None, :, None, :]
+    nodes = eta[:, None, None, :] + steps  # (E, direction, step, 2)
+    within = ((nodes >= 0) & (nodes < (ps.grid.nx, ps.grid.ny))).all(axis=-1)
+    j = np.clip(nodes[..., 0], 0, ps.grid.nx - 1)
+    k = np.clip(nodes[..., 1], 0, ps.grid.ny - 1)
+    usable = within & (ps.m_plus | ps.gamma_minus)[j, k]
+    runs = np.cumprod(usable, axis=2).sum(axis=2)  # (E, direction)
+    axis_runs = runs.reshape(-1, 2, 2).max(axis=2)
+    feasible = (axis_runs == 3).any(axis=1)
+    if not feasible.all():
+        node = eta[int(np.argmin(feasible))]
         raise ExtrapolationStencilError(
             f"eta node {tuple(int(v) for v in node)} has no direction with "
             "three consecutive usable nodes"
         )
-    directions = DIRECTIONS[:2] if axis == "x" else DIRECTIONS[2:]
-    d1, d2 = max(directions, key=lambda d: (usable_runs[d], -d[0], -d[1]))
-    return [((j + step * d1, k + step * d2), w)
-            for step, w in zip((1, 2, 3), _EXTRAP_WEIGHTS)]
+    positive = 2 * (axis_runs[:, 1] > axis_runs[:, 0])  # its negative one is next
+    rows = np.arange(len(eta))
+    return nodes[rows, positive + (runs[rows, positive + 1] == 3)]
 
 
 def assemble_robin(ps: PointSets, xs, support: RobinSupport,
@@ -406,55 +353,25 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
     """
     if bc.kind != "robin":
         raise ConfigError("assemble_robin requires a robin boundary condition")
-    tilde_map = _column_map(support.gamma_tilde_plus)
-    minus_map = _column_map(ps.gamma_minus_indices)
-    eta_map = _column_map(support.eta)
-    n = len(ps.gamma_minus_indices)
-    n_eta = len(support.eta)
-    plus, minus, prime = _Triplets(), _Triplets(), _Triplets()
-    rhs = np.empty(n)
-    for i, (point, cell) in enumerate(zip(xs, support.cells)):
-        nx_, ny_ = point.normal
-        wrote = False
-        for li in range(3):
-            for lj in range(3):
-                node = (cell.anchor[0] + li, cell.anchor[1] + lj)
-                value = quadratic_eval(cell, (li, lj), point.location, grid)
-                gx, gy = quadratic_grad(cell, (li, lj), point.location, grid)
-                coeff = bc.alpha_coef * (gx * nx_ + gy * ny_) + bc.beta_coef * value
-                if coeff == 0.0:
-                    continue
-                if node in tilde_map:
-                    plus.add(i, tilde_map[node], coeff)
-                elif node in minus_map:
-                    minus.add(i, minus_map[node], coeff)
-                elif node in eta_map:
-                    prime.add(i, eta_map[node], coeff)
-                else:
-                    raise AssemblyError(
-                        f"cell node {node} missing from every closure column set"
-                    )
-                wrote = True
-        if not wrote:
-            raise ClosureDegeneracyError(f"empty boundary row at {point.location}")
-        rhs[i] = bc.data(*point.location)
-
-    r_plus, r_minus = _Triplets(), _Triplets()
-    for e, stencil in enumerate(support.eta_stencils):
-        for node, weight in stencil:
-            if node in tilde_map:
-                r_plus.add(e, tilde_map[node], -weight)
-            elif node in minus_map:
-                r_minus.add(e, minus_map[node], -weight)
-            else:
-                raise AssemblyError(f"extrapolation node {node} missing from column sets")
+    location, normal = _point_arrays(xs, ps, "location", "normal")
+    value, gx, gy = quadratic_basis(support.anchors, location, grid)
+    nx_, ny_ = normal[:, 0, None, None], normal[:, 1, None, None]
+    coeff = (bc.alpha_coef * (gx * nx_ + gy * ny_) + bc.beta_coef * value).reshape(-1, 9)
+    n, n_tilde, n_eta = len(xs), len(support.gamma_tilde_plus), len(support.eta)
+    labels = _labels(grid, support.gamma_tilde_plus, ps.gamma_minus_indices, support.eta)
+    j, k = _cell_nodes(support.anchors)
+    rows, cols = _rows(n, 9), labels[j, k]
+    interior, minus = ps.m_plus[j, k], ps.gamma_minus[j, k]
+    sj, sk = support.eta_stencils[..., 0], support.eta_stencils[..., 1]
+    r_rows, r_cols, r_interior = _rows(n_eta, 3), labels[sj, sk], ps.m_plus[sj, sk]
+    weights = np.broadcast_to(-np.array(_EXTRAP_WEIGHTS), (n_eta, 3))
     return ClosureMatrices(
-        phi_plus=plus.csr((n, len(support.gamma_tilde_plus))),
-        phi_minus=minus.csr((n, n)),
-        phi_prime_minus=prime.csr((n, n_eta)),
-        r_plus=r_plus.csr((n_eta, len(support.gamma_tilde_plus))),
-        r_minus=r_minus.csr((n_eta, n)),
-        rhs=rhs,
+        phi_plus=_block(interior, rows, cols, coeff, (n, n_tilde)),
+        phi_minus=_block(minus, rows, cols, coeff, (n, n)),
+        phi_prime_minus=_block(~interior & ~minus, rows, cols, coeff, (n, n_eta)),
+        r_plus=_block(r_interior, r_rows, r_cols, weights, (n_eta, n_tilde)),
+        r_minus=_block(~r_interior, r_rows, r_cols, weights, (n_eta, n)),
+        rhs=_boundary_data(bc.data, xs),
         gamma_tilde_plus=np.array(support.gamma_tilde_plus, copy=True),
         gamma_minus=np.array(ps.gamma_minus_indices, copy=True),
         eta=np.array(support.eta, copy=True),

@@ -121,6 +121,8 @@ def build_shape(cfg: ExperimentConfig) -> geometry.LevelSetShape:
 
 
 def build_grid(cfg: ExperimentConfig, n: int) -> geometry.Grid:
+    """The box [-1 - ell, 1 + ell]^2 for bounded geometries; the exterior
+    ignores ``ell`` and takes [-3, 3]^2."""
     if cfg.unbounded:
         return geometry.Grid.from_box((-3.0, 3.0), (-3.0, 3.0), n)
     half = 1.0 + cfg.ell

@@ -1,10 +1,14 @@
 """Tests for the boundary closure rows."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from latticebae import closure, geometry
-from latticebae.errors import ConfigError, ExtrapolationStencilError
+from latticebae.errors import AssemblyError, ConfigError, ExtrapolationStencilError
 
 
 def centered_grid(half, n):
@@ -48,66 +52,41 @@ def rectangle_setup():
 # basis functions
 
 
-def test_bilinear_partition_of_unity():
-    grid = centered_grid(1.0, 8)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        pt = rng.uniform(-0.8, 0.8, size=2)
-        total = sum(
-            closure.bilinear_eval((j, k), pt, grid)
-            for j in range(grid.nx)
-            for k in range(grid.ny)
-        )
-        assert abs(total - 1.0) < 1e-13
-
-
 def test_quadratic_midpoint_slice():
     grid = geometry.Grid(h=0.25, origin=(0.0, 0.0), nx=8, ny=8)
-    cell = closure.SupportCell(anchor=geometry.LatticeIndex(0, 0), interior_count=0)
-    pt = (0.125, 0.0)
-    values = [closure.quadratic_eval(cell, (t, 0), pt, grid) for t in range(3)]
+    value, _, _ = closure.quadratic_basis(np.array([(0, 0)]), np.array([(0.125, 0.0)]), grid)
+    values = value[0, :, 0]
     assert np.allclose(values, [3.0 / 8.0, 3.0 / 4.0, -1.0 / 8.0], atol=1e-14)
 
 
 def test_quadratic_kronecker_and_unity():
     grid = geometry.Grid(h=0.3, origin=(-1.0, -1.0), nx=12, ny=12)
-    cell = closure.SupportCell(anchor=geometry.LatticeIndex(2, 3), interior_count=0)
-    nodes = cell.nodes
-    for a, (li, lj) in enumerate((i, j) for i in range(3) for j in range(3)):
-        for b, node in enumerate(nodes):
-            v = closure.quadratic_eval(cell, (li, lj), grid.node(*node), grid)
-            assert abs(v - (1.0 if a == b else 0.0)) < 1e-13
+    nodes = np.array([(2 + i, 3 + j) for i in range(3) for j in range(3)])
+    anchors = np.tile((2, 3), (9, 1))
+    value, _, _ = closure.quadratic_basis(anchors, grid.nodes(nodes), grid)
+    # Row b: the 9 basis functions, in local order, at the cell's node b.
+    assert np.abs(value.reshape(9, 9) - np.eye(9)).max() < 1e-13
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        pt = grid.node(2, 3) + rng.uniform(0.0, 2 * grid.h, size=2)
-        total = sum(
-            closure.quadratic_eval(cell, (i, j), pt, grid)
-            for i in range(3)
-            for j in range(3)
-        )
-        assert abs(total - 1.0) < 1e-13
+    points = grid.node(2, 3) + rng.uniform(0.0, 2 * grid.h, size=(10, 2))
+    value, _, _ = closure.quadratic_basis(np.tile((2, 3), (10, 1)), points, grid)
+    assert np.abs(value.sum(axis=(1, 2)) - 1.0).max() < 1e-13
 
 
 def test_quadratic_grad_matches_finite_differences():
     grid = geometry.Grid(h=0.3, origin=(-1.0, -1.0), nx=12, ny=12)
-    cell = closure.SupportCell(anchor=geometry.LatticeIndex(1, 1), interior_count=0)
+    anchors = np.tile((1, 1), (5, 1))
     rng = np.random.default_rng(3)
     delta = 1e-6
-    for _ in range(5):
-        pt = grid.node(1, 1) + rng.uniform(0.0, 2 * grid.h, size=2)
-        for li in range(3):
-            for lj in range(3):
-                gx, gy = closure.quadratic_grad(cell, (li, lj), pt, grid)
-                fx = (
-                    closure.quadratic_eval(cell, (li, lj), (pt[0] + delta, pt[1]), grid)
-                    - closure.quadratic_eval(cell, (li, lj), (pt[0] - delta, pt[1]), grid)
-                ) / (2 * delta)
-                fy = (
-                    closure.quadratic_eval(cell, (li, lj), (pt[0], pt[1] + delta), grid)
-                    - closure.quadratic_eval(cell, (li, lj), (pt[0], pt[1] - delta), grid)
-                ) / (2 * delta)
-                assert abs(gx - fx) < 1e-8
-                assert abs(gy - fy) < 1e-8
+    points = grid.node(1, 1) + rng.uniform(0.0, 2 * grid.h, size=(5, 2))
+    _, gx, gy = closure.quadratic_basis(anchors, points, grid)
+
+    def value_at(shift):
+        return closure.quadratic_basis(anchors, points + shift, grid)[0]
+
+    fx = (value_at((delta, 0.0)) - value_at((-delta, 0.0))) / (2 * delta)
+    fy = (value_at((0.0, delta)) - value_at((0.0, -delta))) / (2 * delta)
+    assert np.abs(gx - fx).max() < 1e-8
+    assert np.abs(gy - fy).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +203,34 @@ def flat_edge_rows(xs):
 def test_flat_edge_support_cells_mostly_interior(rectangle_setup):
     grid, ps, xs = rectangle_setup
     support = closure.build_support_cells(xs, ps, grid)
-    assert len(support.cells) == len(xs)
+    assert len(support.anchors) == len(xs)
     checked = 0
     for i, point in flat_edge_rows(xs):
-        cell = support.cells[i]
-        assert cell.interior_count >= 6
+        assert support.interior_counts[i] >= 6
         checked += 1
     assert checked > 10
-    for cell, point in zip(support.cells, xs):
-        lo = np.array(grid.node(*cell.anchor)) - grid.h
+    for anchor, point in zip(support.anchors, xs):
+        lo = np.array(grid.node(*anchor)) - grid.h
         hi = lo + 4 * grid.h
         assert np.all(point.location >= lo - 1e-12)
         assert np.all(point.location <= hi + 1e-12)
+
+
+def test_support_cells_match_a_per_point_search(ellipse_setup):
+    # The loop form of the cell choice: the first best anchor in (a, b) order.
+    grid, ps, xs = ellipse_setup
+    support = closure.build_support_cells(xs, ps, grid)
+    for p, anchor, count in zip(xs, support.anchors, support.interior_counts):
+        xi = [(c - o) / grid.h for c, o in zip(p.location, grid.origin)]
+        xi = [round(t) if abs(t - round(t)) < 1e-9 else t for t in xi]
+        best, best_count = None, -1
+        for a in range(math.ceil(xi[0]) - 2, math.floor(xi[0]) + 1):
+            for b in range(math.ceil(xi[1]) - 2, math.floor(xi[1]) + 1):
+                inside = int(ps.m_plus[a:a + 3, b:b + 3].sum())
+                if inside > best_count:
+                    best, best_count = (a, b), inside
+        assert tuple(map(int, anchor)) == best
+        assert count == best_count
 
 
 def test_support_sets_are_consistent(ellipse_setup):
@@ -273,7 +268,19 @@ def test_eta_stencil_failure_is_reported():
     ps = geometry.classify(grid, geometry.ellipse(2.0))
     # A node far outside the domain has no usable run in any direction.
     with pytest.raises(ExtrapolationStencilError):
-        closure._eta_stencil((1, 1), ps)
+        closure._eta_stencils(np.array([(1, 1)]), ps)
+
+
+def test_eta_stencil_takes_the_negative_direction_on_ties():
+    # Every node but (5, 5) is interior, so all four directions offer a
+    # run of three: the x axis wins, and on it the negative direction.
+    grid = geometry.Grid(h=1.0, origin=(0.0, 0.0), nx=11, ny=11)
+    shape = geometry.custom(psi=lambda x, y: np.where((x == 5.0) & (y == 5.0), 1.0, -1.0))
+    ps = geometry.classify(grid, shape)
+    assert ps.m_plus.sum() == 11 * 11 - 1
+    stencil = closure._eta_stencils(np.array([(5, 5)]), ps)
+    assert stencil.tolist() == [[[4, 5], [3, 5], [2, 5]]]
+    assert closure._EXTRAP_WEIGHTS == (3.0, -3.0, 1.0)
 
 
 def test_thin_diamond_tip_defeats_extrapolation():
@@ -344,6 +351,33 @@ def test_robin_rows_reproduce_quadratics(ellipse_setup):
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_robin_rows_match_a_scalar_loop(ellipse_setup):
+    # The loop form of the row arithmetic, in the same order: equal bit for bit.
+    grid, ps, xs = ellipse_setup
+    support = closure.build_support_cells(xs, ps, grid)
+    cm = closure.assemble_robin(ps, xs, support, closure.robin(0.7, 1.3, lambda x, y: 0.0), grid)
+    nodes = np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus, cm.eta])
+    column = {(int(j), int(k)): c for c, (j, k) in enumerate(nodes)}
+    got = sparse.hstack([cm.phi_plus, cm.phi_minus, cm.phi_prime_minus]).toarray()
+    want = np.zeros_like(got)
+
+    def lagrange3(t):
+        return ((0.5 * (t - 1.0) * (t - 2.0), t * (2.0 - t), 0.5 * t * (t - 1.0)),
+                (t - 1.5, 2.0 - 2.0 * t, t - 0.5))
+
+    for i, (p, (a, b)) in enumerate(zip(xs, support.anchors)):
+        xa, yb = grid.node(int(a), int(b))
+        lx, dlx = lagrange3((p.location[0] - xa) / grid.h)
+        ly, dly = lagrange3((p.location[1] - yb) / grid.h)
+        for li in range(3):
+            for lj in range(3):
+                gx = dlx[li] * ly[lj] / grid.h
+                gy = lx[li] * dly[lj] / grid.h
+                want[i, column[(int(a) + li, int(b) + lj)]] = (
+                    0.7 * (gx * p.normal[0] + gy * p.normal[1]) + 1.3 * (lx[li] * ly[lj]))
+    assert np.array_equal(got, want)
+
+
 def test_robin_eliminated_rows_reproduce_quadratics(ellipse_setup):
     grid, ps, xs = ellipse_setup
     support = closure.build_support_cells(xs, ps, grid)
@@ -404,3 +438,34 @@ def test_assembly_is_deterministic(ellipse_setup):
         assert diff.nnz == 0
     assert np.array_equal(a.gamma_tilde_plus, b.gamma_tilde_plus)
     assert np.array_equal(a.eta, b.eta)
+
+
+# ---------------------------------------------------------------------------
+# intersection points from other point sets
+
+
+def ellipse_sets(n):
+    grid = centered_grid(1.15, n)
+    shape = geometry.ellipse(2.0)
+    ps = geometry.classify(grid, shape)
+    return grid, ps, geometry.select_intersections(ps, shape, grid)
+
+
+@pytest.mark.parametrize("n_ps, n_xs", [(64, 128), (128, 64)])
+@pytest.mark.parametrize("bc", [closure.dirichlet(lambda x, y: 1.0),
+                                closure.robin(1.0, 1.0, lambda x, y: 1.0)],
+                         ids=["dirichlet", "robin"])
+def test_intersections_of_other_point_sets_are_rejected(bc, n_ps, n_xs):
+    grid, ps, _ = ellipse_sets(n_ps)
+    _, _, xs = ellipse_sets(n_xs)
+    with pytest.raises(AssemblyError, match="gamma- nodes"):
+        closure.assemble_closure(ps, xs, bc, grid)
+
+
+def test_dirichlet_inner_node_off_gamma_plus_is_rejected():
+    grid, ps, xs = ellipse_sets(32)
+    far = geometry.LatticeIndex(16, 16)  # the box centre, deep inside
+    assert not ps.gamma_plus[far]
+    xs = [replace(xs[0], inner=far)] + xs[1:]
+    with pytest.raises(AssemblyError, match="not a gamma\\+ node"):
+        closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0, grid)

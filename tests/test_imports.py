@@ -23,9 +23,10 @@ def unused_imports(path: Path) -> list:
 
 
 def scanned_files(root: Path):
-    """Package modules (not ``__init__.py``, whose imports are re-exports) and tests."""
+    """Package modules (not ``__init__.py``, whose imports are re-exports), tests and demos."""
     package = sorted((root / "src" / "latticebae").glob("*.py"))
-    return [p for p in package if p.name != "__init__.py"] + sorted((root / "tests").glob("*.py"))
+    return ([p for p in package if p.name != "__init__.py"]
+            + sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py")))
 
 
 def test_no_unused_imports():
