@@ -20,14 +20,13 @@ print(f"boundary layer gamma:   {len(ps.gamma_indices)}")
 print(f"  inner part gamma+:    {len(ps.gamma_plus_indices)}")
 print(f"  outer part gamma-:    {len(ps.gamma_minus_indices)}")
 
-xs = select_intersections(ps, shape, grid)
-alphas = np.array([x.alpha for x in xs])
+xs = select_intersections(ps, shape)
 print(f"intersection points:    {len(xs)} (one per gamma- node)")
-print(f"  alpha range:          [{alphas.min():.4f}, {alphas.max():.4f}]")
-print(f"  snapped to a node:    {int((alphas == 0.0).sum())}")
+print(f"  alpha range:          [{xs.alpha.min():.4f}, {xs.alpha.max():.4f}]")
+print(f"  snapped to a node:    {int((xs.alpha == 0.0).sum())}")
 
-residual = [abs(shape.psi(*x.location)) for x in xs]
-print(f"  worst |psi| at point: {max(residual):.2e}")
+residual = np.abs(shape.psi(*xs.location.T))
+print(f"  worst |psi| at point: {residual.max():.2e}")
 
 dump_classification_csv(ps, "point_sets.csv")
 print("wrote point_sets.csv")

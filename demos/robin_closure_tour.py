@@ -15,9 +15,9 @@ from latticebae import harness
 grid = Grid.from_box((-1.5, 1.5), (-1.5, 1.5), 16)
 shape = ellipse(2.0)
 ps = classify(grid, shape)
-xs = select_intersections(ps, shape, grid)
+xs = select_intersections(ps, shape)
 
-support = build_support_cells(xs, ps, grid)
+support = build_support_cells(xs, ps)
 counts = support.interior_counts
 print(f"support cells: {len(support.anchors)}, interior nodes per cell "
       f"min/max = {counts.min()}/{counts.max()}")
@@ -34,7 +34,7 @@ def g(x, y):
     return du / norm + np.sin(x) * np.cos(y)
 
 
-cm = assemble_closure(ps, xs, robin(1.0, 1.0, g), grid)
+cm = assemble_closure(ps, xs, robin(1.0, 1.0, g))
 print(f"closure blocks: Phi+ {cm.phi_plus.shape}, Phi- {cm.phi_minus.shape}, "
       f"Phi'- {cm.phi_prime_minus.shape}")
 print(f"extrapolation blocks: R+ {cm.r_plus.shape}, R- {cm.r_minus.shape}")

@@ -17,7 +17,6 @@ condition enters.
 from .errors import (
     AssemblyError,
     BoxTooSmallError,
-    ClosureDegeneracyError,
     ConfigError,
     DegenerateDomainError,
     DoubleLayerInapplicableError,
@@ -45,7 +44,7 @@ from .lgf import (
 )
 from .geometry import (
     Grid,
-    IntersectionPoint,
+    Intersections,
     LevelSetShape,
     PointSets,
     circle_exterior,

@@ -50,7 +50,7 @@ from .errors import (
     ExtrapolationStencilError,
     UnderResolvedBoundaryError,
 )
-from .geometry import DIRECTIONS, Grid, PointSets
+from .geometry import DIRECTIONS, Grid, Intersections, PointSets
 
 #: Quadratic extrapolation weights at distances (1, 2, 3) from the target.
 _EXTRAP_WEIGHTS = (3.0, -3.0, 1.0)
@@ -65,6 +65,9 @@ class BoundaryCondition:
 
     ``kind`` is "dirichlet" or "robin"; Neumann is robin(1, 0).  A robin
     condition with alpha_c = 0 is rejected (state it as dirichlet).
+    ``data`` is g: it is called once, on the x and y coordinate arrays of
+    all the crossings, so like psi and f it must broadcast; a constant
+    result is spread over every crossing.
     """
 
     kind: str
@@ -111,7 +114,7 @@ def quadratic_basis(anchors, points, grid: Grid):
     derivatives, each (P, 3, 3) indexed by [point, x offset, y offset].
     """
     h = grid.h
-    xi = (np.asarray(points, dtype=float) - (np.asarray(grid.origin) + np.asarray(anchors) * h)) / h
+    xi = (np.asarray(points, dtype=float) - grid.nodes(anchors)) / h
     lx, dlx = _lagrange3(xi[:, 0])
     ly, dly = _lagrange3(xi[:, 1])
     value = lx[:, :, None] * ly[:, None, :]
@@ -170,24 +173,19 @@ class ClosureMatrices:
         return self.phi_minus - self.phi_prime_minus @ self.r_minus
 
 
-def _point_arrays(xs, ps: PointSets, *names):
-    """The named IntersectionPoint fields as arrays, one row per point.
-
-    The points must be those of ``ps``: their owners are its gamma-
-    nodes in canonical order, one point per node.
-    """
-    owners = np.array([p.owner for p in xs], dtype=np.int64).reshape(-1, 2)
-    if not np.array_equal(owners, ps.gamma_minus_indices):
+def _check_owners(xs: Intersections, ps: PointSets) -> None:
+    """The crossings must be those of ``ps``: their owners are its gamma-
+    nodes in canonical order, one crossing per node."""
+    if not np.array_equal(xs.owner, ps.gamma_minus_indices):
         raise AssemblyError(
             f"{len(xs)} intersection points are not owned one to one, in canonical "
             f"order, by the {len(ps.gamma_minus_indices)} gamma- nodes of the point sets"
         )
-    return [np.array([getattr(p, name) for p in xs]) for name in names]
 
 
-def _boundary_data(g: Callable, xs) -> np.ndarray:
-    """g at each intersection point, one call per point."""
-    return np.array([g(*p.location) for p in xs], dtype=float)
+def _boundary_data(g: Callable, xs: Intersections) -> np.ndarray:
+    """g at every crossing, from one call on the coordinate arrays."""
+    return np.array(np.broadcast_to(g(*xs.location.T), (len(xs),)), dtype=float)
 
 
 def _labels(grid: Grid, *index_sets) -> np.ndarray:
@@ -211,7 +209,7 @@ def _block(keep, rows, cols, values, shape) -> sparse.csr_array:
     return sparse.csr_array((values[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMatrices:
+def assemble_dirichlet(ps: PointSets, xs: Intersections, g: Callable) -> ClosureMatrices:
     """Bilinear interpolation rows at the intersection points.
 
     Row i collects the hat values at x_i of every gamma node whose
@@ -220,18 +218,19 @@ def assemble_dirichlet(ps: PointSets, xs, g: Callable, grid: Grid) -> ClosureMat
     row is written as exactly that pair: evaluating the hats in floating
     point would leak one-ulp weights onto third nodes.
     """
-    inner, alpha = _point_arrays(xs, ps, "inner", "alpha")
-    on_plus = ps.gamma_plus[inner[:, 0], inner[:, 1]]
+    _check_owners(xs, ps)
+    j, k = xs.inner.T
+    on_plus = ps.gamma_plus[j, k]
     if not on_plus.all():
         i = int(np.argmin(on_plus))
-        raise AssemblyError(f"inner node {tuple(map(int, inner[i]))} of the "
-                            f"intersection at {xs[i].location} is not a gamma+ node")
+        raise AssemblyError(f"inner node {tuple(map(int, xs.inner[i]))} of the intersection "
+                            f"at {tuple(map(float, xs.location[i]))} is not a gamma+ node")
     n, n_plus = len(xs), len(ps.gamma_plus_indices)
     rows = np.arange(n, dtype=np.int32)
-    cols = _labels(grid, ps.gamma_plus_indices)[inner[:, 0], inner[:, 1]]
+    cols = _labels(ps.grid, ps.gamma_plus_indices)[j, k]
     return ClosureMatrices(
-        phi_plus=_block(True, rows, cols, 1.0 - alpha, (n, n_plus)),
-        phi_minus=_block(True, rows, rows, alpha, (n, n)),
+        phi_plus=_block(True, rows, cols, 1.0 - xs.alpha, (n, n_plus)),
+        phi_minus=_block(True, rows, rows, xs.alpha, (n, n)),
         phi_prime_minus=sparse.csr_array((n, 0)),
         r_plus=sparse.csr_array((0, n_plus)),
         r_minus=sparse.csr_array((0, n)),
@@ -267,7 +266,7 @@ def _cell_nodes(anchors: np.ndarray):
     return nodes[..., 0], nodes[..., 1]
 
 
-def build_support_cells(xs, ps: PointSets, grid: Grid) -> RobinSupport:
+def build_support_cells(xs: Intersections, ps: PointSets) -> RobinSupport:
     """Place one 3x3 support cell per intersection and derive the sets.
 
     Candidate anchors keep x_i inside the cell's 2x2-cell square
@@ -277,8 +276,9 @@ def build_support_cells(xs, ps: PointSets, grid: Grid) -> RobinSupport:
     interior nodes the eta extrapolations reach); eta collects the
     exterior cell nodes outside gamma-.
     """
-    (location,) = _point_arrays(xs, ps, "location")
-    xi = (location - np.asarray(grid.origin)) / grid.h
+    _check_owners(xs, ps)
+    grid = ps.grid
+    xi = (xs.location - np.asarray(grid.origin)) / grid.h
     xi = np.where(np.abs(xi - np.round(xi)) < 1e-9, np.round(xi), xi)
     # Per axis the candidates run from ceil(xi) - 2 to floor(xi), within the grid.
     cand = np.ceil(xi).astype(np.int64)[:, :, None] - 2 + np.arange(3)
@@ -287,7 +287,8 @@ def build_support_cells(xs, ps: PointSets, grid: Grid) -> RobinSupport:
     placed = fits.any(axis=2).all(axis=1)
     if not placed.all():
         i = int(np.argmin(placed))
-        raise UnderResolvedBoundaryError(f"no 3x3 support cell fits around {xs[i].location}")
+        raise UnderResolvedBoundaryError("no 3x3 support cell fits around "
+                                         f"{tuple(map(float, xs.location[i]))}")
     ca, cb = np.clip(cand[:, 0], 0, grid.nx - 3), np.clip(cand[:, 1], 0, grid.ny - 3)
     # The 3x3 windows of M+ at the candidate anchors, (P, a, b, 3, 3).
     windows = sliding_window_view(ps.m_plus, (3, 3))[ca[:, :, None], cb[:, None, :]]
@@ -343,8 +344,8 @@ def _eta_stencils(eta: np.ndarray, ps: PointSets) -> np.ndarray:
     return nodes[rows, positive + (runs[rows, positive + 1] == 3)]
 
 
-def assemble_robin(ps: PointSets, xs, support: RobinSupport,
-                   bc: BoundaryCondition, grid: Grid) -> ClosureMatrices:
+def assemble_robin(ps: PointSets, xs: Intersections, support: RobinSupport,
+                   bc: BoundaryCondition) -> ClosureMatrices:
     """Quadratic closure rows alpha_c du/dn + beta_c u = g at the x_i.
 
     Each row evaluates the 9 basis coefficients of its support cell and
@@ -353,12 +354,12 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
     """
     if bc.kind != "robin":
         raise ConfigError("assemble_robin requires a robin boundary condition")
-    location, normal = _point_arrays(xs, ps, "location", "normal")
-    value, gx, gy = quadratic_basis(support.anchors, location, grid)
-    nx_, ny_ = normal[:, 0, None, None], normal[:, 1, None, None]
+    _check_owners(xs, ps)
+    value, gx, gy = quadratic_basis(support.anchors, xs.location, ps.grid)
+    nx_, ny_ = xs.normal[:, 0, None, None], xs.normal[:, 1, None, None]
     coeff = (bc.alpha_coef * (gx * nx_ + gy * ny_) + bc.beta_coef * value).reshape(-1, 9)
     n, n_tilde, n_eta = len(xs), len(support.gamma_tilde_plus), len(support.eta)
-    labels = _labels(grid, support.gamma_tilde_plus, ps.gamma_minus_indices, support.eta)
+    labels = _labels(ps.grid, support.gamma_tilde_plus, ps.gamma_minus_indices, support.eta)
     j, k = _cell_nodes(support.anchors)
     rows, cols = _rows(n, 9), labels[j, k]
     interior, minus = ps.m_plus[j, k], ps.gamma_minus[j, k]
@@ -378,9 +379,8 @@ def assemble_robin(ps: PointSets, xs, support: RobinSupport,
     )
 
 
-def assemble_closure(ps: PointSets, xs, bc: BoundaryCondition, grid: Grid) -> ClosureMatrices:
+def assemble_closure(ps: PointSets, xs: Intersections, bc: BoundaryCondition) -> ClosureMatrices:
     """Dispatch to the Dirichlet or Robin assembler for a condition."""
     if bc.kind == "dirichlet":
-        return assemble_dirichlet(ps, xs, bc.data, grid)
-    support = build_support_cells(xs, ps, grid)
-    return assemble_robin(ps, xs, support, bc, grid)
+        return assemble_dirichlet(ps, xs, bc.data)
+    return assemble_robin(ps, xs, build_support_cells(xs, ps), bc)

@@ -159,9 +159,7 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     grid = ps.grid
     rhs = GridFunction.zeros(grid)
     inside = ps.m_plus & ~_edge_mask(grid)
-    j, k = np.nonzero(inside)
-    x = grid.origin[0] + grid.h * j
-    y = grid.origin[1] + grid.h * k
+    x, y = grid.nodes(np.argwhere(inside)).T
     rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))
     return fft_poisson_solve(rhs)
 

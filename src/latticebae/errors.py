@@ -58,10 +58,6 @@ class ExtrapolationStencilError(GeometryError):
     for an exterior support-cell node."""
 
 
-class ClosureDegeneracyError(LatticeBaeError):
-    """A boundary-condition row came out empty or otherwise unusable."""
-
-
 class DoubleLayerInapplicableError(LatticeBaeError):
     """The double-layer kernel is undefined for some source node because
     that node has no exterior non-boundary neighbours."""

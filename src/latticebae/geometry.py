@@ -97,8 +97,12 @@ class Grid:
         return (self.origin[0] + j * self.h, self.origin[1] + k * self.h)
 
     def nodes(self, indices: np.ndarray) -> np.ndarray:
-        """Coordinates of an (n, 2) integer index array, shape (n, 2)."""
-        return np.asarray(self.origin) + self.h * np.asarray(indices, dtype=float)
+        """Coordinates of an (n, 2) integer index array, shape (n, 2).
+
+        Built in one array: callers pass every M+ node, several MB at
+        n = 1024, and a solve's memory peak can fall on this call."""
+        xy = np.multiply(indices, self.h)
+        return np.add(xy, self.origin, out=xy)
 
     def contains_index(self, j: int, k: int) -> bool:
         return 0 <= j < self.nx and 0 <= k < self.ny
@@ -268,19 +272,25 @@ def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
 
 
 @dataclass(frozen=True)
-class IntersectionPoint:
-    """One boundary crossing assigned to a gamma- node.
+class Intersections:
+    """The boundary crossings, one per gamma- node in canonical order.
 
-    ``location`` = (1 - alpha) * node(inner) + alpha * node(owner), with
-    alpha in [0, 1); alpha = 0 exactly when the inner node sits on Gamma.
-    ``normal`` is the unit outward normal (psi increases along it).
+    Row i is the crossing owned by gamma- node ``owner[i]``: it lies on
+    the lattice segment to the inside neighbour ``inner[i]`` (both (P, 2)
+    lattice indices), at ``location[i]`` = (1 - alpha[i]) * node(inner[i])
+    + alpha[i] * node(owner[i]), with alpha in [0, 1); alpha = 0 exactly
+    when the inner node sits on Gamma.  ``normal[i]`` is the unit outward
+    normal there (psi increases along it).
     """
 
-    location: tuple[float, float]
-    owner: LatticeIndex
-    inner: LatticeIndex
-    alpha: float
-    normal: tuple[float, float]
+    owner: np.ndarray
+    inner: np.ndarray
+    alpha: np.ndarray
+    location: np.ndarray
+    normal: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.owner)
 
 
 def _gradient_at(shape: LevelSetShape, x, y, h: float):
@@ -294,14 +304,13 @@ def _gradient_at(shape: LevelSetShape, x, y, h: float):
     return gx, gy
 
 
-def select_intersections(ps: PointSets, shape: LevelSetShape, grid: Grid) -> list:
+def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     """Pick one boundary crossing per gamma- node.
 
     Every lattice segment from a gamma- node to one of its inside
     neighbours crosses Gamma; among those candidates the crossing closest
     to the gamma- node (largest alpha) wins, with ties resolved by the
     fixed direction order (x before y, positive step before negative).
-    Returns IntersectionPoints in canonical gamma- order.
 
     Raises
     ------
@@ -313,27 +322,23 @@ def select_intersections(ps: PointSets, shape: LevelSetShape, grid: Grid) -> lis
         root finding disagree; should be impossible).
     """
     owners = ps.gamma_minus_indices
-    m_plus = ps.m_plus
-    cand_owner_row = []
-    cand_dir = []
-    for row, (j, k) in enumerate(owners):
-        found = False
-        for d1, d2 in DIRECTIONS:
-            jj, kk = j + d1, k + d2
-            if grid.contains_index(jj, kk) and m_plus[jj, kk]:
-                cand_owner_row.append(row)
-                cand_dir.append((d1, d2))
-                found = True
-        if not found:
-            raise InconsistentClassificationError(
-                f"gamma- node {(int(j), int(k))} has no inside neighbour"
-            )
-    cand_owner_row = np.asarray(cand_owner_row)
-    cand_dir = np.asarray(cand_dir)
+    # classify keeps gamma out of the outer two rings, so every neighbour
+    # lies in the grid; np.nonzero lists the candidates by owner, then
+    # direction.
+    steps = np.array(DIRECTIONS)
+    neighbours = owners[:, None, :] + steps
+    candidate = ps.m_plus[neighbours[..., 0], neighbours[..., 1]]
+    lonely = ~candidate.any(axis=1)
+    if lonely.any():
+        j, k = owners[int(np.argmax(lonely))]
+        raise InconsistentClassificationError(
+            f"gamma- node {(int(j), int(k))} has no inside neighbour"
+        )
+    cand_owner_row, cand_dir = np.nonzero(candidate)
     outer_idx = owners[cand_owner_row]
-    inner_idx = outer_idx + cand_dir
-    outer_xy = grid.nodes(outer_idx)
-    inner_xy = grid.nodes(inner_idx)
+    inner_idx = outer_idx + steps[cand_dir]
+    outer_xy = ps.grid.nodes(outer_idx)
+    inner_xy = ps.grid.nodes(inner_idx)
 
     # Screen for multiple crossings: sample psi along each segment and
     # count sign transitions of the inside indicator.
@@ -369,33 +374,25 @@ def select_intersections(ps: PointSets, shape: LevelSetShape, grid: Grid) -> lis
 
     loc_x = np.where(snap, inner_xy[:, 0], outer_xy[:, 0] + t_root * (inner_xy[:, 0] - outer_xy[:, 0]))
     loc_y = np.where(snap, inner_xy[:, 1], outer_xy[:, 1] + t_root * (inner_xy[:, 1] - outer_xy[:, 1]))
-    gx, gy = _gradient_at(shape, loc_x, loc_y, grid.h)
+    gx, gy = _gradient_at(shape, loc_x, loc_y, ps.grid.h)
     norms = np.hypot(gx, gy)
     if (norms < 1e-300).any():
         raise UnderResolvedBoundaryError("vanishing level-set gradient at a boundary crossing")
     gx = gx / norms
     gy = gy / norms
 
-    # Per owner, keep the candidate with the largest alpha; strict
-    # comparison preserves the direction enumeration order on exact ties.
-    best = {}
-    for i in range(len(cand_dir)):
-        row = cand_owner_row[i]
-        if row not in best or alphas[i] > alphas[best[row]]:
-            best[row] = i
-    points = []
-    for row in range(len(owners)):
-        i = best[row]
-        points.append(
-            IntersectionPoint(
-                location=(float(loc_x[i]), float(loc_y[i])),
-                owner=LatticeIndex(int(outer_idx[i][0]), int(outer_idx[i][1])),
-                inner=LatticeIndex(int(inner_idx[i][0]), int(inner_idx[i][1])),
-                alpha=float(alphas[i]),
-                normal=(float(gx[i]), float(gy[i])),
-            )
-        )
-    return points
+    # Per owner, the first largest alpha in direction order wins (-1 marks
+    # the directions that are not candidates); the winners stay in owner order.
+    table = np.full(candidate.shape, -1.0)
+    table[cand_owner_row, cand_dir] = alphas
+    best = np.flatnonzero(cand_dir == table.argmax(axis=1)[cand_owner_row])
+    return Intersections(
+        owner=outer_idx[best],
+        inner=inner_idx[best],
+        alpha=alphas[best],
+        location=np.stack([loc_x, loc_y], axis=1)[best],
+        normal=np.stack([gx, gy], axis=1)[best],
+    )
 
 
 def exterior_connections(ps: PointSets, n) -> set:

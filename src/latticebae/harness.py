@@ -210,9 +210,9 @@ def _discretize(cfg: ExperimentConfig, n: int):
     grid = build_grid(cfg, n)
     mf = manufactured_solution(cfg)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
+    xs = geometry.select_intersections(ps, shape)
     bc = make_boundary_condition(cfg, shape, mf)
-    return grid, mf, ps, closure_mod.assemble_closure(ps, xs, bc, grid)
+    return grid, mf, ps, closure_mod.assemble_closure(ps, xs, bc)
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
@@ -237,8 +237,7 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     mp = ps.m_plus_indices
     values = (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
 
-    x = grid.origin[0] + grid.h * mp[:, 0]
-    y = grid.origin[1] + grid.h * mp[:, 1]
+    x, y = grid.nodes(mp).T
     exact = mf.u(x, y)
     return SolutionField(grid=grid, ps=ps, values=values, exact=exact, result=result)
 
@@ -356,11 +355,9 @@ def csv_metadata(cfg: ExperimentConfig):
 
 def dump_solution_csv(sol: SolutionField, path) -> None:
     """Error-surface dump: x,y,value,exact,error over interior nodes."""
-    grid = sol.grid
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,value,exact,error\n")
-        for (j, k), v, e in zip(sol.ps.m_plus_indices, sol.values, sol.exact):
-            x, y = grid.node(int(j), int(k))
+        for (x, y), v, e in zip(sol.grid.nodes(sol.ps.m_plus_indices), sol.values, sol.exact):
             fh.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
 
 

@@ -223,13 +223,11 @@ def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: 
     (targets, sources), without ever holding K.
 
     ``weights`` is sparse with one column per target, ``keep`` a boolean
-    mask over the targets.  When every target is kept, K is the kept
-    rows: they are gathered in place and contracted in one product.
-    Otherwise K is gathered one row block at a time in target order
-    (neighbouring targets read neighbouring table entries).  Each block
-    is added into the product through the slab of weight rows it
-    reaches, and its kept rows are copied out.  Returns the dense product
-    and the kept rows as a :class:`LayerMatrix`.
+    mask over the targets.  K is gathered one row block at a time in
+    target order (neighbouring targets read neighbouring table entries).
+    Each block is added into the product through the slab of weight rows
+    it reaches, and its kept rows are copied out.  Returns the dense
+    product and the kept rows as a :class:`LayerMatrix`.
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
@@ -248,9 +246,6 @@ def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: 
         entries=np.empty((np.count_nonzero(keep), len(sources))), kind=kind,
     )
     kept = rows_kept.entries
-    if keep.all():
-        fill(kept)
-        return weights.tocsr() @ kept, rows_kept
     # The weights' entries grouped by the row block of their column.
     blocks = weights.col // _ROW_BLOCK
     order = np.argsort(blocks, kind="stable")

@@ -277,9 +277,8 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     shape = harness.build_shape(cfg)
     grid = harness.build_grid(cfg, 64)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(
-        lambda x, y: 1.0), grid)
+    xs = geometry.select_intersections(ps, shape)
+    cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(lambda x, y: 1.0))
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
                                  cm, ps)
     u = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)

@@ -35,7 +35,7 @@ def ellipse_setup():
     grid = centered_grid(1.5, 16)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
+    xs = geometry.select_intersections(ps, shape)
     return grid, ps, xs
 
 
@@ -44,7 +44,7 @@ def rectangle_setup():
     grid = centered_grid(1.15, 32)
     shape = flat_edged_rectangle(0.305)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
+    xs = geometry.select_intersections(ps, shape)
     return grid, ps, xs
 
 
@@ -111,7 +111,7 @@ def test_neumann_is_robin():
 
 def test_dirichlet_shapes_and_diagonal(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0, grid)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0)
     n = len(ps.gamma_minus_indices)
     assert cm.phi_plus.shape == (n, len(ps.gamma_plus_indices))
     assert cm.phi_minus.shape == (n, n)
@@ -123,13 +123,12 @@ def test_dirichlet_shapes_and_diagonal(ellipse_setup):
     diag = cm.phi_minus.diagonal()
     assert np.all(diag >= 0.0)
     assert np.all(diag < 1.0)
-    alphas = np.array([p.alpha for p in xs])
-    assert np.allclose(diag, alphas, atol=1e-14)
+    assert np.allclose(diag, xs.alpha, atol=1e-14)
 
 
 def test_dirichlet_exact_on_bilinear_polynomials(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0, grid)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0)
     for u in (
         lambda x, y: np.ones_like(x),
         lambda x, y: x,
@@ -139,13 +138,13 @@ def test_dirichlet_exact_on_bilinear_polynomials(ellipse_setup):
         got = cm.phi_plus @ sample(u, cm.gamma_tilde_plus, grid) + cm.phi_minus @ sample(
             u, cm.gamma_minus, grid
         )
-        want = np.array([u(*p.location) for p in xs])
+        want = np.array([u(*location) for location in xs.location])
         assert np.abs(got - want).max() < 1e-12
 
 
 def test_dirichlet_rhs_and_row_sums(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0)
     assert np.allclose(cm.rhs, 1.0)
     sums = cm.phi_plus @ np.ones(cm.phi_plus.shape[1]) + cm.phi_minus @ np.ones(
         cm.phi_minus.shape[1]
@@ -157,11 +156,11 @@ def test_dirichlet_coarse_circle_row_values():
     grid = centered_grid(3.0, 10)
     shape = geometry.ellipse(1.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: x, grid)
+    xs = geometry.select_intersections(ps, shape)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: x)
     owners = [tuple(map(int, idx)) for idx in ps.gamma_minus_indices]
     i = owners.index((7, 5))  # the node at (1.2, 0)
-    assert abs(xs[i].alpha - 2.0 / 3.0) < 1e-12
+    assert abs(xs.alpha[i] - 2.0 / 3.0) < 1e-12
     assert abs(cm.phi_minus[i, i] - 2.0 / 3.0) < 1e-12
     row = cm.phi_plus[[i], :].toarray().ravel()
     (j,) = np.nonzero(row)[0:1]
@@ -175,16 +174,16 @@ def test_dirichlet_on_boundary_node_row_is_identity():
     grid = centered_grid(2.5, 10)
     shape = geometry.ellipse(1.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: x + 2.0, grid)
-    i = next(k for k, p in enumerate(xs) if p.alpha == 0.0)
+    xs = geometry.select_intersections(ps, shape)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: x + 2.0)
+    i = int(np.flatnonzero(xs.alpha == 0.0)[0])
     assert cm.phi_minus[i, i] == 0.0
     row = cm.phi_plus[[i], :].toarray().ravel()
     nz = np.nonzero(row)[0]
     assert len(nz) == 1
     assert row[nz[0]] == 1.0
     node = tuple(cm.gamma_tilde_plus[nz[0]])
-    assert np.allclose(grid.node(*node), xs[i].location)
+    assert np.allclose(grid.node(*node), xs.location[i])
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +192,35 @@ def test_dirichlet_on_boundary_node_row_is_identity():
 
 def flat_edge_rows(xs):
     """Rows of the rectangle whose crossing sits on a flat edge, away from corners."""
-    for i, p in enumerate(xs):
-        near_corner = min(abs(abs(p.location[0]) - 0.9), abs(p.location[0] - 0.305)) < 0.2
-        near_corner &= min(abs(abs(p.location[1]) - 0.9), 2.0) < 0.2
-        if max(abs(p.normal[0]), abs(p.normal[1])) > 0.999 and not near_corner:
-            yield i, p
+    for i, ((x, y), normal) in enumerate(zip(xs.location, xs.normal)):
+        near_corner = min(abs(abs(x) - 0.9), abs(x - 0.305)) < 0.2
+        near_corner &= min(abs(abs(y) - 0.9), 2.0) < 0.2
+        if max(abs(normal[0]), abs(normal[1])) > 0.999 and not near_corner:
+            yield i
 
 
 def test_flat_edge_support_cells_mostly_interior(rectangle_setup):
     grid, ps, xs = rectangle_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     assert len(support.anchors) == len(xs)
     checked = 0
-    for i, point in flat_edge_rows(xs):
+    for i in flat_edge_rows(xs):
         assert support.interior_counts[i] >= 6
         checked += 1
     assert checked > 10
-    for anchor, point in zip(support.anchors, xs):
+    for anchor, location in zip(support.anchors, xs.location):
         lo = np.array(grid.node(*anchor)) - grid.h
         hi = lo + 4 * grid.h
-        assert np.all(point.location >= lo - 1e-12)
-        assert np.all(point.location <= hi + 1e-12)
+        assert np.all(location >= lo - 1e-12)
+        assert np.all(location <= hi + 1e-12)
 
 
 def test_support_cells_match_a_per_point_search(ellipse_setup):
     # The loop form of the cell choice: the first best anchor in (a, b) order.
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
-    for p, anchor, count in zip(xs, support.anchors, support.interior_counts):
-        xi = [(c - o) / grid.h for c, o in zip(p.location, grid.origin)]
+    support = closure.build_support_cells(xs, ps)
+    for location, anchor, count in zip(xs.location, support.anchors, support.interior_counts):
+        xi = [(c - o) / grid.h for c, o in zip(location, grid.origin)]
         xi = [round(t) if abs(t - round(t)) < 1e-9 else t for t in xi]
         best, best_count = None, -1
         for a in range(math.ceil(xi[0]) - 2, math.floor(xi[0]) + 1):
@@ -235,7 +234,7 @@ def test_support_cells_match_a_per_point_search(ellipse_setup):
 
 def test_support_sets_are_consistent(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     plus = {tuple(map(int, idx)) for idx in ps.gamma_plus_indices}
     tilde = {tuple(map(int, idx)) for idx in support.gamma_tilde_plus}
     assert plus <= tilde
@@ -251,9 +250,9 @@ def test_support_sets_are_consistent(ellipse_setup):
 
 def test_eta_extrapolation_exact_on_quadratics(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     bc = closure.robin(1.0, 1.0, lambda x, y: 0.0)
-    cm = closure.assemble_robin(ps, xs, support, bc, grid)
+    cm = closure.assemble_robin(ps, xs, support, bc)
     for u in (lambda x, y: x * x, lambda x, y: x * y, lambda x, y: y * y):
         residual = (
             sample(u, cm.eta, grid)
@@ -290,9 +289,9 @@ def test_thin_diamond_tip_defeats_extrapolation():
     grid = centered_grid(1.15, 32)
     shape = geometry.diamond(0.9, 0.5)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
+    xs = geometry.select_intersections(ps, shape)
     with pytest.raises(ExtrapolationStencilError):
-        closure.build_support_cells(xs, ps, grid)
+        closure.build_support_cells(xs, ps)
 
 
 def test_finer_grid_assembles_without_eta():
@@ -301,15 +300,16 @@ def test_finer_grid_assembles_without_eta():
     grid = centered_grid(1.15, 32)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    support = closure.build_support_cells(xs, ps, grid)
+    xs = geometry.select_intersections(ps, shape)
+    support = closure.build_support_cells(xs, ps)
     assert len(support.eta) == 0
     bc = closure.robin(0.7, 1.3, lambda x, y: 0.0)
-    cm = closure.assemble_robin(ps, xs, support, bc, grid)
+    cm = closure.assemble_robin(ps, xs, support, bc)
     u, du = QUADRATICS[4]
     got = robin_apply(cm, u, grid)
     want = np.array(
-        [0.7 * np.dot(du(*p.location), p.normal) + 1.3 * u(*p.location) for p in xs]
+        [0.7 * np.dot(du(*location), normal) + 1.3 * u(*location)
+         for location, normal in zip(xs.location, xs.normal)]
     )
     assert np.abs(got - want).max() < 1e-12
 
@@ -338,14 +338,14 @@ QUADRATICS = (
 
 def test_robin_rows_reproduce_quadratics(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     bc = closure.robin(0.7, 1.3, lambda x, y: 0.0)
     for u, du in QUADRATICS:
-        got = robin_apply(closure.assemble_robin(ps, xs, support, bc, grid), u, grid)
+        got = robin_apply(closure.assemble_robin(ps, xs, support, bc), u, grid)
         want = np.array(
             [
-                0.7 * np.dot(du(*p.location), p.normal) + 1.3 * u(*p.location)
-                for p in xs
+                0.7 * np.dot(du(*location), normal) + 1.3 * u(*location)
+                for location, normal in zip(xs.location, xs.normal)
             ]
         )
         assert np.abs(got - want).max() < 1e-12
@@ -354,8 +354,8 @@ def test_robin_rows_reproduce_quadratics(ellipse_setup):
 def test_robin_rows_match_a_scalar_loop(ellipse_setup):
     # The loop form of the row arithmetic, in the same order: equal bit for bit.
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
-    cm = closure.assemble_robin(ps, xs, support, closure.robin(0.7, 1.3, lambda x, y: 0.0), grid)
+    support = closure.build_support_cells(xs, ps)
+    cm = closure.assemble_robin(ps, xs, support, closure.robin(0.7, 1.3, lambda x, y: 0.0))
     nodes = np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus, cm.eta])
     column = {(int(j), int(k)): c for c, (j, k) in enumerate(nodes)}
     got = sparse.hstack([cm.phi_plus, cm.phi_minus, cm.phi_prime_minus]).toarray()
@@ -365,24 +365,24 @@ def test_robin_rows_match_a_scalar_loop(ellipse_setup):
         return ((0.5 * (t - 1.0) * (t - 2.0), t * (2.0 - t), 0.5 * t * (t - 1.0)),
                 (t - 1.5, 2.0 - 2.0 * t, t - 0.5))
 
-    for i, (p, (a, b)) in enumerate(zip(xs, support.anchors)):
+    for i, ((x, y), normal, (a, b)) in enumerate(zip(xs.location, xs.normal, support.anchors)):
         xa, yb = grid.node(int(a), int(b))
-        lx, dlx = lagrange3((p.location[0] - xa) / grid.h)
-        ly, dly = lagrange3((p.location[1] - yb) / grid.h)
+        lx, dlx = lagrange3((x - xa) / grid.h)
+        ly, dly = lagrange3((y - yb) / grid.h)
         for li in range(3):
             for lj in range(3):
                 gx = dlx[li] * ly[lj] / grid.h
                 gy = lx[li] * dly[lj] / grid.h
                 want[i, column[(int(a) + li, int(b) + lj)]] = (
-                    0.7 * (gx * p.normal[0] + gy * p.normal[1]) + 1.3 * (lx[li] * ly[lj]))
+                    0.7 * (gx * normal[0] + gy * normal[1]) + 1.3 * (lx[li] * ly[lj]))
     assert np.array_equal(got, want)
 
 
 def test_robin_eliminated_rows_reproduce_quadratics(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     bc = closure.robin(0.4, 2.0, lambda x, y: 0.0)
-    cm = closure.assemble_robin(ps, xs, support, bc, grid)
+    cm = closure.assemble_robin(ps, xs, support, bc)
     e_plus = cm.phi_plus - cm.phi_prime_minus @ cm.r_plus
     e_minus = cm.phi_minus - cm.phi_prime_minus @ cm.r_minus
     for u, du in QUADRATICS:
@@ -391,8 +391,8 @@ def test_robin_eliminated_rows_reproduce_quadratics(ellipse_setup):
         )
         want = np.array(
             [
-                0.4 * np.dot(du(*p.location), p.normal) + 2.0 * u(*p.location)
-                for p in xs
+                0.4 * np.dot(du(*location), normal) + 2.0 * u(*location)
+                for location, normal in zip(xs.location, xs.normal)
             ]
         )
         assert np.abs(got - want).max() < 1e-12
@@ -400,39 +400,39 @@ def test_robin_eliminated_rows_reproduce_quadratics(ellipse_setup):
 
 def test_neumann_annihilates_constants(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
-    cm = closure.assemble_robin(ps, xs, support, closure.neumann(lambda x, y: 0.0), grid)
+    support = closure.build_support_cells(xs, ps)
+    cm = closure.assemble_robin(ps, xs, support, closure.neumann(lambda x, y: 0.0))
     got = robin_apply(cm, lambda x, y: 1.0, grid)
     assert np.abs(got).max() < 1e-12
 
 
 def test_rectangle_neumann_rows_give_normal_slope(rectangle_setup):
     grid, ps, xs = rectangle_setup
-    support = closure.build_support_cells(xs, ps, grid)
-    cm = closure.assemble_robin(ps, xs, support, closure.neumann(lambda x, y: 0.0), grid)
+    support = closure.build_support_cells(xs, ps)
+    cm = closure.assemble_robin(ps, xs, support, closure.neumann(lambda x, y: 0.0))
     got = robin_apply(cm, lambda x, y: x, grid)
-    want = np.array([p.normal[0] for p in xs])
+    want = xs.normal[:, 0]
     assert np.abs(got - want).max() < 1e-12
     # On the flat right edge du/dn is exactly 1.
-    right = [i for i, p in flat_edge_rows(xs) if p.normal[0] > 0.999]
+    right = [i for i in flat_edge_rows(xs) if xs.normal[i, 0] > 0.999]
     assert right and np.abs(got[right] - 1.0).max() < 1e-12
 
 
 def test_robin_row_count_and_rhs(ellipse_setup):
     grid, ps, xs = ellipse_setup
-    support = closure.build_support_cells(xs, ps, grid)
+    support = closure.build_support_cells(xs, ps)
     bc = closure.robin(1.0, 2.0, lambda x, y: x - y)
-    cm = closure.assemble_robin(ps, xs, support, bc, grid)
+    cm = closure.assemble_robin(ps, xs, support, bc)
     assert cm.phi_plus.shape[0] == len(ps.gamma_minus_indices)
-    want = np.array([p.location[0] - p.location[1] for p in xs])
+    want = xs.location[:, 0] - xs.location[:, 1]
     assert np.allclose(cm.rhs, want)
 
 
 def test_assembly_is_deterministic(ellipse_setup):
     grid, ps, xs = ellipse_setup
     bc = closure.robin(1.0, 1.0, lambda x, y: 0.0)
-    a = closure.assemble_closure(ps, xs, bc, grid)
-    b = closure.assemble_closure(ps, xs, bc, grid)
+    a = closure.assemble_closure(ps, xs, bc)
+    b = closure.assemble_closure(ps, xs, bc)
     for name in ("phi_plus", "phi_minus", "phi_prime_minus", "r_plus", "r_minus"):
         diff = getattr(a, name) - getattr(b, name)
         assert diff.nnz == 0
@@ -448,7 +448,7 @@ def ellipse_sets(n):
     grid = centered_grid(1.15, n)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    return grid, ps, geometry.select_intersections(ps, shape, grid)
+    return grid, ps, geometry.select_intersections(ps, shape)
 
 
 @pytest.mark.parametrize("n_ps, n_xs", [(64, 128), (128, 64)])
@@ -459,13 +459,42 @@ def test_intersections_of_other_point_sets_are_rejected(bc, n_ps, n_xs):
     grid, ps, _ = ellipse_sets(n_ps)
     _, _, xs = ellipse_sets(n_xs)
     with pytest.raises(AssemblyError, match="gamma- nodes"):
-        closure.assemble_closure(ps, xs, bc, grid)
+        closure.assemble_closure(ps, xs, bc)
 
 
 def test_dirichlet_inner_node_off_gamma_plus_is_rejected():
     grid, ps, xs = ellipse_sets(32)
     far = geometry.LatticeIndex(16, 16)  # the box centre, deep inside
     assert not ps.gamma_plus[far]
-    xs = [replace(xs[0], inner=far)] + xs[1:]
+    inner = xs.inner.copy()
+    inner[0] = far
+    xs = replace(xs, inner=inner)
     with pytest.raises(AssemblyError, match="not a gamma\\+ node"):
-        closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0, grid)
+        closure.assemble_dirichlet(ps, xs, lambda x, y: 0.0)
+
+
+# ---------------------------------------------------------------------------
+# boundary data
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda ps, xs, g: closure.assemble_dirichlet(ps, xs, g),
+    lambda ps, xs, g: closure.assemble_robin(ps, xs, closure.build_support_cells(xs, ps),
+                                             closure.robin(1.0, 1.0, g)),
+], ids=["dirichlet", "robin"])
+def test_boundary_data_is_one_call_on_the_crossing_arrays(ellipse_setup, assemble):
+    _, ps, xs = ellipse_setup
+    calls = []
+
+    def g(x, y):
+        calls.append((x, y))
+        return x - y
+
+    cm = assemble(ps, xs, g)
+    assert len(calls) == 1
+    x, y = calls[0]
+    assert x.shape == y.shape == (len(xs),)
+    assert np.array_equal(x, xs.location[:, 0]) and np.array_equal(y, xs.location[:, 1])
+    assert np.array_equal(cm.rhs, x - y)
+    constant = assemble(ps, xs, lambda x, y: 1.0)
+    assert constant.rhs.shape == (len(xs),) and np.all(constant.rhs == 1.0)

@@ -232,8 +232,8 @@ def test_rhs_correction_trivial_and_affine(ellipse_box):
 
     grid, ps = ellipse_box
     shape = geometry.ellipse(2.0)
-    xs = geometry.select_intersections(ps, shape, grid)
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: np.sin(x) * np.cos(y), grid)
+    xs = geometry.select_intersections(ps, shape)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: np.sin(x) * np.cos(y))
     zero = diffpot.GridFunction.zeros(grid)
     assert np.array_equal(diffpot.correct_boundary_rhs(cm, zero), cm.rhs)
     rng = np.random.default_rng(7)

@@ -116,40 +116,41 @@ def test_intersections_on_coarse_circle():
     grid = centered_grid(3.0, 10)
     shape = ellipse(1.0)
     ps = classify(grid, shape)
-    points = select_intersections(ps, shape, grid)
+    points = select_intersections(ps, shape)
     assert len(points) == len(ps.gamma_minus_indices)
     j_out = round((1.2 - grid.origin[0]) / grid.h)
     k_zero = round(-grid.origin[1] / grid.h)
-    match = [p for p in points if tuple(p.owner) == (j_out, k_zero)]
+    match = np.flatnonzero((points.owner == (j_out, k_zero)).all(axis=1))
     assert len(match) == 1
-    p = match[0]
-    assert p.location == pytest.approx((1.0, 0.0), abs=1e-12)
-    assert tuple(p.inner) == (j_out - 1, k_zero)
-    assert p.alpha == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert p.normal == pytest.approx((1.0, 0.0), abs=1e-12)
+    i = match[0]
+    assert tuple(points.location[i]) == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert tuple(points.inner[i]) == (j_out - 1, k_zero)
+    assert points.alpha[i] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert tuple(points.normal[i]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [ellipse(2.0), diamond(0.9, 0.5)])
 def test_intersection_invariants(shape):
     grid = centered_grid(1.15, 48)
     ps = classify(grid, shape)
-    points = select_intersections(ps, shape, grid)
-    owners = {tuple(p.owner) for p in points}
+    points = select_intersections(ps, shape)
+    owners = {tuple(owner) for owner in points.owner}
     assert owners == {tuple(idx) for idx in ps.gamma_minus_indices}
-    for p in points:
-        x, y = p.location
+    for (x, y), alpha, inner, owner, normal in zip(
+        points.location, points.alpha, points.inner, points.owner, points.normal
+    ):
         assert abs(shape.psi(np.float64(x), np.float64(y))) < 1e-12
-        assert 0.0 <= p.alpha < 1.0
+        assert 0.0 <= alpha < 1.0
         # location = (1-alpha) inner + alpha owner, re-derived.
-        xi, yi = grid.node(*p.inner)
-        xo, yo = grid.node(*p.owner)
-        assert x == pytest.approx((1.0 - p.alpha) * xi + p.alpha * xo, abs=1e-12)
-        assert y == pytest.approx((1.0 - p.alpha) * yi + p.alpha * yo, abs=1e-12)
-        assert np.hypot(*p.normal) == pytest.approx(1.0, abs=1e-12)
+        xi, yi = grid.node(*inner)
+        xo, yo = grid.node(*owner)
+        assert x == pytest.approx((1.0 - alpha) * xi + alpha * xo, abs=1e-12)
+        assert y == pytest.approx((1.0 - alpha) * yi + alpha * yo, abs=1e-12)
+        assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-12)
         # Outward orientation: psi grows along the normal.
         eps = 1e-6
-        ahead = shape.psi(x + eps * p.normal[0], y + eps * p.normal[1])
-        behind = shape.psi(x - eps * p.normal[0], y - eps * p.normal[1])
+        ahead = shape.psi(x + eps * normal[0], y + eps * normal[1])
+        behind = shape.psi(x - eps * normal[0], y - eps * normal[1])
         assert ahead > behind
 
 
@@ -159,9 +160,8 @@ def test_crossing_picks_nearest_to_owner():
     grid = centered_grid(1.15, 32)
     shape = ellipse(2.0)
     ps = classify(grid, shape)
-    points = select_intersections(ps, shape, grid)
-    for p in points:
-        j, k = p.owner
+    points = select_intersections(ps, shape)
+    for (j, k), alpha in zip(points.owner, points.alpha):
         for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             jj, kk = j + dj, k + dk
             if not grid.contains_index(jj, kk) or not ps.m_plus[jj, kk]:
@@ -177,20 +177,34 @@ def test_crossing_picks_nearest_to_owner():
                 else:
                     lo = mid
             alpha_candidate = 1.0 - hi
-            assert p.alpha >= alpha_candidate - 1e-10
+            assert alpha >= alpha_candidate - 1e-10
 
 
 def test_alpha_zero_when_node_on_boundary():
     grid = centered_grid(2.5, 10)
     shape = ellipse(1.0)
     ps = classify(grid, shape)
-    points = select_intersections(ps, shape, grid)
+    points = select_intersections(ps, shape)
     j_out = round((1.5 - grid.origin[0]) / grid.h)
     k_zero = round(-grid.origin[1] / grid.h)
-    match = [p for p in points if tuple(p.owner) == (j_out, k_zero)]
+    match = np.flatnonzero((points.owner == (j_out, k_zero)).all(axis=1))
     assert len(match) == 1
-    assert match[0].alpha == 0.0
-    assert match[0].location == pytest.approx((1.0, 0.0), abs=1e-14)
+    assert points.alpha[match[0]] == 0.0
+    assert tuple(points.location[match[0]]) == pytest.approx((1.0, 0.0), abs=1e-14)
+
+
+def test_exact_alpha_ties_take_the_x_step():
+    # h = 3/16 is exact, and the circle is symmetric under x <-> y, so the
+    # four diagonal owners below cross Gamma at bitwise-equal alphas on
+    # their x and y segments.  The direction order gives the x step.
+    grid = Grid.from_box((-1.5, 1.5), (-1.5, 1.5), 16)
+    shape = ellipse(1.0)
+    points = select_intersections(classify(grid, shape), shape)
+    for owner, inner in (((4, 4), (5, 4)), ((4, 12), (5, 12)),
+                         ((12, 4), (11, 4)), ((12, 12), (11, 12))):
+        (i,) = np.flatnonzero((points.owner == owner).all(axis=1))
+        assert tuple(points.inner[i]) == inner
+        assert points.alpha[i] == 0.5276684147527879
 
 
 def test_multi_crossing_segment_rejected():
@@ -205,7 +219,7 @@ def test_multi_crossing_segment_rejected():
     grid = centered_grid(1.0, 8)
     ps = classify(grid, strips)
     with pytest.raises(GeometryTooTightError):
-        select_intersections(ps, strips, grid)
+        select_intersections(ps, strips)
 
 
 def test_exterior_connections_definition():

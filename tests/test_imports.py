@@ -1,6 +1,10 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and the
+library itself never imports matplotlib."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +51,26 @@ def test_scan_flags_an_unused_import(tmp_path):
         "def f(g: Callable):\n    return os.path.join(g(), '')\n"
     )
     assert unused_imports(module) == ["Optional (line 4)", "system (line 3)"]
+
+
+def test_a_solve_never_imports_matplotlib():
+    # The watcher also sees guarded import attempts where matplotlib is
+    # not installed.
+    script = (
+        "import sys\n"
+        "attempts = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'matplotlib':\n"
+        "            attempts.append(name)\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "from latticebae import ExperimentConfig, solve_problem\n"
+        "solve_problem(ExperimentConfig(geometry='ellipse', aspect=2.0, bc='dirichlet',\n"
+        "                               formulation='single-direct', n=32))\n"
+        "assert not attempts and 'matplotlib' not in sys.modules, attempts\n"
+    )
+    pythonpath = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

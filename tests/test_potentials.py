@@ -149,12 +149,12 @@ def test_gather_scratch_memory(ellipse256, kind):
 @pytest.fixture(scope="module", params=["dirichlet", "robin"])
 def closure256(request, ellipse256):
     ps = ellipse256
-    xs = select_intersections(ps, ellipse(2.0), ps.grid)
+    xs = select_intersections(ps, ellipse(2.0))
     if request.param == "dirichlet":
         bc = closure.dirichlet(lambda x, y: x)
     else:
         bc = closure.robin(1.0, 1.0, lambda x, y: x)
-    return ps, closure.assemble_closure(ps, xs, bc, ps.grid)
+    return ps, closure.assemble_closure(ps, xs, bc)
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])

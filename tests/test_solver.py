@@ -32,8 +32,8 @@ def circle_problem():
     grid = centered_grid(1.15, 32)
     shape = geometry.ellipse(1.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
-    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0, grid)
+    xs = geometry.select_intersections(ps, shape)
+    cm = closure.assemble_dirichlet(ps, xs, lambda x, y: 1.0)
     return grid, ps, cm
 
 
@@ -198,7 +198,7 @@ def test_robin_system_solves_and_satisfies_closure():
     grid = centered_grid(1.5, 16)
     shape = geometry.ellipse(2.0)
     ps = geometry.classify(grid, shape)
-    xs = geometry.select_intersections(ps, shape, grid)
+    xs = geometry.select_intersections(ps, shape)
 
     def u_exact(x, y):
         return np.sin(x) * np.cos(y)
@@ -211,7 +211,7 @@ def test_robin_system_solves_and_satisfies_closure():
         return du[0] * n[0] + du[1] * n[1] + u_exact(x, y)
 
     bc = closure.robin(1.0, 1.0, g)
-    cm = closure.assemble_closure(ps, xs, bc, grid)
+    cm = closure.assemble_closure(ps, xs, bc)
     interiors = {}
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
