@@ -2,23 +2,28 @@
 
 Interior values of a homogeneous solution could be recovered by direct
 lattice convolution at O(N^3) cost.  Cheaper: solve the 5-point system
-on the classification grid itself, whose edge is the box edge, with a
-sine transform.  The difference potential of boundary data u_gamma is
-the box solution whose right-hand side is [A u] of the zero-extension of
+with a sine transform on a window of the classification grid, whose edge
+is the box edge.  The window is the bounding box of N+ grown by
+``WINDOW_MARGIN`` nodes, clipped to the grid and widened to a fast
+transform length; any box whose interior holds gamma plus one ring gives
+the same potential on M+, up to rounding.  The difference potential of
+boundary data u_gamma is the box solution whose right-hand side is [A u] of the zero-extension of
 u_gamma, restricted to the exterior band; it is discretely harmonic on
 M+ and reproduces u_gamma on gamma, so a single FFT solve replaces the
 convolution.
 
 The box edge carries Dirichlet data: zero where the edge lies outside
 the domain, and the lattice potential's own values on the edge nodes of
-M+.  A bounded domain has no such nodes.  On the unbounded exterior
-every edge node is one, and its value, summed directly from the
-density, makes the box solve reproduce the lattice potential on the
-whole box-restricted domain without any artificial boundary condition.
+M+.  A bounded domain has no such nodes.  On the unbounded exterior M+
+reaches the grid edge, so the window is the whole grid, every edge node
+is one of them, and its value, summed directly from the density, makes
+the box solve reproduce the lattice potential on the whole
+box-restricted domain without any artificial boundary condition.
 
-The same box solver yields particular solutions of the nonhomogeneous
-problem from rhs = h^2 f on M+, after which the boundary right-hand
-side is corrected; the caller adds the homogeneous and particular parts.
+The same box solver, on the same window, yields particular solutions of
+the nonhomogeneous problem from rhs = h^2 f on M+, after which the
+boundary right-hand side is corrected; the caller adds the homogeneous
+and particular parts, reading both through :meth:`GridFunction.at`.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ from .closure import ClosureMatrices
 from .errors import AssemblyError, BoxTooSmallError
 from .geometry import Grid, PointSets
 
+#: Nodes the window keeps around the bounding box of N+ on each side.
+WINDOW_MARGIN = 3
+
+#: How many nodes inside the window edge the gamma and closure nodes must
+#: lie, so that every node whose [A u] reads them is off the edge, where
+#: the box solve takes its Dirichlet data.
+_INSET = 2
+
 
 def _edge_mask(grid: Grid) -> np.ndarray:
     """The nodes on the edge of a grid, where box solves take Dirichlet data."""
@@ -42,12 +55,37 @@ def _edge_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
+def _local(indices: np.ndarray, grid: Grid, offset, inset: int):
+    """(n, 2) classification-grid indices as an index pair (j, k) into a
+    window at ``offset``.
+
+    Raises BoxTooSmallError when a node lies fewer than ``inset`` nodes
+    inside the window edge (``inset = 0``: outside the window).
+    """
+    j = indices[:, 0] - offset[0]
+    k = indices[:, 1] - offset[1]
+    if len(j) and (min(j.min(), k.min()) < inset
+                   or j.max() >= grid.nx - inset or k.max() >= grid.ny - inset):
+        bad = (np.minimum(j, k) < inset) | (j >= grid.nx - inset) | (k >= grid.ny - inset)
+        node = tuple(int(v) for v in indices[np.argmax(bad)])
+        raise BoxTooSmallError(
+            f"node {node} lies fewer than {inset} nodes inside the box-solve window edge"
+        )
+    return j, k
+
+
 @dataclass
 class GridFunction:
-    """A real field sampled on every node of a grid."""
+    """A real field sampled on every node of a grid.
+
+    The grid may be a window of the classification grid: its node (0, 0)
+    is node ``offset`` there, and :meth:`at` reads the field at
+    classification-grid indices.
+    """
 
     grid: Grid
     values: np.ndarray
+    offset: tuple = (0, 0)
 
     def __post_init__(self):
         shape = (self.grid.nx, self.grid.ny)
@@ -58,8 +96,41 @@ class GridFunction:
             )
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid=grid, values=np.zeros((grid.nx, grid.ny)))
+    def zeros(cls, grid: Grid, offset=(0, 0)) -> "GridFunction":
+        return cls(grid=grid, values=np.zeros((grid.nx, grid.ny)), offset=offset)
+
+    def at(self, indices: np.ndarray, inset: int = 0) -> np.ndarray:
+        """Values at (n, 2) classification-grid indices, each of which must
+        lie at least ``inset`` nodes inside this grid's edge."""
+        return self.values[_local(indices, self.grid, self.offset, inset)]
+
+
+def box_window(ps: PointSets) -> tuple[Grid, tuple[int, int]]:
+    """The window of ``ps.grid`` on which both box solves run.
+
+    The bounding box of N+, grown by ``WINDOW_MARGIN`` nodes and clipped
+    to the grid, is widened on each axis to a 5-smooth interval count m
+    (a DST-I over m intervals is an FFT of length 2m), extra nodes split
+    about evenly between its two sides.  Returns the window as a grid of
+    its own and the classification-grid index of its node (0, 0).
+    """
+    spans = []
+    # Reducing over axis 1 finds the occupied x indices, over axis 0 the y ones.
+    for axis, n_nodes in ((1, ps.grid.nx), (0, ps.grid.ny)):
+        occupied = np.flatnonzero(ps.n_plus.any(axis=axis))
+        lo = max(int(occupied[0]) - WINDOW_MARGIN, 0)
+        hi = min(int(occupied[-1]) + WINDOW_MARGIN, n_nodes - 1)
+        m = min(sfft.next_fast_len(hi - lo, real=True), n_nodes - 1)
+        lo = max(0, min(lo - (m - (hi - lo)) // 2, n_nodes - 1 - m))
+        spans.append((lo, m + 1))
+    (j0, nx), (k0, ny) = spans
+    return Grid(h=ps.grid.h, origin=ps.grid.node(j0, k0), nx=nx, ny=ny), (j0, k0)
+
+
+def _window_of(mask: np.ndarray, grid: Grid, offset) -> np.ndarray:
+    """The part of a classification-grid mask that the window covers."""
+    j0, k0 = offset
+    return mask[j0 : j0 + grid.nx, k0 : k0 + grid.ny]
 
 
 def apply_stencil(values: np.ndarray) -> np.ndarray:
@@ -81,11 +152,12 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     The sine basis diagonalizes the 5-point operator on the interior
     nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
     n's counting grid intervals per axis.  A zero rhs returns zero
-    without transforms (the exterior's particular solution).
+    without transforms (the exterior's particular solution).  The
+    solution keeps the rhs's offset.
     """
     grid = rhs.grid
     if not rhs.values.any():
-        return GridFunction.zeros(grid)
+        return GridFunction.zeros(grid, rhs.offset)
     edge_max = max(
         np.abs(rhs.values[0, :]).max(),
         np.abs(rhs.values[-1, :]).max(),
@@ -101,71 +173,68 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
         np.pi * k / my
     )[None, :]
     coeff = sfft.dstn(rhs.values[1:-1, 1:-1], type=1)
-    w = GridFunction.zeros(grid)
+    w = GridFunction.zeros(grid, rhs.offset)
     w.values[1:-1, 1:-1] = sfft.idstn(coeff / lam, type=1)
     return w
 
 
 def edge_nodes(ps: PointSets) -> np.ndarray:
-    """The M+ nodes on the grid edge, in canonical order: where u_edge lives."""
-    return np.argwhere(_edge_mask(ps.grid) & ps.m_plus)
+    """The M+ nodes on the window edge, in canonical order: where u_edge
+    lives.  A bounded domain has none; on the exterior they are the grid
+    edge."""
+    grid, offset = box_window(ps)
+    on_edge = _edge_mask(grid) & _window_of(ps.m_plus, grid, offset)
+    return np.argwhere(on_edge) + offset
 
 
 def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridFunction:
     """Box solution reproducing u_gamma on gamma, discretely harmonic on M+.
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
-    result on the exterior band only, and solves the box system with
-    u_edge imposed on :func:`edge_nodes` (zero on the rest of the edge).
+    result on the exterior band only, and solves the box system on
+    :func:`box_window` with u_edge imposed on :func:`edge_nodes` (zero on
+    the rest of the window edge).
     """
-    gamma_nodes = ps.gamma_indices
     u_gamma = np.asarray(u_gamma, dtype=float)
-    if u_gamma.shape != (len(gamma_nodes),):
+    if u_gamma.shape != (len(ps.gamma_indices),):
         raise AssemblyError(
-            f"gamma data has shape {u_gamma.shape}, expected ({len(gamma_nodes)},)"
+            f"gamma data has shape {u_gamma.shape}, expected ({len(ps.gamma_indices)},)"
         )
-    on_edge = edge_nodes(ps)
+    grid, offset = box_window(ps)
+    on_edge = edge_nodes(ps) - offset
     u_edge = np.asarray(u_edge, dtype=float)
     if u_edge.shape != (len(on_edge),):
         raise AssemblyError(
             f"edge data has shape {u_edge.shape}, expected ({len(on_edge)},)"
         )
-    edge = _edge_mask(ps.grid)
-    near_edge = edge.copy()
-    near_edge[1:-1, 1:-1] = (
-        edge[:-2, 1:-1] | edge[2:, 1:-1] | edge[1:-1, :-2] | edge[1:-1, 2:]
-    )
-    if (ps.gamma & near_edge).any():
-        raise BoxTooSmallError("a gamma node touches or neighbors the box edge")
-    extension = np.zeros((ps.grid.nx, ps.grid.ny))
-    extension[gamma_nodes[:, 0], gamma_nodes[:, 1]] = u_gamma
-    rhs = GridFunction.zeros(ps.grid)
-    band = ps.m_minus & ~edge
+    extension = np.zeros((grid.nx, grid.ny))
+    extension[_local(ps.gamma_indices, grid, offset, _INSET)] = u_gamma
+    rhs = GridFunction.zeros(grid, offset)
+    band = ~_window_of(ps.m_plus, grid, offset) & ~_edge_mask(grid)
     rhs.values[band] = apply_stencil(extension)[band]
-    # Lift the edge values into the rhs of the adjacent interior ring.
-    lift = np.zeros_like(extension)
-    lift[on_edge[:, 0], on_edge[:, 1]] = u_edge
-    rhs.values -= apply_stencil(lift)
+    if len(on_edge):
+        # Lift the edge values into the rhs of the adjacent interior ring.
+        lift = np.zeros_like(extension)
+        lift[on_edge[:, 0], on_edge[:, 1]] = u_edge
+        rhs.values -= apply_stencil(lift)
     w = fft_poisson_solve(rhs)
     w.values[on_edge[:, 0], on_edge[:, 1]] = u_edge
     return w
 
 
 def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
-    """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain).
+    """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain),
+    on :func:`box_window`.
 
-    f is evaluated only at the box-interior nodes of M+.
+    f is evaluated only at the window-interior nodes of M+, at the
+    coordinates ``ps.grid`` gives them.
     """
-    grid = ps.grid
-    rhs = GridFunction.zeros(grid)
-    inside = ps.m_plus & ~_edge_mask(grid)
-    x, y = grid.nodes(np.argwhere(inside)).T
+    grid, offset = box_window(ps)
+    rhs = GridFunction.zeros(grid, offset)
+    inside = _window_of(ps.m_plus, grid, offset) & ~_edge_mask(grid)
+    x, y = ps.grid.nodes(np.argwhere(inside) + offset).T
     rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))
     return fft_poisson_solve(rhs)
-
-
-def _restrict(gf: GridFunction, indices: np.ndarray) -> np.ndarray:
-    return gf.values[indices[:, 0], indices[:, 1]]
 
 
 def correct_boundary_rhs(cm: ClosureMatrices, u_p: GridFunction) -> np.ndarray:
@@ -175,10 +244,11 @@ def correct_boundary_rhs(cm: ClosureMatrices, u_p: GridFunction) -> np.ndarray:
     values to the right-hand side.  The extrapolation identity is imposed
     on the homogeneous part alone, so the eta columns are charged with
     u^p sampled at the eta nodes themselves; the R blocks stay untouched.
+    Every closure node must lie two nodes inside u^p's window edge.
     """
     return (
         cm.rhs
-        - cm.phi_plus @ _restrict(u_p, cm.gamma_tilde_plus)
-        - cm.phi_minus @ _restrict(u_p, cm.gamma_minus)
-        - cm.phi_prime_minus @ _restrict(u_p, cm.eta)
+        - cm.phi_plus @ u_p.at(cm.gamma_tilde_plus, _INSET)
+        - cm.phi_minus @ u_p.at(cm.gamma_minus, _INSET)
+        - cm.phi_prime_minus @ u_p.at(cm.eta, _INSET)
     )

@@ -77,6 +77,6 @@ class SingularSystemError(LatticeBaeError):
     """Dense LU elimination met an effectively zero pivot."""
 
 
-class BoxTooSmallError(LatticeBaeError):
-    """The grid's box cannot accommodate the requested operation (a
-    boundary-layer node touches its edge)."""
+class BoxTooSmallError(AssemblyError):
+    """The box-solve window cannot accommodate the requested operation (a
+    gamma or closure node lies within one node of its edge)."""

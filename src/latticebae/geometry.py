@@ -40,7 +40,6 @@ from .errors import (
     InconsistentClassificationError,
     UnderResolvedBoundaryError,
 )
-from .lgf import LatticeIndex
 
 #: The four lattice directions in tie-break order: x-axis before y-axis,
 #: positive step before negative.  It fixes the tie-breaks of
@@ -103,9 +102,6 @@ class Grid:
         n = 1024, and a solve's memory peak can fall on this call."""
         xy = np.multiply(indices, self.h)
         return np.add(xy, self.origin, out=xy)
-
-    def contains_index(self, j: int, k: int) -> bool:
-        return 0 <= j < self.nx and 0 <= k < self.ny
 
 
 @dataclass(frozen=True)
@@ -393,25 +389,6 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
         location=np.stack([loc_x, loc_y], axis=1)[best],
         normal=np.stack([gx, gy], axis=1)[best],
     )
-
-
-def exterior_connections(ps: PointSets, n) -> set:
-    """Neighbours of a gamma- node lying in M- but not in gamma-.
-
-    These are the nodes the double-layer kernel differences against; the
-    set may be empty (the double-layer assembler decides whether that is
-    fatal).  Restricted to the computational box.
-    """
-    j, k = int(n[0]), int(n[1])
-    if not ps.gamma_minus[j, k]:
-        raise ValueError(f"node {(j, k)} is not a gamma- node")
-    out = set()
-    for d1, d2 in DIRECTIONS:
-        jj, kk = j + d1, k + d2
-        if not ps.grid.contains_index(jj, kk) or ps.m_plus[jj, kk] or ps.gamma_minus[jj, kk]:
-            continue
-        out.add(LatticeIndex(jj, kk))
-    return out
 
 
 def dump_classification_csv(ps: PointSets, path) -> None:

@@ -153,13 +153,19 @@ def manufactured_solution(cfg: ExperimentConfig) -> Manufactured:
 
 
 def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape,
-                            mf: Manufactured) -> closure_mod.BoundaryCondition:
+                            mf: Manufactured, h: float) -> closure_mod.BoundaryCondition:
+    """Dirichlet or Robin data from the manufactured solution.
+
+    The normal comes from the shape's gradient, or, when it has none,
+    from central differences of psi on the scale of the grid spacing h,
+    as for the intersection normals.
+    """
     if cfg.bc == "dirichlet":
         return closure_mod.dirichlet(mf.u)
     alpha_c, beta_c = ROBIN_COEFFS if cfg.bc == "robin" else (1.0, 0.0)
 
     def g(x, y):
-        gx, gy = shape.grad(x, y)
+        gx, gy = geometry._gradient_at(shape, x, y, h)
         norm = np.hypot(gx, gy)
         ux, uy = mf.grad(x, y)
         return alpha_c * (ux * gx + uy * gy) / norm + beta_c * mf.u(x, y)
@@ -171,11 +177,14 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
 class SolutionField:
     """A solved problem with its pointwise errors on the interior nodes."""
 
-    grid: geometry.Grid
     ps: geometry.PointSets
     values: np.ndarray
     exact: np.ndarray
     result: solver.SolveResult
+
+    @property
+    def grid(self) -> geometry.Grid:
+        return self.ps.grid
 
     @property
     def errors(self) -> np.ndarray:
@@ -205,14 +214,13 @@ def _gamma_trace(result: solver.SolveResult, ps: geometry.PointSets) -> np.ndarr
 
 
 def _discretize(cfg: ExperimentConfig, n: int):
-    """Grid, manufactured solution, point sets and closure for one grid size."""
+    """Manufactured solution, point sets and closure for one grid size."""
     shape = build_shape(cfg)
-    grid = build_grid(cfg, n)
     mf = manufactured_solution(cfg)
-    ps = geometry.classify(grid, shape)
+    ps = geometry.classify(build_grid(cfg, n), shape)
     xs = geometry.select_intersections(ps, shape)
-    bc = make_boundary_condition(cfg, shape, mf)
-    return grid, mf, ps, closure_mod.assemble_closure(ps, xs, bc)
+    bc = make_boundary_condition(cfg, shape, mf, ps.grid.h)
+    return mf, ps, closure_mod.assemble_closure(ps, xs, bc)
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
@@ -224,8 +232,8 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
             "the double-layer matrix D- is singular for the unbounded exterior "
             "domain; use a single-layer formulation"
         )
-    grid, mf, ps, cm = _discretize(cfg, n)
-    # The box solve's grid-sized transients come before the kernel blocks
+    mf, ps, cm = _discretize(cfg, n)
+    # The box solve's window-sized transients come before the kernel blocks
     # are held, not on top of them.
     u_p = diffpot.particular_solution(mf.f, ps)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
@@ -235,11 +243,12 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     )
     u_h = diffpot.difference_potential(_gamma_trace(result, ps), ps, u_edge)
     mp = ps.m_plus_indices
-    values = (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
+    u_h.values += u_p.values  # both box solves ran on the window of ps
+    values = u_h.at(mp)
 
-    x, y = grid.nodes(mp).T
+    x, y = ps.grid.nodes(mp).T
     exact = mf.u(x, y)
-    return SolutionField(grid=grid, ps=ps, values=values, exact=exact, result=result)
+    return SolutionField(ps=ps, values=values, exact=exact, result=result)
 
 
 def solve_with_row(cfg: ExperimentConfig, n: Optional[int] = None):
@@ -302,7 +311,7 @@ def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
     rows = []
     notes = []
     for n in cfg.ladder():
-        grid, _, ps, cm = _discretize(cfg, n)
+        _, ps, cm = _discretize(cfg, n)
         conds = {}
         for kernel, minus_label, suffix in ((potentials.LayerKind.SINGLE, "S-", "s"),
                                             (potentials.LayerKind.DOUBLE, "D-", "d")):
@@ -318,7 +327,7 @@ def run_conditioning(cfg: ExperimentConfig) -> ConditioningReport:
             rows.append(
                 ResultRow(
                     n=n,
-                    h=grid.h,
+                    h=ps.grid.h,
                     geometry=shape_label,
                     bc=cfg.bc,
                     formulation=label,

@@ -277,18 +277,15 @@ def lgf_grid(radius: int) -> np.ndarray:
         grid = np.zeros((1, 1))
         grid.flags.writeable = False
         return grid
+    # The octant b <= a, zero above its diagonal.
     octant = np.zeros((radius + 1, radius + 1))
-    a_idx, b_idx = np.meshgrid(np.arange(radius + 1), np.arange(radius + 1), indexing="ij")
+    a_idx, b_idx = np.tril_indices(radius + 1)
     far = np.hypot(a_idx, b_idx) >= R_SWITCH
-    octant[far] = _asymptotic_array(a_idx[far], b_idx[far])
-    # Near entries have a <= |m| < R_SWITCH, so only the first rows hold any.
-    for a in range(min(radius + 1, math.ceil(R_SWITCH))):
-        for b in range(a + 1):
-            if not far[a, b]:
-                octant[a, b] = lgf((a, b))
-    # Complete the quadrant from the octant b <= a, then mirror across axes.
-    lower = np.tril(octant)
-    quad = lower + lower.T - np.diag(np.diag(lower))
+    octant[a_idx[far], b_idx[far]] = _asymptotic_array(a_idx[far], b_idx[far])
+    for a, b in zip(a_idx[~far].tolist(), b_idx[~far].tolist()):
+        octant[a, b] = lgf((a, b))
+    # Complete the quadrant from the octant, then mirror across axes.
+    quad = octant + octant.T - np.diag(np.diag(octant))
     full = np.empty((2 * radius + 1, 2 * radius + 1))
     full[radius:, radius:] = quad
     full[radius:, :radius] = quad[:, radius:0:-1]

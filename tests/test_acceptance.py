@@ -129,8 +129,6 @@ def test_criterion_05_projection_and_fft():
     grid = geometry.Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 32)
     ps = geometry.classify(grid, geometry.ellipse(2.0))
     gamma = ps.gamma_indices
-    ny = grid.ny
-    gamma_flat = gamma[:, 0] * ny + gamma[:, 1]
     rng = np.random.default_rng(23)
 
     for kind in (potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE):
@@ -140,16 +138,16 @@ def test_criterion_05_projection_and_fft():
             q = rng.standard_normal(len(ps.gamma_minus_indices))
             trace = km.entries @ q
             back = diffpot.difference_potential(trace, ps)
-            reproduced = back.values.reshape(-1)[gamma_flat]
+            reproduced = back.at(gamma)
             err = np.abs(reproduced - trace).max()
             assert err <= 1e-10 * max(1.0, np.abs(trace).max())
 
     for _ in range(5):
         arbitrary = rng.standard_normal(len(gamma))
         once = diffpot.difference_potential(arbitrary, ps)
-        tr1 = once.values.reshape(-1)[gamma_flat]
+        tr1 = once.at(gamma)
         twice = diffpot.difference_potential(tr1, ps)
-        tr2 = twice.values.reshape(-1)[gamma_flat]
+        tr2 = twice.at(gamma)
         assert np.abs(tr2 - tr1).max() <= 1e-10 * max(1.0, np.abs(tr1).max())
 
     for n_nodes in (16, 32):
@@ -283,7 +281,7 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
                                  cm, ps)
     u = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
     mp = ps.m_plus_indices
-    assert np.abs(u.values[mp[:, 0], mp[:, 1]] - 1.0).max() <= 1e-9
+    assert np.abs(u.at(mp) - 1.0).max() <= 1e-9
 
 
 @pytest.mark.parametrize("kernel", ["single", "double"])

@@ -464,7 +464,7 @@ def test_intersections_of_other_point_sets_are_rejected(bc, n_ps, n_xs):
 
 def test_dirichlet_inner_node_off_gamma_plus_is_rejected():
     grid, ps, xs = ellipse_sets(32)
-    far = geometry.LatticeIndex(16, 16)  # the box centre, deep inside
+    far = (16, 16)  # the box centre, deep inside
     assert not ps.gamma_plus[far]
     inner = xs.inner.copy()
     inner[0] = far

@@ -1,10 +1,12 @@
 """Tests for the box solver and difference potentials."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from latticebae import diffpot, geometry, potentials
+from latticebae import diffpot, geometry, harness, potentials, solver
 from latticebae.errors import AssemblyError, BoxTooSmallError
 
 
@@ -101,7 +103,7 @@ def test_trace_reproduction_for_layer_data(ellipse_box, kind):
         q = rng.standard_normal(k_gamma.shape[1])
         u_gamma = k_gamma @ q
         w = diffpot.difference_potential(u_gamma, ps)
-        trace = w.values[gamma[:, 0], gamma[:, 1]]
+        trace = w.at(gamma)
         assert np.abs(trace - u_gamma).max() <= 1e-10 * np.abs(u_gamma).max()
 
 
@@ -111,8 +113,7 @@ def test_projection_idempotence(ellipse_box):
     rng = np.random.default_rng(2)
 
     def project(data):
-        w = diffpot.difference_potential(data, ps)
-        return w.values[gamma[:, 0], gamma[:, 1]]
+        return diffpot.difference_potential(data, ps).at(gamma)
 
     for _ in range(5):
         u_gamma = rng.standard_normal(len(gamma))
@@ -144,8 +145,7 @@ def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
             diffpot.edge_nodes(ps), density, potentials.LayerKind.SINGLE, ps
         )
         w = diffpot.difference_potential(k_gamma @ q, ps, u_edge)
-        mp = ps.m_plus_indices
-        assert np.abs(w.values[mp[:, 0], mp[:, 1]] - direct).max() < 1e-8
+        assert np.abs(w.at(ps.m_plus_indices) - direct).max() < 1e-8
 
 
 def test_difference_potential_rejects_wrong_edge_length(exterior_box):
@@ -189,19 +189,19 @@ def forcing(x, y):
 def test_particular_solution_stencil_residual(ellipse_box):
     grid, ps = ellipse_box
     u_p = diffpot.particular_solution(forcing, ps)
+    window, (j0, k0) = diffpot.box_window(ps)
+    assert u_p.grid == window and u_p.offset == (j0, k0)
     x, y = grid.mesh()
-    rhs_exact = grid.h**2 * forcing(x, y)
+    rhs_exact = (grid.h**2 * forcing(x, y))[j0 : j0 + window.nx, k0 : k0 + window.ny]
+    m_plus = ps.m_plus[j0 : j0 + window.nx, k0 : k0 + window.ny]
     stencil = diffpot.apply_stencil(u_p.values)
-    mp = ps.m_plus_indices
-    scale = np.abs(rhs_exact[mp[:, 0], mp[:, 1]]).max()
-    rng = np.random.default_rng(41)
-    picks = rng.choice(len(mp), size=40)
-    for idx in picks:
-        j, k = mp[idx]
-        assert abs(stencil[j, k] - rhs_exact[j, k]) <= 1e-11 * scale
+    scale = np.abs(rhs_exact[m_plus]).max()
+    # Every M+ node lies inside the window, off its edge.
+    inner = ~diffpot._edge_mask(window)
+    assert np.count_nonzero(m_plus & inner) == np.count_nonzero(ps.m_plus)
+    assert np.abs(stencil - rhs_exact)[m_plus].max() <= 1e-11 * scale
     # Outside the domain the forcing is zeroed.
-    band = ps.m_minus[1:-1, 1:-1]
-    assert np.abs(stencil[1:-1, 1:-1][band]).max() <= 1e-11 * scale
+    assert np.abs(stencil[~m_plus & inner]).max() <= 1e-11 * scale
 
 
 def test_particular_solution_of_zero_forcing(ellipse_box):
@@ -219,11 +219,13 @@ def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
         return forcing(x, y)
 
     u_p = diffpot.particular_solution(recorded, ps)
-    inside = ps.m_plus & ~diffpot._edge_mask(grid)
+    window, (j0, k0) = diffpot.box_window(ps)
+    crop = (slice(j0, j0 + window.nx), slice(k0, k0 + window.ny))
+    inside = ps.m_plus[crop] & ~diffpot._edge_mask(window)
     assert shapes == [(int(inside.sum()),)]
     x, y = grid.mesh()
-    rhs = diffpot.GridFunction.zeros(grid)
-    rhs.values[inside] = grid.h**2 * forcing(x, y)[inside]
+    rhs = diffpot.GridFunction.zeros(window, (j0, k0))
+    rhs.values[inside] = grid.h**2 * forcing(x[crop], y[crop])[inside]
     assert np.array_equal(u_p.values, diffpot.fft_poisson_solve(rhs).values)
 
 
@@ -267,3 +269,97 @@ def test_zero_forcing_costs_no_transform(monkeypatch, geometry_name, transforms)
     monkeypatch.setattr(sfft, "dstn", counted)
     harness.solve_problem(harness.ExperimentConfig(geometry_name, "dirichlet", n=64))
     assert len(calls) == transforms
+
+
+# ---------------------------------------------------------------------------
+# the box-solve window
+
+
+def full_grid_values(cfg):
+    """Oracle: the bounded recovery with both box solves on the whole
+    classification grid (no edge data, since M+ stays off the grid edge)."""
+    mf, ps, cm = harness._discretize(cfg, cfg.n)
+    grid = ps.grid
+    edge = diffpot._edge_mask(grid)
+    rhs = diffpot.GridFunction.zeros(grid)
+    inside = ps.m_plus & ~edge
+    x, y = grid.nodes(np.argwhere(inside)).T
+    rhs.values[inside] = grid.h**2 * mf.f(x, y)
+    u_p = diffpot.fft_poisson_solve(rhs)
+    cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    result = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
+    extension = np.zeros((grid.nx, grid.ny))
+    extension[ps.gamma] = harness._gamma_trace(result, ps)
+    rhs = diffpot.GridFunction.zeros(grid)
+    band = ps.m_minus & ~edge
+    rhs.values[band] = diffpot.apply_stencil(extension)[band]
+    u_h = diffpot.fft_poisson_solve(rhs)
+    mp = ps.m_plus_indices
+    return (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
+
+
+# The diamond's corners leave Robin closures without extrapolation
+# stencils (ExtrapolationStencilError, by design), so it has no Robin case.
+BOUNDED = [("ellipse", "dirichlet"), ("ellipse", "robin"), ("diamond", "dirichlet")]
+
+
+@pytest.mark.parametrize("formulation", ["single-direct", "single-schur",
+                                         "double-direct", "double-schur"])
+@pytest.mark.parametrize("geometry_name, bc", BOUNDED)
+def test_window_recovery_matches_full_grid(geometry_name, bc, formulation):
+    cfg = harness.ExperimentConfig(geometry_name, bc, formulation=formulation,
+                                   n=128, aspect=2.0)
+    values = harness.solve_problem(cfg).values
+    oracle = full_grid_values(cfg)
+    assert np.abs(values - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+def test_exterior_window_is_the_grid():
+    cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=64)
+    _, ps, _ = harness._discretize(cfg, 64)
+    assert diffpot.box_window(ps) == (ps.grid, (0, 0))
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("n", [32, 128, 1024])
+@pytest.mark.parametrize("geometry_name", ["ellipse", "diamond"])
+def test_bounded_window_covers_n_plus_with_fast_lengths(geometry_name, n):
+    grid = harness.build_grid(harness.ExperimentConfig(geometry_name, "dirichlet"), n)
+    shape = geometry.ellipse(2.0) if geometry_name == "ellipse" else geometry.diamond()
+    ps = geometry.classify(grid, shape)
+    window, (j0, k0) = diffpot.box_window(ps)
+    assert _is_5_smooth(window.nx - 1) and _is_5_smooth(window.ny - 1)
+    assert window.h == grid.h and window.origin == grid.node(j0, k0)
+    covered = np.zeros_like(ps.n_plus)
+    covered[j0 : j0 + window.nx, k0 : k0 + window.ny] = True
+    assert not (ps.n_plus & ~covered).any()
+    if geometry_name == "ellipse":
+        assert window.nx * window.ny < grid.nx * grid.ny
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "robin"])
+def test_gamma_and_eta_lie_two_nodes_inside_the_window(bc):
+    cfg = harness.ExperimentConfig("ellipse", bc, n=128, aspect=2.0)
+    mf, ps, cm = harness._discretize(cfg, 128)
+    window, offset = diffpot.box_window(ps)
+    for nodes in (ps.gamma_indices, cm.eta):
+        local = nodes - offset
+        assert (local >= 2).all() and (local <= (window.nx - 3, window.ny - 3)).all()
+    # The library checks this rather than assuming it: a window one node
+    # too tight for the closure nodes is refused.
+    u_p = diffpot.particular_solution(mf.f, ps)
+    lo = min(nodes.min() for nodes in (ps.gamma_indices, cm.gamma_tilde_plus, cm.eta)
+             if len(nodes)) - offset[0]
+    tight = diffpot.GridFunction(
+        grid=geometry.Grid(h=window.h, origin=window.node(lo - 1, 0),
+                           nx=window.nx - lo + 1, ny=window.ny),
+        values=u_p.values[lo - 1 :], offset=(offset[0] + lo - 1, offset[1]),
+    )
+    with pytest.raises(AssemblyError):
+        diffpot.correct_boundary_rhs(cm, tight)

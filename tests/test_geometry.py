@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from latticebae.errors import (
+    AssemblyError,
     DegenerateDomainError,
     GeometryTooTightError,
 )
 from latticebae.geometry import (
+    DIRECTIONS,
     Grid,
     circle_exterior,
     classify,
@@ -15,9 +17,9 @@ from latticebae.geometry import (
     diamond,
     dump_classification_csv,
     ellipse,
-    exterior_connections,
     select_intersections,
 )
+from latticebae.potentials import LayerKind, _connection_structure, assemble_layer_matrix
 
 
 def centered_grid(half_width, n_cells):
@@ -164,7 +166,7 @@ def test_crossing_picks_nearest_to_owner():
     for (j, k), alpha in zip(points.owner, points.alpha):
         for dj, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             jj, kk = j + dj, k + dk
-            if not grid.contains_index(jj, kk) or not ps.m_plus[jj, kk]:
+            if not (0 <= jj < grid.nx and 0 <= kk < grid.ny) or not ps.m_plus[jj, kk]:
                 continue
             # Bisect this segment independently.
             xo, yo = grid.node(j, k)
@@ -222,33 +224,56 @@ def test_multi_crossing_segment_rejected():
         select_intersections(ps, strips)
 
 
+def brute_force_connections(ps, node):
+    """Exterior connections of a gamma- node from the definition: its
+    four-neighbours inside the box, in M- and not in gamma-."""
+    j, k = node
+    return {
+        (j + d1, k + d2) for d1, d2 in DIRECTIONS
+        if 0 <= j + d1 < ps.grid.nx and 0 <= k + d2 < ps.grid.ny
+        and not ps.m_plus[j + d1, k + d2] and not ps.gamma_minus[j + d1, k + d2]
+    }
+
+
+def connections_by_structure(ps, sources):
+    """The connection sets that the double kernel applies, per source."""
+    counts, present = _connection_structure(ps, sources)
+    sets = [
+        {(j + d1, k + d2) for d, (d1, d2) in enumerate(DIRECTIONS) if present[d, col]}
+        for col, (j, k) in enumerate(sources)
+    ]
+    assert list(counts) == [len(c) for c in sets]
+    return sets
+
+
 def test_exterior_connections_definition():
     grid = centered_grid(3.0, 10)
     shape = ellipse(1.0)
     ps = classify(grid, shape)
     j_out = round((1.2 - grid.origin[0]) / grid.h)
     k_zero = round(-grid.origin[1] / grid.h)
-    conns = exterior_connections(ps, (j_out, k_zero))
-    assert (j_out + 1, k_zero) in {tuple(c) for c in conns}
-    for j, k in conns:
-        assert not ps.m_plus[j, k]
-        assert not ps.gamma_minus[j, k]
-        assert abs(j - j_out) + abs(k - k_zero) == 1
+    (conns,) = connections_by_structure(ps, np.array([[j_out, k_zero]]))
+    assert (j_out + 1, k_zero) in conns
+    assert conns == brute_force_connections(ps, (j_out, k_zero))
 
 
 def test_exterior_connections_nonempty_on_convex_shapes():
-    for shape in (ellipse(1.0), ellipse(8.0), diamond(0.9, 0.5)):
+    for shape in (ellipse(1.0), ellipse(8.0), diamond(0.9, 0.5), circle_exterior(1.0)):
         grid = centered_grid(1.15, 64)
         ps = classify(grid, shape)
-        for idx in ps.gamma_minus_indices:
-            assert len(exterior_connections(ps, idx)) >= 1
+        sources = ps.gamma_minus_indices
+        conns = connections_by_structure(ps, sources)
+        assert conns == [brute_force_connections(ps, tuple(idx)) for idx in sources]
+        assert all(conns)
 
 
 def test_exterior_connections_requires_gamma_minus_node():
+    # The connection rule is defined for gamma- sources only; the layer
+    # assembly that applies it refuses any other source.
     grid = centered_grid(3.0, 10)
     ps = classify(grid, ellipse(1.0))
-    with pytest.raises(ValueError):
-        exterior_connections(ps, (0, 0))
+    with pytest.raises(AssemblyError):
+        assemble_layer_matrix(ps.gamma_indices, np.array([[0, 0]]), LayerKind.DOUBLE, ps)
 
 
 def test_grid_validation():

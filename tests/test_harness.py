@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticebae import cli, harness, solver
+from latticebae import cli, geometry, harness, solver
 from latticebae.errors import ConfigError
 
 
@@ -95,7 +95,7 @@ def test_robin_data_matches_directional_derivative():
     cfg = harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc="robin", n=32)
     shape = harness.build_shape(cfg)
     mf = harness.manufactured_solution(cfg)
-    bc = harness.make_boundary_condition(cfg, shape, mf)
+    bc = harness.make_boundary_condition(cfg, shape, mf, 2.3 / 32)
     assert bc.alpha_coef == 1.0 and bc.beta_coef == 1.0
     # on the boundary curve the data is du/dn + u for the manufactured u
     t = 1.1
@@ -105,6 +105,21 @@ def test_robin_data_matches_directional_derivative():
     ux, uy = mf.grad(x, y)
     expected = (ux * gx + uy * gy) / norm + mf.u(x, y)
     assert abs(bc.data(x, y) - expected) < 1e-14
+
+
+def test_robin_data_on_a_shape_without_gradient(monkeypatch):
+    # The Robin normal falls back to central differences of psi, as the
+    # intersection normals do; the solve stays second order and within
+    # rounding of the finite differences of the analytic-gradient run.
+    cfg = harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc="robin",
+                                   formulation="single-direct", n=128)
+    analytic = harness.solve_problem(cfg)
+    shape = geometry.ellipse(2.0)
+    monkeypatch.setattr(harness, "build_shape",
+                        lambda cfg: geometry.custom(shape.psi, label=shape.label))
+    fallback = harness.solve_problem(cfg)
+    assert fallback.max_error <= 0.8 * fallback.grid.h**2
+    assert np.abs(fallback.values - analytic.values).max() <= 1e-6
 
 
 def test_solve_bounded_dirichlet_accuracy():

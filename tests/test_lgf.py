@@ -10,6 +10,7 @@ from latticebae.lgf import (
     LatticeIndex,
     LgfTable,
     R_SWITCH,
+    _asymptotic_array,
     canonical_index,
     lgf,
     lgf_asymptotic,
@@ -189,6 +190,24 @@ def test_grid_is_centre_slice_of_larger_grid():
     offset = large - small
     centre = lgf_grid(large)[offset:offset + 2 * small + 1, offset:offset + 2 * small + 1]
     assert np.array_equal(lgf_grid(small), centre)
+
+
+def test_grid_is_bitwise_the_quadrant_built_table():
+    # Reference: evaluate the whole quadrant, keep its lower triangle,
+    # complete it by symmetry and mirror it across both axes.
+    radius = 64
+    a_idx, b_idx = np.meshgrid(np.arange(radius + 1), np.arange(radius + 1), indexing="ij")
+    far = np.hypot(a_idx, b_idx) >= R_SWITCH
+    quadrant = np.zeros((radius + 1, radius + 1))
+    quadrant[far] = _asymptotic_array(a_idx[far], b_idx[far])
+    for a in range(radius + 1):
+        for b in range(a + 1):
+            if not far[a, b]:
+                quadrant[a, b] = lgf((a, b))
+    lower = np.tril(quadrant)
+    quadrant = lower + lower.T - np.diag(np.diag(lower))
+    mirror = np.abs(np.arange(-radius, radius + 1))
+    assert np.array_equal(lgf_grid(radius), quadrant[np.ix_(mirror, mirror)])
 
 
 def test_quadrature_error_carries_estimate():

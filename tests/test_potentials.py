@@ -8,11 +8,11 @@ import pytest
 from latticebae import closure
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
 from latticebae.geometry import (
+    DIRECTIONS,
     Grid,
     circle_exterior,
     classify,
     ellipse,
-    exterior_connections,
     select_intersections,
 )
 from latticebae.lgf import lgf_grid
@@ -43,6 +43,17 @@ def ellipse256():
     return classify(Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 256), ellipse(2.0))
 
 
+def brute_force_connections(ps, node):
+    """Exterior connections of a gamma- node from the definition: its
+    four-neighbours inside the box, in M- and not in gamma-."""
+    j, k = (int(v) for v in node)
+    return {
+        (j + d1, k + d2) for d1, d2 in DIRECTIONS
+        if 0 <= j + d1 < ps.grid.nx and 0 <= k + d2 < ps.grid.ny
+        and not ps.m_plus[j + d1, k + d2] and not ps.gamma_minus[j + d1, k + d2]
+    }
+
+
 def _reference_block(ps, targets, sources, kind):
     """The block from 2-D table indexing and per-source connection sets."""
     radius = max(ps.grid.nx, ps.grid.ny) - 1
@@ -55,7 +66,7 @@ def _reference_block(ps, targets, sources, kind):
     block = gather(sources)
     if kind is LayerKind.SINGLE:
         return block
-    conns = [exterior_connections(ps, idx) for idx in sources]
+    conns = [brute_force_connections(ps, idx) for idx in sources]
     block = block * np.array([len(c) for c in conns])[None, :]
     for d1, d2 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         cols = [j for j, (idx, conn) in enumerate(zip(sources, conns))
@@ -113,7 +124,7 @@ def test_assembled_double_block_matches_entrywise(circle_setup):
     lm = assemble_layer_matrix(targets, sources, LayerKind.DOUBLE, ps)
     for i in range(7):
         for j in range(10):
-            conn = exterior_connections(ps, sources[j])
+            conn = brute_force_connections(ps, sources[j])
             assert lm.entries[i, j] == pytest.approx(
                 double_kernel(targets[i], sources[j], conn), abs=1e-13
             )
@@ -198,7 +209,7 @@ def test_double_block_names_first_unconnected_source():
     ps = classify(Grid.from_box((-3.0, 3.0), (-3.0, 3.0), 32), circle_exterior(0.3))
     for sources in (ps.gamma_minus_indices, ps.gamma_minus_indices[::-1]):
         first = next(tuple(int(v) for v in idx) for idx in sources
-                     if not exterior_connections(ps, idx))
+                     if not brute_force_connections(ps, idx))
         with pytest.raises(DoubleLayerInapplicableError,
                            match=rf"source \({first[0]}, {first[1]}\) has no exterior"):
             assemble_layer_matrix(sources, sources, LayerKind.DOUBLE, ps)

@@ -23,8 +23,7 @@ def centered_grid(half, n):
 
 def interior_values(result, ps):
     w = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
-    mp = ps.m_plus_indices
-    return w.values[mp[:, 0], mp[:, 1]]
+    return w.at(ps.m_plus_indices)
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +249,7 @@ def test_robin_system_solves_and_satisfies_closure():
 @pytest.fixture(scope="module")
 def robin_ellipse256():
     cfg = harness.ExperimentConfig("ellipse", "robin", n=256, aspect=2.0)
-    _, _, ps, cm = harness._discretize(cfg, 256)
+    _, ps, cm = harness._discretize(cfg, 256)
     return ps, cm
 
 
