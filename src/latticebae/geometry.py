@@ -43,8 +43,7 @@ from .errors import (
 
 #: The four lattice directions in tie-break order: x-axis before y-axis,
 #: positive step before negative.  It fixes the tie-breaks of
-#: select_intersections and of the closure's eta stencils, and the order
-#: in which the double-layer kernel subtracts its shifted gathers.
+#: select_intersections and of the closure's eta stencils.
 DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 _BISECT_ITERS = 50

@@ -32,9 +32,18 @@ raveled: with R its radius and W = 2R + 1 its row length, G(m - n) sits
 at flat offset t(m) - s(n), where t(m) = (m1 + R) W + m2 + R and
 s(n) = n1 W + n2 are computed once per target and once per source.  A
 block is filled a fixed number of target rows at a time, so index
-temporaries never grow to the block's size.  The double kernel forms
-|D_n| G(m - n) and subtracts G(m - k) one direction at a time inside
-the same row block.
+temporaries never grow to the block's size.
+
+The double kernel is a sparse combination of single-layer columns.  With
+E the sources together with their exterior connections, and B the
+|E| x |sources| matrix holding |D_n| at (n, n) and -1 at (k, n) for each
+k in D_n,
+
+    D(targets, sources) = S(targets, E) B,
+
+so both kernels share one gather: a double row block is the single
+block over E, gathered into scratch and multiplied by B.  S(targets, E)
+is never held whole.
 
 The solver never needs the large target blocks themselves, only sparse
 combinations of their rows plus a subset of the rows:
@@ -55,7 +64,7 @@ from scipy import sparse
 
 from .errors import AssemblyError, DoubleLayerInapplicableError
 from .geometry import DIRECTIONS, PointSets
-from .lgf import lgf, lgf_grid
+from .lgf import lgf_grid
 
 #: Target rows gathered per step of a kernel block.
 _ROW_BLOCK = 64
@@ -78,7 +87,6 @@ class LayerMatrix:
     rows: np.ndarray
     cols: np.ndarray
     entries: np.ndarray
-    kind: LayerKind
 
     def __post_init__(self):
         if self.entries.shape != (len(self.rows), len(self.cols)):
@@ -104,28 +112,6 @@ class DensityVector:
             )
 
 
-def single_kernel(m, n) -> float:
-    """S(m, n) = G(m - n); finite even at m = n (where it is 0)."""
-    return lgf((m[0] - n[0], m[1] - n[1]))
-
-
-def double_kernel(m, n, conn) -> float:
-    """D(m, n) = sum over conn of G(m - n) - G(m - k).
-
-    ``conn`` must be the exterior connection set of n; an empty set
-    leaves the kernel undefined.
-    """
-    if not conn:
-        raise DoubleLayerInapplicableError(
-            f"double-layer kernel undefined at source {tuple(n)}: "
-            "no exterior connections"
-        )
-    value = len(conn) * lgf((m[0] - n[0], m[1] - n[1]))
-    for k in conn:
-        value -= lgf((m[0] - k[0], m[1] - k[1]))
-    return value
-
-
 def _as_index_array(indices) -> np.ndarray:
     arr = np.asarray(indices, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -140,26 +126,34 @@ def _check_membership(indices, mask, what):
         raise AssemblyError(f"{what} contains node {tuple(int(v) for v in bad)} outside its allowed set")
 
 
-def _connection_structure(ps: PointSets, sources):
-    """Connection counts and per-direction presence masks for sources.
+def _exterior_connections(ps: PointSets, sources):
+    """E, the sources with their exterior connections, and B, with
+    D(., sources) = S(., E) B.
 
-    ``present[d, col]`` says whether the neighbour of source ``col`` in
-    direction ``DIRECTIONS[d]`` is an exterior connection: inside the
-    box, in M- and not in gamma-.
+    A connection of a source is a four-neighbour inside the box, in M-
+    and not in gamma-.  E lists each node once, in canonical order.  B is
+    sparse, |E| x |sources|: column n holds |D_n| at n's row and -1 at
+    the row of each connection, so every column sums to zero.
     """
     connectable = np.pad(~(ps.m_plus | ps.gamma_minus), 1)  # False outside the box
-    present = np.stack([
-        connectable[sources[:, 0] + 1 + d1, sources[:, 1] + 1 + d2]
-        for d1, d2 in DIRECTIONS
-    ])
-    counts = present.sum(axis=0)
+    neighbours = sources[:, None, :] + np.array(DIRECTIONS)
+    present = connectable[neighbours[..., 0] + 1, neighbours[..., 1] + 1]
+    counts = present.sum(axis=1)
     if not counts.all():
         bad = sources[np.flatnonzero(counts == 0)[0]]
         raise DoubleLayerInapplicableError(
             f"double-layer matrix inapplicable: source {tuple(int(v) for v in bad)} "
             "has no exterior connections"
         )
-    return counts, present
+    col, d = np.nonzero(present)
+    nodes = np.concatenate([sources, neighbours[col, d]])
+    keys, rows = np.unique(nodes[:, 0] * ps.grid.ny + nodes[:, 1], return_inverse=True)
+    b = sparse.csc_array(
+        (np.concatenate([counts, np.full(len(col), -1)]).astype(float),
+         (rows, np.concatenate([np.arange(len(sources)), col]))),
+        shape=(len(keys), len(sources)),
+    )
+    return np.column_stack(np.divmod(keys, ps.grid.ny)), b
 
 
 def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
@@ -167,31 +161,30 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     ``start : start + len(out)`` of the (targets, sources) block into
     ``out``, one row block at a time, from one table per grid.
 
-    Targets, sources and exterior connections all lie in the box, so no
-    flat offset leaves the table.
+    The double kernel gathers the single kernel over E into a scratch
+    row block and combines its columns through B.  Targets, sources and
+    exterior connections all lie in the box, so no flat offset leaves the
+    table.
     """
     radius = max(ps.grid.nx, ps.grid.ny) - 1
     width = 2 * radius + 1
     flat = lgf_grid(radius).ravel()
+    b_t = None
+    if kind is LayerKind.DOUBLE:
+        sources, b = _exterior_connections(ps, sources)
+        b_t = b.T.tocsr()
+        scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
     t_flat = (targets[:, 0] + radius) * width + targets[:, 1] + radius
     s_flat = sources[:, 0] * width + sources[:, 1]
-    connections = []  # (columns, shifted source offsets) per direction
-    if kind is LayerKind.DOUBLE:
-        counts, present = _connection_structure(ps, sources)
-        for d, (d1, d2) in enumerate(DIRECTIONS):
-            cols = np.nonzero(present[d])[0]
-            if len(cols):
-                connections.append((cols, s_flat[cols] + (d1 * width + d2)))
 
     def fill(out, start=0):
         for lo in range(0, len(out), _ROW_BLOCK):
             block = out[lo : lo + _ROW_BLOCK]
             rows = t_flat[start + lo : start + lo + len(block), None]
-            np.take(flat, rows - s_flat, out=block)
-            if kind is LayerKind.DOUBLE:
-                block *= counts
-                for cols, k_flat in connections:
-                    block[:, cols] -= flat[rows - k_flat]
+            gathered = block if b_t is None else scratch[: len(block)]
+            np.take(flat, rows - s_flat, out=gathered)
+            if b_t is not None:
+                block[...] = (b_t @ gathered.T).T
 
     return fill
 
@@ -215,7 +208,7 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> L
     _check_membership(sources, ps.gamma_minus, "source set")
     _check_membership(targets, ps.n_plus, "target set")
     entries = _kernel_block(targets, sources, kind, ps)
-    return LayerMatrix(rows=targets, cols=sources, entries=np.ascontiguousarray(entries), kind=kind)
+    return LayerMatrix(rows=targets, cols=sources, entries=np.ascontiguousarray(entries))
 
 
 def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: PointSets):
@@ -243,7 +236,7 @@ def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: 
     fill = _row_gatherer(targets, sources, kind, ps)
     rows_kept = LayerMatrix(
         rows=targets[keep], cols=sources,
-        entries=np.empty((np.count_nonzero(keep), len(sources))), kind=kind,
+        entries=np.empty((np.count_nonzero(keep), len(sources))),
     )
     kept = rows_kept.entries
     # The weights' entries grouped by the row block of their column.

@@ -19,7 +19,7 @@ from latticebae.geometry import (
     ellipse,
     select_intersections,
 )
-from latticebae.potentials import LayerKind, _connection_structure, assemble_layer_matrix
+from latticebae.potentials import LayerKind, _exterior_connections, assemble_layer_matrix
 
 
 def centered_grid(half_width, n_cells):
@@ -236,13 +236,15 @@ def brute_force_connections(ps, node):
 
 
 def connections_by_structure(ps, sources):
-    """The connection sets that the double kernel applies, per source."""
-    counts, present = _connection_structure(ps, sources)
-    sets = [
-        {(j + d1, k + d2) for d, (d1, d2) in enumerate(DIRECTIONS) if present[d, col]}
-        for col, (j, k) in enumerate(sources)
-    ]
-    assert list(counts) == [len(c) for c in sets]
+    """The connection sets that the double kernel applies, per source:
+    the nodes of E with a -1 in the source's column of B."""
+    expanded, b = _exterior_connections(ps, sources)
+    b = b.tocsc()
+    sets = []
+    for col in range(len(sources)):
+        rows = b.indices[b.indptr[col] : b.indptr[col + 1]]
+        values = b.data[b.indptr[col] : b.indptr[col + 1]]
+        sets.append({tuple(int(v) for v in expanded[r]) for r in rows[values == -1]})
     return sets
 
 
@@ -265,6 +267,30 @@ def test_exterior_connections_nonempty_on_convex_shapes():
         conns = connections_by_structure(ps, sources)
         assert conns == [brute_force_connections(ps, tuple(idx)) for idx in sources]
         assert all(conns)
+
+
+CONNECTION_CASES = [
+    (3.0, 10, ellipse(1.0)),
+    *((1.15, 64, shape) for shape in
+      (ellipse(1.0), ellipse(8.0), diamond(0.9, 0.5), circle_exterior(1.0))),
+]
+
+
+@pytest.mark.parametrize("half_width, n_cells, shape", CONNECTION_CASES)
+def test_connection_matrix_invariants(half_width, n_cells, shape):
+    ps = classify(centered_grid(half_width, n_cells), shape)
+    sources = ps.gamma_minus_indices
+    expanded, b = _exterior_connections(ps, sources)
+    assert b.shape == (len(expanded), len(sources))
+    # The double layer carries no net charge.
+    assert np.all(b.sum(axis=0) == 0.0)
+    sizes = [len(brute_force_connections(ps, tuple(idx))) for idx in sources]
+    assert np.array_equal(np.diff(b.tocsc().indptr), np.array(sizes) + 1)
+    # E is in canonical order, each node once, inside gamma- or M- \ gamma-.
+    keys = expanded[:, 0] * ps.grid.ny + expanded[:, 1]
+    assert np.all(np.diff(keys) > 0)
+    allowed = ps.gamma_minus | (~ps.m_plus & ~ps.gamma_minus)
+    assert allowed[expanded[:, 0], expanded[:, 1]].all()
 
 
 def test_exterior_connections_requires_gamma_minus_node():

@@ -90,7 +90,6 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
             rows=k_minus.rows,
             cols=k_minus.cols,
             entries=np.zeros_like(k_minus.entries),
-            kind=k_minus.kind,
         )
 
     monkeypatch.setattr(solver, "assemble_layer_matrix", zeroed)
