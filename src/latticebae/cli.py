@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one problem instance")
     _add_problem_flags(p_solve)
     p_solve.add_argument("--n", type=int, required=True,
-                         help="cells per box side (power of two)")
+                         help="cells per box side (power of two in [32, 2048])")
     p_solve.add_argument("--cond", action="store_true",
                          help="also report the system condition number")
     p_solve.add_argument("--dump-solution", default=None,

@@ -3,9 +3,9 @@
 Interior values of a homogeneous solution could be recovered by direct
 lattice convolution at O(N^3) cost.  Cheaper: solve the 5-point system
 with a sine transform on a window of the classification grid, whose edge
-is the box edge.  The window is the bounding box of N+ grown by
-``WINDOW_MARGIN`` nodes, clipped to the grid and widened to a fast
-transform length; any box whose interior holds gamma plus one ring gives
+is the box edge.  The window, :attr:`PointSets.box_window`, is the
+bounding box of N+ grown by ``geometry.WINDOW_MARGIN`` nodes, clipped
+to the grid and widened to a fast transform length; any box whose interior holds gamma plus one ring gives
 the same potential on M+, up to rounding.  The difference potential of
 boundary data u_gamma is the box solution whose right-hand side is [A u] of the zero-extension of
 u_gamma, restricted to the exterior band; it is discretely harmonic on
@@ -37,9 +37,6 @@ from scipy import fft as sfft
 from .closure import ClosureMatrices
 from .errors import AssemblyError, BoxTooSmallError
 from .geometry import Grid, PointSets
-
-#: Nodes the window keeps around the bounding box of N+ on each side.
-WINDOW_MARGIN = 3
 
 #: How many nodes inside the window edge the gamma and closure nodes must
 #: lie, so that every node whose [A u] reads them is off the edge, where
@@ -105,28 +102,6 @@ class GridFunction:
         return self.values[_local(indices, self.grid, self.offset, inset)]
 
 
-def box_window(ps: PointSets) -> tuple[Grid, tuple[int, int]]:
-    """The window of ``ps.grid`` on which both box solves run.
-
-    The bounding box of N+, grown by ``WINDOW_MARGIN`` nodes and clipped
-    to the grid, is widened on each axis to a 5-smooth interval count m
-    (a DST-I over m intervals is an FFT of length 2m), extra nodes split
-    about evenly between its two sides.  Returns the window as a grid of
-    its own and the classification-grid index of its node (0, 0).
-    """
-    spans = []
-    # Reducing over axis 1 finds the occupied x indices, over axis 0 the y ones.
-    for axis, n_nodes in ((1, ps.grid.nx), (0, ps.grid.ny)):
-        occupied = np.flatnonzero(ps.n_plus.any(axis=axis))
-        lo = max(int(occupied[0]) - WINDOW_MARGIN, 0)
-        hi = min(int(occupied[-1]) + WINDOW_MARGIN, n_nodes - 1)
-        m = min(sfft.next_fast_len(hi - lo, real=True), n_nodes - 1)
-        lo = max(0, min(lo - (m - (hi - lo)) // 2, n_nodes - 1 - m))
-        spans.append((lo, m + 1))
-    (j0, nx), (k0, ny) = spans
-    return Grid(h=ps.grid.h, origin=ps.grid.node(j0, k0), nx=nx, ny=ny), (j0, k0)
-
-
 def _window_of(mask: np.ndarray, grid: Grid, offset) -> np.ndarray:
     """The part of a classification-grid mask that the window covers."""
     j0, k0 = offset
@@ -182,7 +157,7 @@ def edge_nodes(ps: PointSets) -> np.ndarray:
     """The M+ nodes on the window edge, in canonical order: where u_edge
     lives.  A bounded domain has none; on the exterior they are the grid
     edge."""
-    grid, offset = box_window(ps)
+    grid, offset = ps.box_window
     on_edge = _edge_mask(grid) & _window_of(ps.m_plus, grid, offset)
     return np.argwhere(on_edge) + offset
 
@@ -192,15 +167,15 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
     result on the exterior band only, and solves the box system on
-    :func:`box_window` with u_edge imposed on :func:`edge_nodes` (zero on
-    the rest of the window edge).
+    :attr:`PointSets.box_window` with u_edge imposed on :func:`edge_nodes`
+    (zero on the rest of the window edge).
     """
     u_gamma = np.asarray(u_gamma, dtype=float)
     if u_gamma.shape != (len(ps.gamma_indices),):
         raise AssemblyError(
             f"gamma data has shape {u_gamma.shape}, expected ({len(ps.gamma_indices)},)"
         )
-    grid, offset = box_window(ps)
+    grid, offset = ps.box_window
     on_edge = edge_nodes(ps) - offset
     u_edge = np.asarray(u_edge, dtype=float)
     if u_edge.shape != (len(on_edge),):
@@ -224,12 +199,12 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
 
 def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain),
-    on :func:`box_window`.
+    on :attr:`PointSets.box_window`.
 
     f is evaluated only at the window-interior nodes of M+, at the
     coordinates ``ps.grid`` gives them.
     """
-    grid, offset = box_window(ps)
+    grid, offset = ps.box_window
     rhs = GridFunction.zeros(grid, offset)
     inside = _window_of(ps.m_plus, grid, offset) & ~_edge_mask(grid)
     x, y = ps.grid.nodes(np.argwhere(inside) + offset).T

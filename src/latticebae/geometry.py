@@ -33,6 +33,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import (
     DegenerateDomainError,
@@ -45,6 +46,9 @@ from .errors import (
 #: positive step before negative.  It fixes the tie-breaks of
 #: select_intersections and of the closure's eta stencils.
 DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+#: Nodes the box window keeps around the bounding box of N+ on each side.
+WINDOW_MARGIN = 3
 
 _BISECT_ITERS = 50
 _MULTI_ROOT_SAMPLES = 17
@@ -214,6 +218,30 @@ class PointSets:
     @cached_property
     def m_plus_indices(self) -> np.ndarray:
         return np.argwhere(self.m_plus)
+
+    @cached_property
+    def box_window(self) -> tuple[Grid, tuple[int, int]]:
+        """The window of ``grid`` on which box solves run and from whose
+        Green's-function table kernels are gathered.
+
+        The bounding box of N+, grown by ``WINDOW_MARGIN`` nodes and
+        clipped to the grid, is widened on each axis to a 5-smooth
+        interval count m (a DST-I over m intervals is an FFT of length
+        2m), extra nodes split about evenly between its two sides.  The
+        window is a grid of its own, returned with the grid index of its
+        node (0, 0).
+        """
+        spans = []
+        # Reducing over axis 1 finds the occupied x indices, over axis 0 the y ones.
+        for axis, n_nodes in ((1, self.grid.nx), (0, self.grid.ny)):
+            occupied = np.flatnonzero(self.n_plus.any(axis=axis))
+            lo = max(int(occupied[0]) - WINDOW_MARGIN, 0)
+            hi = min(int(occupied[-1]) + WINDOW_MARGIN, n_nodes - 1)
+            m = min(sfft.next_fast_len(hi - lo, real=True), n_nodes - 1)
+            lo = max(0, min(lo - (m - (hi - lo)) // 2, n_nodes - 1 - m))
+            spans.append((lo, m + 1))
+        (j0, nx), (k0, ny) = spans
+        return Grid(h=self.grid.h, origin=self.grid.node(j0, k0), nx=nx, ny=ny), (j0, k0)
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:

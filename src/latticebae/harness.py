@@ -67,8 +67,8 @@ class ExperimentConfig:
             if value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for n in self.all_n():
-            if n < 32 or n > 1024 or (n & (n - 1)) != 0:
-                raise ConfigError(f"n must be a power of two in [32, 1024], got {n}")
+            if n < 32 or n > 2048 or (n & (n - 1)) != 0:
+                raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
 
     @property
     def unbounded(self) -> bool:

@@ -31,15 +31,16 @@ both regimes; it loses roughly one digit per ring of indices and is never
 used for production values.
 
 All functions accept any pair-like index (tuple or ``LatticeIndex``).
-They are pure; the module-level memo table is the only shared state and
-follows a single-writer contract (pre-populate via :func:`warm` before
-any concurrent use).
+They are pure; the module-level memo table and the table cache of
+:func:`lgf_grid` are the only shared state, and both follow a
+single-writer contract (pre-populate the memo via :func:`warm` before any
+concurrent use, and read tables from one thread).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -261,34 +262,51 @@ def lgf_recursion_table(jmax: int) -> LgfTable:
     return table
 
 
-@functools.lru_cache(maxsize=4)
-def lgf_grid(radius: int) -> np.ndarray:
-    """Dense table of G over the square [-radius, radius]^2.
+#: Bytes of tables that :func:`lgf_grid` keeps, about four square tables
+#: of an n = 1024 grid.  The least recently read tables are dropped first;
+#: the newest is kept even when it alone is larger.
+TABLE_CACHE_BYTES = 128 * 2**20
 
-    Entry ``[i, j]`` holds G(i - radius, j - radius).  The near field is
-    filled through the memo table (quadrature), the far field by the
-    vectorized expansion; the full array is then mirrored out of the
-    canonical octant.  The result is cached per radius and marked
-    read-only since kernel assemblers gather from it heavily.
+_TABLES: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+
+
+def lgf_grid(rx: int, ry: int) -> np.ndarray:
+    """Dense table of G over the window [-rx, rx] x [-ry, ry].
+
+    Entry ``[i, j]`` holds G(i - rx, j - ry).  Only the octant b <= a of
+    the quadrant [0, max(rx, ry)] x [0, min(rx, ry)] is evaluated: the
+    near field through the memo table (quadrature), the far field by the
+    vectorized expansion.  The quadrant is completed by symmetry and
+    mirrored across both axes, so every entry is bitwise the matching
+    entry of any larger table.  Tables are cached per half-width pair, up
+    to :data:`TABLE_CACHE_BYTES`, and marked read-only since kernel
+    assemblers gather from them heavily.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        grid = np.zeros((1, 1))
-        grid.flags.writeable = False
-        return grid
-    # The octant b <= a, zero above its diagonal.
-    octant = np.zeros((radius + 1, radius + 1))
-    a_idx, b_idx = np.tril_indices(radius + 1)
+    key = (rx, ry)
+    if key in _TABLES:
+        _TABLES.move_to_end(key)
+        return _TABLES[key]
+    if min(rx, ry) < 0:
+        raise ValueError("half-widths must be nonnegative")
+    big, small = max(rx, ry), min(rx, ry)
+    # The octant b <= a of the quadrant [0, big] x [0, small], zero above
+    # its diagonal.
+    octant = np.zeros((big + 1, small + 1))
+    a_idx, b_idx = np.tril_indices(big + 1, 0, small + 1)
     far = np.hypot(a_idx, b_idx) >= R_SWITCH
     octant[a_idx[far], b_idx[far]] = _asymptotic_array(a_idx[far], b_idx[far])
     for a, b in zip(a_idx[~far].tolist(), b_idx[~far].tolist()):
         octant[a, b] = lgf((a, b))
-    # Complete the quadrant from the octant, then mirror across axes.
-    quad = octant + octant.T - np.diag(np.diag(octant))
-    full = np.empty((2 * radius + 1, 2 * radius + 1))
-    full[radius:, radius:] = quad
-    full[radius:, :radius] = quad[:, radius:0:-1]
-    full[:radius, :] = full[2 * radius : radius : -1, :]
+    # Complete the quadrant by symmetry, then mirror it across both axes.
+    square = octant[: small + 1]
+    square += np.triu(square.T, 1)
+    quad = octant if rx >= ry else octant.T
+    full = np.empty((2 * rx + 1, 2 * ry + 1))
+    full[rx:, ry:] = quad
+    full[rx:, :ry] = quad[:, ry:0:-1]
+    full[:rx, :] = full[2 * rx : rx : -1, :]
     full.flags.writeable = False
+    _TABLES[key] = full
+    while len(_TABLES) > 1 and sum(t.nbytes for t in _TABLES.values()) > TABLE_CACHE_BYTES:
+        _TABLES.popitem(last=False)
     return full

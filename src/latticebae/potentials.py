@@ -25,14 +25,16 @@ structure.
 Everything is dense: at the intended problem sizes (a few thousand
 boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
-gathered from one precomputed table of G per grid, covering every index
-difference inside the box, so each distinct lattice offset costs one
+gathered from one table per box window (:attr:`PointSets.box_window`,
+the window the box solves run on), covering every index difference
+between two of its nodes, so each distinct lattice offset costs one
 evaluation in total.  Since G depends only on m - n, the table is read
-raveled: with R its radius and W = 2R + 1 its row length, G(m - n) sits
-at flat offset t(m) - s(n), where t(m) = (m1 + R) W + m2 + R and
-s(n) = n1 W + n2 are computed once per target and once per source.  A
-block is filled a fixed number of target rows at a time, so index
-temporaries never grow to the block's size.
+raveled: with (j0, k0) the window's node (0, 0), (Rx, Ry) the table's
+half-widths and W = 2Ry + 1 its row length, G(m - n) sits at flat offset
+t(m) - s(n), where t(m) = (m1 - j0 + Rx) W + m2 - k0 + Ry and
+s(n) = (n1 - j0) W + n2 - k0 are computed once per target and once per
+source.  A block is filled a fixed number of target rows at a time, so
+index temporaries never grow to the block's size.
 
 The double kernel is a sparse combination of single-layer columns.  With
 E the sources together with their exterior connections, and B the
@@ -159,23 +161,24 @@ def _exterior_connections(ps: PointSets, sources):
 def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     """A function ``fill(out, start=0)`` writing the kernel rows
     ``start : start + len(out)`` of the (targets, sources) block into
-    ``out``, one row block at a time, from one table per grid.
+    ``out``, one row block at a time, from the table of the box window.
 
     The double kernel gathers the single kernel over E into a scratch
-    row block and combines its columns through B.  Targets, sources and
-    exterior connections all lie in the box, so no flat offset leaves the
-    table.
+    row block and combines its columns through B.  Targets in N+,
+    sources in gamma- and their exterior connections all lie in the
+    window, so no flat offset leaves the table.
     """
-    radius = max(ps.grid.nx, ps.grid.ny) - 1
-    width = 2 * radius + 1
-    flat = lgf_grid(radius).ravel()
+    window, (j0, k0) = ps.box_window
+    rx, ry = window.nx - 1, window.ny - 1
+    width = 2 * ry + 1
+    flat = lgf_grid(rx, ry).ravel()
     b_t = None
     if kind is LayerKind.DOUBLE:
         sources, b = _exterior_connections(ps, sources)
         b_t = b.T.tocsr()
         scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
-    t_flat = (targets[:, 0] + radius) * width + targets[:, 1] + radius
-    s_flat = sources[:, 0] * width + sources[:, 1]
+    t_flat = (targets[:, 0] - j0 + rx) * width + targets[:, 1] - k0 + ry
+    s_flat = (sources[:, 0] - j0) * width + sources[:, 1] - k0
 
     def fill(out, start=0):
         for lo in range(0, len(out), _ROW_BLOCK):

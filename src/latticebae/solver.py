@@ -14,10 +14,12 @@ v = K- q as the unknown, turning the system into
     ((C+ K+) K-^{-1} + C-) v = g,
 
 whose conditioning mirrors the preconditioned operator the trace map
-induces.  (C+ K+) K-^{-1} is realized by factoring K-^T and solving
-|gamma-| right-hand sides against it; no inverse is ever formed, and
-recovery reuses that factor for the density q = K-^{-1} v.  For
-Dirichlet closures eta is empty, so C+ = Phi+ and C- = Phi-.
+induces.  (C+ K+) K-^{-1} is realized by factoring K-^T in place, over
+K-'s own entries (K- is C-ordered, so K-^T is Fortran-ordered and LAPACK
+needs no copy), and solving |gamma-| right-hand sides against it; no
+inverse is ever formed, and recovery reuses that factor for the density
+q = K-^{-1} v.  For Dirichlet closures eta is empty, so C+ = Phi+ and
+C- = Phi-.
 
 K+ (|gamma~+| x |gamma-|) enters only through C+ K+ and through its
 gamma+ rows, which give the gamma+ trace; both are taken from the
@@ -29,7 +31,7 @@ gathers them from the closure it is given and returns a :class:`System`,
 which :func:`recover` reads, and :func:`solve_system` runs the whole
 line in one call.  :func:`condition_numbers` serves the conditioning
 study: from one gather it returns cond(K-), then builds the Schur form
-on a copy of C+ K+ and the direct form in place, and takes each
+on copies of C+ K+ and K- and the direct form in place, and takes each
 system's condition number before the next is built.
 
 All factorizations share one pivot-guarded LU: a singular system raises
@@ -111,13 +113,14 @@ class SolveResult:
 @dataclass
 class System:
     """One closure's square |gamma-| system in one formulation, with what
-    recovery reads: the gamma+ rows of K+, K- whole, and for the Schur
-    form the LU factor of K-^T (None for the direct form)."""
+    recovery reads: the gamma+ rows of K+, and K- for the direct form or
+    the LU factor of K-^T, which overwrote K-, for the Schur form (the
+    other one None)."""
 
     formulation: Formulation
     matrix: np.ndarray
     k_plus_gamma: LayerMatrix
-    k_minus: LayerMatrix
+    k_minus: Optional[np.ndarray]
     kernel_lu: Optional[tuple]
 
 
@@ -129,27 +132,30 @@ def _layer_blocks(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind):
         cm.c_plus, tp, ps.gamma_plus[tp[:, 0], tp[:, 1]], cm.gamma_minus, kernel, ps
     )
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    return c_plus_k_plus, k_plus_gamma, k_minus
+    return c_plus_k_plus, k_plus_gamma, k_minus.entries
 
 
-def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
-    """LU factors, or ``singular_error(message)`` if a pivot is below threshold."""
+def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str,
+                overwrite: bool = False):
+    """LU factors, or ``singular_error(message)`` if a pivot is below
+    threshold.  With ``overwrite`` a Fortran-ordered ``matrix`` is
+    factored in place."""
+    scale = max(matrix.max(), -matrix.min())
     # The pivot check below is the singularity diagnosis; scipy's own
     # warning about exact zeros would just duplicate it on stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = linalg.lu_factor(matrix)
+        lu, piv = linalg.lu_factor(matrix, overwrite_a=overwrite)
     pivots = np.abs(np.diag(lu))
-    scale = max(matrix.max(), -matrix.min())
     if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
         raise singular_error(message)
     return lu, piv
 
 
 def _build_system(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
-                  k_plus_gamma: LayerMatrix, k_minus: LayerMatrix) -> System:
-    """The system of one formulation, built in place in ``c_plus_k_plus``."""
-    km = k_minus.entries
+                  k_plus_gamma: LayerMatrix, km: np.ndarray) -> System:
+    """The system of one formulation, built in place in ``c_plus_k_plus``;
+    the Schur form also overwrites K- (``km``) with its factor."""
     kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
         matrix = c_plus_k_plus
@@ -161,14 +167,16 @@ def _build_system(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: 
         kernel_lu = _guarded_lu(
             km.T, FormulationSingularError,
             f"{name} is numerically singular; its Schur form is unavailable",
+            overwrite=True,
         )
+        km = None  # its entries now hold the factor
         # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
         matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True).T
         c_minus = cm.c_minus.tocoo()
         np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return System(formulation, matrix, k_plus_gamma, k_minus, kernel_lu)
+    return System(formulation, matrix, k_plus_gamma, km, kernel_lu)
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
@@ -199,12 +207,12 @@ def recover(solution: np.ndarray, system: System, system_cond: Optional[float] =
     """Density and both traces from the solved primary unknown."""
     if system.formulation.form is SystemForm.DIRECT:
         density = solution
-        trace_minus = system.k_minus.entries @ density
+        trace_minus = system.k_minus @ density
     else:
         trace_minus = solution
         density = linalg.lu_solve(system.kernel_lu, trace_minus, trans=1)
     return SolveResult(
-        density=DensityVector(support=system.k_minus.cols, values=density),
+        density=DensityVector(support=system.k_plus_gamma.cols, values=density),
         trace_minus=np.asarray(trace_minus, dtype=float),
         trace_plus=system.k_plus_gamma.entries @ density,
         trace_plus_nodes=system.k_plus_gamma.rows,
@@ -227,11 +235,11 @@ def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> 
     """cond(K-), then the condition numbers of the Schur and the direct
     system of ``cm``, all from one gather of the kernel blocks."""
     c_plus_k_plus, k_plus_gamma, k_minus = _layer_blocks(cm, ps, kernel)
-    cond_minus = condition_number(k_minus.entries)
-    # The Schur form is built on a copy and dropped before the direct form
+    cond_minus = condition_number(k_minus)
+    # The Schur form is built on copies and dropped before the direct form
     # is built in place.
     schur = _build_system(Formulation(kernel, SystemForm.SCHUR), cm,
-                          np.array(c_plus_k_plus), k_plus_gamma, k_minus)
+                          np.array(c_plus_k_plus), k_plus_gamma, np.array(k_minus))
     cond_schur = condition_number(schur.matrix)
     del schur
     direct = _build_system(Formulation(kernel, SystemForm.DIRECT), cm,

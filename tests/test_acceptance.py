@@ -50,7 +50,7 @@ def test_criterion_01_lgf_closed_forms():
 
 def test_criterion_02_delta_identity():
     start = time.perf_counter()
-    table = lgf_grid(42)
+    table = lgf_grid(42, 42)
     c = 42  # origin offset inside the (2*42+1)^2 table
     stencil = (
         4.0 * table[1:-1, 1:-1]

@@ -189,7 +189,7 @@ def forcing(x, y):
 def test_particular_solution_stencil_residual(ellipse_box):
     grid, ps = ellipse_box
     u_p = diffpot.particular_solution(forcing, ps)
-    window, (j0, k0) = diffpot.box_window(ps)
+    window, (j0, k0) = ps.box_window
     assert u_p.grid == window and u_p.offset == (j0, k0)
     x, y = grid.mesh()
     rhs_exact = (grid.h**2 * forcing(x, y))[j0 : j0 + window.nx, k0 : k0 + window.ny]
@@ -219,7 +219,7 @@ def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
         return forcing(x, y)
 
     u_p = diffpot.particular_solution(recorded, ps)
-    window, (j0, k0) = diffpot.box_window(ps)
+    window, (j0, k0) = ps.box_window
     crop = (slice(j0, j0 + window.nx), slice(k0, k0 + window.ny))
     inside = ps.m_plus[crop] & ~diffpot._edge_mask(window)
     assert shapes == [(int(inside.sum()),)]
@@ -317,7 +317,7 @@ def test_window_recovery_matches_full_grid(geometry_name, bc, formulation):
 def test_exterior_window_is_the_grid():
     cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=64)
     _, ps, _ = harness._discretize(cfg, 64)
-    assert diffpot.box_window(ps) == (ps.grid, (0, 0))
+    assert ps.box_window == (ps.grid, (0, 0))
 
 
 def _is_5_smooth(m):
@@ -333,7 +333,7 @@ def test_bounded_window_covers_n_plus_with_fast_lengths(geometry_name, n):
     grid = harness.build_grid(harness.ExperimentConfig(geometry_name, "dirichlet"), n)
     shape = geometry.ellipse(2.0) if geometry_name == "ellipse" else geometry.diamond()
     ps = geometry.classify(grid, shape)
-    window, (j0, k0) = diffpot.box_window(ps)
+    window, (j0, k0) = ps.box_window
     assert _is_5_smooth(window.nx - 1) and _is_5_smooth(window.ny - 1)
     assert window.h == grid.h and window.origin == grid.node(j0, k0)
     covered = np.zeros_like(ps.n_plus)
@@ -347,7 +347,7 @@ def test_bounded_window_covers_n_plus_with_fast_lengths(geometry_name, n):
 def test_gamma_and_eta_lie_two_nodes_inside_the_window(bc):
     cfg = harness.ExperimentConfig("ellipse", bc, n=128, aspect=2.0)
     mf, ps, cm = harness._discretize(cfg, 128)
-    window, offset = diffpot.box_window(ps)
+    window, offset = ps.box_window
     for nodes in (ps.gamma_indices, cm.eta):
         local = nodes - offset
         assert (local >= 2).all() and (local <= (window.nx - 3, window.ny - 3)).all()

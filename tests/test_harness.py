@@ -24,9 +24,10 @@ def test_config_rejects_bad_selectors():
 
 
 def test_config_rejects_bad_grid_sizes():
-    for n in (16, 48, 2048, 31):
-        with pytest.raises(ConfigError):
+    for n in (16, 48, 4096, 31):
+        with pytest.raises(ConfigError, match=r"\[32, 2048\]"):
             harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=n)
+    assert harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=2048).n == 2048
     # power-of-two members are validated inside ladders too
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",

@@ -1,6 +1,8 @@
 """Tests for the lattice Green's function evaluators."""
 
+import importlib
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from latticebae.lgf import (
     lgf_recursion_table,
     warm,
 )
+
+# The module, which the package's ``lgf`` function shadows as an attribute.
+lgf_module = importlib.import_module("latticebae.lgf")
 
 # Closed forms: G(1,0) from the stencil identity at the origin, G(1,1)
 # analytically, the ring-2 values by substituting those into the stencil
@@ -173,7 +178,7 @@ def test_dispatcher_memoizes():
 
 def test_grid_matches_pointwise_values():
     radius = 34
-    grid = lgf_grid(radius)
+    grid = lgf_grid(radius, radius)
     assert grid.shape == (2 * radius + 1, 2 * radius + 1)
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -188,8 +193,45 @@ def test_grid_is_centre_slice_of_larger_grid():
     small, large = 37, 64
     assert large > R_SWITCH
     offset = large - small
-    centre = lgf_grid(large)[offset:offset + 2 * small + 1, offset:offset + 2 * small + 1]
-    assert np.array_equal(lgf_grid(small), centre)
+    centre = lgf_grid(large, large)[offset:offset + 2 * small + 1, offset:offset + 2 * small + 1]
+    assert np.array_equal(lgf_grid(small, small), centre)
+
+
+@pytest.mark.parametrize("rx, ry", [(40, 12), (12, 40), (35, 35), (20, 7)])
+def test_window_table_is_centre_slice_of_square(rx, ry):
+    # Half-widths below and across R_SWITCH: the window table and the
+    # square take every entry from the same octant values.
+    radius = max(rx, ry)
+    square = lgf_grid(radius, radius)
+    centre = square[radius - rx : radius + rx + 1, radius - ry : radius + ry + 1]
+    table = lgf_grid(rx, ry)
+    assert table.shape == (2 * rx + 1, 2 * ry + 1)
+    assert np.array_equal(table, centre)
+
+
+def test_window_table_is_read_only_and_cached():
+    table = lgf_grid(40, 12)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert lgf_grid(40, 12) is table
+
+
+def test_table_cache_is_bounded_by_bytes(monkeypatch):
+    # Tables of about 41 x 41 doubles: a budget of two keeps the two most
+    # recently read, and a table larger than the budget is still kept
+    # alone.
+    monkeypatch.setattr(lgf_module, "_TABLES", OrderedDict())
+    monkeypatch.setattr(lgf_module, "TABLE_CACHE_BYTES", 2 * 41 * 41 * 8)
+    first, second = lgf_grid(20, 20), lgf_grid(21, 19)
+    assert lgf_grid(20, 20) is first  # now the most recent
+    lgf_grid(19, 21)
+    assert list(lgf_module._TABLES) == [(20, 20), (19, 21)]
+    assert lgf_grid(20, 20) is first
+    assert lgf_grid(21, 19) is not second
+    large = lgf_grid(40, 40)
+    assert list(lgf_module._TABLES) == [(40, 40)]
+    assert lgf_grid(40, 40) is large
 
 
 def test_grid_is_bitwise_the_quadrant_built_table():
@@ -207,7 +249,7 @@ def test_grid_is_bitwise_the_quadrant_built_table():
     lower = np.tril(quadrant)
     quadrant = lower + lower.T - np.diag(np.diag(lower))
     mirror = np.abs(np.arange(-radius, radius + 1))
-    assert np.array_equal(lgf_grid(radius), quadrant[np.ix_(mirror, mirror)])
+    assert np.array_equal(lgf_grid(radius, radius), quadrant[np.ix_(mirror, mirror)])
 
 
 def test_quadrature_error_carries_estimate():

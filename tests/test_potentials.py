@@ -77,7 +77,7 @@ def brute_force_connections(ps, node):
 def _reference_block(ps, targets, sources, kind):
     """The block from 2-D table indexing and per-source connection sets."""
     radius = max(ps.grid.nx, ps.grid.ny) - 1
-    table = lgf_grid(radius)
+    table = lgf_grid(radius, radius)
 
     def gather(src):
         return table[targets[:, 0:1] - src[None, :, 0] + radius,
@@ -173,7 +173,8 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
 def test_gather_scratch_memory(ellipse256, kind):
     # Beyond the block itself, temporaries stay at row-block size.
     ps = ellipse256
-    lgf_grid(max(ps.grid.nx, ps.grid.ny) - 1)
+    window, _ = ps.box_window
+    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -255,14 +255,15 @@ def robin_ellipse256():
 @pytest.mark.parametrize("tag", ["single-direct", "double-schur"])
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     # The peak of layer build, assembly and solve is bounded by the arrays
-    # that must be held: K-, the gamma+ rows of K+, the system matrix with
-    # its LU copy, one row block, and for the Schur form the K-^T factor,
-    # with |gamma-|^2 / 2 to spare for library workspace.  The
-    # |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2 here) would not
-    # fit.
+    # that must be held: K- (for the Schur form, its K-^T factor in its
+    # place), the gamma+ rows of K+, the system matrix with its LU copy,
+    # and one row block, with |gamma-|^2 / 2 to spare for library
+    # workspace.  The |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2
+    # here) would not fit, nor would a copy of K- for its factor.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
-    lgf_grid(max(ps.grid.nx, ps.grid.ny) - 1)
+    window, _ = ps.box_window
+    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
     cm.c_plus, cm.c_minus  # sparse, and cached on the closure
     tracemalloc.start()
     try:
@@ -275,8 +276,7 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     tp = cm.gamma_tilde_plus
     n_plus = int(ps.gamma_plus[tp[:, 0], tp[:, 1]].sum())
     assert len(tp) > 2 * n
-    squares = 4 if form.form is solver.SystemForm.SCHUR else 3
-    assert peak <= 8 * ((squares + 0.5) * n * n + n_plus * n + potentials._ROW_BLOCK * n)
+    assert peak <= 8 * (3.5 * n * n + n_plus * n + potentials._ROW_BLOCK * n)
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
