@@ -57,6 +57,7 @@ from .potentials import (
     DensityVector,
     LayerKind,
     LayerMatrix,
+    apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
     evaluate_potential,

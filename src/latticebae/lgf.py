@@ -173,9 +173,10 @@ def _asymptotic_array(m1, m2):
     r2 = x * x + y * y
     theta = np.arctan2(y, x)
     g = -(0.5 * np.log(r2) + EULER_GAMMA + 0.5 * np.log(8.0)) / (2.0 * np.pi)
-    g = g + np.cos(4.0 * theta) / (24.0 * np.pi * r2)
-    g = g + (25.0 * np.cos(8.0 * theta) + 18.0 * np.cos(4.0 * theta)) / (480.0 * np.pi * r2**2)
-    g = g + (490.0 * np.cos(12.0 * theta) + 459.0 * np.cos(8.0 * theta)) / (2016.0 * np.pi * r2**3)
+    cos4, cos8 = np.cos(4.0 * theta), np.cos(8.0 * theta)
+    g = g + cos4 / (24.0 * np.pi * r2)
+    g = g + (25.0 * cos8 + 18.0 * cos4) / (480.0 * np.pi * r2**2)
+    g = g + (490.0 * np.cos(12.0 * theta) + 459.0 * cos8) / (2016.0 * np.pi * r2**3)
     return g
 
 

@@ -44,16 +44,17 @@ k in D_n,
     D(targets, sources) = S(targets, E) B,
 
 so both kernels share one gather: a double row block is the single
-block over E, gathered into scratch and multiplied by B.  S(targets, E)
+block over E, multiplied by B as soon as it is gathered.  S(targets, E)
 is never held whole.
 
 The solver never needs the large target blocks themselves, only sparse
-combinations of their rows plus a subset of the rows:
-:func:`contract_layer_matrix` adds each row block into such a product
-as it is gathered and copies out the rows to keep, so the block is never
-held whole.  Direct summation serves only the box-edge values of the
-exterior's difference potential and the test oracles; interior values
-come from the box solve in :mod:`latticebae.diffpot`.
+combinations of their rows and their products with a density:
+:func:`contract_layer_matrix` adds each row block into such a combination
+as it is gathered, and :func:`apply_layer_matrix` multiplies each row
+block by the density, so neither holds the block whole.  The product
+serves both the solver's traces and the box-edge values of the
+exterior's difference potential (:func:`evaluate_potential`); interior
+values come from the box solve in :mod:`latticebae.diffpot`.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     ``start : start + len(out)`` of the (targets, sources) block into
     ``out``, one row block at a time, from the table of the box window.
 
-    The double kernel gathers the single kernel over E into a scratch
-    row block and combines its columns through B.  Targets in N+,
+    The double kernel gathers a row block of the single kernel over E
+    and combines its columns through B.  Targets in N+,
     sources in gamma- and their exterior connections all lie in the
     window, so no flat offset leaves the table.
     """
@@ -176,7 +177,6 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     if kind is LayerKind.DOUBLE:
         sources, b = _exterior_connections(ps, sources)
         b_t = b.T.tocsr()
-        scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
     t_flat = (targets[:, 0] - j0 + rx) * width + targets[:, 1] - k0 + ry
     s_flat = (sources[:, 0] - j0) * width + sources[:, 1] - k0
 
@@ -184,19 +184,12 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
         for lo in range(0, len(out), _ROW_BLOCK):
             block = out[lo : lo + _ROW_BLOCK]
             rows = t_flat[start + lo : start + lo + len(block), None]
-            gathered = block if b_t is None else scratch[: len(block)]
-            np.take(flat, rows - s_flat, out=gathered)
-            if b_t is not None:
-                block[...] = (b_t @ gathered.T).T
+            if b_t is None:
+                np.take(flat, rows - s_flat, out=block)
+            else:
+                block[...] = (b_t @ np.take(flat, rows - s_flat).T).T
 
     return fill
-
-
-def _kernel_block(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
-    """Dense single or double kernel block."""
-    out = np.empty((len(targets), len(sources)))
-    _row_gatherer(targets, sources, kind, ps)(out)
-    return out
 
 
 def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> LayerMatrix:
@@ -210,72 +203,80 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> L
     sources = _as_index_array(sources)
     _check_membership(sources, ps.gamma_minus, "source set")
     _check_membership(targets, ps.n_plus, "target set")
-    entries = _kernel_block(targets, sources, kind, ps)
-    return LayerMatrix(rows=targets, cols=sources, entries=np.ascontiguousarray(entries))
+    entries = np.empty((len(targets), len(sources)))
+    _row_gatherer(targets, sources, kind, ps)(entries)
+    return LayerMatrix(rows=targets, cols=sources, entries=entries)
 
 
-def contract_layer_matrix(weights, targets, keep, sources, kind: LayerKind, ps: PointSets):
-    """``weights @ K`` and the rows ``K[keep]``, for K the kernel block on
-    (targets, sources), without ever holding K.
+def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
+    """``weights @ K`` for K the kernel block on (targets, sources),
+    without ever holding K.
 
-    ``weights`` is sparse with one column per target, ``keep`` a boolean
-    mask over the targets.  K is gathered one row block at a time in
-    target order (neighbouring targets read neighbouring table entries).
-    Each block is added into the product through the slab of weight rows
-    it reaches, and its kept rows are copied out.  Returns the dense
-    product and the kept rows as a :class:`LayerMatrix`.
+    ``weights`` is sparse with one column per target.  K is gathered one
+    row block at a time in target order (neighbouring targets read
+    neighbouring table entries), and each block is added into the product
+    through the slab of weight rows it reaches.
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
     _check_membership(sources, ps.gamma_minus, "source set")
     _check_membership(targets, ps.n_plus, "target set")
-    keep = np.asarray(keep, dtype=bool)
     weights = sparse.coo_array(weights)
-    if keep.shape != (len(targets),) or weights.shape[1] != len(targets):
-        raise AssemblyError(
-            f"{weights.shape[1]} weight columns and {keep.shape} keep mask "
-            f"for {len(targets)} targets"
-        )
+    if weights.shape[1] != len(targets):
+        raise AssemblyError(f"{weights.shape[1]} weight columns for {len(targets)} targets")
     fill = _row_gatherer(targets, sources, kind, ps)
-    rows_kept = LayerMatrix(
-        rows=targets[keep], cols=sources,
-        entries=np.empty((np.count_nonzero(keep), len(sources))),
-    )
-    kept = rows_kept.entries
     # The weights' entries grouped by the row block of their column.
     blocks = weights.col // _ROW_BLOCK
     order = np.argsort(blocks, kind="stable")
     rows, cols, values = weights.row[order], weights.col[order], weights.data[order]
     starts = np.arange(0, len(targets), _ROW_BLOCK)
     edges = np.searchsorted(blocks[order], np.arange(len(starts) + 1))
-    kept_before = np.concatenate([[0], np.cumsum(keep)])
     product = np.zeros((weights.shape[0], len(sources)))
     scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
     for start, first, last in zip(starts, edges[:-1], edges[1:]):
-        stop = min(start + _ROW_BLOCK, len(targets))
-        block = scratch[: stop - start]
+        if first == last:
+            continue
+        block = scratch[: len(targets) - start]
         fill(block, start)
-        np.compress(keep[start:stop], block, axis=0,
-                    out=kept[kept_before[start] : kept_before[stop]])
-        if first < last:
-            # The block reaches product rows lo:hi through one sparse slab.
-            lo, hi = rows[first:last].min(), rows[first:last].max() + 1
-            slab = sparse.csr_array(
-                (values[first:last], (rows[first:last] - lo, cols[first:last] - start)),
-                shape=(hi - lo, len(block)),
-            )
-            product[lo:hi] += slab @ block
-    return product, rows_kept
+        # The block reaches product rows lo:hi through one sparse slab.
+        lo, hi = rows[first:last].min(), rows[first:last].max() + 1
+        slab = sparse.csr_array(
+            (values[first:last], (rows[first:last] - lo, cols[first:last] - start)),
+            shape=(hi - lo, len(block)),
+        )
+        product[lo:hi] += slab @ block
+    return product
+
+
+def apply_layer_matrix(targets, density: DensityVector, kind: LayerKind,
+                       ps: PointSets) -> np.ndarray:
+    """``K @ q`` for K the kernel block on (targets, density support) and
+    q the density's values, without ever holding K.
+
+    Targets may lie anywhere in N+.  K is gathered one row block at a
+    time, and each block is multiplied by q as it is gathered; a double
+    block is formed as S(block, E) B before it meets q.
+    """
+    targets = _as_index_array(targets)
+    sources = _as_index_array(density.support)
+    _check_membership(sources, ps.gamma_minus, "density support")
+    _check_membership(targets, ps.n_plus, "target set")
+    fill = _row_gatherer(targets, sources, kind, ps)
+    out = np.empty(len(targets))
+    scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
+    for start in range(0, len(targets), _ROW_BLOCK):
+        block = scratch[: len(targets) - start]
+        fill(block, start)
+        np.matmul(block, density.values, out=out[start : start + len(block)])
+    return out
 
 
 def evaluate_potential(points, density: DensityVector, kind: LayerKind, ps: PointSets) -> np.ndarray:
     """Direct summation u(m) = sum_n K(m, n) q(n) at interior points.
 
-    Costs O(|points| * |gamma-|) kernel lookups and one dense block of
-    that size.
+    Costs O(|points| * |gamma-|) kernel lookups, streamed through
+    :func:`apply_layer_matrix` a row block at a time.
     """
     points = _as_index_array(points)
     _check_membership(points, ps.m_plus, "evaluation point set")
-    sources = _as_index_array(density.support)
-    _check_membership(sources, ps.gamma_minus, "density support")
-    return _kernel_block(points, sources, kind, ps) @ density.values
+    return apply_layer_matrix(points, density, kind, ps)

@@ -21,18 +21,22 @@ inverse is ever formed, and recovery reuses that factor for the density
 q = K-^{-1} v.  For Dirichlet closures eta is empty, so C+ = Phi+ and
 C- = Phi-.
 
-K+ (|gamma~+| x |gamma-|) enters only through C+ K+ and through its
-gamma+ rows, which give the gamma+ trace; both are taken from the
-kernel gather block by block, so K+ itself is never held.  Either form
-is then assembled in place in the one |gamma-|^2 array of C+ K+.
+K+ (|gamma~+| x |gamma-|) enters only through C+ K+, which is taken from
+the kernel gather block by block, so K+ itself is never held.  Either
+form is then assembled in place in the one |gamma-|^2 array of C+ K+;
+the direct form drops K- once C- K- is added in.
 
 These kernel blocks never leave the module: :func:`assemble_system`
-gathers them from the closure it is given and returns a :class:`System`,
-which :func:`recover` reads, and :func:`solve_system` runs the whole
-line in one call.  :func:`condition_numbers` serves the conditioning
-study: from one gather it returns cond(K-), then builds the Schur form
-on copies of C+ K+ and K- and the direct form in place, and takes each
-system's condition number before the next is built.
+gathers them from the closure it is given and returns a :class:`System`
+holding the matrix, the Schur form's K-^T factor and the node sets of
+the traces.  Once the density q is known, :func:`recover` streams the
+traces through the kernel gather, K- q (direct form only) and the
+gamma+ rows of K+ times q, without holding either block.
+:func:`solve_system` runs the whole line in one call.
+:func:`condition_numbers` serves the conditioning study: from one gather
+it returns cond(K-), then builds the Schur form on copies of C+ K+ and
+K- and the direct form in place, and takes each system's condition
+number before the next is built.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.
@@ -60,7 +64,7 @@ from .potentials import (
     _ROW_BLOCK,
     DensityVector,
     LayerKind,
-    LayerMatrix,
+    apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
 )
@@ -113,26 +117,25 @@ class SolveResult:
 @dataclass
 class System:
     """One closure's square |gamma-| system in one formulation, with what
-    recovery reads: the gamma+ rows of K+, and K- for the direct form or
-    the LU factor of K-^T, which overwrote K-, for the Schur form (the
-    other one None)."""
+    recovery reads: the LU factor of K-^T for the Schur form (None for
+    the direct form), the density's support gamma-, and the gamma+ nodes
+    of gamma~+ in their gamma~+ order, where the gamma+ trace is taken."""
 
     formulation: Formulation
     matrix: np.ndarray
-    k_plus_gamma: LayerMatrix
-    k_minus: Optional[np.ndarray]
     kernel_lu: Optional[tuple]
+    gamma_minus: np.ndarray
+    gamma_plus: np.ndarray
 
 
-def _layer_blocks(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind):
-    """C+ K+, the gamma+ rows of K+, and K-, on the closure's orderings;
-    the |gamma~+| x |gamma-| block K+ itself is never held."""
-    tp = cm.gamma_tilde_plus
-    c_plus_k_plus, k_plus_gamma = contract_layer_matrix(
-        cm.c_plus, tp, ps.gamma_plus[tp[:, 0], tp[:, 1]], cm.gamma_minus, kernel, ps
-    )
-    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    return c_plus_k_plus, k_plus_gamma, k_minus.entries
+def _c_plus_k_plus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
+    """C+ K+ on the closure's orderings; the |gamma~+| x |gamma-| block K+
+    itself is never held."""
+    return contract_layer_matrix(cm.c_plus, cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+
+
+def _k_minus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
+    return assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps).entries
 
 
 def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str,
@@ -152,16 +155,19 @@ def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str,
     return lu, piv
 
 
-def _build_system(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
-                  k_plus_gamma: LayerMatrix, km: np.ndarray) -> System:
-    """The system of one formulation, built in place in ``c_plus_k_plus``;
-    the Schur form also overwrites K- (``km``) with its factor."""
+def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
+                  km: np.ndarray) -> tuple:
+    """The system matrix of one formulation, built in place in
+    ``c_plus_k_plus``, and the Schur form's K-^T factor, which overwrites
+    K- (``km``); None for the direct form, which drops K- once C- K- is
+    added in."""
     kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
         matrix = c_plus_k_plus
         for start in range(0, len(matrix), _ROW_BLOCK):
             stop = start + _ROW_BLOCK
             matrix[start:stop] += cm.c_minus[start:stop] @ km
+        del km
     else:
         name = "D-" if formulation.kernel is LayerKind.DOUBLE else "S-"
         kernel_lu = _guarded_lu(
@@ -169,20 +175,27 @@ def _build_system(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: 
             f"{name} is numerically singular; its Schur form is unavailable",
             overwrite=True,
         )
-        km = None  # its entries now hold the factor
+        del km  # its entries now hold the factor
         # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
         matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True).T
         c_minus = cm.c_minus.tocoo()
         np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
     if not np.all(np.isfinite(matrix)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return System(formulation, matrix, k_plus_gamma, km, kernel_lu)
+    return matrix, kernel_lu
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
-    """The square |gamma-| system of ``cm`` in one formulation, with the
-    blocks :func:`recover` reads; its right-hand side is ``cm.rhs``."""
-    return _build_system(formulation, cm, *_layer_blocks(cm, ps, formulation.kernel))
+    """The square |gamma-| system of ``cm`` in one formulation, with what
+    :func:`recover` reads; its right-hand side is ``cm.rhs``."""
+    kernel = formulation.kernel
+    # K- is passed straight through, so the direct form's build holds the
+    # only reference and drops it.
+    matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
+                                      _k_minus(cm, ps, kernel))
+    tp = cm.gamma_tilde_plus
+    return System(formulation, matrix, kernel_lu, cm.gamma_minus,
+                  tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]])
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -202,20 +215,23 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def recover(solution: np.ndarray, system: System, system_cond: Optional[float] = None,
-            residual_norm: float = 0.0) -> SolveResult:
-    """Density and both traces from the solved primary unknown."""
+def recover(solution: np.ndarray, system: System, ps: PointSets,
+            system_cond: Optional[float] = None, residual_norm: float = 0.0) -> SolveResult:
+    """Density and both traces from the solved primary unknown; the
+    traces are streamed through the kernel gather on ``ps``."""
+    kernel = system.formulation.kernel
     if system.formulation.form is SystemForm.DIRECT:
-        density = solution
-        trace_minus = system.k_minus @ density
+        density = DensityVector(system.gamma_minus, solution)
+        trace_minus = apply_layer_matrix(system.gamma_minus, density, kernel, ps)
     else:
-        trace_minus = solution
-        density = linalg.lu_solve(system.kernel_lu, trace_minus, trans=1)
+        trace_minus = np.asarray(solution, dtype=float)
+        density = DensityVector(system.gamma_minus,
+                                linalg.lu_solve(system.kernel_lu, trace_minus, trans=1))
     return SolveResult(
-        density=DensityVector(support=system.k_plus_gamma.cols, values=density),
-        trace_minus=np.asarray(trace_minus, dtype=float),
-        trace_plus=system.k_plus_gamma.entries @ density,
-        trace_plus_nodes=system.k_plus_gamma.rows,
+        density=density,
+        trace_minus=trace_minus,
+        trace_plus=apply_layer_matrix(system.gamma_plus, density, kernel, ps),
+        trace_plus_nodes=system.gamma_plus,
         system_cond=system_cond,
         residual_norm=residual_norm,
     )
@@ -228,20 +244,18 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
     solution = dense_solve(system.matrix, cm.rhs)
     residual = float(np.abs(system.matrix @ solution - cm.rhs).max())
     cond = condition_number(system.matrix) if compute_cond else None
-    return recover(solution, system, system_cond=cond, residual_norm=residual)
+    return recover(solution, system, ps, system_cond=cond, residual_norm=residual)
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:
     """cond(K-), then the condition numbers of the Schur and the direct
     system of ``cm``, all from one gather of the kernel blocks."""
-    c_plus_k_plus, k_plus_gamma, k_minus = _layer_blocks(cm, ps, kernel)
+    c_plus_k_plus, k_minus = _c_plus_k_plus(cm, ps, kernel), _k_minus(cm, ps, kernel)
     cond_minus = condition_number(k_minus)
-    # The Schur form is built on copies and dropped before the direct form
-    # is built in place.
-    schur = _build_system(Formulation(kernel, SystemForm.SCHUR), cm,
-                          np.array(c_plus_k_plus), k_plus_gamma, np.array(k_minus))
-    cond_schur = condition_number(schur.matrix)
-    del schur
-    direct = _build_system(Formulation(kernel, SystemForm.DIRECT), cm,
-                           c_plus_k_plus, k_plus_gamma, k_minus)
-    return cond_minus, cond_schur, condition_number(direct.matrix)
+    # The Schur form is built on copies and dropped, with its factor,
+    # before the direct form is built in place.
+    cond_schur = condition_number(_build_matrix(Formulation(kernel, SystemForm.SCHUR), cm,
+                                                np.array(c_plus_k_plus), np.array(k_minus))[0])
+    cond_direct = condition_number(_build_matrix(Formulation(kernel, SystemForm.DIRECT), cm,
+                                                 c_plus_k_plus, k_minus)[0])
+    return cond_minus, cond_schur, cond_direct

@@ -21,6 +21,7 @@ from latticebae.potentials import (
     DensityVector,
     LayerKind,
     LayerMatrix,
+    apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
     evaluate_potential,
@@ -197,38 +198,75 @@ def closure256(request, ellipse256):
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
-@pytest.mark.parametrize("kept, streamed", [
+@pytest.mark.parametrize("on_gamma_plus, off_gamma_plus", [
     (0, 0), (1, 0), (0, 1),
     (_ROW_BLOCK - 1, _ROW_BLOCK + 1), (_ROW_BLOCK, _ROW_BLOCK), (_ROW_BLOCK + 1, _ROW_BLOCK - 1),
     (None, None),
 ])
-def test_contraction_matches_full_block(closure256, kind, kept, streamed):
-    # Targets are the first `kept` gamma+ nodes and the first `streamed`
-    # other nodes of gamma~+ (all of them for None), in gamma~+ order.
+def test_contraction_matches_full_block(closure256, kind, on_gamma_plus, off_gamma_plus):
+    # Targets are the first `on_gamma_plus` gamma+ nodes and the first
+    # `off_gamma_plus` other nodes of gamma~+ (all of them for None), in
+    # gamma~+ order.
     ps, cm = closure256
     tp = cm.gamma_tilde_plus
     on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
     chosen = np.zeros(len(tp), dtype=bool)
-    chosen[np.flatnonzero(on_gamma)[:kept]] = True
-    chosen[np.flatnonzero(~on_gamma)[:streamed]] = True
-    targets, keep = tp[chosen], on_gamma[chosen]
+    chosen[np.flatnonzero(on_gamma)[:on_gamma_plus]] = True
+    chosen[np.flatnonzero(~on_gamma)[:off_gamma_plus]] = True
+    targets = tp[chosen]
     weights = cm.c_plus[:, np.flatnonzero(chosen)]
-    product, rows = contract_layer_matrix(weights, targets, keep, ps.gamma_minus_indices, kind, ps)
-    full = assemble_layer_matrix(targets, ps.gamma_minus_indices, kind, ps).entries
-    reference = weights @ full
+    product = contract_layer_matrix(weights, targets, ps.gamma_minus_indices, kind, ps)
+    reference = weights @ assemble_layer_matrix(targets, ps.gamma_minus_indices, kind, ps).entries
     assert product.shape == (len(cm.gamma_minus), len(cm.gamma_minus))
     scale = np.abs(reference).max() if reference.size else 0.0
     np.testing.assert_allclose(product, reference, rtol=1e-13, atol=1e-13 * scale)
-    assert np.array_equal(rows.rows, targets[keep])
-    assert np.array_equal(rows.entries, full[keep])
 
 
 def test_contraction_validates_its_weights(closure256):
     ps, cm = closure256
-    tp = cm.gamma_tilde_plus
     with pytest.raises(AssemblyError):
-        contract_layer_matrix(cm.c_plus[:, 1:], tp, np.ones(len(tp), dtype=bool),
+        contract_layer_matrix(cm.c_plus[:, 1:], cm.gamma_tilde_plus,
                               ps.gamma_minus_indices, LayerKind.SINGLE, ps)
+
+
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+@pytest.mark.parametrize("targets", ["gamma-", "gamma+"])
+@pytest.mark.parametrize("count", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1, None])
+def test_product_matches_full_block(ellipse256, kind, targets, count):
+    # The first `count` nodes of the target set (all of them for None).
+    ps = ellipse256
+    rng = np.random.default_rng(11)
+    q = DensityVector(ps.gamma_minus_indices, rng.standard_normal(len(ps.gamma_minus_indices)))
+    nodes = (ps.gamma_minus_indices if targets == "gamma-" else ps.gamma_plus_indices)[:count]
+    reference = assemble_layer_matrix(nodes, q.support, kind, ps).entries @ q.values
+    out = apply_layer_matrix(nodes, q, kind, ps)
+    assert out.shape == (len(nodes),)
+    np.testing.assert_allclose(out, reference, rtol=1e-14)
+
+
+def test_product_streams_exterior_edge_values():
+    # 4 |gamma-| box-edge points of an exterior: the gather allocates a
+    # few row blocks, never a |points| x |gamma-| block.
+    ps = classify(Grid.from_box((-3.0, 3.0), (-3.0, 3.0), 256), circle_exterior(1.0))
+    sources = ps.gamma_minus_indices
+    points = np.argwhere(ps.m_plus)
+    points = points[np.isin(points[:, 0], (0, ps.grid.nx - 1))
+                    | np.isin(points[:, 1], (0, ps.grid.ny - 1))]
+    assert len(points) >= 4 * len(sources)
+    points = points[: 4 * len(sources)]
+    q = DensityVector(sources, np.ones(len(sources)))
+    window, _ = ps.box_window
+    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_potential(points, q, LayerKind.SINGLE, ps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    row_block = 8 * _ROW_BLOCK * len(sources)
+    assert 4 * row_block <= 8 * len(points) * len(sources) / 3
+    assert peak <= 4 * row_block
 
 
 def test_double_block_names_first_unconnected_source():

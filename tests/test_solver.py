@@ -106,7 +106,7 @@ def test_recover_zero_density(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
     system = solver.assemble_system(form, cm, ps)
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), system)
+    result = solver.recover(np.zeros(len(cm.gamma_minus)), system, ps)
     assert np.all(result.trace_minus == 0.0)
     assert np.all(result.trace_plus == 0.0)
 
@@ -252,19 +252,24 @@ def robin_ellipse256():
     return ps, cm
 
 
-@pytest.mark.parametrize("tag", ["single-direct", "double-schur"])
+@pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
-    # The peak of layer build, assembly and solve is bounded by the arrays
-    # that must be held: K- (for the Schur form, its K-^T factor in its
-    # place), the gamma+ rows of K+, the system matrix with its LU copy,
-    # and one row block, with |gamma-|^2 / 2 to spare for library
-    # workspace.  The |gamma~+| x |gamma-| block K+ alone (2.6 |gamma-|^2
-    # here) would not fit, nor would a copy of K- for its factor.
+    # The peak of layer build, assembly, solve and recovery is bounded by
+    # the arrays that must be held: the system matrix with its LU copy,
+    # the Schur form's K-^T factor (in K-'s place), and one row block over
+    # E, with |gamma-|^2 / 2 to spare for library workspace.  The direct
+    # form holds K- only until C- K- is added in.  The traces are streamed,
+    # so neither K- nor the gamma+ rows of K+ is held through the solve,
+    # and the |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2 here) never is.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     window, _ = ps.box_window
     lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
     cm.c_plus, cm.c_minus  # sparse, and cached on the closure
+    n = len(cm.gamma_minus)
+    n_e = n
+    if form.kernel is potentials.LayerKind.DOUBLE:
+        n_e = len(potentials._exterior_connections(ps, cm.gamma_minus)[0])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -272,11 +277,27 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    n = len(cm.gamma_minus)
+    assert len(cm.gamma_tilde_plus) > 2 * n
+    squares = 2.5 if form.form is solver.SystemForm.DIRECT else 3.5
+    assert peak <= 8 * (squares * n * n + potentials._ROW_BLOCK * n_e)
+
+
+@pytest.mark.parametrize("tag", FORMULATION_TAGS)
+def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
+    # The streamed traces are the products of the held kernel blocks.
+    ps, cm = robin_ellipse256
+    form = solver.formulation_from_tag(tag)
+    result = solver.solve_system(form, cm, ps)
+    q = result.density.values
     tp = cm.gamma_tilde_plus
-    n_plus = int(ps.gamma_plus[tp[:, 0], tp[:, 1]].sum())
-    assert len(tp) > 2 * n
-    assert peak <= 8 * (3.5 * n * n + n_plus * n + potentials._ROW_BLOCK * n)
+    assert np.array_equal(result.trace_plus_nodes, tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]])
+    k_plus_gamma = potentials.assemble_layer_matrix(
+        result.trace_plus_nodes, cm.gamma_minus, form.kernel, ps
+    )
+    np.testing.assert_allclose(result.trace_plus, k_plus_gamma.entries @ q, rtol=1e-14)
+    if form.form is solver.SystemForm.DIRECT:
+        k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
+        np.testing.assert_allclose(result.trace_minus, k_minus.entries @ q, rtol=1e-14)
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
