@@ -175,12 +175,20 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
 
 @dataclass
 class SolutionField:
-    """A solved problem with its pointwise errors on the interior nodes."""
+    """A solved problem with its pointwise errors on the interior nodes.
+
+    ``residual`` is the closure residual of the recovered field,
+    max |C+ u_h(gamma~+) + C- t- - g| with u_h the difference potential
+    (before the particular solution is added), t- the gamma- trace and
+    g the corrected right-hand side.  It checks assembly, the traces and
+    the box solve together.
+    """
 
     ps: geometry.PointSets
     values: np.ndarray
     exact: np.ndarray
     result: solver.SolveResult
+    residual: float
 
     @property
     def grid(self) -> geometry.Grid:
@@ -242,13 +250,17 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
         diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
     u_h = diffpot.difference_potential(_gamma_trace(result, ps), ps, u_edge)
+    # gamma~+ lies in M+, where the difference potential is the layer
+    # potential K q, so the closure rows read it there.
+    residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)
+                            + cm.c_minus @ result.trace_minus - cm.rhs).max())
     mp = ps.m_plus_indices
     u_h.values += u_p.values  # both box solves ran on the window of ps
     values = u_h.at(mp)
 
     x, y = ps.grid.nodes(mp).T
     exact = mf.u(x, y)
-    return SolutionField(ps=ps, values=values, exact=exact, result=result)
+    return SolutionField(ps=ps, values=values, exact=exact, result=result, residual=residual)
 
 
 def solve_with_row(cfg: ExperimentConfig, n: Optional[int] = None):

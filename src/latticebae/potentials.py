@@ -167,7 +167,9 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     The double kernel gathers a row block of the single kernel over E
     and combines its columns through B.  Targets in N+,
     sources in gamma- and their exterior connections all lie in the
-    window, so no flat offset leaves the table.
+    window, so no flat offset leaves the table, and the lookups clip
+    instead of checking (a checked ``np.take`` buffers and copies its
+    whole output).
     """
     window, (j0, k0) = ps.box_window
     rx, ry = window.nx - 1, window.ny - 1
@@ -185,9 +187,9 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
             block = out[lo : lo + _ROW_BLOCK]
             rows = t_flat[start + lo : start + lo + len(block), None]
             if b_t is None:
-                np.take(flat, rows - s_flat, out=block)
+                np.take(flat, rows - s_flat, out=block, mode="clip")
             else:
-                block[...] = (b_t @ np.take(flat, rows - s_flat).T).T
+                block[...] = (b_t @ np.take(flat, rows - s_flat, mode="clip").T).T
 
     return fill
 
@@ -215,7 +217,9 @@ def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointS
     ``weights`` is sparse with one column per target.  K is gathered one
     row block at a time in target order (neighbouring targets read
     neighbouring table entries), and each block is added into the product
-    through the slab of weight rows it reaches.
+    rows its weights reach, and into no other: a block whose targets are
+    weighted by far-apart rows (at the seam of two concatenated target
+    sets, say) adds a few rows, not the span between them.
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
@@ -238,13 +242,12 @@ def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointS
             continue
         block = scratch[: len(targets) - start]
         fill(block, start)
-        # The block reaches product rows lo:hi through one sparse slab.
-        lo, hi = rows[first:last].min(), rows[first:last].max() + 1
+        reached, local = np.unique(rows[first:last], return_inverse=True)
         slab = sparse.csr_array(
-            (values[first:last], (rows[first:last] - lo, cols[first:last] - start)),
-            shape=(hi - lo, len(block)),
+            (values[first:last], (local, cols[first:last] - start)),
+            shape=(len(reached), len(block)),
         )
-        product[lo:hi] += slab @ block
+        product[reached] += slab @ block
     return product
 
 

@@ -22,21 +22,25 @@ q = K-^{-1} v.  For Dirichlet closures eta is empty, so C+ = Phi+ and
 C- = Phi-.
 
 K+ (|gamma~+| x |gamma-|) enters only through C+ K+, which is taken from
-the kernel gather block by block, so K+ itself is never held.  Either
-form is then assembled in place in the one |gamma-|^2 array of C+ K+;
-the direct form drops K- once C- K- is added in.
+the kernel gather block by block, so K+ itself is never held.  The direct
+form is one such contraction, of the weights [C+ | C-] against the
+targets gamma~+ followed by gamma-, so it holds no kernel block at all:
+its one |gamma-|^2 array is the matrix.  The Schur form holds C+ K+ and
+K-, and is assembled in place in the array of C+ K+.
 
 These kernel blocks never leave the module: :func:`assemble_system`
 gathers them from the closure it is given and returns a :class:`System`
 holding the matrix, the Schur form's K-^T factor and the node sets of
-the traces.  Once the density q is known, :func:`recover` streams the
-traces through the kernel gather, K- q (direct form only) and the
-gamma+ rows of K+ times q, without holding either block.
-:func:`solve_system` runs the whole line in one call.
-:func:`condition_numbers` serves the conditioning study: from one gather
-it returns cond(K-), then builds the Schur form on copies of C+ K+ and
-K- and the direct form in place, and takes each system's condition
-number before the next is built.
+the traces.  :func:`dense_solve` factors the matrix in place, so a
+direct solve peaks at one |gamma-|^2 array and a Schur solve at two.
+Once the density q is known, :func:`recover` streams the traces through
+the kernel gather, K- q (direct form only) and the gamma+ rows of K+
+times q, without holding either block.  :func:`solve_system` runs the
+whole line in one call.  :func:`condition_numbers` serves the
+conditioning study: from one gather of C+ K+ and K- it returns
+cond(K-), then builds the Schur form on copies of the two and the
+direct form in place, and takes each system's condition number before
+the next is built.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.
@@ -54,7 +58,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
@@ -111,7 +115,6 @@ class SolveResult:
     trace_plus: np.ndarray
     trace_plus_nodes: np.ndarray
     system_cond: Optional[float]
-    residual_norm: float
 
 
 @dataclass
@@ -119,10 +122,13 @@ class System:
     """One closure's square |gamma-| system in one formulation, with what
     recovery reads: the LU factor of K-^T for the Schur form (None for
     the direct form), the density's support gamma-, and the gamma+ nodes
-    of gamma~+ in their gamma~+ order, where the gamma+ trace is taken."""
+    of gamma~+ in their gamma~+ order, where the gamma+ trace is taken.
+
+    :func:`dense_solve` consumes ``matrix``; :func:`solve_system` sets it
+    to None once the system is factored."""
 
     formulation: Formulation
-    matrix: np.ndarray
+    matrix: Optional[np.ndarray]
     kernel_lu: Optional[tuple]
     gamma_minus: np.ndarray
     gamma_plus: np.ndarray
@@ -155,12 +161,20 @@ def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str,
     return lu, piv
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(matrix)):
+        raise AssemblyError("assembled system contains non-finite entries")
+    return matrix
+
+
 def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
                   km: np.ndarray) -> tuple:
-    """The system matrix of one formulation, built in place in
-    ``c_plus_k_plus``, and the Schur form's K-^T factor, which overwrites
-    K- (``km``); None for the direct form, which drops K- once C- K- is
-    added in."""
+    """The system matrix of one formulation from the held blocks C+ K+
+    and K-, built in place in ``c_plus_k_plus``, and the Schur form's
+    K-^T factor, which overwrites K- (``km``); None for the direct form.
+    Solves take the direct form from one contraction instead
+    (:func:`assemble_system`); the conditioning study, which holds K-
+    anyway, builds it here."""
     kernel_lu = None
     if formulation.form is SystemForm.DIRECT:
         matrix = c_plus_k_plus
@@ -180,31 +194,43 @@ def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: 
         matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True).T
         c_minus = cm.c_minus.tocoo()
         np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
-    if not np.all(np.isfinite(matrix)):
-        raise AssemblyError("assembled system contains non-finite entries")
-    return matrix, kernel_lu
+    return _finite(matrix), kernel_lu
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
     """The square |gamma-| system of ``cm`` in one formulation, with what
     :func:`recover` reads; its right-hand side is ``cm.rhs``."""
     kernel = formulation.kernel
-    # K- is passed straight through, so the direct form's build holds the
-    # only reference and drops it.
-    matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
-                                      _k_minus(cm, ps, kernel))
+    if formulation.form is SystemForm.DIRECT:
+        # C+ K+ + C- K- in one contraction over gamma~+ and gamma- together.
+        matrix = _finite(contract_layer_matrix(
+            sparse.hstack([cm.c_plus, cm.c_minus]),
+            np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus]),
+            cm.gamma_minus, kernel, ps,
+        ))
+        kernel_lu = None
+    else:
+        matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
+                                          _k_minus(cm, ps, kernel))
     tp = cm.gamma_tilde_plus
     return System(formulation, matrix, kernel_lu, cm.gamma_minus,
                   tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]])
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with a pivot-based singularity guard."""
+    """LU solve with a pivot-based singularity guard.
+
+    Consumes ``matrix``: it is factored as its transpose, in place when
+    ``matrix`` is a C-ordered float array (its transpose is then
+    Fortran-ordered and LAPACK needs no copy), so its entries are the
+    factor afterwards.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise AssemblyError(f"system matrix has shape {matrix.shape}")
-    lu = _guarded_lu(matrix, SingularSystemError, "system matrix is numerically singular")
-    return linalg.lu_solve(lu, rhs)
+    lu = _guarded_lu(matrix.T, SingularSystemError, "system matrix is numerically singular",
+                     overwrite=True)
+    return linalg.lu_solve(lu, rhs, trans=1)
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -216,7 +242,7 @@ def condition_number(matrix: np.ndarray) -> float:
 
 
 def recover(solution: np.ndarray, system: System, ps: PointSets,
-            system_cond: Optional[float] = None, residual_norm: float = 0.0) -> SolveResult:
+            system_cond: Optional[float] = None) -> SolveResult:
     """Density and both traces from the solved primary unknown; the
     traces are streamed through the kernel gather on ``ps``."""
     kernel = system.formulation.kernel
@@ -233,18 +259,19 @@ def recover(solution: np.ndarray, system: System, ps: PointSets,
         trace_plus=apply_layer_matrix(system.gamma_plus, density, kernel, ps),
         trace_plus_nodes=system.gamma_plus,
         system_cond=system_cond,
-        residual_norm=residual_norm,
     )
 
 
 def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
                  compute_cond: bool = False) -> SolveResult:
-    """Gather, assemble, solve, and recover in one sweep."""
+    """Gather, assemble, solve, and recover in one sweep.  The condition
+    number, when asked for, is taken before the system is factored in
+    place."""
     system = assemble_system(formulation, cm, ps)
-    solution = dense_solve(system.matrix, cm.rhs)
-    residual = float(np.abs(system.matrix @ solution - cm.rhs).max())
     cond = condition_number(system.matrix) if compute_cond else None
-    return recover(solution, system, ps, system_cond=cond, residual_norm=residual)
+    solution = dense_solve(system.matrix, cm.rhs)
+    system.matrix = None  # its entries are the factor now
+    return recover(solution, system, ps, system_cond=cond)
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:

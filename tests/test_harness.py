@@ -131,6 +131,40 @@ def test_solve_bounded_dirichlet_accuracy():
     assert len(sol.values) == int(sol.ps.m_plus.sum())
 
 
+#: Bound on the closure residual of the recovered field at n <= 128 (the
+#: data are O(1)).  It is box-solve rounding amplified by the closure
+#: weights: about 1e-9 for Robin double layers at n = 128, 3e-13 for
+#: Dirichlet single layers.
+FIELD_RESIDUAL_BOUND = 1e-8
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("bc", ["dirichlet", "robin"])
+@pytest.mark.parametrize("tag", ["single-direct", "single-schur", "double-direct", "double-schur"])
+def test_field_residual_is_small(tag, bc, n):
+    cfg = harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc=bc, formulation=tag, n=n)
+    assert 0.0 < harness.solve_problem(cfg).residual <= FIELD_RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("tag", ["single-direct", "single-schur", "double-direct", "double-schur"])
+def test_field_residual_flags_a_perturbed_solution(monkeypatch, tag):
+    # The solved unknown (the density, or the Schur form's gamma- trace,
+    # whose density follows from it) perturbed by 1e-6 relative: the
+    # traces and the field are consistent with it, but the closure rows
+    # are not.
+    dense_solve = solver.dense_solve
+    rng = np.random.default_rng(7)
+
+    def perturbed(matrix, rhs):
+        x = dense_solve(matrix, rhs)
+        return x * (1.0 + 1e-6 * rng.choice((-1.0, 1.0), size=len(x)))
+
+    monkeypatch.setattr(solver, "dense_solve", perturbed)
+    cfg = harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc="robin",
+                                   formulation=tag, n=64)
+    assert harness.solve_problem(cfg).residual > 10 * FIELD_RESIDUAL_BOUND
+
+
 def test_solve_rows_carry_metadata():
     cfg = harness.ExperimentConfig(geometry="diamond", bc="dirichlet",
                                    formulation="double-direct", n=32)

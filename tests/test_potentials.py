@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latticebae import closure
+from latticebae import closure, harness
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
 from latticebae.geometry import (
     DIRECTIONS,
@@ -21,6 +21,7 @@ from latticebae.potentials import (
     DensityVector,
     LayerKind,
     LayerMatrix,
+    _exterior_connections,
     apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
@@ -168,6 +169,32 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
             assert np.array_equal(lm.entries, reference)
         else:
             np.testing.assert_allclose(lm.entries, reference, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("geometry", ["ellipse", "diamond", "circle-exterior"])
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+def test_gather_offsets_stay_in_the_table(kind, geometry, n):
+    # The gather reads the window's table without bounds checks, so every
+    # N+ target and every node it reads from (gamma-, and for the double
+    # kernel the exterior connections too) must lie in the box window;
+    # then every flat offset t(m) - s(n) indexes the table.
+    cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet", n=n)
+    ps = classify(harness.build_grid(cfg, n), harness.build_shape(cfg))
+    window, (j0, k0) = ps.box_window
+    sources = ps.gamma_minus_indices
+    if kind is LayerKind.DOUBLE:
+        sources = _exterior_connections(ps, sources)[0]
+    targets = np.argwhere(ps.n_plus)
+    lo, hi = np.array([j0, k0]), np.array([j0 + window.nx, k0 + window.ny])
+    for nodes in (targets, sources):
+        assert (nodes >= lo).all() and (nodes < hi).all()
+    rx, ry = window.nx - 1, window.ny - 1
+    table = lgf_grid(rx, ry)
+    t_flat = (targets[:, 0] - j0 + rx) * table.shape[1] + targets[:, 1] - k0 + ry
+    s_flat = (sources[:, 0] - j0) * table.shape[1] + sources[:, 1] - k0
+    assert t_flat.min() - s_flat.max() >= 0
+    assert t_flat.max() - s_flat.min() < table.size
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from latticebae import closure, diffpot, geometry, harness, potentials, solver
 from latticebae.errors import (
@@ -54,8 +55,23 @@ def test_dense_solve_residual():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((50, 50)) + 10.0 * np.eye(50)
     b = rng.standard_normal(50)
-    x = solver.dense_solve(a, b)
+    x = solver.dense_solve(a.copy(), b)
     assert np.abs(a @ x - b).max() / np.abs(b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_solve_either_memory_order(order):
+    # A C-ordered matrix is factored in place as its transpose; a
+    # Fortran-ordered one is copied first.  Both solve A x = b, not A^T x = b.
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((40, 40)) + 8.0 * np.eye(40)
+    a[0, 1:] += 5.0  # far from symmetric
+    b = rng.standard_normal(40)
+    matrix = np.array(a, order=order)
+    x = solver.dense_solve(matrix, b)
+    assert np.abs(a @ x - b).max() / np.abs(b).max() <= 1e-12
+    if order == "C":
+        assert not np.array_equal(matrix, a)  # consumed: it holds the factor
 
 
 def test_dense_solve_rejects_singular():
@@ -163,16 +179,25 @@ def test_closure_rows_are_satisfied(circle_problem):
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
 
-def test_residual_invariant(circle_problem):
+def test_residual_invariant():
+    # The closure residual of the recovered field stays at rounding level.
+    cfg = harness.ExperimentConfig("ellipse", "dirichlet", formulation="double-schur", n=32,
+                                   compute_cond=True)
+    sol = harness.solve_problem(cfg)
+    assert sol.residual <= 1e-10 * np.abs(sol.exact).max()
+    assert sol.result.system_cond is not None and sol.result.system_cond > 1.0
+
+
+@pytest.mark.parametrize("tag", FORMULATION_TAGS)
+def test_solve_cond_is_of_the_unfactored_matrix(circle_problem, tag):
+    # The system is factored in place, so its condition number must be
+    # taken before the factor overwrites it.
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag("double-schur")
-    matrix, rhs = solver.assemble_system(form, cm, ps).matrix, cm.rhs
+    form = solver.formulation_from_tag(tag)
+    expected = solver.condition_number(solver.assemble_system(form, cm, ps).matrix)
     result = solver.solve_system(form, cm, ps, compute_cond=True)
-    bound = 1e-10 * (
-        np.abs(matrix).max() * np.abs(result.trace_minus).max() + np.abs(rhs).max()
-    )
-    assert result.residual_norm <= bound
-    assert result.system_cond is not None and result.system_cond > 1.0
+    assert result.system_cond == expected
+    assert solver.solve_system(form, cm, ps).system_cond is None
 
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
@@ -255,12 +280,13 @@ def robin_ellipse256():
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     # The peak of layer build, assembly, solve and recovery is bounded by
-    # the arrays that must be held: the system matrix with its LU copy,
-    # the Schur form's K-^T factor (in K-'s place), and one row block over
-    # E, with |gamma-|^2 / 2 to spare for library workspace.  The direct
-    # form holds K- only until C- K- is added in.  The traces are streamed,
-    # so neither K- nor the gamma+ rows of K+ is held through the solve,
-    # and the |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2 here) never is.
+    # the arrays that must be held: the system matrix, factored in place,
+    # the Schur form's K-^T factor (in K-'s place), and two row blocks over
+    # E, with |gamma-|^2 / 2 (direct) or |gamma-|^2 / 4 (Schur) to spare
+    # for library workspace.  The direct form is one contraction, so it
+    # holds no kernel block; the traces are streamed, so neither K- nor
+    # the gamma+ rows of K+ is held through the solve, and the
+    # |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2 here) never is.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     window, _ = ps.box_window
@@ -278,8 +304,56 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     finally:
         tracemalloc.stop()
     assert len(cm.gamma_tilde_plus) > 2 * n
-    squares = 2.5 if form.form is solver.SystemForm.DIRECT else 3.5
-    assert peak <= 8 * (squares * n * n + potentials._ROW_BLOCK * n_e)
+    squares = 1.5 if form.form is solver.SystemForm.DIRECT else 2.25
+    assert peak <= 8 * (squares * n * n + 2 * potentials._ROW_BLOCK * n_e)
+
+
+def _seam_block(cm):
+    """Positions, in the direct form's stacked targets (gamma~+, then
+    gamma-), of the row block that straddles the seam of the two."""
+    start = len(cm.gamma_tilde_plus) // potentials._ROW_BLOCK * potentials._ROW_BLOCK
+    return np.arange(start, start + potentials._ROW_BLOCK)
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_direct_matrix_is_one_contraction_of_the_held_blocks(robin_ellipse256, kernel):
+    ps, cm = robin_ellipse256
+    seam = _seam_block(cm)
+    assert seam[0] < len(cm.gamma_tilde_plus) < seam[-1]  # a block straddles the seam
+    system = solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)
+    k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    reference = cm.c_plus @ k_plus.entries + cm.c_minus @ k_minus.entries
+    np.testing.assert_allclose(system.matrix, reference, rtol=1e-14,
+                               atol=1e-14 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_seam_block_adds_only_the_rows_it_reaches(robin_ellipse256, kernel):
+    # The seam block's weights reach a few dozen of the |gamma-| product
+    # rows, far apart (gamma~+ rows and gamma- rows); beyond the product
+    # its contraction allocates a few row blocks over E, not a partial
+    # product spanning every row between them.
+    ps, cm = robin_ellipse256
+    seam = _seam_block(cm)
+    targets = np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus])[seam]
+    weights = sparse.hstack([cm.c_plus, cm.c_minus]).tocsc()[:, seam]
+    n = len(cm.gamma_minus)
+    n_e = n
+    if kernel is potentials.LayerKind.DOUBLE:
+        n_e = len(potentials._exterior_connections(ps, cm.gamma_minus)[0])
+    reached = np.unique(sparse.coo_array(weights).row)
+    assert len(reached) < n / 4 and reached[-1] - reached[0] > 3 * n / 4
+    window, _ = ps.box_window
+    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        product = potentials.contract_layer_matrix(weights, targets, cm.gamma_minus, kernel, ps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= product.nbytes + 3.5 * 8 * potentials._ROW_BLOCK * n_e
 
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
