@@ -215,8 +215,10 @@ class PointSets:
     def gamma_minus_indices(self) -> np.ndarray:
         return np.argwhere(self.gamma_minus)
 
-    @cached_property
+    @property
     def m_plus_indices(self) -> np.ndarray:
+        # Not cached: at n = 1024 it is megabytes, read once per solve,
+        # and a cached copy would stay pinned by any result kept alive.
         return np.argwhere(self.m_plus)
 
     @cached_property

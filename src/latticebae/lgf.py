@@ -31,16 +31,16 @@ both regimes; it loses roughly one digit per ring of indices and is never
 used for production values.
 
 All functions accept any pair-like index (tuple or ``LatticeIndex``).
-They are pure; the module-level memo table and the table cache of
-:func:`lgf_grid` are the only shared state, and both follow a
+They are pure; the module-level memo table and the one kernel table of
+:func:`kernel_table` (half of a window of G, which every kernel gather
+and :func:`lgf_grid` read) are the only shared state, and both follow a
 single-writer contract (pre-populate the memo via :func:`warm` before any
-concurrent use, and read tables from one thread).
+concurrent use, and ask for tables from one thread).
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -263,51 +263,75 @@ def lgf_recursion_table(jmax: int) -> LgfTable:
     return table
 
 
-#: Bytes of tables that :func:`lgf_grid` keeps, about four square tables
-#: of an n = 1024 grid.  The least recently read tables are dropped first;
-#: the newest is kept even when it alone is larger.
-TABLE_CACHE_BYTES = 128 * 2**20
-
-_TABLES: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+#: The one table that :func:`kernel_table` returns; None until it is first asked for.
+_KERNEL_TABLE: np.ndarray | None = None
 
 
-def lgf_grid(rx: int, ry: int) -> np.ndarray:
-    """Dense table of G over the window [-rx, rx] x [-ry, ry].
+def _half_table(rx: int, ry: int) -> np.ndarray:
+    """G over j in [0, rx], k in [-ry, ry], with entry ``[j, k + ry]``
+    holding G(j, k).
 
-    Entry ``[i, j]`` holds G(i - rx, j - ry).  Only the octant b <= a of
-    the quadrant [0, max(rx, ry)] x [0, min(rx, ry)] is evaluated: the
-    near field through the memo table (quadrature), the far field by the
-    vectorized expansion.  The quadrant is completed by symmetry and
-    mirrored across both axes, so every entry is bitwise the matching
-    entry of any larger table.  Tables are cached per half-width pair, up
-    to :data:`TABLE_CACHE_BYTES`, and marked read-only since kernel
-    assemblers gather from them heavily.
+    Only the octant b <= a of the quadrant [0, max(rx, ry)] x
+    [0, min(rx, ry)] is evaluated, in place: the near field through the
+    memo table (quadrature), the far field by the vectorized expansion.
+    The quadrant is completed by symmetry and mirrored in k, so every
+    entry is bitwise the matching entry of any larger table.
     """
-    key = (rx, ry)
-    if key in _TABLES:
-        _TABLES.move_to_end(key)
-        return _TABLES[key]
-    if min(rx, ry) < 0:
-        raise ValueError("half-widths must be nonnegative")
     big, small = max(rx, ry), min(rx, ry)
-    # The octant b <= a of the quadrant [0, big] x [0, small], zero above
-    # its diagonal.
-    octant = np.zeros((big + 1, small + 1))
+    half = np.zeros((rx + 1, 2 * ry + 1))
+    quad = half[:, ry:]
+    # The octant b <= a, zero above its diagonal, as a view of the quadrant.
+    octant = quad if rx >= ry else quad.T
     a_idx, b_idx = np.tril_indices(big + 1, 0, small + 1)
     far = np.hypot(a_idx, b_idx) >= R_SWITCH
     octant[a_idx[far], b_idx[far]] = _asymptotic_array(a_idx[far], b_idx[far])
     for a, b in zip(a_idx[~far].tolist(), b_idx[~far].tolist()):
         octant[a, b] = lgf((a, b))
-    # Complete the quadrant by symmetry, then mirror it across both axes.
     square = octant[: small + 1]
     square += np.triu(square.T, 1)
-    quad = octant if rx >= ry else octant.T
+    half[:, :ry] = quad[:, ry:0:-1]
+    half.flags.writeable = False
+    return half
+
+
+def kernel_table(rx: int, ry: int) -> np.ndarray:
+    """The process's table of G, covering the window [-rx, rx] x [-ry, ry].
+
+    Since G(-m) = G(m), half the window holds every value: entry
+    ``[j, k + Ry]`` holds G(j, k) for j in [0, Rx] and k in [-Ry, Ry],
+    where (Rx, Ry) are the table's own half-widths, at least (rx, ry).
+    Raveled from entry ``[0, Ry]`` on, with W = 2 Ry + 1 its row length,
+    it holds G(j, k) at flat offset |j W + k| for |j| <= Rx, |k| <= Ry.
+
+    A process holds one table, read-only, and returns it for every
+    window it covers.  A window that exceeds it on either axis replaces
+    it with one covering both; the old table is dropped first.
+    """
+    global _KERNEL_TABLE
+    if min(rx, ry) < 0:
+        raise ValueError("half-widths must be nonnegative")
+    table = _KERNEL_TABLE
+    if table is not None:
+        if rx < table.shape[0] and 2 * ry < table.shape[1]:
+            return table
+        rx, ry = max(rx, table.shape[0] - 1), max(ry, table.shape[1] // 2)
+        _KERNEL_TABLE = table = None  # released before its replacement is built
+    _KERNEL_TABLE = _half_table(rx, ry)
+    return _KERNEL_TABLE
+
+
+def lgf_grid(rx: int, ry: int) -> np.ndarray:
+    """Dense table of G over the window [-rx, rx] x [-ry, ry].
+
+    Entry ``[i, j]`` holds G(i - rx, j - ry), mirrored from
+    :func:`kernel_table`, so every entry is bitwise the matching entry of
+    any larger table and the value kernel gathers read.  A new read-only
+    array on each call.
+    """
+    half = kernel_table(rx, ry)
+    centre = half.shape[1] // 2
     full = np.empty((2 * rx + 1, 2 * ry + 1))
-    full[rx:, ry:] = quad
-    full[rx:, :ry] = quad[:, ry:0:-1]
-    full[:rx, :] = full[2 * rx : rx : -1, :]
+    full[rx:] = half[: rx + 1, centre - ry : centre + ry + 1]
+    full[:rx] = full[2 * rx : rx : -1]
     full.flags.writeable = False
-    _TABLES[key] = full
-    while len(_TABLES) > 1 and sum(t.nbytes for t in _TABLES.values()) > TABLE_CACHE_BYTES:
-        _TABLES.popitem(last=False)
     return full

@@ -25,16 +25,17 @@ structure.
 Everything is dense: at the intended problem sizes (a few thousand
 boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
-gathered from one table per box window (:attr:`PointSets.box_window`,
-the window the box solves run on), covering every index difference
-between two of its nodes, so each distinct lattice offset costs one
-evaluation in total.  Since G depends only on m - n, the table is read
-raveled: with (j0, k0) the window's node (0, 0), (Rx, Ry) the table's
-half-widths and W = 2Ry + 1 its row length, G(m - n) sits at flat offset
-t(m) - s(n), where t(m) = (m1 - j0 + Rx) W + m2 - k0 + Ry and
-s(n) = (n1 - j0) W + n2 - k0 are computed once per target and once per
-source.  A block is filled a fixed number of target rows at a time, so
-index temporaries never grow to the block's size.
+gathered from the process's one table of G (:func:`latticebae.lgf.kernel_table`),
+grown when needed to cover every index difference between two nodes of
+the box window (:attr:`PointSets.box_window`, the window the box solves
+run on), so each distinct lattice offset costs one evaluation in total.
+Since G depends only on m - n and G(-d) = G(d), the table holds half of
+the window, rows j in [0, Rx] by columns k in [-Ry, Ry], and is read
+raveled from its entry (0, 0) on: with W = 2Ry + 1 its row length,
+G(m - n) sits at flat offset |t(m) - s(n)|, where t(m) = m1 W + m2 and
+s(n) = n1 W + n2 are computed once per target and once per source.  A
+block is filled a fixed number of target rows at a time, so index
+temporaries never grow to the block's size.
 
 The double kernel is a sparse combination of single-layer columns.  With
 E the sources together with their exterior connections, and B the
@@ -67,7 +68,7 @@ from scipy import sparse
 
 from .errors import AssemblyError, DoubleLayerInapplicableError
 from .geometry import DIRECTIONS, PointSets
-from .lgf import lgf_grid
+from .lgf import kernel_table
 
 #: Target rows gathered per step of a kernel block.
 _ROW_BLOCK = 64
@@ -162,34 +163,39 @@ def _exterior_connections(ps: PointSets, sources):
 def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     """A function ``fill(out, start=0)`` writing the kernel rows
     ``start : start + len(out)`` of the (targets, sources) block into
-    ``out``, one row block at a time, from the table of the box window.
+    ``out``, one row block at a time, from the table of G.
 
-    The double kernel gathers a row block of the single kernel over E
-    and combines its columns through B.  Targets in N+,
-    sources in gamma- and their exterior connections all lie in the
-    window, so no flat offset leaves the table, and the lookups clip
-    instead of checking (a checked ``np.take`` buffers and copies its
-    whole output).
+    The double kernel gathers a row block of the single kernel over E,
+    as an |E| x rows array (|s - t| = |t - s|), and combines its rows
+    through B.  Targets in N+, sources in gamma- and their exterior
+    connections all lie in the box window, which the table covers, so no
+    flat offset leaves the table, and the lookups clip instead of
+    checking (a checked ``np.take`` buffers and copies its whole output).
     """
-    window, (j0, k0) = ps.box_window
-    rx, ry = window.nx - 1, window.ny - 1
-    width = 2 * ry + 1
-    flat = lgf_grid(rx, ry).ravel()
+    window, _ = ps.box_window
+    table = kernel_table(window.nx - 1, window.ny - 1)
+    width = table.shape[1]
+    flat = table.ravel()[width // 2 :]
     b_t = None
     if kind is LayerKind.DOUBLE:
         sources, b = _exterior_connections(ps, sources)
         b_t = b.T.tocsr()
-    t_flat = (targets[:, 0] - j0 + rx) * width + targets[:, 1] - k0 + ry
-    s_flat = (sources[:, 0] - j0) * width + sources[:, 1] - k0
+    t_flat = targets[:, 0] * width + targets[:, 1]
+    s_flat = sources[:, 0] * width + sources[:, 1]
+
+    def offsets(a, b):
+        # |a - b|, in one temporary that dies with the take reading it.
+        d = a - b
+        return np.abs(d, out=d)
 
     def fill(out, start=0):
         for lo in range(0, len(out), _ROW_BLOCK):
             block = out[lo : lo + _ROW_BLOCK]
-            rows = t_flat[start + lo : start + lo + len(block), None]
+            rows = t_flat[start + lo : start + lo + len(block)]
             if b_t is None:
-                np.take(flat, rows - s_flat, out=block, mode="clip")
+                np.take(flat, offsets(rows[:, None], s_flat), out=block, mode="clip")
             else:
-                block[...] = (b_t @ np.take(flat, rows - s_flat, mode="clip").T).T
+                block[...] = (b_t @ np.take(flat, offsets(s_flat[:, None], rows), mode="clip")).T
 
     return fill
 

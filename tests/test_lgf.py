@@ -2,7 +2,6 @@
 
 import importlib
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from latticebae.lgf import (
     R_SWITCH,
     _asymptotic_array,
     canonical_index,
+    kernel_table,
     lgf,
     lgf_asymptotic,
     lgf_grid,
@@ -188,7 +188,7 @@ def test_grid_matches_pointwise_values():
 
 
 def test_grid_is_centre_slice_of_larger_grid():
-    # Kernel gathers take one table per lattice, so a smaller table must
+    # Kernel gathers read one table for every window, so a smaller table must
     # agree bit for bit with the centre of a larger one.
     small, large = 37, 64
     assert large > R_SWITCH
@@ -209,29 +209,41 @@ def test_window_table_is_centre_slice_of_square(rx, ry):
     assert np.array_equal(table, centre)
 
 
-def test_window_table_is_read_only_and_cached():
-    table = lgf_grid(40, 12)
-    assert not table.flags.writeable
+def test_kernel_table_grows_to_cover_every_window(monkeypatch):
+    # One table: it grows to cover both half-widths of every window asked
+    # for, and any window it covers gets the same read-only array.
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    wide = kernel_table(40, 12)
+    assert wide.shape == (41, 25)
+    covering = kernel_table(12, 40)
+    assert covering.shape == (41, 81)
+    for rx, ry in ((40, 12), (12, 40), (40, 40), (0, 0), (20, 7)):
+        assert kernel_table(rx, ry) is covering
+    assert not covering.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 1.0
-    assert lgf_grid(40, 12) is table
+        covering[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        kernel_table(-1, 3)
 
 
-def test_table_cache_is_bounded_by_bytes(monkeypatch):
-    # Tables of about 41 x 41 doubles: a budget of two keeps the two most
-    # recently read, and a table larger than the budget is still kept
-    # alone.
-    monkeypatch.setattr(lgf_module, "_TABLES", OrderedDict())
-    monkeypatch.setattr(lgf_module, "TABLE_CACHE_BYTES", 2 * 41 * 41 * 8)
-    first, second = lgf_grid(20, 20), lgf_grid(21, 19)
-    assert lgf_grid(20, 20) is first  # now the most recent
-    lgf_grid(19, 21)
-    assert list(lgf_module._TABLES) == [(20, 20), (19, 21)]
-    assert lgf_grid(20, 20) is first
-    assert lgf_grid(21, 19) is not second
-    large = lgf_grid(40, 40)
-    assert list(lgf_module._TABLES) == [(40, 40)]
-    assert lgf_grid(40, 40) is large
+@pytest.mark.parametrize("grown", [False, True])
+def test_kernel_table_offset_is_grid_entry_at_both_signs(monkeypatch, grown):
+    # Entry |j W + k| of the raveled table, from its entry (0, 0) on, is
+    # bitwise G(j, k) and G(-j, -k) of the window table, also when the
+    # table was built for a larger window (a longer row W).
+    rx, ry = 40, 12
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    if grown:
+        kernel_table(rx + 5, ry + 31)
+    table = kernel_table(rx, ry)
+    width = table.shape[1]
+    flat = table.ravel()[width // 2:]
+    full = lgf_grid(rx, ry)
+    j, k = np.meshgrid(np.arange(-rx, rx + 1), np.arange(-ry, ry + 1), indexing="ij")
+    values = flat[np.abs(j * width + k)]
+    assert np.array_equal(values, full[j + rx, k + ry])
+    assert np.array_equal(values, full[rx - j, ry - k])
+    assert np.array_equal(table[: rx + 1, width // 2 - ry : width // 2 + ry + 1], full[rx:])
 
 
 def test_grid_is_bitwise_the_quadrant_built_table():

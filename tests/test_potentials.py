@@ -1,6 +1,8 @@
 """Tests for lattice layer kernels and their dense assembly."""
 
+import importlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from latticebae.geometry import (
     ellipse,
     select_intersections,
 )
-from latticebae.lgf import lgf, lgf_grid
+from latticebae.lgf import kernel_table, lgf, lgf_grid
 from latticebae.potentials import (
     _ROW_BLOCK,
     DensityVector,
@@ -27,6 +29,9 @@ from latticebae.potentials import (
     contract_layer_matrix,
     evaluate_potential,
 )
+
+# The module, which the package's ``lgf`` function shadows as an attribute.
+lgf_module = importlib.import_module("latticebae.lgf")
 
 
 def single_kernel(m, n) -> float:
@@ -174,11 +179,13 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("geometry", ["ellipse", "diamond", "circle-exterior"])
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
-def test_gather_offsets_stay_in_the_table(kind, geometry, n):
-    # The gather reads the window's table without bounds checks, so every
-    # N+ target and every node it reads from (gamma-, and for the double
-    # kernel the exterior connections too) must lie in the box window;
-    # then every flat offset t(m) - s(n) indexes the table.
+def test_gather_offsets_stay_in_the_table(monkeypatch, kind, geometry, n):
+    # The gather reads the table without bounds checks, so every N+
+    # target and every node it reads from (gamma-, and for the double
+    # kernel the exterior connections too) must lie in the box window,
+    # which the table covers; then every flat offset |t(m) - s(n)|, in
+    # the table's own row width, indexes the table from its entry (0, 0)
+    # on.  So it does for the window's own table and for a larger one.
     cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet", n=n)
     ps = classify(harness.build_grid(cfg, n), harness.build_shape(cfg))
     window, (j0, k0) = ps.box_window
@@ -190,11 +197,47 @@ def test_gather_offsets_stay_in_the_table(kind, geometry, n):
     for nodes in (targets, sources):
         assert (nodes >= lo).all() and (nodes < hi).all()
     rx, ry = window.nx - 1, window.ny - 1
-    table = lgf_grid(rx, ry)
-    t_flat = (targets[:, 0] - j0 + rx) * table.shape[1] + targets[:, 1] - k0 + ry
-    s_flat = (sources[:, 0] - j0) * table.shape[1] + sources[:, 1] - k0
-    assert t_flat.min() - s_flat.max() >= 0
-    assert t_flat.max() - s_flat.min() < table.size
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    for grow in ((0, 0), (7, 19)):
+        kernel_table(rx + grow[0], ry + grow[1])
+        table = kernel_table(rx, ry)
+        width = table.shape[1]
+        assert table.shape == (rx + grow[0] + 1, 2 * (ry + grow[1]) + 1)
+        t_flat = targets[:, 0] * width + targets[:, 1]
+        s_flat = sources[:, 0] * width + sources[:, 1]
+        furthest = max(t_flat.max() - s_flat.min(), s_flat.max() - t_flat.min())
+        assert furthest < table.size - width // 2
+
+
+@pytest.mark.parametrize("formulation", ["single-direct", "double-schur"])
+@pytest.mark.parametrize("geometry", ["ellipse", "diamond"])
+def test_solve_is_bitwise_the_same_from_a_larger_table(monkeypatch, geometry, formulation):
+    # A gather may read a table built for a larger window (an earlier
+    # solve's): every M+ value is bitwise the one from the window's own.
+    cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet",
+                                   formulation=formulation, n=256, aspect=2.0)
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    own = harness.solve_problem(cfg)
+    window, _ = own.ps.box_window
+    assert kernel_table(0, 0).shape == (window.nx, 2 * window.ny - 1)
+    kernel_table(window.nx + 40, window.ny + 90)
+    larger = harness.solve_problem(cfg)
+    assert np.array_equal(larger.values, own.values)
+
+
+def test_a_process_holds_one_table(monkeypatch):
+    # Solving a second window that the first one's table does not cover
+    # leaves one table covering both: the first is released, not kept.
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    windows, tables = [], []
+    for geometry in ("diamond", "ellipse"):
+        cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet", n=128)
+        windows.append(harness.solve_problem(cfg).ps.box_window[0])
+        tables.append(weakref.ref(kernel_table(0, 0)))
+    first, last = tables[0](), tables[1]()
+    assert first is None and last is not None
+    assert windows[1].ny > windows[0].ny
+    assert last.shape == (max(w.nx for w in windows), 2 * max(w.ny for w in windows) - 1)
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
@@ -202,7 +245,7 @@ def test_gather_scratch_memory(ellipse256, kind):
     # Beyond the block itself, temporaries stay at row-block size.
     ps = ellipse256
     window, _ = ps.box_window
-    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -283,7 +326,7 @@ def test_product_streams_exterior_edge_values():
     points = points[: 4 * len(sources)]
     q = DensityVector(sources, np.ones(len(sources)))
     window, _ = ps.box_window
-    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

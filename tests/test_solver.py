@@ -13,7 +13,7 @@ from latticebae.errors import (
     FormulationSingularError,
     SingularSystemError,
 )
-from latticebae.lgf import lgf_grid
+from latticebae.lgf import kernel_table
 
 FORMULATION_TAGS = ("single-direct", "single-schur", "double-direct", "double-schur")
 
@@ -290,7 +290,7 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     window, _ = ps.box_window
-    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     cm.c_plus, cm.c_minus  # sparse, and cached on the closure
     n = len(cm.gamma_minus)
     n_e = n
@@ -345,7 +345,7 @@ def test_seam_block_adds_only_the_rows_it_reaches(robin_ellipse256, kernel):
     reached = np.unique(sparse.coo_array(weights).row)
     assert len(reached) < n / 4 and reached[-1] - reached[0] > 3 * n / 4
     window, _ = ps.box_window
-    lgf_grid(window.nx - 1, window.ny - 1)  # the table the gather reads
+    kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
