@@ -208,19 +208,6 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
     return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
-def _gamma_trace(result: solver.SolveResult, ps: geometry.PointSets) -> np.ndarray:
-    """Both traces in canonical gamma order, for the difference potential.
-
-    They are written on one grid array at their nodes, and read back on
-    gamma.  The grid array is freed before the box solve that follows.
-    """
-    traces = np.zeros((ps.grid.nx, ps.grid.ny))
-    tp, tm = result.trace_plus_nodes, result.density.support
-    traces[tp[:, 0], tp[:, 1]] = result.trace_plus
-    traces[tm[:, 0], tm[:, 1]] = result.trace_minus
-    return traces[ps.gamma]
-
-
 def _discretize(cfg: ExperimentConfig, n: int):
     """Manufactured solution, point sets and closure for one grid size."""
     shape = build_shape(cfg)
@@ -249,7 +236,7 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     u_edge = potentials.evaluate_potential(
         diffpot.edge_nodes(ps), result.density, form.kernel, ps
     )
-    u_h = diffpot.difference_potential(_gamma_trace(result, ps), ps, u_edge)
+    u_h = diffpot.difference_potential(result.trace, ps, u_edge)
     # gamma~+ lies in M+, where the difference potential is the layer
     # potential K q, so the closure rows read it there.
     residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)

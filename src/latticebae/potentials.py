@@ -53,7 +53,7 @@ combinations of their rows and their products with a density:
 :func:`contract_layer_matrix` adds each row block into such a combination
 as it is gathered, and :func:`apply_layer_matrix` multiplies each row
 block by the density, so neither holds the block whole.  The product
-serves both the solver's traces and the box-edge values of the
+serves both the solver's trace on gamma and the box-edge values of the
 exterior's difference potential (:func:`evaluate_potential`); interior
 values come from the box solve in :mod:`latticebae.diffpot`.
 """

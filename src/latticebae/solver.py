@@ -30,17 +30,18 @@ K-, and is assembled in place in the array of C+ K+.
 
 These kernel blocks never leave the module: :func:`assemble_system`
 gathers them from the closure it is given and returns a :class:`System`
-holding the matrix, the Schur form's K-^T factor and the node sets of
-the traces.  :func:`dense_solve` factors the matrix in place, so a
-direct solve peaks at one |gamma-|^2 array and a Schur solve at two.
-Once the density q is known, :func:`recover` streams the traces through
-the kernel gather, K- q (direct form only) and the gamma+ rows of K+
-times q, without holding either block.  :func:`solve_system` runs the
-whole line in one call.  :func:`condition_numbers` serves the
-conditioning study: from one gather of C+ K+ and K- it returns
-cond(K-), then builds the Schur form on copies of the two and the
-direct form in place, and takes each system's condition number before
-the next is built.
+holding the matrix and the Schur form's K-^T factor.  :func:`dense_solve`
+factors the matrix in place, so a direct solve peaks at one |gamma-|^2
+array and a Schur solve at two.  Once the density q is known,
+:func:`recover` streams the layer potential's trace on gamma through the
+kernel gather, in the canonical gamma order the difference potential
+reads: K(gamma, gamma-) q for the direct form, and for the Schur form
+the solved v on gamma- with K(gamma+, gamma-) q on gamma+, never holding
+a block.  :func:`solve_system` runs the whole line in one call.
+:func:`condition_numbers` serves the conditioning study: from one gather
+of C+ K+ and K- it returns cond(K-), then builds the Schur form on
+copies of the two and the direct form in place, and takes each system's
+condition number before the next is built.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.
@@ -104,25 +105,22 @@ def formulation_from_tag(tag: str) -> Formulation:
 
 @dataclass
 class SolveResult:
-    """A solved density with the layer potential's traces: ``trace_minus``
-    on gamma- (the density's support), ``trace_plus`` on the nodes
-    ``trace_plus_nodes``, which are the gamma+ nodes of the closure's
-    gamma~+ in their gamma~+ order (all of gamma~+ for Dirichlet, where
-    the two sets coincide)."""
+    """A solved density on gamma- with the layer potential's ``trace`` on
+    gamma, both in canonical order; ``trace_minus`` is the trace's gamma-
+    part.  ``system_cond`` is the system's condition number when
+    :func:`solve_system` was asked for it."""
 
     density: DensityVector
+    trace: np.ndarray
     trace_minus: np.ndarray
-    trace_plus: np.ndarray
-    trace_plus_nodes: np.ndarray
-    system_cond: Optional[float]
+    system_cond: Optional[float] = None
 
 
 @dataclass
 class System:
-    """One closure's square |gamma-| system in one formulation, with what
-    recovery reads: the LU factor of K-^T for the Schur form (None for
-    the direct form), the density's support gamma-, and the gamma+ nodes
-    of gamma~+ in their gamma~+ order, where the gamma+ trace is taken.
+    """One closure's square |gamma-| system in one formulation, with the
+    LU factor of K-^T that Schur recovery reads (None for the direct
+    form).
 
     :func:`dense_solve` consumes ``matrix``; :func:`solve_system` sets it
     to None once the system is factored."""
@@ -130,8 +128,6 @@ class System:
     formulation: Formulation
     matrix: Optional[np.ndarray]
     kernel_lu: Optional[tuple]
-    gamma_minus: np.ndarray
-    gamma_plus: np.ndarray
 
 
 def _c_plus_k_plus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
@@ -144,17 +140,16 @@ def _k_minus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarra
     return assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps).entries
 
 
-def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str,
-                overwrite: bool = False):
+def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
     """LU factors, or ``singular_error(message)`` if a pivot is below
-    threshold.  With ``overwrite`` a Fortran-ordered ``matrix`` is
+    threshold.  Consumes ``matrix``: a Fortran-ordered float array is
     factored in place."""
     scale = max(matrix.max(), -matrix.min())
     # The pivot check below is the singularity diagnosis; scipy's own
     # warning about exact zeros would just duplicate it on stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = linalg.lu_factor(matrix, overwrite_a=overwrite)
+        lu, piv = linalg.lu_factor(matrix, overwrite_a=True)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
         raise singular_error(message)
@@ -187,7 +182,6 @@ def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: 
         kernel_lu = _guarded_lu(
             km.T, FormulationSingularError,
             f"{name} is numerically singular; its Schur form is unavailable",
-            overwrite=True,
         )
         del km  # its entries now hold the factor
         # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
@@ -212,9 +206,7 @@ def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets
     else:
         matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
                                           _k_minus(cm, ps, kernel))
-    tp = cm.gamma_tilde_plus
-    return System(formulation, matrix, kernel_lu, cm.gamma_minus,
-                  tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]])
+    return System(formulation, matrix, kernel_lu)
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -228,8 +220,7 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise AssemblyError(f"system matrix has shape {matrix.shape}")
-    lu = _guarded_lu(matrix.T, SingularSystemError, "system matrix is numerically singular",
-                     overwrite=True)
+    lu = _guarded_lu(matrix.T, SingularSystemError, "system matrix is numerically singular")
     return linalg.lu_solve(lu, rhs, trans=1)
 
 
@@ -241,25 +232,22 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def recover(solution: np.ndarray, system: System, ps: PointSets,
-            system_cond: Optional[float] = None) -> SolveResult:
-    """Density and both traces from the solved primary unknown; the
-    traces are streamed through the kernel gather on ``ps``."""
+def recover(solution: np.ndarray, system: System, ps: PointSets) -> SolveResult:
+    """Density and its trace on gamma from the solved primary unknown;
+    the trace is streamed through the kernel gather on ``ps``."""
     kernel = system.formulation.kernel
+    gamma = ps.gamma_indices
+    on_minus = ps.gamma_minus[gamma[:, 0], gamma[:, 1]]
     if system.formulation.form is SystemForm.DIRECT:
-        density = DensityVector(system.gamma_minus, solution)
-        trace_minus = apply_layer_matrix(system.gamma_minus, density, kernel, ps)
+        density = DensityVector(ps.gamma_minus_indices, solution)
+        trace = apply_layer_matrix(gamma, density, kernel, ps)
     else:
-        trace_minus = np.asarray(solution, dtype=float)
-        density = DensityVector(system.gamma_minus,
-                                linalg.lu_solve(system.kernel_lu, trace_minus, trans=1))
-    return SolveResult(
-        density=density,
-        trace_minus=trace_minus,
-        trace_plus=apply_layer_matrix(system.gamma_plus, density, kernel, ps),
-        trace_plus_nodes=system.gamma_plus,
-        system_cond=system_cond,
-    )
+        density = DensityVector(ps.gamma_minus_indices,
+                                linalg.lu_solve(system.kernel_lu, solution, trans=1))
+        trace = np.empty(len(gamma))
+        trace[on_minus] = solution
+        trace[~on_minus] = apply_layer_matrix(ps.gamma_plus_indices, density, kernel, ps)
+    return SolveResult(density=density, trace=trace, trace_minus=trace[on_minus])
 
 
 def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
@@ -271,7 +259,9 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
     cond = condition_number(system.matrix) if compute_cond else None
     solution = dense_solve(system.matrix, cm.rhs)
     system.matrix = None  # its entries are the factor now
-    return recover(solution, system, ps, system_cond=cond)
+    result = recover(solution, system, ps)
+    result.system_cond = cond
+    return result
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:

@@ -279,7 +279,7 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(lambda x, y: 1.0))
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
                                  cm, ps)
-    u = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
+    u = diffpot.difference_potential(result.trace, ps)
     mp = ps.m_plus_indices
     assert np.abs(u.at(mp) - 1.0).max() <= 1e-9
 

@@ -289,7 +289,7 @@ def full_grid_values(cfg):
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
     result = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
     extension = np.zeros((grid.nx, grid.ny))
-    extension[ps.gamma] = harness._gamma_trace(result, ps)
+    extension[ps.gamma] = result.trace
     rhs = diffpot.GridFunction.zeros(grid)
     band = ps.m_minus & ~edge
     rhs.values[band] = diffpot.apply_stencil(extension)[band]

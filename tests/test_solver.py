@@ -23,8 +23,14 @@ def centered_grid(half, n):
 
 
 def interior_values(result, ps):
-    w = diffpot.difference_potential(harness._gamma_trace(result, ps), ps)
+    w = diffpot.difference_potential(result.trace, ps)
     return w.at(ps.m_plus_indices)
+
+
+def gamma_plus_part(result, ps):
+    """The trace on gamma+, in canonical gamma+ order."""
+    gamma = ps.gamma_indices
+    return result.trace[ps.gamma_plus[gamma[:, 0], gamma[:, 1]]]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +130,7 @@ def test_recover_zero_density(circle_problem):
     system = solver.assemble_system(form, cm, ps)
     result = solver.recover(np.zeros(len(cm.gamma_minus)), system, ps)
     assert np.all(result.trace_minus == 0.0)
-    assert np.all(result.trace_plus == 0.0)
+    assert np.all(result.trace == 0.0)
 
 
 @pytest.mark.parametrize("tag", ["single-direct", "double-direct"])
@@ -175,7 +181,7 @@ def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
     result = solver.solve_system(form, cm, ps)
-    lhs = cm.phi_plus @ result.trace_plus + cm.phi_minus @ result.trace_minus
+    lhs = cm.phi_plus @ gamma_plus_part(result, ps) + cm.phi_minus @ result.trace_minus
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
 
@@ -239,7 +245,7 @@ def test_robin_system_solves_and_satisfies_closure():
     for tag in ("single-direct", "single-schur"):
         form = solver.formulation_from_tag(tag)
         result = solver.solve_system(form, cm, ps)
-        # trace_plus covers gamma+ only; the closure rows need all of gamma~+.
+        # The trace is on gamma only; the closure rows need all of gamma~+.
         k_plus = potentials.assemble_layer_matrix(
             cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
         )
@@ -247,8 +253,8 @@ def test_robin_system_solves_and_satisfies_closure():
         tp = cm.gamma_tilde_plus
         on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
         assert not on_gamma.all()
-        assert np.array_equal(result.trace_plus_nodes, tp[on_gamma])
-        np.testing.assert_allclose(result.trace_plus, trace_plus[on_gamma],
+        assert np.array_equal(ps.gamma_plus_indices, tp[on_gamma])
+        np.testing.assert_allclose(gamma_plus_part(result, ps), trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
         k_minus = potentials.assemble_layer_matrix(
             cm.gamma_minus, cm.gamma_minus, form.kernel, ps
@@ -363,15 +369,38 @@ def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
     form = solver.formulation_from_tag(tag)
     result = solver.solve_system(form, cm, ps)
     q = result.density.values
-    tp = cm.gamma_tilde_plus
-    assert np.array_equal(result.trace_plus_nodes, tp[ps.gamma_plus[tp[:, 0], tp[:, 1]]])
     k_plus_gamma = potentials.assemble_layer_matrix(
-        result.trace_plus_nodes, cm.gamma_minus, form.kernel, ps
+        ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
     )
-    np.testing.assert_allclose(result.trace_plus, k_plus_gamma.entries @ q, rtol=1e-14)
+    np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma.entries @ q, rtol=1e-14)
     if form.form is solver.SystemForm.DIRECT:
         k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
         np.testing.assert_allclose(result.trace_minus, k_minus.entries @ q, rtol=1e-14)
+
+
+@pytest.mark.parametrize("tag", FORMULATION_TAGS)
+def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatch, tag):
+    # The direct forms stream the whole trace on gamma; the Schur forms
+    # stream only its gamma+ part, and their gamma- part is the solved v.
+    ps, cm = robin_ellipse256
+    form = solver.formulation_from_tag(tag)
+    targets = []
+    apply_layer_matrix = solver.apply_layer_matrix
+
+    def recorded(points, *args, **kwargs):
+        targets.append(points)
+        return apply_layer_matrix(points, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
+    system = solver.assemble_system(form, cm, ps)
+    solution = solver.dense_solve(system.matrix, cm.rhs)
+    result = solver.recover(solution, system, ps)
+    assert result.trace.shape == (len(ps.gamma_indices),)
+    direct = form.form is solver.SystemForm.DIRECT
+    assert len(targets) == 1
+    assert np.array_equal(targets[0], ps.gamma_indices if direct else ps.gamma_plus_indices)
+    if not direct:
+        assert np.array_equal(result.trace_minus, solution)
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
