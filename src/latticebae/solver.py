@@ -41,10 +41,18 @@ a block.  :func:`solve_system` runs the whole line in one call.
 :func:`condition_numbers` serves the conditioning study: from one gather
 of C+ K+ and K- it returns cond(K-), then builds the Schur form on
 copies of the two and the direct form in place, and takes each system's
-condition number before the next is built.
+condition number before the next is built.  :func:`condition_number`
+takes the singular values of an exactly symmetric matrix as the moduli
+of its eigenvalues, from the symmetric eigensolver at about a quarter of
+the cost of an SVD.  S- is the one such matrix, since G(d) = G(-d) and
+its gather reads entries (i, j) and (j, i) at the same table offset;
+every other matrix takes the SVD.
 
 All factorizations share one pivot-guarded LU: a singular system raises
-SingularSystemError, a singular K- FormulationSingularError.
+SingularSystemError, a singular K- FormulationSingularError.  A matrix
+that is factored, or whose condition number is taken, is scanned for
+finiteness once, here rather than again inside LAPACK, and a non-finite
+one raises AssemblyError.
 
 Everything here is dense: at desk scales |gamma-| stays in the low
 thousands, and the conditioning study wants the explicit matrices
@@ -142,24 +150,24 @@ def _k_minus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarra
 
 def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
     """LU factors, or ``singular_error(message)`` if a pivot is below
-    threshold.  Consumes ``matrix``: a Fortran-ordered float array is
-    factored in place."""
+    threshold.  Consumes ``matrix``, which must be finite: a
+    Fortran-ordered float array is factored in place."""
     scale = max(matrix.max(), -matrix.min())
     # The pivot check below is the singularity diagnosis; scipy's own
     # warning about exact zeros would just duplicate it on stderr.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = linalg.lu_factor(matrix, overwrite_a=True)
+        lu, piv = linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or pivots.min() < _PIVOT_RTOL * scale:
         raise singular_error(message)
     return lu, piv
 
 
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(matrix)):
-        raise AssemblyError("assembled system contains non-finite entries")
-    return matrix
+def _finite(array: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(array).all():
+        raise AssemblyError(f"{name} contains non-finite entries")
+    return array
 
 
 def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
@@ -180,28 +188,31 @@ def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: 
     else:
         name = "D-" if formulation.kernel is LayerKind.DOUBLE else "S-"
         kernel_lu = _guarded_lu(
-            km.T, FormulationSingularError,
+            _finite(km.T, name), FormulationSingularError,
             f"{name} is numerically singular; its Schur form is unavailable",
         )
         del km  # its entries now hold the factor
         # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
-        matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True).T
+        matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True,
+                                 check_finite=False).T
         c_minus = cm.c_minus.tocoo()
         np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
-    return _finite(matrix), kernel_lu
+    return matrix, kernel_lu
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
     """The square |gamma-| system of ``cm`` in one formulation, with what
-    :func:`recover` reads; its right-hand side is ``cm.rhs``."""
+    :func:`recover` reads; its right-hand side is ``cm.rhs``.  The matrix
+    is checked for finiteness where it is read: by :func:`dense_solve`
+    and :func:`condition_number`."""
     kernel = formulation.kernel
     if formulation.form is SystemForm.DIRECT:
         # C+ K+ + C- K- in one contraction over gamma~+ and gamma- together.
-        matrix = _finite(contract_layer_matrix(
+        matrix = contract_layer_matrix(
             sparse.hstack([cm.c_plus, cm.c_minus]),
             np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus]),
             cm.gamma_minus, kernel, ps,
-        ))
+        )
         kernel_lu = None
     else:
         matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
@@ -210,7 +221,8 @@ def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with a pivot-based singularity guard.
+    """LU solve with a pivot-based singularity guard; a non-finite
+    matrix or right-hand side raises AssemblyError.
 
     Consumes ``matrix``: it is factored as its transpose, in place when
     ``matrix`` is a C-ordered float array (its transpose is then
@@ -220,16 +232,31 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise AssemblyError(f"system matrix has shape {matrix.shape}")
-    lu = _guarded_lu(matrix.T, SingularSystemError, "system matrix is numerically singular")
-    return linalg.lu_solve(lu, rhs, trans=1)
+    lu = _guarded_lu(_finite(matrix.T, "system matrix"), SingularSystemError,
+                     "system matrix is numerically singular")
+    return linalg.lu_solve(lu, _finite(np.asarray(rhs, dtype=float), "right-hand side"),
+                           trans=1, check_finite=False)
 
 
 def condition_number(matrix: np.ndarray) -> float:
-    """2-norm condition number; +inf when the smallest singular value is 0."""
-    sv = linalg.svdvals(np.asarray(matrix, dtype=float))
-    if sv[-1] == 0.0:
+    """2-norm condition number; +inf when the smallest singular value is 0,
+    and AssemblyError for a non-finite matrix.
+
+    An exactly symmetric matrix takes its singular values as the moduli
+    of its eigenvalues, from the symmetric eigensolver (as backward
+    stable as the SVD, at about a quarter of its cost); any other matrix
+    takes the SVD.
+    """
+    matrix = _finite(np.asarray(matrix, dtype=float), "matrix")
+    if matrix.shape[0] == matrix.shape[-1] and linalg.issymmetric(matrix):
+        sv = np.abs(linalg.eigvalsh(matrix, check_finite=False))
+        largest, smallest = sv.max(), sv.min()
+    else:
+        sv = linalg.svdvals(matrix, check_finite=False)
+        largest, smallest = sv[0], sv[-1]
+    if smallest == 0.0:
         return np.inf
-    return float(sv[0] / sv[-1])
+    return float(largest / smallest)
 
 
 def recover(solution: np.ndarray, system: System, ps: PointSets) -> SolveResult:
@@ -243,7 +270,8 @@ def recover(solution: np.ndarray, system: System, ps: PointSets) -> SolveResult:
         trace = apply_layer_matrix(gamma, density, kernel, ps)
     else:
         density = DensityVector(ps.gamma_minus_indices,
-                                linalg.lu_solve(system.kernel_lu, solution, trans=1))
+                                linalg.lu_solve(system.kernel_lu, solution, trans=1,
+                                                check_finite=False))
         trace = np.empty(len(gamma))
         trace[on_minus] = solution
         trace[~on_minus] = apply_layer_matrix(ps.gamma_plus_indices, density, kernel, ps)

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from latticebae import cli, geometry, harness, solver
 from latticebae.errors import ConfigError
@@ -260,6 +261,25 @@ def test_conditioning_gathers_once_per_kernel(monkeypatch, geometry_name, gather
                                    n_list=(32, 64, 128))
     harness.run_conditioning(cfg)
     assert len(calls) == gathers * 3
+
+
+@pytest.mark.parametrize("geometry_name", ["ellipse", "diamond"])
+def test_conditioning_takes_s_minus_from_the_eigensolver(monkeypatch, geometry_name):
+    # S- is exactly symmetric, so its condition number comes from its
+    # eigenvalues; the other five study matrices of a rung take the SVD.
+    calls = {"svdvals": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    cfg = harness.ExperimentConfig(geometry=geometry_name, bc="dirichlet",
+                                   n_list=(32, 64, 128))
+    harness.run_conditioning(cfg)
+    assert calls == {"svdvals": 5 * 3, "eigvalsh": 1 * 3}
 
 
 def _csv_bytes(rows, **kw):

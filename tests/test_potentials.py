@@ -351,12 +351,26 @@ def test_double_block_names_first_unconnected_source():
             assemble_layer_matrix(sources, sources, LayerKind.DOUBLE, ps)
 
 
-def test_minus_single_block_symmetric_zero_diagonal(circle_setup):
-    _, _, ps = circle_setup
+def assert_exactly_symmetric_zero_diagonal(ps):
+    # Entries (i, j) and (j, i) read one table offset, and (i, i) reads
+    # G(0) = 0: the conditioning study's eigensolver path needs both exact.
     sources = ps.gamma_minus_indices
-    lm = assemble_layer_matrix(sources, sources, LayerKind.SINGLE, ps)
-    assert np.allclose(np.diag(lm.entries), 0.0)
-    assert np.allclose(lm.entries, lm.entries.T, atol=1e-14)
+    entries = assemble_layer_matrix(sources, sources, LayerKind.SINGLE, ps).entries
+    assert np.array_equal(entries, entries.T)
+    assert not np.diag(entries).any()
+
+
+def test_minus_single_block_symmetric_zero_diagonal(circle_setup, ellipse256):
+    assert_exactly_symmetric_zero_diagonal(circle_setup[2])
+    assert_exactly_symmetric_zero_diagonal(ellipse256)
+
+
+def test_minus_single_block_symmetric_from_a_larger_table(ellipse256, monkeypatch):
+    window, _ = ellipse256.box_window
+    monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
+    kernel_table(window.nx + 40, window.ny + 90)
+    assert kernel_table(0, 0).shape == (window.nx + 41, 2 * (window.ny + 90) + 1)
+    assert_exactly_symmetric_zero_diagonal(ellipse256)
 
 
 def test_block_dimensions(circle_setup):

@@ -85,10 +85,58 @@ def test_dense_solve_rejects_singular():
         solver.dense_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
 
 
+def test_dense_solve_rejects_non_finite_entries():
+    matrix = np.eye(3)
+    matrix[1, 2] = np.nan
+    with pytest.raises(AssemblyError, match="system matrix contains non-finite"):
+        solver.dense_solve(matrix, np.ones(3))
+    with pytest.raises(AssemblyError, match="right-hand side contains non-finite"):
+        solver.dense_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
+
+
 def test_condition_number_basics():
     assert solver.condition_number(np.eye(4)) == pytest.approx(1.0)
     assert solver.condition_number(np.diag([1.0, 2.0])) == pytest.approx(2.0)
     assert solver.condition_number(np.diag([1.0, 0.0])) == np.inf
+
+
+def test_condition_number_of_symmetric_matrices():
+    # The singular values are the moduli of the eigenvalues, signs and all.
+    assert solver.condition_number(np.diag([1.0, -2.0])) == 2.0
+    assert solver.condition_number(np.diag([3.0, 0.0, -1.0])) == np.inf
+    assert solver.condition_number(np.zeros((3, 3))) == np.inf
+
+
+def test_condition_number_rejects_non_finite_entries():
+    for value in (np.nan, np.inf):
+        matrix = np.eye(3)
+        matrix[0, 0] = value
+        with pytest.raises(AssemblyError, match="non-finite"):
+            solver.condition_number(matrix)
+
+
+def _s_minus(ps, cm):
+    return potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus,
+                                            potentials.LayerKind.SINGLE, ps).entries
+
+
+def test_s_minus_condition_number_matches_the_svd(circle_problem):
+    grid, ps, cm = circle_problem
+    s_minus = _s_minus(ps, cm)
+    assert scipy.linalg.issymmetric(s_minus)
+    sv = scipy.linalg.svdvals(s_minus)
+    reference = sv[0] / sv[-1]
+    cond = solver.condition_number(s_minus)
+    assert abs(cond - reference) <= 10 * np.finfo(float).eps * reference * reference
+
+
+def test_matrix_one_ulp_from_symmetric_takes_the_svd(circle_problem):
+    grid, ps, cm = circle_problem
+    matrix = _s_minus(ps, cm)
+    matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
+    assert not scipy.linalg.issymmetric(matrix)
+    sv = scipy.linalg.svdvals(matrix)
+    assert solver.condition_number(matrix) == sv[0] / sv[-1]
 
 
 def test_formulation_tags_round_trip():
@@ -118,6 +166,35 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
     form = solver.formulation_from_tag("single-schur")
     with pytest.raises(FormulationSingularError):
         solver.assemble_system(form, cm, ps)
+
+
+def _nan_k_minus(monkeypatch):
+    k_minus = solver._k_minus
+
+    def planted(*args):
+        entries = k_minus(*args)
+        entries[1, 0] = np.nan
+        return entries
+
+    monkeypatch.setattr(solver, "_k_minus", planted)
+
+
+@pytest.mark.parametrize("tag", ["single-schur", "double-schur"])
+def test_schur_assembly_rejects_a_non_finite_kernel_matrix(circle_problem, monkeypatch, tag):
+    grid, ps, cm = circle_problem
+    _nan_k_minus(monkeypatch)
+    name = "S-" if tag.startswith("single") else "D-"
+    with pytest.raises(AssemblyError, match=f"{name} contains non-finite"):
+        solver.assemble_system(solver.formulation_from_tag(tag), cm, ps)
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_condition_numbers_reject_a_non_finite_kernel_matrix(circle_problem, monkeypatch,
+                                                              kernel):
+    grid, ps, cm = circle_problem
+    _nan_k_minus(monkeypatch)
+    with pytest.raises(AssemblyError, match="non-finite"):
+        solver.condition_numbers(kernel, cm, ps)
 
 
 # ---------------------------------------------------------------------------
