@@ -38,6 +38,12 @@ ROBIN_COEFFS = (1.0, 1.0)
 CONDITIONING_LABELS = ("S-", "D-", "A_s", "A_d", "M_s", "M_d")
 
 
+def _check_n(n) -> None:
+    """ConfigError unless ``n`` is an integer power of two in [32, 2048]."""
+    if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
+        raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: str
@@ -67,8 +73,7 @@ class ExperimentConfig:
             if value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for n in self.all_n():
-            if n < 32 or n > 2048 or (n & (n - 1)) != 0:
-                raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
+            _check_n(n)
 
     @property
     def unbounded(self) -> bool:
@@ -210,6 +215,7 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
 
 def _discretize(cfg: ExperimentConfig, n: int):
     """Manufactured solution, point sets and closure for one grid size."""
+    _check_n(n)
     shape = build_shape(cfg)
     mf = manufactured_solution(cfg)
     ps = geometry.classify(build_grid(cfg, n), shape)

@@ -9,24 +9,24 @@ form keeps the density as the unknown,
     (C+ K+ + C- K-) q = g,
 
 and needs no inversion.  The Schur form substitutes the gamma- trace
-v = K- q as the unknown, turning the system into
+v = K- q as the unknown; its matrix is the direct one right-divided by
+K-,
 
-    ((C+ K+) K-^{-1} + C-) v = g,
+    (C+ K+ + C- K-) K-^{-1} v = ((C+ K+) K-^{-1} + C-) v = g,
 
 whose conditioning mirrors the preconditioned operator the trace map
-induces.  (C+ K+) K-^{-1} is realized by factoring K-^T in place, over
-K-'s own entries (K- is C-ordered, so K-^T is Fortran-ordered and LAPACK
-needs no copy), and solving |gamma-| right-hand sides against it; no
-inverse is ever formed, and recovery reuses that factor for the density
-q = K-^{-1} v.  For Dirichlet closures eta is empty, so C+ = Phi+ and
-C- = Phi-.
+induces.  The right division factors K-^T in place, over K-'s own
+entries (K- is C-ordered, so K-^T is Fortran-ordered and LAPACK needs no
+copy), and solves |gamma-| right-hand sides against it, in place in the
+direct matrix; no inverse is ever formed, and recovery reuses that
+factor for the density q = K-^{-1} v.  For Dirichlet closures eta is
+empty, so C+ = Phi+ and C- = Phi-.
 
-K+ (|gamma~+| x |gamma-|) enters only through C+ K+, which is taken from
-the kernel gather block by block, so K+ itself is never held.  The direct
-form is one such contraction, of the weights [C+ | C-] against the
-targets gamma~+ followed by gamma-, so it holds no kernel block at all:
-its one |gamma-|^2 array is the matrix.  The Schur form holds C+ K+ and
-K-, and is assembled in place in the array of C+ K+.
+The direct matrix is built in one way only: one contraction of the
+weights [C+ | C-] against the targets gamma~+ followed by gamma-, taken
+from the kernel gather block by block.  So K+ (|gamma~+| x |gamma-|) is
+never held, and the direct form holds no kernel block at all: its one
+|gamma-|^2 array is the matrix.  The Schur form holds that array and K-.
 
 These kernel blocks never leave the module: :func:`assemble_system`
 gathers them from the closure it is given and returns a :class:`System`
@@ -38,15 +38,16 @@ kernel gather, in the canonical gamma order the difference potential
 reads: K(gamma, gamma-) q for the direct form, and for the Schur form
 the solved v on gamma- with K(gamma+, gamma-) q on gamma+, never holding
 a block.  :func:`solve_system` runs the whole line in one call.
-:func:`condition_numbers` serves the conditioning study: from one gather
-of C+ K+ and K- it returns cond(K-), then builds the Schur form on
-copies of the two and the direct form in place, and takes each system's
-condition number before the next is built.  :func:`condition_number`
-takes the singular values of an exactly symmetric matrix as the moduli
-of its eigenvalues, from the symmetric eigensolver at about a quarter of
-the cost of an SVD.  S- is the one such matrix, since G(d) = G(-d) and
-its gather reads entries (i, j) and (j, i) at the same table offset;
-every other matrix takes the SVD.
+:func:`condition_numbers` serves the conditioning study with the very
+matrices a solve factors: from one gather of K- and one contraction of
+the direct matrix it takes cond(K-), then cond of the direct matrix,
+which it then right-divides in place into the Schur matrix for the
+third; no array is copied.  :func:`condition_number` takes the singular
+values of an exactly symmetric matrix as the moduli of its eigenvalues,
+from the symmetric eigensolver at about a quarter of the cost of an SVD.
+S- is the one such matrix, since G(d) = G(-d) and its gather reads
+entries (i, j) and (j, i) at the same table offset; every other matrix
+takes the SVD.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, a singular K- FormulationSingularError.  A matrix
@@ -74,7 +75,6 @@ from .closure import ClosureMatrices
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
 from .potentials import (
-    _ROW_BLOCK,
     DensityVector,
     LayerKind,
     apply_layer_matrix,
@@ -138,10 +138,14 @@ class System:
     kernel_lu: Optional[tuple]
 
 
-def _c_plus_k_plus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
-    """C+ K+ on the closure's orderings; the |gamma~+| x |gamma-| block K+
-    itself is never held."""
-    return contract_layer_matrix(cm.c_plus, cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+def _direct_matrix(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
+    """C+ K+ + C- K- in one contraction of [C+ | C-] over gamma~+ and
+    gamma- together, so no kernel block is held."""
+    return contract_layer_matrix(
+        sparse.hstack([cm.c_plus, cm.c_minus]),
+        np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus]),
+        cm.gamma_minus, kernel, ps,
+    )
 
 
 def _k_minus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
@@ -170,53 +174,30 @@ def _finite(array: np.ndarray, name: str) -> np.ndarray:
     return array
 
 
-def _build_matrix(formulation: Formulation, cm: ClosureMatrices, c_plus_k_plus: np.ndarray,
-                  km: np.ndarray) -> tuple:
-    """The system matrix of one formulation from the held blocks C+ K+
-    and K-, built in place in ``c_plus_k_plus``, and the Schur form's
-    K-^T factor, which overwrites K- (``km``); None for the direct form.
-    Solves take the direct form from one contraction instead
-    (:func:`assemble_system`); the conditioning study, which holds K-
-    anyway, builds it here."""
-    kernel_lu = None
-    if formulation.form is SystemForm.DIRECT:
-        matrix = c_plus_k_plus
-        for start in range(0, len(matrix), _ROW_BLOCK):
-            stop = start + _ROW_BLOCK
-            matrix[start:stop] += cm.c_minus[start:stop] @ km
-        del km
-    else:
-        name = "D-" if formulation.kernel is LayerKind.DOUBLE else "S-"
-        kernel_lu = _guarded_lu(
-            _finite(km.T, name), FormulationSingularError,
-            f"{name} is numerically singular; its Schur form is unavailable",
-        )
-        del km  # its entries now hold the factor
-        # (C+ K+) K-^{-1}: |gamma-| right-hand sides, solved in place.
-        matrix = linalg.lu_solve(kernel_lu, c_plus_k_plus.T, overwrite_b=True,
-                                 check_finite=False).T
-        c_minus = cm.c_minus.tocoo()
-        np.add.at(matrix, (c_minus.row, c_minus.col), c_minus.data)
-    return matrix, kernel_lu
+def _kernel_factor(kernel: LayerKind, k_minus: np.ndarray) -> tuple:
+    """The guarded LU factor of K-^T, over K-'s own entries."""
+    name = "D-" if kernel is LayerKind.DOUBLE else "S-"
+    return _guarded_lu(_finite(k_minus.T, name), FormulationSingularError,
+                       f"{name} is numerically singular; its Schur form is unavailable")
+
+
+def _right_divide(matrix: np.ndarray, kernel_lu: tuple) -> np.ndarray:
+    """``matrix`` K-^{-1}, in place: |gamma-| right-hand sides solved
+    against the factor of K-^T."""
+    return linalg.lu_solve(kernel_lu, matrix.T, overwrite_b=True, check_finite=False).T
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
     """The square |gamma-| system of ``cm`` in one formulation, with what
-    :func:`recover` reads; its right-hand side is ``cm.rhs``.  The matrix
-    is checked for finiteness where it is read: by :func:`dense_solve`
-    and :func:`condition_number`."""
-    kernel = formulation.kernel
-    if formulation.form is SystemForm.DIRECT:
-        # C+ K+ + C- K- in one contraction over gamma~+ and gamma- together.
-        matrix = contract_layer_matrix(
-            sparse.hstack([cm.c_plus, cm.c_minus]),
-            np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus]),
-            cm.gamma_minus, kernel, ps,
-        )
-        kernel_lu = None
-    else:
-        matrix, kernel_lu = _build_matrix(formulation, cm, _c_plus_k_plus(cm, ps, kernel),
-                                          _k_minus(cm, ps, kernel))
+    :func:`recover` reads; its right-hand side is ``cm.rhs``.  The direct
+    matrix M is one contraction, and the Schur matrix is M K-^{-1}, formed
+    in place in M's array.  The matrix is checked for finiteness where it
+    is read: by :func:`dense_solve` and :func:`condition_number`."""
+    matrix = _direct_matrix(cm, ps, formulation.kernel)
+    kernel_lu = None
+    if formulation.form is SystemForm.SCHUR:
+        kernel_lu = _kernel_factor(formulation.kernel, _k_minus(cm, ps, formulation.kernel))
+        matrix = _right_divide(matrix, kernel_lu)
     return System(formulation, matrix, kernel_lu)
 
 
@@ -230,12 +211,15 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     factor afterwards.
     """
     matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise AssemblyError(f"system matrix has shape {matrix.shape}")
+    if rhs.shape[:1] != matrix.shape[:1]:
+        raise AssemblyError(f"right-hand side has shape {rhs.shape} for a "
+                            f"{matrix.shape} system matrix")
     lu = _guarded_lu(_finite(matrix.T, "system matrix"), SingularSystemError,
                      "system matrix is numerically singular")
-    return linalg.lu_solve(lu, _finite(np.asarray(rhs, dtype=float), "right-hand side"),
-                           trans=1, check_finite=False)
+    return linalg.lu_solve(lu, _finite(rhs, "right-hand side"), trans=1, check_finite=False)
 
 
 def condition_number(matrix: np.ndarray) -> float:
@@ -294,13 +278,12 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:
     """cond(K-), then the condition numbers of the Schur and the direct
-    system of ``cm``, all from one gather of the kernel blocks."""
-    c_plus_k_plus, k_minus = _c_plus_k_plus(cm, ps, kernel), _k_minus(cm, ps, kernel)
+    system of ``cm``, from one gather of K- and one contraction of the
+    direct matrix M, each number taken before its array is overwritten:
+    K- by its factor, M by the Schur matrix M K-^{-1}."""
+    k_minus = _k_minus(cm, ps, kernel)
     cond_minus = condition_number(k_minus)
-    # The Schur form is built on copies and dropped, with its factor,
-    # before the direct form is built in place.
-    cond_schur = condition_number(_build_matrix(Formulation(kernel, SystemForm.SCHUR), cm,
-                                                np.array(c_plus_k_plus), np.array(k_minus))[0])
-    cond_direct = condition_number(_build_matrix(Formulation(kernel, SystemForm.DIRECT), cm,
-                                                 c_plus_k_plus, k_minus)[0])
+    matrix = _direct_matrix(cm, ps, kernel)
+    cond_direct = condition_number(matrix)
+    cond_schur = condition_number(_right_divide(matrix, _kernel_factor(kernel, k_minus)))
     return cond_minus, cond_schur, cond_direct

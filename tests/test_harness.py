@@ -5,6 +5,7 @@ import io
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def test_config_rejects_bad_grid_sizes():
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
                                  n_list=(32, 48, 64))
+
+
+def test_config_rejects_non_integer_grid_sizes():
+    with pytest.raises(ConfigError, match=r"\[32, 2048\], got 128.0"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=128.0)
+    with pytest.raises(ConfigError, match=r"\[32, 2048\]"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n_list=(32, 64.0, 128))
+
+
+def test_solve_rejects_an_explicit_bad_grid_size():
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64)
+    for n in (48, 64.0):
+        with pytest.raises(ConfigError, match=r"\[32, 2048\]"):
+            harness.solve_problem(cfg, n)
 
 
 def test_config_rejects_bad_ladders():
@@ -261,6 +276,21 @@ def test_conditioning_gathers_once_per_kernel(monkeypatch, geometry_name, gather
                                    n_list=(32, 64, 128))
     harness.run_conditioning(cfg)
     assert len(calls) == gathers * 3
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "robin"])
+def test_conditioning_rows_are_the_solves_condition_numbers(bc):
+    # The study reports the condition numbers of the very matrices that
+    # the solves factor, bitwise.
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc=bc, aspect=2.0,
+                                   n_list=(32, 64, 128))
+    names = {"A_s": "single-schur", "A_d": "double-schur",
+             "M_s": "single-direct", "M_d": "double-direct"}
+    for row in harness.run_conditioning(cfg).rows:
+        if row.formulation in names:
+            solve_cfg = replace(cfg, formulation=names[row.formulation], compute_cond=True)
+            sol = harness.solve_problem(solve_cfg, row.n)
+            assert sol.result.system_cond == row.cond
 
 
 @pytest.mark.parametrize("geometry_name", ["ellipse", "diamond"])

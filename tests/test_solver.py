@@ -80,6 +80,11 @@ def test_dense_solve_either_memory_order(order):
         assert not np.array_equal(matrix, a)  # consumed: it holds the factor
 
 
+def test_dense_solve_rejects_a_wrong_length_right_hand_side():
+    with pytest.raises(AssemblyError, match=r"right-hand side has shape \(4,\)"):
+        solver.dense_solve(np.eye(3), np.ones(4))
+
+
 def test_dense_solve_rejects_singular():
     with pytest.raises(SingularSystemError):
         solver.dense_solve(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
@@ -283,11 +288,12 @@ def test_solve_cond_is_of_the_unfactored_matrix(circle_problem, tag):
     assert solver.solve_system(form, cm, ps).system_cond is None
 
 
+@pytest.mark.parametrize("problem", ["circle_problem", "robin_ellipse256"])
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
-def test_condition_numbers_match_each_system(circle_problem, kernel):
-    # One gather serves K- and both forms; each number is the one its own
-    # assembly gives.
-    grid, ps, cm = circle_problem
+def test_condition_numbers_match_each_system(request, problem, kernel):
+    # One gather serves K- and both forms; each number is bitwise the one
+    # its own assembly gives, Robin closures (C- beyond Phi-) included.
+    ps, cm = request.getfixturevalue(problem)[-2:]
     k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     expected = [solver.condition_number(k_minus.entries)]
     for form in (solver.SystemForm.SCHUR, solver.SystemForm.DIRECT):
@@ -495,3 +501,45 @@ def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, mo
     n = len(cm.gamma_minus)
     assert len(cm.gamma_tilde_plus) != n
     assert shapes == [(n, n)]
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_schur_matrix_is_the_textbook_form(robin_ellipse256, kernel):
+    # The Schur matrix, right-divided from the direct one, against
+    # C+ K+ K-^{-1} + C- from the held blocks, within the rounding that
+    # the right division by K- allows.
+    ps, cm = robin_ellipse256
+    system = solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps)
+    k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    reference = scipy.linalg.solve(k_minus.entries.T, (cm.c_plus @ k_plus.entries).T).T
+    reference += cm.c_minus.toarray()
+    bound = 10 * np.finfo(float).eps * solver.condition_number(k_minus.entries)
+    error = np.abs(system.matrix - reference).max() / np.abs(reference).max()
+    assert error <= bound
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
+    # One contraction for the direct matrix and, where K- is needed, one
+    # gather of it, whether one form is assembled or the conditioning
+    # study takes all three numbers.
+    grid, ps, cm = circle_problem
+    calls = []
+    for name in ("contract_layer_matrix", "assemble_layer_matrix"):
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    both = ["contract_layer_matrix", "assemble_layer_matrix"]
+    solver.condition_numbers(kernel, cm, ps)
+    assert sorted(calls) == sorted(both)
+    calls.clear()
+    solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps)
+    assert sorted(calls) == sorted(both)
+    calls.clear()
+    solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)
+    assert calls == ["contract_layer_matrix"]
