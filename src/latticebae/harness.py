@@ -17,6 +17,7 @@ which keeps diffs meaningful.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -70,8 +71,8 @@ class ExperimentConfig:
         for value, name in ((self.aspect, "aspect"), (self.r1, "r1"),
                             (self.r2, "r2"), (self.radius, "radius"),
                             (self.ell, "ell")):
-            if value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         for n in self.all_n():
             _check_n(n)
 

@@ -15,45 +15,47 @@ K-,
     (C+ K+ + C- K-) K-^{-1} v = ((C+ K+) K-^{-1} + C-) v = g,
 
 whose conditioning mirrors the preconditioned operator the trace map
-induces.  The right division factors K-^T in place, over K-'s own
+induces.  Both forms have the same solution, so a solve in either form
+solves the direct system for q; the Schur matrix is formed only where
+its conditioning is the point, for ``compute_cond`` and the conditioning
+study.  There the right division factors K-^T in place, over K-'s own
 entries (K- is C-ordered, so K-^T is Fortran-ordered and LAPACK needs no
 copy), and solves |gamma-| right-hand sides against it, in place in the
-direct matrix; no inverse is ever formed, and recovery reuses that
-factor for the density q = K-^{-1} v.  For Dirichlet closures eta is
+direct matrix; no inverse is ever formed.  For Dirichlet closures eta is
 empty, so C+ = Phi+ and C- = Phi-.
 
 The direct matrix is built in one way only: one contraction of the
 weights [C+ | C-] against the targets gamma~+ followed by gamma-, taken
 from the kernel gather block by block.  So K+ (|gamma~+| x |gamma-|) is
-never held, and the direct form holds no kernel block at all: its one
-|gamma-|^2 array is the matrix.  The Schur form holds that array and K-.
+never held, and a solve holds no kernel block at all: its one |gamma-|^2
+array is the matrix.
 
 These kernel blocks never leave the module: :func:`assemble_system`
 gathers them from the closure it is given and returns a :class:`System`
-holding the matrix and the Schur form's K-^T factor.  :func:`dense_solve`
-factors the matrix in place, so a direct solve peaks at one |gamma-|^2
-array and a Schur solve at two.  Once the density q is known,
-:func:`recover` streams the layer potential's trace on gamma through the
-kernel gather, in the canonical gamma order the difference potential
-reads: K(gamma, gamma-) q for the direct form, and for the Schur form
-the solved v on gamma- with K(gamma+, gamma-) q on gamma+, never holding
-a block.  :func:`solve_system` runs the whole line in one call.
+holding the matrix of either form.  :func:`dense_solve` factors the
+matrix in place, so a solve peaks at one |gamma-|^2 array.  Once the
+density q is known, :func:`recover` streams the layer potential's trace
+K(gamma, gamma-) q through the kernel gather, in the canonical gamma
+order the difference potential reads, never holding a block.
+:func:`solve_system` runs the whole line in one call; asked for the
+condition number of a Schur form, it right-divides a copy of M before M
+is factored, so only then does a solve gather and factor K-.
 :func:`condition_numbers` serves the conditioning study with the very
-matrices a solve factors: from one gather of K- and one contraction of
-the direct matrix it takes cond(K-), then cond of the direct matrix,
-which it then right-divides in place into the Schur matrix for the
-third; no array is copied.  :func:`condition_number` takes the singular
-values of an exactly symmetric matrix as the moduli of its eigenvalues,
-from the symmetric eigensolver at about a quarter of the cost of an SVD.
-S- is the one such matrix, since G(d) = G(-d) and its gather reads
-entries (i, j) and (j, i) at the same table offset; every other matrix
-takes the SVD.
+matrices :func:`assemble_system` builds: from one gather of K- and one
+contraction of the direct matrix it takes cond(K-), then cond of the
+direct matrix, which it then right-divides in place into the Schur
+matrix for the third; no array is copied.  :func:`condition_number`
+takes the singular values of an exactly symmetric matrix as the moduli
+of its eigenvalues, from the symmetric eigensolver at about a quarter of
+the cost of an SVD.  S- is the one such matrix, since G(d) = G(-d) and
+its gather reads entries (i, j) and (j, i) at the same table offset;
+every other matrix takes the SVD.
 
 All factorizations share one pivot-guarded LU: a singular system raises
-SingularSystemError, a singular K- FormulationSingularError.  A matrix
-that is factored, or whose condition number is taken, is scanned for
-finiteness once, here rather than again inside LAPACK, and a non-finite
-one raises AssemblyError.
+SingularSystemError, and a singular K-, where it is factored,
+FormulationSingularError.  A matrix that is factored, or whose condition
+number is taken, is scanned for finiteness once, here rather than again
+inside LAPACK, and a non-finite one raises AssemblyError.
 
 Everything here is dense: at desk scales |gamma-| stays in the low
 thousands, and the conditioning study wants the explicit matrices
@@ -93,7 +95,8 @@ class SystemForm(Enum):
 
 @dataclass(frozen=True)
 class Formulation:
-    """Which kernel feeds the layer matrices, and which unknown is solved."""
+    """Which kernel feeds the layer matrices, and which form of the system
+    is built; a solve in either form solves for the density."""
 
     kernel: LayerKind
     form: SystemForm
@@ -126,16 +129,13 @@ class SolveResult:
 
 @dataclass
 class System:
-    """One closure's square |gamma-| system in one formulation, with the
-    LU factor of K-^T that Schur recovery reads (None for the direct
-    form).
+    """One closure's square |gamma-| system matrix in one formulation.
 
     :func:`dense_solve` consumes ``matrix``; :func:`solve_system` sets it
     to None once the system is factored."""
 
     formulation: Formulation
     matrix: Optional[np.ndarray]
-    kernel_lu: Optional[tuple]
 
 
 def _direct_matrix(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
@@ -187,18 +187,22 @@ def _right_divide(matrix: np.ndarray, kernel_lu: tuple) -> np.ndarray:
     return linalg.lu_solve(kernel_lu, matrix.T, overwrite_b=True, check_finite=False).T
 
 
+def _schur_matrix(matrix: np.ndarray, kernel: LayerKind, cm: ClosureMatrices,
+                  ps: PointSets) -> np.ndarray:
+    """The direct ``matrix`` turned into the Schur matrix M K-^{-1} in place."""
+    return _right_divide(matrix, _kernel_factor(kernel, _k_minus(cm, ps, kernel)))
+
+
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
-    """The square |gamma-| system of ``cm`` in one formulation, with what
-    :func:`recover` reads; its right-hand side is ``cm.rhs``.  The direct
-    matrix M is one contraction, and the Schur matrix is M K-^{-1}, formed
-    in place in M's array.  The matrix is checked for finiteness where it
-    is read: by :func:`dense_solve` and :func:`condition_number`."""
+    """The square |gamma-| system of ``cm`` in one formulation; its
+    right-hand side is ``cm.rhs``.  The direct matrix M is one
+    contraction, and the Schur matrix is M K-^{-1}, formed in place in
+    M's array.  The matrix is checked for finiteness where it is read: by
+    :func:`dense_solve` and :func:`condition_number`."""
     matrix = _direct_matrix(cm, ps, formulation.kernel)
-    kernel_lu = None
     if formulation.form is SystemForm.SCHUR:
-        kernel_lu = _kernel_factor(formulation.kernel, _k_minus(cm, ps, formulation.kernel))
-        matrix = _right_divide(matrix, kernel_lu)
-    return System(formulation, matrix, kernel_lu)
+        matrix = _schur_matrix(matrix, formulation.kernel, cm, ps)
+    return System(formulation, matrix)
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -243,35 +247,33 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(largest / smallest)
 
 
-def recover(solution: np.ndarray, system: System, ps: PointSets) -> SolveResult:
-    """Density and its trace on gamma from the solved primary unknown;
-    the trace is streamed through the kernel gather on ``ps``."""
-    kernel = system.formulation.kernel
+def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> SolveResult:
+    """The solved density and its layer potential's trace on gamma, streamed
+    through the kernel gather on ``ps`` in one product."""
     gamma = ps.gamma_indices
-    on_minus = ps.gamma_minus[gamma[:, 0], gamma[:, 1]]
-    if system.formulation.form is SystemForm.DIRECT:
-        density = DensityVector(ps.gamma_minus_indices, solution)
-        trace = apply_layer_matrix(gamma, density, kernel, ps)
-    else:
-        density = DensityVector(ps.gamma_minus_indices,
-                                linalg.lu_solve(system.kernel_lu, solution, trans=1,
-                                                check_finite=False))
-        trace = np.empty(len(gamma))
-        trace[on_minus] = solution
-        trace[~on_minus] = apply_layer_matrix(ps.gamma_plus_indices, density, kernel, ps)
-    return SolveResult(density=density, trace=trace, trace_minus=trace[on_minus])
+    q = DensityVector(ps.gamma_minus_indices, density)
+    trace = apply_layer_matrix(gamma, q, kernel, ps)
+    return SolveResult(density=q, trace=trace,
+                       trace_minus=trace[ps.gamma_minus[gamma[:, 0], gamma[:, 1]]])
 
 
 def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
                  compute_cond: bool = False) -> SolveResult:
-    """Gather, assemble, solve, and recover in one sweep.  The condition
-    number, when asked for, is taken before the system is factored in
-    place."""
-    system = assemble_system(formulation, cm, ps)
-    cond = condition_number(system.matrix) if compute_cond else None
-    solution = dense_solve(system.matrix, cm.rhs)
+    """Gather, assemble, solve, and recover in one sweep.  Either form
+    solves the direct system, so a Schur solve is bitwise the direct solve
+    of its kernel.  The condition number, when asked for, is of the
+    formulation's own matrix, taken before the direct one is factored in
+    place; for the Schur form it is of M K-^{-1}, right-divided in a copy
+    of M."""
+    kernel = formulation.kernel
+    system = assemble_system(Formulation(kernel, SystemForm.DIRECT), cm, ps)
+    cond = None
+    if compute_cond:
+        cond = condition_number(system.matrix if formulation.form is SystemForm.DIRECT
+                                else _schur_matrix(system.matrix.copy(), kernel, cm, ps))
+    density = dense_solve(system.matrix, cm.rhs)
     system.matrix = None  # its entries are the factor now
-    result = recover(solution, system, ps)
+    result = recover(density, kernel, ps)
     result.system_cond = cond
     return result
 

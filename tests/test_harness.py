@@ -70,6 +70,13 @@ def test_config_rejects_nonpositive_parameters():
                                  bc="dirichlet", n=32)
 
 
+@pytest.mark.parametrize("name", ["aspect", "r1", "r2", "radius", "ell"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "2", None])
+def test_config_rejects_non_finite_or_non_numeric_parameters(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite positive number"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: value})
+
+
 def test_manufactured_bounded_consistency():
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=32)
     mf = harness.manufactured_solution(cfg)
@@ -164,10 +171,8 @@ def test_field_residual_is_small(tag, bc, n):
 
 @pytest.mark.parametrize("tag", ["single-direct", "single-schur", "double-direct", "double-schur"])
 def test_field_residual_flags_a_perturbed_solution(monkeypatch, tag):
-    # The solved unknown (the density, or the Schur form's gamma- trace,
-    # whose density follows from it) perturbed by 1e-6 relative: the
-    # traces and the field are consistent with it, but the closure rows
-    # are not.
+    # The solved density perturbed by 1e-6 relative: the traces and the
+    # field are consistent with it, but the closure rows are not.
     dense_solve = solver.dense_solve
     rng = np.random.default_rng(7)
 
@@ -179,6 +184,18 @@ def test_field_residual_flags_a_perturbed_solution(monkeypatch, tag):
     cfg = harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc="robin",
                                    formulation=tag, n=64)
     assert harness.solve_problem(cfg).residual > 10 * FIELD_RESIDUAL_BOUND
+
+
+@pytest.mark.parametrize("kernel", ["single", "double"])
+def test_schur_solve_is_the_direct_solve(kernel):
+    # Either form solves the direct system, so the two forms of a kernel
+    # give the same field, error and residual to the last bit.
+    direct, schur = (harness.solve_problem(harness.ExperimentConfig(
+        geometry="ellipse", aspect=2.0, bc="robin", formulation=f"{kernel}-{form}", n=64))
+        for form in ("direct", "schur"))
+    assert np.array_equal(direct.values, schur.values)
+    assert direct.max_error == schur.max_error
+    assert direct.residual == schur.residual
 
 
 def test_solve_rows_carry_metadata():
@@ -445,6 +462,23 @@ def test_cli_timing_fills_wall_time(tmp_path):
             walls[flags] = next(csv.DictReader(fh))["wall_time"]
     assert walls[()] == ""
     assert float(walls[("--timing",)]) > 0.0
+
+
+@pytest.mark.parametrize("code, argv, message", [
+    (0, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32"], ""),
+    (2, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "64", "--ell", "nan"],
+     "error: ell must be a finite positive number"),
+    (3, ["--geometry", "circle-exterior", "--bc", "dirichlet", "--formulation", "double-schur",
+         "--n", "32"], "error: the double-layer matrix D-"),
+    (4, ["--geometry", "diamond", "--bc", "robin", "--n", "128"],
+     "error: eta node (13, 62) has no direction"),
+])
+def test_cli_exit_codes(capsys, code, argv, message):
+    # One solve per exit code of the README's contract; every failure is
+    # one typed line on stderr, never a traceback.
+    assert cli.main(["solve", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) if message else err == ""
 
 
 class TestCli:

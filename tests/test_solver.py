@@ -173,6 +173,19 @@ def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
         solver.assemble_system(form, cm, ps)
 
 
+def test_schur_solve_factors_k_minus_only_for_its_condition_number(circle_problem, monkeypatch):
+    # A Schur solve solves the direct system, so a singular K- is seen
+    # only where K- is factored: for the Schur matrix's condition number.
+    grid, ps, cm = circle_problem
+    monkeypatch.setattr(solver, "assemble_layer_matrix", lambda *args: pytest.fail("K- gathered"))
+    form = solver.formulation_from_tag("single-schur")
+    solver.solve_system(form, cm, ps)
+    n = len(cm.gamma_minus)
+    monkeypatch.setattr(solver, "_k_minus", lambda *args: np.zeros((n, n)))
+    with pytest.raises(FormulationSingularError):
+        solver.solve_system(form, cm, ps, compute_cond=True)
+
+
 def _nan_k_minus(monkeypatch):
     k_minus = solver._k_minus
 
@@ -208,9 +221,7 @@ def test_condition_numbers_reject_a_non_finite_kernel_matrix(circle_problem, mon
 
 def test_recover_zero_density(circle_problem):
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag("single-direct")
-    system = solver.assemble_system(form, cm, ps)
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), system, ps)
+    result = solver.recover(np.zeros(len(cm.gamma_minus)), potentials.LayerKind.SINGLE, ps)
     assert np.all(result.trace_minus == 0.0)
     assert np.all(result.trace == 0.0)
 
@@ -242,9 +253,8 @@ def test_formulation_equivalence(circle_problem):
 
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
-def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
-    # One factorization of the system; the Schur form adds one of K-^T,
-    # which both its assembly and its density recovery use.
+def test_one_factorization_per_solve(circle_problem, monkeypatch, tag):
+    # Either form factors the direct system once, and nothing else.
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
     calls = []
@@ -256,7 +266,19 @@ def test_schur_solve_reuses_kernel_factor(circle_problem, monkeypatch, tag):
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
     solver.solve_system(form, cm, ps)
-    assert len(calls) == (2 if form.form is solver.SystemForm.SCHUR else 1)
+    n = len(cm.gamma_minus)
+    assert calls == [(n, n)]
+
+
+@pytest.mark.parametrize("problem", ["circle_problem", "robin_ellipse256"])
+@pytest.mark.parametrize("kernel", ["single", "double"])
+def test_schur_solve_is_the_direct_solve(request, problem, kernel):
+    ps, cm = request.getfixturevalue(problem)[-2:]
+    direct, schur = (solver.solve_system(solver.formulation_from_tag(f"{kernel}-{form}"), cm, ps)
+                     for form in ("direct", "schur"))
+    assert np.array_equal(schur.density.values, direct.density.values)
+    assert np.array_equal(schur.trace, direct.trace)
+    assert np.array_equal(schur.trace_minus, direct.trace_minus)
 
 
 def test_closure_rows_are_satisfied(circle_problem):
@@ -369,12 +391,11 @@ def robin_ellipse256():
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     # The peak of layer build, assembly, solve and recovery is bounded by
-    # the arrays that must be held: the system matrix, factored in place,
-    # the Schur form's K-^T factor (in K-'s place), and two row blocks over
-    # E, with |gamma-|^2 / 2 (direct) or |gamma-|^2 / 4 (Schur) to spare
-    # for library workspace.  The direct form is one contraction, so it
-    # holds no kernel block; the traces are streamed, so neither K- nor
-    # the gamma+ rows of K+ is held through the solve, and the
+    # the arrays that must be held: the direct matrix, factored in place
+    # in either form, and two row blocks over E, with |gamma-|^2 / 2 to
+    # spare for library workspace.  The matrix is one contraction, so no
+    # kernel block is held; the traces are streamed, so neither K- nor the
+    # gamma+ rows of K+ is held through the solve, and the
     # |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2 here) never is.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
@@ -393,8 +414,7 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     finally:
         tracemalloc.stop()
     assert len(cm.gamma_tilde_plus) > 2 * n
-    squares = 1.5 if form.form is solver.SystemForm.DIRECT else 2.25
-    assert peak <= 8 * (squares * n * n + 2 * potentials._ROW_BLOCK * n_e)
+    assert peak <= 8 * (1.5 * n * n + 2 * potentials._ROW_BLOCK * n_e)
 
 
 def _seam_block(cm):
@@ -456,15 +476,13 @@ def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
         ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
     )
     np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma.entries @ q, rtol=1e-14)
-    if form.form is solver.SystemForm.DIRECT:
-        k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
-        np.testing.assert_allclose(result.trace_minus, k_minus.entries @ q, rtol=1e-14)
+    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
+    np.testing.assert_allclose(result.trace_minus, k_minus.entries @ q, rtol=1e-14)
 
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatch, tag):
-    # The direct forms stream the whole trace on gamma; the Schur forms
-    # stream only its gamma+ part, and their gamma- part is the solved v.
+    # Every form streams the whole trace on gamma in one product.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     targets = []
@@ -475,15 +493,10 @@ def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatc
         return apply_layer_matrix(points, *args, **kwargs)
 
     monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
-    system = solver.assemble_system(form, cm, ps)
-    solution = solver.dense_solve(system.matrix, cm.rhs)
-    result = solver.recover(solution, system, ps)
+    result = solver.solve_system(form, cm, ps)
     assert result.trace.shape == (len(ps.gamma_indices),)
-    direct = form.form is solver.SystemForm.DIRECT
     assert len(targets) == 1
-    assert np.array_equal(targets[0], ps.gamma_indices if direct else ps.gamma_plus_indices)
-    if not direct:
-        assert np.array_equal(result.trace_minus, solution)
+    assert np.array_equal(targets[0], ps.gamma_indices)
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
