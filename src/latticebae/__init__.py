@@ -10,8 +10,8 @@ interpolation on cut cells, and interior values are recovered by an
 FFT-accelerated difference-potential solve on the lattice's own
 rectangular box.  On the unbounded exterior the box edge lies inside the
 domain; there the box solve takes the lattice potential's own edge
-values, summed directly from the density, so no artificial boundary
-condition enters.
+values, streamed from the density in the same kernel product as its
+trace on the boundary layer, so no artificial boundary condition enters.
 """
 
 from .errors import (
@@ -60,7 +60,6 @@ from .potentials import (
     apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
-    evaluate_potential,
 )
 from .closure import (
     BoundaryCondition,

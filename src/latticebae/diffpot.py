@@ -14,11 +14,13 @@ convolution.
 
 The box edge carries Dirichlet data: zero where the edge lies outside
 the domain, and the lattice potential's own values on the edge nodes of
-M+.  A bounded domain has no such nodes.  On the unbounded exterior M+
-reaches the grid edge, so the window is the whole grid, every edge node
-is one of them, and its value, summed directly from the density, makes
-the box solve reproduce the lattice potential on the whole
-box-restricted domain without any artificial boundary condition.
+M+ (:func:`edge_nodes`).  A bounded domain has no such nodes.  On the
+unbounded exterior M+ reaches the grid edge, so the window is the whole
+grid, every edge node is one of them, and its value, which
+:func:`latticebae.solver.recover` streams from the density in the same
+kernel product as the trace on gamma, makes the box solve reproduce the
+lattice potential on the whole box-restricted domain without any
+artificial boundary condition.
 
 The same box solver, on the same window, yields particular solutions of
 the nonhomogeneous problem from rhs = h^2 f on M+, after which the

@@ -6,9 +6,11 @@ solution machinery is always exercised); boundary data comes from the
 same u.  The unbounded study solves potential flow past the unit circle
 with u = x/(x^2 + y^2), harmonic away from the origin, so its forcing
 is zero.  Every solve recovers interior values
-through the same difference-potential box solve; on the exterior the
-box edge lies in the domain and takes the lattice potential's own
-values there, summed directly from the density.
+through the same difference-potential box solve of what the solver
+recovers; on the exterior the box edge lies in the domain and takes the
+lattice potential's own values there, which the solver streams from the
+density in the same product as the trace on gamma, so this module does
+no kernel work of its own.
 
 Timings are measured but written into the CSV only on request; the
 default output is byte-identical across runs for identical configs,
@@ -71,8 +73,11 @@ class ExperimentConfig:
         for value, name in ((self.aspect, "aspect"), (self.r1, "r1"),
                             (self.r2, "r2"), (self.radius, "radius"),
                             (self.ell, "ell")):
-            if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0.0 < value < np.inf):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        # Frozen and hashable: a list of sizes would stay mutable after its check.
+        object.__setattr__(self, "n_list", tuple(self.n_list))
         for n in self.all_n():
             _check_n(n)
 
@@ -91,7 +96,7 @@ class ExperimentConfig:
         return self.n
 
     def ladder(self) -> tuple:
-        ns = tuple(self.n_list)
+        ns = self.n_list
         if len(ns) < 3:
             raise ConfigError("ladders need at least three n values")
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -240,10 +245,7 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     u_p = diffpot.particular_solution(mf.f, ps)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
     result = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
-    u_edge = potentials.evaluate_potential(
-        diffpot.edge_nodes(ps), result.density, form.kernel, ps
-    )
-    u_h = diffpot.difference_potential(result.trace, ps, u_edge)
+    u_h = diffpot.difference_potential(result.trace, ps, result.edge)
     # gamma~+ lies in M+, where the difference potential is the layer
     # potential K q, so the closure rows read it there.
     residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)

@@ -52,10 +52,13 @@ The solver never needs the large target blocks themselves, only sparse
 combinations of their rows and their products with a density:
 :func:`contract_layer_matrix` adds each row block into such a combination
 as it is gathered, and :func:`apply_layer_matrix` multiplies each row
-block by the density, so neither holds the block whole.  The product
-serves both the solver's trace on gamma and the box-edge values of the
-exterior's difference potential (:func:`evaluate_potential`); interior
+block by the density, so neither holds the block whole.  The contraction
+gives every matrix the solver factors (the direct matrix, and K- with it
+where K- is factored); the product gives, in one call, the trace on
+gamma and the potential on the exterior's box-window edge.  Interior
 values come from the box solve in :mod:`latticebae.diffpot`.
+:func:`assemble_layer_matrix`, which holds a block whole, is the
+reference those two are checked against; no solve path calls it.
 """
 
 from __future__ import annotations
@@ -201,7 +204,9 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
 
 
 def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> LayerMatrix:
-    """Dense kernel block for the given target and source index lists.
+    """Dense kernel block for the given target and source index lists: the
+    held-block reference for :func:`contract_layer_matrix` and
+    :func:`apply_layer_matrix`, which no solve path calls.
 
     Sources must lie in gamma-; targets anywhere in N+.  For the double
     kernel the exterior connections are resolved once per source, and a
@@ -278,14 +283,3 @@ def apply_layer_matrix(targets, density: DensityVector, kind: LayerKind,
         fill(block, start)
         np.matmul(block, density.values, out=out[start : start + len(block)])
     return out
-
-
-def evaluate_potential(points, density: DensityVector, kind: LayerKind, ps: PointSets) -> np.ndarray:
-    """Direct summation u(m) = sum_n K(m, n) q(n) at interior points.
-
-    Costs O(|points| * |gamma-|) kernel lookups, streamed through
-    :func:`apply_layer_matrix` a row block at a time.
-    """
-    points = _as_index_array(points)
-    _check_membership(points, ps.m_plus, "evaluation point set")
-    return apply_layer_matrix(points, density, kind, ps)

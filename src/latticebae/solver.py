@@ -28,28 +28,32 @@ The direct matrix is built in one way only: one contraction of the
 weights [C+ | C-] against the targets gamma~+ followed by gamma-, taken
 from the kernel gather block by block.  So K+ (|gamma~+| x |gamma-|) is
 never held, and a solve holds no kernel block at all: its one |gamma-|^2
-array is the matrix.
+array is the matrix.  Where K- is factored, the same contraction gives
+it too: the weights [[C+ | C-], [0 | I]] over the same targets give
+[M; K-] as one (2|gamma-|, |gamma-|) array, whose two halves are both
+C-ordered, so K- needs no gather of its own.
 
 These kernel blocks never leave the module: :func:`assemble_system`
 gathers them from the closure it is given and returns a :class:`System`
 holding the matrix of either form.  :func:`dense_solve` factors the
 matrix in place, so a solve peaks at one |gamma-|^2 array.  Once the
-density q is known, :func:`recover` streams the layer potential's trace
-K(gamma, gamma-) q through the kernel gather, in the canonical gamma
-order the difference potential reads, never holding a block.
-:func:`solve_system` runs the whole line in one call; asked for the
-condition number of a Schur form, it right-divides a copy of M before M
-is factored, so only then does a solve gather and factor K-.
-:func:`condition_numbers` serves the conditioning study with the very
-matrices :func:`assemble_system` builds: from one gather of K- and one
-contraction of the direct matrix it takes cond(K-), then cond of the
-direct matrix, which it then right-divides in place into the Schur
-matrix for the third; no array is copied.  :func:`condition_number`
-takes the singular values of an exactly symmetric matrix as the moduli
-of its eigenvalues, from the symmetric eigensolver at about a quarter of
-the cost of an SVD.  S- is the one such matrix, since G(d) = G(-d) and
-its gather reads entries (i, j) and (j, i) at the same table offset;
-every other matrix takes the SVD.
+density q is known, :func:`recover` streams the layer potential on gamma,
+in the canonical order the difference potential reads, and on the
+box-window edge nodes of M+ (the exterior's box-solve data; a bounded
+domain has none) through the kernel gather in one product, never holding
+a block.  :func:`solve_system` runs the whole line in one call; asked
+for the condition number of a Schur form, it contracts [M; K-] and
+right-divides a copy of M before M is factored, so only then does a
+solve gather and factor K-.  :func:`condition_numbers` serves the
+conditioning study with the very matrices :func:`assemble_system`
+builds: from one contraction of [M; K-] it takes cond(K-), then cond(M),
+which it then right-divides in place into the Schur matrix for the
+third; no array is copied.  :func:`condition_number` takes the singular
+values of an exactly symmetric matrix as the moduli of its eigenvalues,
+from the symmetric eigensolver at about a quarter of the cost of an SVD.
+S- is the one such matrix, since G(d) = G(-d) and its gather reads
+entries (i, j) and (j, i) at the same table offset; every other matrix
+takes the SVD.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, and a singular K-, where it is factored,
@@ -74,13 +78,13 @@ from scipy import linalg, sparse
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
+from .diffpot import edge_nodes
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
 from .potentials import (
     DensityVector,
     LayerKind,
     apply_layer_matrix,
-    assemble_layer_matrix,
     contract_layer_matrix,
 )
 
@@ -118,38 +122,41 @@ def formulation_from_tag(tag: str) -> Formulation:
 class SolveResult:
     """A solved density on gamma- with the layer potential's ``trace`` on
     gamma, both in canonical order; ``trace_minus`` is the trace's gamma-
-    part.  ``system_cond`` is the system's condition number when
+    part, and ``edge`` the potential on the box-window edge nodes of M+
+    (:func:`latticebae.diffpot.edge_nodes`; none on a bounded domain).
+    ``system_cond`` is the system's condition number when
     :func:`solve_system` was asked for it."""
 
     density: DensityVector
     trace: np.ndarray
     trace_minus: np.ndarray
+    edge: np.ndarray
     system_cond: Optional[float] = None
 
 
 @dataclass
 class System:
-    """One closure's square |gamma-| system matrix in one formulation.
-
-    :func:`dense_solve` consumes ``matrix``; :func:`solve_system` sets it
-    to None once the system is factored."""
+    """One closure's square |gamma-| system matrix in one formulation;
+    :func:`dense_solve` consumes ``matrix``."""
 
     formulation: Formulation
-    matrix: Optional[np.ndarray]
+    matrix: np.ndarray
 
 
-def _direct_matrix(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
-    """C+ K+ + C- K- in one contraction of [C+ | C-] over gamma~+ and
-    gamma- together, so no kernel block is held."""
+def _direct_matrix(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind,
+                   with_k_minus: bool = False) -> np.ndarray:
+    """M = C+ K+ + C- K- in one contraction of [C+ | C-] over gamma~+ and
+    gamma- together, so no kernel block is held.  ``with_k_minus`` stacks
+    the rows [0 | I] under those weights, and the same contraction gives
+    [M; K-], whose two halves are both C-ordered."""
+    weights = [[cm.c_plus, cm.c_minus]]
+    if with_k_minus:
+        weights.append([None, sparse.identity(len(cm.gamma_minus))])
     return contract_layer_matrix(
-        sparse.hstack([cm.c_plus, cm.c_minus]),
+        sparse.bmat(weights),
         np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus]),
         cm.gamma_minus, kernel, ps,
     )
-
-
-def _k_minus(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind) -> np.ndarray:
-    return assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps).entries
 
 
 def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
@@ -174,35 +181,28 @@ def _finite(array: np.ndarray, name: str) -> np.ndarray:
     return array
 
 
-def _kernel_factor(kernel: LayerKind, k_minus: np.ndarray) -> tuple:
-    """The guarded LU factor of K-^T, over K-'s own entries."""
+def _right_divide(matrix: np.ndarray, k_minus: np.ndarray, kernel: LayerKind) -> np.ndarray:
+    """``matrix`` K-^{-1}, in place: K-^T is factored by the guarded LU
+    over K-'s own entries, and |gamma-| right-hand sides are solved
+    against it."""
     name = "D-" if kernel is LayerKind.DOUBLE else "S-"
-    return _guarded_lu(_finite(k_minus.T, name), FormulationSingularError,
-                       f"{name} is numerically singular; its Schur form is unavailable")
-
-
-def _right_divide(matrix: np.ndarray, kernel_lu: tuple) -> np.ndarray:
-    """``matrix`` K-^{-1}, in place: |gamma-| right-hand sides solved
-    against the factor of K-^T."""
+    kernel_lu = _guarded_lu(_finite(k_minus.T, name), FormulationSingularError,
+                            f"{name} is numerically singular; its Schur form is unavailable")
     return linalg.lu_solve(kernel_lu, matrix.T, overwrite_b=True, check_finite=False).T
-
-
-def _schur_matrix(matrix: np.ndarray, kernel: LayerKind, cm: ClosureMatrices,
-                  ps: PointSets) -> np.ndarray:
-    """The direct ``matrix`` turned into the Schur matrix M K-^{-1} in place."""
-    return _right_divide(matrix, _kernel_factor(kernel, _k_minus(cm, ps, kernel)))
 
 
 def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
     """The square |gamma-| system of ``cm`` in one formulation; its
     right-hand side is ``cm.rhs``.  The direct matrix M is one
-    contraction, and the Schur matrix is M K-^{-1}, formed in place in
-    M's array.  The matrix is checked for finiteness where it is read: by
-    :func:`dense_solve` and :func:`condition_number`."""
-    matrix = _direct_matrix(cm, ps, formulation.kernel)
-    if formulation.form is SystemForm.SCHUR:
-        matrix = _schur_matrix(matrix, formulation.kernel, cm, ps)
-    return System(formulation, matrix)
+    contraction; the Schur matrix is M K-^{-1}, formed in place in M's
+    half of the one contraction of [M; K-].  The matrix is checked for
+    finiteness where it is read: by :func:`dense_solve` and
+    :func:`condition_number`."""
+    kernel = formulation.kernel
+    if formulation.form is SystemForm.DIRECT:
+        return System(formulation, _direct_matrix(cm, ps, kernel))
+    matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
+    return System(formulation, _right_divide(matrix, k_minus, kernel))
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -248,12 +248,14 @@ def condition_number(matrix: np.ndarray) -> float:
 
 
 def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> SolveResult:
-    """The solved density and its layer potential's trace on gamma, streamed
-    through the kernel gather on ``ps`` in one product."""
+    """The solved density and its layer potential on gamma, then on the
+    box-window edge nodes of M+, streamed through the kernel gather on
+    ``ps`` in one product."""
     gamma = ps.gamma_indices
     q = DensityVector(ps.gamma_minus_indices, density)
-    trace = apply_layer_matrix(gamma, q, kernel, ps)
-    return SolveResult(density=q, trace=trace,
+    values = apply_layer_matrix(np.concatenate([gamma, edge_nodes(ps)]), q, kernel, ps)
+    trace, edge = values[: len(gamma)], values[len(gamma) :]
+    return SolveResult(density=q, trace=trace, edge=edge,
                        trace_minus=trace[ps.gamma_minus[gamma[:, 0], gamma[:, 1]]])
 
 
@@ -264,28 +266,26 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
     of its kernel.  The condition number, when asked for, is of the
     formulation's own matrix, taken before the direct one is factored in
     place; for the Schur form it is of M K-^{-1}, right-divided in a copy
-    of M."""
+    of M's half of the one contraction of [M; K-]."""
     kernel = formulation.kernel
-    system = assemble_system(Formulation(kernel, SystemForm.DIRECT), cm, ps)
-    cond = None
-    if compute_cond:
-        cond = condition_number(system.matrix if formulation.form is SystemForm.DIRECT
-                                else _schur_matrix(system.matrix.copy(), kernel, cm, ps))
-    density = dense_solve(system.matrix, cm.rhs)
-    system.matrix = None  # its entries are the factor now
-    result = recover(density, kernel, ps)
+    if compute_cond and formulation.form is SystemForm.SCHUR:
+        matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
+        cond = condition_number(_right_divide(matrix.copy(), k_minus, kernel))
+    else:
+        matrix = assemble_system(Formulation(kernel, SystemForm.DIRECT), cm, ps).matrix
+        cond = condition_number(matrix) if compute_cond else None
+    result = recover(dense_solve(matrix, cm.rhs), kernel, ps)
     result.system_cond = cond
     return result
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:
     """cond(K-), then the condition numbers of the Schur and the direct
-    system of ``cm``, from one gather of K- and one contraction of the
-    direct matrix M, each number taken before its array is overwritten:
-    K- by its factor, M by the Schur matrix M K-^{-1}."""
-    k_minus = _k_minus(cm, ps, kernel)
+    system of ``cm``, from one contraction of [M; K-], each number taken
+    before its array is overwritten: K- by its factor, M by the Schur
+    matrix M K-^{-1}."""
+    matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
     cond_minus = condition_number(k_minus)
-    matrix = _direct_matrix(cm, ps, kernel)
     cond_direct = condition_number(matrix)
-    cond_schur = condition_number(_right_divide(matrix, _kernel_factor(kernel, k_minus)))
+    cond_schur = condition_number(_right_divide(matrix, k_minus, kernel))
     return cond_minus, cond_schur, cond_direct

@@ -103,7 +103,7 @@ def test_criterion_04_discrete_harmonicity(kind, aspect):
     centers = np.argwhere(full)
     needed = sorted({(j + dj, k + dk) for j, k in centers
                      for dj, dk in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))})
-    values = potentials.evaluate_potential(np.array(needed), q, kind, ps)
+    values = potentials.apply_layer_matrix(np.array(needed), q, kind, ps)
     field = dict(zip(needed, values))
     worst = max(
         abs(4.0 * field[(j, k)] - field[(j + 1, k)] - field[(j - 1, k)]

@@ -134,14 +134,14 @@ def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
         rng = np.random.default_rng(31)
         q = rng.standard_normal(len(ps.gamma_minus_indices))
         density = potentials.DensityVector(support=ps.gamma_minus_indices, values=q)
-        direct = potentials.evaluate_potential(
+        direct = potentials.apply_layer_matrix(
             ps.m_plus_indices, density, potentials.LayerKind.SINGLE, ps
         )
         k_gamma = potentials.assemble_layer_matrix(
             ps.gamma_indices, ps.gamma_minus_indices, potentials.LayerKind.SINGLE, ps
         ).entries
         # Empty for the bounded ellipse; every box-edge node for the exterior.
-        u_edge = potentials.evaluate_potential(
+        u_edge = potentials.apply_layer_matrix(
             diffpot.edge_nodes(ps), density, potentials.LayerKind.SINGLE, ps
         )
         w = diffpot.difference_potential(k_gamma @ q, ps, u_edge)

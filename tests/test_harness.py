@@ -77,6 +77,21 @@ def test_config_rejects_non_finite_or_non_numeric_parameters(name, value):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: value})
 
 
+def test_config_takes_its_sizes_as_a_tuple_and_hashes():
+    sizes = [64, 128, 256]
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n_list=sizes)
+    sizes.append(48)
+    assert cfg.n_list == (64, 128, 256)
+    assert hash(cfg) == hash(harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
+                                                      n_list=(64, 128, 256)))
+
+
+@pytest.mark.parametrize("name", ["aspect", "r1", "r2", "radius", "ell"])
+def test_config_rejects_booleans_as_shape_parameters(name):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite positive number, got True"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: True})
+
+
 def test_manufactured_bounded_consistency():
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=32)
     mf = harness.manufactured_solution(cfg)

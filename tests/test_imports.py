@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used, and the
+"""Every imported name in the package and its tests is used, every
+top-level function and class of the package is referenced, and the
 library itself never imports matplotlib."""
 
 import ast
@@ -51,6 +52,46 @@ def test_scan_flags_an_unused_import(tmp_path):
         "def f(g: Callable):\n    return os.path.join(g(), '')\n"
     )
     assert unused_imports(module) == ["Optional (line 4)", "system (line 3)"]
+
+
+def unreferenced_definitions(root: Path) -> list:
+    """Top-level functions and classes of the package modules that no
+    statement reads, outside the statement defining them, in the package
+    (``__init__.py``'s re-exports aside), its tests, demos or ``perfbench``.
+    A read is the name itself, or an attribute access by that name."""
+    files = scanned_files(root) + sorted((root / "perfbench").glob("*.py"))
+    readers = {}  # name -> {(file, index of the top-level statement reading it)}
+    definitions = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for index, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name:
+                    readers.setdefault(name, set()).add((path, index))
+            if (path.parent.name == "latticebae"
+                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))):
+                definitions.append((path, index, stmt.name))
+    return sorted(f"{path.relative_to(root)}: {name}" for path, index, name in definitions
+                  if not readers.get(name, set()) - {(path, index)})
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(ROOT) == []
+
+
+def test_scan_flags_an_unreferenced_definition(tmp_path):
+    for folder in ("src/latticebae", "tests", "demos", "perfbench"):
+        (tmp_path / folder).mkdir(parents=True)
+    (tmp_path / "src" / "latticebae" / "module.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "class Orphan:\n    pass\n"
+    )
+    (tmp_path / "src" / "latticebae" / "__init__.py").write_text("from .module import Orphan\n")
+    assert unreferenced_definitions(tmp_path) == [
+        "src/latticebae/module.py: Orphan", "src/latticebae/module.py: recursive",
+    ]
 
 
 def test_a_solve_never_imports_matplotlib():

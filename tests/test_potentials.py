@@ -27,7 +27,6 @@ from latticebae.potentials import (
     apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
-    evaluate_potential,
 )
 
 # The module, which the package's ``lgf`` function shadows as an attribute.
@@ -330,7 +329,7 @@ def test_product_streams_exterior_edge_values():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        evaluate_potential(points, q, LayerKind.SINGLE, ps)
+        apply_layer_matrix(points, q, LayerKind.SINGLE, ps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -413,7 +412,7 @@ def test_potential_is_discretely_harmonic(circle_setup, kind):
         for dj, dk in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             needed.add((j + dj, k + dk))
     needed = np.array(sorted(needed))
-    values = evaluate_potential(needed, q, kind, ps)
+    values = apply_layer_matrix(needed, q, kind, ps)
     field = {tuple(idx): v for idx, v in zip(map(tuple, needed), values)}
     qmax = np.abs(q.values).max()
     for j, k in centers:
@@ -431,14 +430,14 @@ def test_evaluation_matches_matrix_action(circle_setup, kind):
         q = DensityVector(ps.gamma_minus_indices,
                           rng.standard_normal(len(ps.gamma_minus_indices)))
         lm = assemble_layer_matrix(targets, q.support, kind, ps)
-        direct = evaluate_potential(targets, q, kind, ps)
+        direct = apply_layer_matrix(targets, q, kind, ps)
         np.testing.assert_allclose(direct, lm.entries @ q.values, rtol=1e-13, atol=1e-15)
 
 
 def test_zero_density_gives_zero_field(circle_setup):
     _, _, ps = circle_setup
     q = DensityVector(ps.gamma_minus_indices, np.zeros(len(ps.gamma_minus_indices)))
-    out = evaluate_potential(ps.gamma_plus_indices[:5], q, LayerKind.SINGLE, ps)
+    out = apply_layer_matrix(ps.gamma_plus_indices[:5], q, LayerKind.SINGLE, ps)
     assert np.all(out == 0.0)
 
 
@@ -450,7 +449,7 @@ def test_unit_density_reproduces_matrix_column(circle_setup):
     q = DensityVector(ps.gamma_minus_indices, values)
     targets = ps.gamma_plus_indices[:20]
     lm = assemble_layer_matrix(targets, ps.gamma_minus_indices, LayerKind.SINGLE, ps)
-    out = evaluate_potential(targets, q, LayerKind.SINGLE, ps)
+    out = apply_layer_matrix(targets, q, LayerKind.SINGLE, ps)
     np.testing.assert_allclose(out, lm.entries[:, 7], rtol=1e-14)
 
 

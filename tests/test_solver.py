@@ -155,19 +155,23 @@ def test_formulation_tags_round_trip():
 # assembly guards
 
 
+def _plant_in_k_minus(monkeypatch, cm, plant):
+    """Route the solver's contractions through ``plant``, applied in place
+    to the K- half of a stacked [M; K-] product; M-only products pass."""
+    n = len(cm.gamma_minus)
+
+    def planted(*args, **kwargs):
+        product = potentials.contract_layer_matrix(*args, **kwargs)
+        if len(product) == 2 * n:
+            plant(product[n:])
+        return product
+
+    monkeypatch.setattr(solver, "contract_layer_matrix", planted)
+
+
 def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
     grid, ps, cm = circle_problem
-    assemble = potentials.assemble_layer_matrix
-
-    def zeroed(*args, **kwargs):
-        k_minus = assemble(*args, **kwargs)
-        return potentials.LayerMatrix(
-            rows=k_minus.rows,
-            cols=k_minus.cols,
-            entries=np.zeros_like(k_minus.entries),
-        )
-
-    monkeypatch.setattr(solver, "assemble_layer_matrix", zeroed)
+    _plant_in_k_minus(monkeypatch, cm, lambda k_minus: k_minus.fill(0.0))
     form = solver.formulation_from_tag("single-schur")
     with pytest.raises(FormulationSingularError):
         solver.assemble_system(form, cm, ps)
@@ -177,30 +181,36 @@ def test_schur_solve_factors_k_minus_only_for_its_condition_number(circle_proble
     # A Schur solve solves the direct system, so a singular K- is seen
     # only where K- is factored: for the Schur matrix's condition number.
     grid, ps, cm = circle_problem
-    monkeypatch.setattr(solver, "assemble_layer_matrix", lambda *args: pytest.fail("K- gathered"))
+    n = len(cm.gamma_minus)
+    shapes = []
+    _plant_in_k_minus(monkeypatch, cm, lambda k_minus: k_minus.fill(0.0))
+    contract = solver.contract_layer_matrix
+
+    def recorded(*args, **kwargs):
+        product = contract(*args, **kwargs)
+        shapes.append(product.shape)
+        return product
+
+    monkeypatch.setattr(solver, "contract_layer_matrix", recorded)
     form = solver.formulation_from_tag("single-schur")
     solver.solve_system(form, cm, ps)
-    n = len(cm.gamma_minus)
-    monkeypatch.setattr(solver, "_k_minus", lambda *args: np.zeros((n, n)))
+    assert shapes == [(n, n)]  # no K- rows gathered
     with pytest.raises(FormulationSingularError):
         solver.solve_system(form, cm, ps, compute_cond=True)
+    assert shapes == [(n, n), (2 * n, n)]
 
 
-def _nan_k_minus(monkeypatch):
-    k_minus = solver._k_minus
+def _nan_k_minus(monkeypatch, cm):
+    def plant(k_minus):
+        k_minus[1, 0] = np.nan
 
-    def planted(*args):
-        entries = k_minus(*args)
-        entries[1, 0] = np.nan
-        return entries
-
-    monkeypatch.setattr(solver, "_k_minus", planted)
+    _plant_in_k_minus(monkeypatch, cm, plant)
 
 
 @pytest.mark.parametrize("tag", ["single-schur", "double-schur"])
 def test_schur_assembly_rejects_a_non_finite_kernel_matrix(circle_problem, monkeypatch, tag):
     grid, ps, cm = circle_problem
-    _nan_k_minus(monkeypatch)
+    _nan_k_minus(monkeypatch, cm)
     name = "S-" if tag.startswith("single") else "D-"
     with pytest.raises(AssemblyError, match=f"{name} contains non-finite"):
         solver.assemble_system(solver.formulation_from_tag(tag), cm, ps)
@@ -210,7 +220,7 @@ def test_schur_assembly_rejects_a_non_finite_kernel_matrix(circle_problem, monke
 def test_condition_numbers_reject_a_non_finite_kernel_matrix(circle_problem, monkeypatch,
                                                               kernel):
     grid, ps, cm = circle_problem
-    _nan_k_minus(monkeypatch)
+    _nan_k_minus(monkeypatch, cm)
     with pytest.raises(AssemblyError, match="non-finite"):
         solver.condition_numbers(kernel, cm, ps)
 
@@ -534,25 +544,77 @@ def test_schur_matrix_is_the_textbook_form(robin_ellipse256, kernel):
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
 def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
-    # One contraction for the direct matrix and, where K- is needed, one
-    # gather of it, whether one form is assembled or the conditioning
-    # study takes all three numbers.
+    # Wherever K- is factored, one contraction gives it together with the
+    # direct matrix, and no other kernel gather runs; a solve adds only
+    # the one trace product of its recovery.
     grid, ps, cm = circle_problem
     calls = []
-    for name in ("contract_layer_matrix", "assemble_layer_matrix"):
-        original = getattr(solver, name)
+    for owner, name in ((solver, "contract_layer_matrix"), (solver, "apply_layer_matrix"),
+                        (potentials, "_row_gatherer")):
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, name, counted)
-    both = ["contract_layer_matrix", "assemble_layer_matrix"]
-    solver.condition_numbers(kernel, cm, ps)
-    assert sorted(calls) == sorted(both)
+        monkeypatch.setattr(owner, name, counted)
+    contraction = ["contract_layer_matrix", "_row_gatherer"]
+    schur = solver.Formulation(kernel, solver.SystemForm.SCHUR)
+    for call in (lambda: solver.condition_numbers(kernel, cm, ps),
+                 lambda: solver.assemble_system(schur, cm, ps),
+                 lambda: solver.assemble_system(
+                     solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)):
+        calls.clear()
+        call()
+        assert calls == contraction
     calls.clear()
-    solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps)
-    assert sorted(calls) == sorted(both)
-    calls.clear()
-    solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)
-    assert calls == ["contract_layer_matrix"]
+    solver.solve_system(schur, cm, ps, compute_cond=True)
+    assert calls == contraction + ["apply_layer_matrix", "_row_gatherer"]
+
+
+@pytest.mark.parametrize("problem", ["circle_problem", "robin_ellipse256"])
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_stacked_contraction_is_bitwise_the_held_k_minus_and_the_direct_matrix(
+        request, problem, kernel):
+    # Signs of zero included; both halves are C-ordered, so K-^T factors in place.
+    ps, cm = request.getfixturevalue(problem)[-2:]
+    stacked = solver._direct_matrix(cm, ps, kernel, with_k_minus=True)
+    matrix, k_minus = np.split(stacked, 2)
+    held = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps).entries
+    for got, expected in ((k_minus, held), (matrix, solver._direct_matrix(cm, ps, kernel))):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
+    cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=64)
+    _, ps, _ = harness._discretize(cfg, 64)
+    kernel = potentials.LayerKind.SINGLE
+    q = potentials.DensityVector(
+        ps.gamma_minus_indices,
+        np.random.default_rng(7).standard_normal(len(ps.gamma_minus_indices)))
+    edge = diffpot.edge_nodes(ps)
+    expected_edge = potentials.apply_layer_matrix(edge, q, kernel, ps)
+    expected_trace = potentials.apply_layer_matrix(ps.gamma_indices, q, kernel, ps)
+    targets = []
+    apply_layer_matrix = solver.apply_layer_matrix
+
+    def recorded(points, *args, **kwargs):
+        targets.append(points)
+        return apply_layer_matrix(points, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
+    result = solver.recover(q.values, kernel, ps)
+    assert len(edge) == 4 * (ps.grid.nx - 1)
+    assert len(targets) == 1
+    assert np.array_equal(targets[0], np.concatenate([ps.gamma_indices, edge]))
+    assert np.array_equal(result.edge, expected_edge)
+    assert np.array_equal(result.trace, expected_trace)
+
+
+def test_recover_has_no_edge_values_on_a_bounded_domain(circle_problem):
+    grid, ps, cm = circle_problem
+    result = solver.recover(np.ones(len(cm.gamma_minus)), potentials.LayerKind.SINGLE, ps)
+    assert len(diffpot.edge_nodes(ps)) == 0
+    assert result.edge.shape == (0,)
