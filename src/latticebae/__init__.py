@@ -54,9 +54,7 @@ from .geometry import (
     select_intersections,
 )
 from .potentials import (
-    DensityVector,
     LayerKind,
-    LayerMatrix,
     apply_layer_matrix,
     assemble_layer_matrix,
     contract_layer_matrix,
@@ -74,7 +72,6 @@ from .closure import (
 from .solver import (
     Formulation,
     SolveResult,
-    System,
     SystemForm,
     assemble_system,
     condition_number,

@@ -22,22 +22,20 @@ from .errors import (
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--geometry", required=True,
-                        choices=["ellipse", "diamond", "circle-exterior"])
-    parser.add_argument("--aspect", type=float, default=1.0,
-                        help="ellipse aspect ratio (default 1.0)")
-    parser.add_argument("--r1", type=float, default=0.9,
-                        help="diamond horizontal half-width (default 0.9)")
-    parser.add_argument("--r2", type=float, default=0.5,
-                        help="diamond vertical half-width (default 0.5)")
-    parser.add_argument("--radius", type=float, default=1.0,
+    defaults = harness.ExperimentConfig
+    parser.add_argument("--geometry", required=True, choices=harness.GEOMETRIES)
+    parser.add_argument("--aspect", type=float, default=defaults.aspect,
+                        help="ellipse aspect ratio (default %(default)s)")
+    parser.add_argument("--r1", type=float, default=defaults.r1,
+                        help="diamond horizontal half-width (default %(default)s)")
+    parser.add_argument("--r2", type=float, default=defaults.r2,
+                        help="diamond vertical half-width (default %(default)s)")
+    parser.add_argument("--radius", type=float, default=defaults.radius,
                         help="excluded-circle radius for circle-exterior")
-    parser.add_argument("--bc", required=True,
-                        choices=["dirichlet", "robin", "neumann"])
-    parser.add_argument("--formulation", default="single-direct",
-                        choices=["single-direct", "single-schur",
-                                 "double-direct", "double-schur"])
-    parser.add_argument("--ell", type=float, default=0.15,
+    parser.add_argument("--bc", required=True, choices=harness.BCS)
+    parser.add_argument("--formulation", default=defaults.formulation,
+                        choices=harness.FORMULATIONS)
+    parser.add_argument("--ell", type=float, default=defaults.ell,
                         help="computational box margin beyond the unit geometry; "
                              "bounded geometries only (circle-exterior uses [-3, 3]^2)")
     parser.add_argument("--timing", action="store_true",

@@ -32,8 +32,10 @@ from .errors import AssemblyError, ConfigError, DoubleLayerInapplicableError, La
 
 CSV_HEADER = "n,h,geometry,bc,formulation,max_error,cond,wall_time"
 
-_GEOMETRIES = ("ellipse", "diamond", "circle-exterior")
-_BCS = ("dirichlet", "robin", "neumann")
+GEOMETRIES = ("ellipse", "diamond", "circle-exterior")
+BCS = ("dirichlet", "robin", "neumann")
+FORMULATIONS = tuple(solver.Formulation(kernel, form).tag
+                     for kernel in potentials.LayerKind for form in solver.SystemForm)
 #: Robin coefficients (normal-derivative, value) used throughout the study.
 ROBIN_COEFFS = (1.0, 1.0)
 
@@ -62,9 +64,9 @@ class ExperimentConfig:
     compute_cond: bool = False
 
     def __post_init__(self):
-        if self.geometry not in _GEOMETRIES:
+        if self.geometry not in GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.bc not in _BCS:
+        if self.bc not in BCS:
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
         try:
             solver.formulation_from_tag(self.formulation)
@@ -77,7 +79,10 @@ class ExperimentConfig:
                                                and 0.0 < value < np.inf):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         # Frozen and hashable: a list of sizes would stay mutable after its check.
-        object.__setattr__(self, "n_list", tuple(self.n_list))
+        try:
+            object.__setattr__(self, "n_list", tuple(self.n_list))
+        except TypeError:
+            raise ConfigError(f"n_list must be a sequence of sizes, got {self.n_list!r}") from None
         for n in self.all_n():
             _check_n(n)
 

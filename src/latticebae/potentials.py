@@ -58,12 +58,15 @@ where K- is factored); the product gives, in one call, the trace on
 gamma and the potential on the exterior's box-window edge.  Interior
 values come from the box solve in :mod:`latticebae.diffpot`.
 :func:`assemble_layer_matrix`, which holds a block whole, is the
-reference those two are checked against; no solve path calls it.
+reference those two are checked against; no solve path calls it.  All
+three take (n, 2) index arrays, the product one density value per
+source, and return plain arrays; the gather they share converts and
+checks the index sets (sources in gamma-, targets in N+) before it reads
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,43 +83,6 @@ _ROW_BLOCK = 64
 class LayerKind(Enum):
     SINGLE = "single"
     DOUBLE = "double"
-
-
-@dataclass(frozen=True)
-class LayerMatrix:
-    """Dense kernel block with its target/source orderings attached.
-
-    ``entries[i, j]`` is the kernel evaluated at (rows[i], cols[j]);
-    rows and cols are (n, 2) integer index arrays in the canonical
-    lattice order fixed by the geometry module.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (len(self.rows), len(self.cols)):
-            raise AssemblyError(
-                f"entries shape {self.entries.shape} does not match "
-                f"{len(self.rows)} targets x {len(self.cols)} sources"
-            )
-
-
-@dataclass
-class DensityVector:
-    """Values attached to an ordered index set (a density or a trace)."""
-
-    support: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.support = np.asarray(self.support)
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.values) != len(self.support):
-            raise AssemblyError(
-                f"{len(self.values)} values on {len(self.support)} support nodes"
-            )
 
 
 def _as_index_array(indices) -> np.ndarray:
@@ -166,7 +132,8 @@ def _exterior_connections(ps: PointSets, sources):
 def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     """A function ``fill(out, start=0)`` writing the kernel rows
     ``start : start + len(out)`` of the (targets, sources) block into
-    ``out``, one row block at a time, from the table of G.
+    ``out``, one row block at a time, from the table of G.  Sources
+    outside gamma- or targets outside N+ raise AssemblyError first.
 
     The double kernel gathers a row block of the single kernel over E,
     as an |E| x rows array (|s - t| = |t - s|), and combines its rows
@@ -175,6 +142,10 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     flat offset leaves the table, and the lookups clip instead of
     checking (a checked ``np.take`` buffers and copies its whole output).
     """
+    targets = _as_index_array(targets)
+    sources = _as_index_array(sources)
+    _check_membership(sources, ps.gamma_minus, "source set")
+    _check_membership(targets, ps.n_plus, "target set")
     window, _ = ps.box_window
     table = kernel_table(window.nx - 1, window.ny - 1)
     width = table.shape[1]
@@ -203,7 +174,7 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     return fill
 
 
-def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> LayerMatrix:
+def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
     """Dense kernel block for the given target and source index lists: the
     held-block reference for :func:`contract_layer_matrix` and
     :func:`apply_layer_matrix`, which no solve path calls.
@@ -212,13 +183,10 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> L
     kernel the exterior connections are resolved once per source, and a
     source with none aborts assembly (the unbounded-domain failure mode).
     """
-    targets = _as_index_array(targets)
-    sources = _as_index_array(sources)
-    _check_membership(sources, ps.gamma_minus, "source set")
-    _check_membership(targets, ps.n_plus, "target set")
+    fill = _row_gatherer(targets, sources, kind, ps)
     entries = np.empty((len(targets), len(sources)))
-    _row_gatherer(targets, sources, kind, ps)(entries)
-    return LayerMatrix(rows=targets, cols=sources, entries=entries)
+    fill(entries)
+    return entries
 
 
 def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
@@ -232,14 +200,10 @@ def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointS
     weighted by far-apart rows (at the seam of two concatenated target
     sets, say) adds a few rows, not the span between them.
     """
-    targets = _as_index_array(targets)
-    sources = _as_index_array(sources)
-    _check_membership(sources, ps.gamma_minus, "source set")
-    _check_membership(targets, ps.n_plus, "target set")
+    fill = _row_gatherer(targets, sources, kind, ps)
     weights = sparse.coo_array(weights)
     if weights.shape[1] != len(targets):
         raise AssemblyError(f"{weights.shape[1]} weight columns for {len(targets)} targets")
-    fill = _row_gatherer(targets, sources, kind, ps)
     # The weights' entries grouped by the row block of their column.
     blocks = weights.col // _ROW_BLOCK
     order = np.argsort(blocks, kind="stable")
@@ -262,24 +226,21 @@ def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointS
     return product
 
 
-def apply_layer_matrix(targets, density: DensityVector, kind: LayerKind,
-                       ps: PointSets) -> np.ndarray:
-    """``K @ q`` for K the kernel block on (targets, density support) and
-    q the density's values, without ever holding K.
+def apply_layer_matrix(targets, sources, density, kind: LayerKind, ps: PointSets) -> np.ndarray:
+    """``K @ density`` for K the kernel block on (targets, sources), with
+    one density value per source, without ever holding K.
 
     Targets may lie anywhere in N+.  K is gathered one row block at a
-    time, and each block is multiplied by q as it is gathered; a double
-    block is formed as S(block, E) B before it meets q.
+    time, and each block is multiplied by the density as it is gathered;
+    a double block is formed as S(block, E) B before it meets the density.
     """
-    targets = _as_index_array(targets)
-    sources = _as_index_array(density.support)
-    _check_membership(sources, ps.gamma_minus, "density support")
-    _check_membership(targets, ps.n_plus, "target set")
     fill = _row_gatherer(targets, sources, kind, ps)
+    if len(density) != len(sources):
+        raise AssemblyError(f"{len(density)} values on {len(sources)} support nodes")
     out = np.empty(len(targets))
     scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
     for start in range(0, len(targets), _ROW_BLOCK):
         block = scratch[: len(targets) - start]
         fill(block, start)
-        np.matmul(block, density.values, out=out[start : start + len(block)])
+        np.matmul(block, density, out=out[start : start + len(block)])
     return out

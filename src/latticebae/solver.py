@@ -34,26 +34,26 @@ it too: the weights [[C+ | C-], [0 | I]] over the same targets give
 C-ordered, so K- needs no gather of its own.
 
 These kernel blocks never leave the module: :func:`assemble_system`
-gathers them from the closure it is given and returns a :class:`System`
-holding the matrix of either form.  :func:`dense_solve` factors the
-matrix in place, so a solve peaks at one |gamma-|^2 array.  Once the
-density q is known, :func:`recover` streams the layer potential on gamma,
-in the canonical order the difference potential reads, and on the
-box-window edge nodes of M+ (the exterior's box-solve data; a bounded
-domain has none) through the kernel gather in one product, never holding
-a block.  :func:`solve_system` runs the whole line in one call; asked
-for the condition number of a Schur form, it contracts [M; K-] and
-right-divides a copy of M before M is factored, so only then does a
-solve gather and factor K-.  :func:`condition_numbers` serves the
-conditioning study with the very matrices :func:`assemble_system`
-builds: from one contraction of [M; K-] it takes cond(K-), then cond(M),
-which it then right-divides in place into the Schur matrix for the
-third; no array is copied.  :func:`condition_number` takes the singular
-values of an exactly symmetric matrix as the moduli of its eigenvalues,
-from the symmetric eigensolver at about a quarter of the cost of an SVD.
-S- is the one such matrix, since G(d) = G(-d) and its gather reads
-entries (i, j) and (j, i) at the same table offset; every other matrix
-takes the SVD.
+gathers them from the closure it is given and returns the direct matrix
+as a plain array, with K- stacked under it when asked.  Only
+:func:`_right_divide` forms the Schur matrix from those two.
+:func:`dense_solve` factors the matrix in place, so a solve peaks at one
+|gamma-|^2 array.  Once the density q is known, :func:`recover` streams
+the layer potential on gamma, in the canonical order the difference
+potential reads, and on the box-window edge nodes of M+ (the exterior's
+box-solve data; a bounded domain has none) through the kernel gather in
+one product, never holding a block.  :func:`solve_system` runs the whole
+line in one call; asked for the condition number of a Schur form, it
+contracts [M; K-] and right-divides a copy of M before M is factored, so
+only then does a solve gather and factor K-.  :func:`condition_numbers`
+serves the conditioning study from the same contraction of [M; K-]: it
+takes cond(K-), then cond(M), which it then right-divides in place into
+the Schur matrix for the third; no array is copied.
+:func:`condition_number` takes the singular values of an exactly
+symmetric matrix as the moduli of its eigenvalues, from the symmetric
+eigensolver at about a quarter of the cost of an SVD.  S- is the one
+such matrix, since G(d) = G(-d) and its gather reads entries (i, j) and
+(j, i) at the same table offset; every other matrix takes the SVD.
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, and a singular K-, where it is factored,
@@ -81,12 +81,7 @@ from .closure import ClosureMatrices
 from .diffpot import edge_nodes
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
-from .potentials import (
-    DensityVector,
-    LayerKind,
-    apply_layer_matrix,
-    contract_layer_matrix,
-)
+from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix
 
 #: Relative pivot threshold below which an LU factor counts as singular.
 _PIVOT_RTOL = 1e-14
@@ -111,6 +106,8 @@ class Formulation:
 
 
 def formulation_from_tag(tag: str) -> Formulation:
+    if not isinstance(tag, str):
+        raise AssemblyError(f"formulation tag must be a string, got {tag!r}")
     try:
         kernel_name, form_name = tag.split("-", 1)
         return Formulation(kernel=LayerKind(kernel_name), form=SystemForm(form_name))
@@ -121,34 +118,28 @@ def formulation_from_tag(tag: str) -> Formulation:
 @dataclass
 class SolveResult:
     """A solved density on gamma- with the layer potential's ``trace`` on
-    gamma, both in canonical order; ``trace_minus`` is the trace's gamma-
-    part, and ``edge`` the potential on the box-window edge nodes of M+
-    (:func:`latticebae.diffpot.edge_nodes`; none on a bounded domain).
-    ``system_cond`` is the system's condition number when
+    gamma, both plain arrays in canonical order; ``trace_minus`` is the
+    trace's gamma- part, and ``edge`` the potential on the box-window edge
+    nodes of M+ (:func:`latticebae.diffpot.edge_nodes`; none on a bounded
+    domain).  ``system_cond`` is the system's condition number when
     :func:`solve_system` was asked for it."""
 
-    density: DensityVector
+    density: np.ndarray
     trace: np.ndarray
     trace_minus: np.ndarray
     edge: np.ndarray
     system_cond: Optional[float] = None
 
 
-@dataclass
-class System:
-    """One closure's square |gamma-| system matrix in one formulation;
-    :func:`dense_solve` consumes ``matrix``."""
-
-    formulation: Formulation
-    matrix: np.ndarray
-
-
-def _direct_matrix(cm: ClosureMatrices, ps: PointSets, kernel: LayerKind,
-                   with_k_minus: bool = False) -> np.ndarray:
-    """M = C+ K+ + C- K- in one contraction of [C+ | C-] over gamma~+ and
+def assemble_system(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets,
+                    with_k_minus: bool = False) -> np.ndarray:
+    """The direct matrix M = C+ K+ + C- K- of ``cm``, whose right-hand
+    side is ``cm.rhs``, in one contraction of [C+ | C-] over gamma~+ and
     gamma- together, so no kernel block is held.  ``with_k_minus`` stacks
     the rows [0 | I] under those weights, and the same contraction gives
-    [M; K-], whose two halves are both C-ordered."""
+    [M; K-], whose two halves are both C-ordered.  The matrix is checked
+    for finiteness where it is read: by :func:`dense_solve` and
+    :func:`condition_number`."""
     weights = [[cm.c_plus, cm.c_minus]]
     if with_k_minus:
         weights.append([None, sparse.identity(len(cm.gamma_minus))])
@@ -189,20 +180,6 @@ def _right_divide(matrix: np.ndarray, k_minus: np.ndarray, kernel: LayerKind) ->
     kernel_lu = _guarded_lu(_finite(k_minus.T, name), FormulationSingularError,
                             f"{name} is numerically singular; its Schur form is unavailable")
     return linalg.lu_solve(kernel_lu, matrix.T, overwrite_b=True, check_finite=False).T
-
-
-def assemble_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets) -> System:
-    """The square |gamma-| system of ``cm`` in one formulation; its
-    right-hand side is ``cm.rhs``.  The direct matrix M is one
-    contraction; the Schur matrix is M K-^{-1}, formed in place in M's
-    half of the one contraction of [M; K-].  The matrix is checked for
-    finiteness where it is read: by :func:`dense_solve` and
-    :func:`condition_number`."""
-    kernel = formulation.kernel
-    if formulation.form is SystemForm.DIRECT:
-        return System(formulation, _direct_matrix(cm, ps, kernel))
-    matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
-    return System(formulation, _right_divide(matrix, k_minus, kernel))
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -252,10 +229,10 @@ def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> SolveResul
     box-window edge nodes of M+, streamed through the kernel gather on
     ``ps`` in one product."""
     gamma = ps.gamma_indices
-    q = DensityVector(ps.gamma_minus_indices, density)
-    values = apply_layer_matrix(np.concatenate([gamma, edge_nodes(ps)]), q, kernel, ps)
+    values = apply_layer_matrix(np.concatenate([gamma, edge_nodes(ps)]),
+                                ps.gamma_minus_indices, density, kernel, ps)
     trace, edge = values[: len(gamma)], values[len(gamma) :]
-    return SolveResult(density=q, trace=trace, edge=edge,
+    return SolveResult(density=density, trace=trace, edge=edge,
                        trace_minus=trace[ps.gamma_minus[gamma[:, 0], gamma[:, 1]]])
 
 
@@ -268,12 +245,14 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
     place; for the Schur form it is of M K-^{-1}, right-divided in a copy
     of M's half of the one contraction of [M; K-]."""
     kernel = formulation.kernel
-    if compute_cond and formulation.form is SystemForm.SCHUR:
-        matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
+    schur_cond = compute_cond and formulation.form is SystemForm.SCHUR
+    matrix = assemble_system(kernel, cm, ps, with_k_minus=schur_cond)
+    cond = None
+    if schur_cond:
+        matrix, k_minus = np.split(matrix, 2)
         cond = condition_number(_right_divide(matrix.copy(), k_minus, kernel))
-    else:
-        matrix = assemble_system(Formulation(kernel, SystemForm.DIRECT), cm, ps).matrix
-        cond = condition_number(matrix) if compute_cond else None
+    elif compute_cond:
+        cond = condition_number(matrix)
     result = recover(dense_solve(matrix, cm.rhs), kernel, ps)
     result.system_cond = cond
     return result
@@ -284,7 +263,7 @@ def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> 
     system of ``cm``, from one contraction of [M; K-], each number taken
     before its array is overwritten: K- by its factor, M by the Schur
     matrix M K-^{-1}."""
-    matrix, k_minus = np.split(_direct_matrix(cm, ps, kernel, with_k_minus=True), 2)
+    matrix, k_minus = np.split(assemble_system(kernel, cm, ps, with_k_minus=True), 2)
     cond_minus = condition_number(k_minus)
     cond_direct = condition_number(matrix)
     cond_schur = condition_number(_right_divide(matrix, k_minus, kernel))

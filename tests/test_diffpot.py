@@ -96,7 +96,7 @@ def test_trace_reproduction_for_layer_data(ellipse_box, kind):
     grid, ps = ellipse_box
     k_gamma = potentials.assemble_layer_matrix(
         ps.gamma_indices, ps.gamma_minus_indices, kind, ps
-    ).entries
+    )
     rng = np.random.default_rng(23)
     gamma = ps.gamma_indices
     for _ in range(20):
@@ -132,17 +132,17 @@ def exterior_box():
 def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
     for _, ps in (ellipse_box, exterior_box):
         rng = np.random.default_rng(31)
-        q = rng.standard_normal(len(ps.gamma_minus_indices))
-        density = potentials.DensityVector(support=ps.gamma_minus_indices, values=q)
+        sources = ps.gamma_minus_indices
+        q = rng.standard_normal(len(sources))
         direct = potentials.apply_layer_matrix(
-            ps.m_plus_indices, density, potentials.LayerKind.SINGLE, ps
+            ps.m_plus_indices, sources, q, potentials.LayerKind.SINGLE, ps
         )
         k_gamma = potentials.assemble_layer_matrix(
-            ps.gamma_indices, ps.gamma_minus_indices, potentials.LayerKind.SINGLE, ps
-        ).entries
+            ps.gamma_indices, sources, potentials.LayerKind.SINGLE, ps
+        )
         # Empty for the bounded ellipse; every box-edge node for the exterior.
         u_edge = potentials.apply_layer_matrix(
-            diffpot.edge_nodes(ps), density, potentials.LayerKind.SINGLE, ps
+            diffpot.edge_nodes(ps), sources, q, potentials.LayerKind.SINGLE, ps
         )
         w = diffpot.difference_potential(k_gamma @ q, ps, u_edge)
         assert np.abs(w.at(ps.m_plus_indices) - direct).max() < 1e-8

@@ -77,6 +77,14 @@ def test_config_rejects_non_finite_or_non_numeric_parameters(name, value):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_list", None), ("n_list", 5), ("formulation", None), ("formulation", 3),
+])
+def test_config_rejects_selectors_of_the_wrong_type(name, value):
+    with pytest.raises(ConfigError, match=r"(n_list|formulation tag) must be"):
+        harness.ExperimentConfig(geometry="ellipse", bc="robin", **{name: value})
+
+
 def test_config_takes_its_sizes_as_a_tuple_and_hashes():
     sizes = [64, 128, 256]
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n_list=sizes)
@@ -494,6 +502,20 @@ def test_cli_exit_codes(capsys, code, argv, message):
     assert cli.main(["solve", *argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) if message else err == ""
+
+
+def test_cli_takes_its_choices_and_defaults_from_the_harness():
+    assert harness.FORMULATIONS == ("single-direct", "single-schur",
+                                    "double-direct", "double-schur")
+    parser = cli.build_parser()
+    for command in ("solve", "convergence", "conditioning"):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        choices = {action.dest: action.choices for action in sub._actions}
+        assert choices["geometry"] == harness.GEOMETRIES
+        assert choices["bc"] == harness.BCS
+        assert choices["formulation"] == harness.FORMULATIONS
+    args = parser.parse_args(["solve", "--geometry", "ellipse", "--bc", "robin", "--n", "64"])
+    assert cli._config_from_args(args, n=64) == harness.ExperimentConfig("ellipse", "robin", n=64)
 
 
 class TestCli:

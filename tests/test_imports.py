@@ -1,8 +1,10 @@
 """Every imported name in the package and its tests is used, every
-top-level function and class of the package is referenced, and the
-library itself never imports matplotlib."""
+top-level function and class of the package is referenced, every name
+the benchmark's tracer wraps resolves, and the library itself never
+imports matplotlib."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -92,6 +94,24 @@ def test_scan_flags_an_unreferenced_definition(tmp_path):
     assert unreferenced_definitions(tmp_path) == [
         "src/latticebae/module.py: Orphan", "src/latticebae/module.py: recursive",
     ]
+
+
+#: Spans of ``perfbench/tracing.py`` wrapped at names that the package no
+#: longer has (ROADMAP item 13).
+ABSENT_SPANS = {"potentials.assemble_layer_matrix", "potentials.evaluate_potential",
+                "lgf.lgf_grid"}
+
+
+def test_every_traced_name_resolves():
+    # WRAPPED is read from the source, so the benchmark is not imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                   if isinstance(stmt, ast.Assign)
+                   and [target.id for target in stmt.targets] == ["WRAPPED"])
+    absent = {span for module, attr, span in wrapped
+              if not hasattr(importlib.import_module(module), attr)}
+    assert len(wrapped) > len(ABSENT_SPANS)
+    assert absent <= ABSENT_SPANS
 
 
 def test_a_solve_never_imports_matplotlib():

@@ -20,9 +20,7 @@ from latticebae.geometry import (
 from latticebae.lgf import kernel_table, lgf, lgf_grid
 from latticebae.potentials import (
     _ROW_BLOCK,
-    DensityVector,
     LayerKind,
-    LayerMatrix,
     _exterior_connections,
     apply_layer_matrix,
     assemble_layer_matrix,
@@ -135,10 +133,10 @@ def test_assembled_single_block_matches_entrywise(circle_setup):
     sources = ps.gamma_minus_indices[:12]
     targets = ps.gamma_plus_indices[:9]
     lm = assemble_layer_matrix(targets, sources, LayerKind.SINGLE, ps)
-    assert lm.entries.shape == (9, 12)
+    assert lm.shape == (9, 12)
     for i in range(9):
         for j in range(12):
-            assert lm.entries[i, j] == pytest.approx(
+            assert lm[i, j] == pytest.approx(
                 single_kernel(targets[i], sources[j]), abs=1e-14
             )
 
@@ -151,7 +149,7 @@ def test_assembled_double_block_matches_entrywise(circle_setup):
     for i in range(7):
         for j in range(10):
             conn = brute_force_connections(ps, sources[j])
-            assert lm.entries[i, j] == pytest.approx(
+            assert lm[i, j] == pytest.approx(
                 double_kernel(targets[i], sources[j], conn), abs=1e-13
             )
 
@@ -167,12 +165,12 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
     assert len(full) == 496
     for targets in (full, full[:1], full[:0]):
         lm = assemble_layer_matrix(targets, sources, kind, ps)
-        assert lm.entries.shape == (len(targets), len(sources))
+        assert lm.shape == (len(targets), len(sources))
         reference = _reference_block(ps, targets, sources, kind)
         if kind is LayerKind.SINGLE:
-            assert np.array_equal(lm.entries, reference)
+            assert np.array_equal(lm, reference)
         else:
-            np.testing.assert_allclose(lm.entries, reference, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(lm, reference, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -252,7 +250,7 @@ def test_gather_scratch_memory(ellipse256, kind):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * lm.entries.nbytes
+    assert peak <= 2 * lm.nbytes
 
 
 @pytest.fixture(scope="module", params=["dirichlet", "robin"])
@@ -285,7 +283,7 @@ def test_contraction_matches_full_block(closure256, kind, on_gamma_plus, off_gam
     targets = tp[chosen]
     weights = cm.c_plus[:, np.flatnonzero(chosen)]
     product = contract_layer_matrix(weights, targets, ps.gamma_minus_indices, kind, ps)
-    reference = weights @ assemble_layer_matrix(targets, ps.gamma_minus_indices, kind, ps).entries
+    reference = weights @ assemble_layer_matrix(targets, ps.gamma_minus_indices, kind, ps)
     assert product.shape == (len(cm.gamma_minus), len(cm.gamma_minus))
     scale = np.abs(reference).max() if reference.size else 0.0
     np.testing.assert_allclose(product, reference, rtol=1e-13, atol=1e-13 * scale)
@@ -305,10 +303,11 @@ def test_product_matches_full_block(ellipse256, kind, targets, count):
     # The first `count` nodes of the target set (all of them for None).
     ps = ellipse256
     rng = np.random.default_rng(11)
-    q = DensityVector(ps.gamma_minus_indices, rng.standard_normal(len(ps.gamma_minus_indices)))
+    sources = ps.gamma_minus_indices
+    q = rng.standard_normal(len(sources))
     nodes = (ps.gamma_minus_indices if targets == "gamma-" else ps.gamma_plus_indices)[:count]
-    reference = assemble_layer_matrix(nodes, q.support, kind, ps).entries @ q.values
-    out = apply_layer_matrix(nodes, q, kind, ps)
+    reference = assemble_layer_matrix(nodes, sources, kind, ps) @ q
+    out = apply_layer_matrix(nodes, sources, q, kind, ps)
     assert out.shape == (len(nodes),)
     np.testing.assert_allclose(out, reference, rtol=1e-14)
 
@@ -323,13 +322,13 @@ def test_product_streams_exterior_edge_values():
                     | np.isin(points[:, 1], (0, ps.grid.ny - 1))]
     assert len(points) >= 4 * len(sources)
     points = points[: 4 * len(sources)]
-    q = DensityVector(sources, np.ones(len(sources)))
+    q = np.ones(len(sources))
     window, _ = ps.box_window
     kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        apply_layer_matrix(points, q, LayerKind.SINGLE, ps)
+        apply_layer_matrix(points, sources, q, LayerKind.SINGLE, ps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -354,7 +353,7 @@ def assert_exactly_symmetric_zero_diagonal(ps):
     # Entries (i, j) and (j, i) read one table offset, and (i, i) reads
     # G(0) = 0: the conditioning study's eigensolver path needs both exact.
     sources = ps.gamma_minus_indices
-    entries = assemble_layer_matrix(sources, sources, LayerKind.SINGLE, ps).entries
+    entries = assemble_layer_matrix(sources, sources, LayerKind.SINGLE, ps)
     assert np.array_equal(entries, entries.T)
     assert not np.diag(entries).any()
 
@@ -376,7 +375,7 @@ def test_block_dimensions(circle_setup):
     _, _, ps = circle_setup
     lm = assemble_layer_matrix(ps.gamma_plus_indices, ps.gamma_minus_indices,
                                LayerKind.SINGLE, ps)
-    assert lm.entries.shape == (len(ps.gamma_plus_indices), len(ps.gamma_minus_indices))
+    assert lm.shape == (len(ps.gamma_plus_indices), len(ps.gamma_minus_indices))
 
 
 def test_assembly_validates_memberships(circle_setup):
@@ -395,8 +394,7 @@ def test_potential_is_discretely_harmonic(circle_setup, kind):
     # node whose full stencil stays inside M+.
     grid, _, ps = circle_setup
     rng = np.random.default_rng(3)
-    q = DensityVector(ps.gamma_minus_indices,
-                      rng.standard_normal(len(ps.gamma_minus_indices)))
+    q = rng.standard_normal(len(ps.gamma_minus_indices))
     full_stencil = ps.m_plus.copy()
     full_stencil[1:-1, 1:-1] = (
         ps.m_plus[1:-1, 1:-1]
@@ -412,9 +410,9 @@ def test_potential_is_discretely_harmonic(circle_setup, kind):
         for dj, dk in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             needed.add((j + dj, k + dk))
     needed = np.array(sorted(needed))
-    values = apply_layer_matrix(needed, q, kind, ps)
+    values = apply_layer_matrix(needed, ps.gamma_minus_indices, q, kind, ps)
     field = {tuple(idx): v for idx, v in zip(map(tuple, needed), values)}
-    qmax = np.abs(q.values).max()
+    qmax = np.abs(q).max()
     for j, k in centers:
         residual = 4.0 * field[(j, k)] - field[(j + 1, k)] - field[(j - 1, k)] \
             - field[(j, k + 1)] - field[(j, k - 1)]
@@ -427,17 +425,18 @@ def test_evaluation_matches_matrix_action(circle_setup, kind):
     large = classify(Grid.from_box((-1.15, 1.15), (-1.15, 1.15), 96), shape)
     rng = np.random.default_rng(5)
     for ps, targets in ((small, small.gamma_plus_indices), (large, large.m_plus_indices)):
-        q = DensityVector(ps.gamma_minus_indices,
-                          rng.standard_normal(len(ps.gamma_minus_indices)))
-        lm = assemble_layer_matrix(targets, q.support, kind, ps)
-        direct = apply_layer_matrix(targets, q, kind, ps)
-        np.testing.assert_allclose(direct, lm.entries @ q.values, rtol=1e-13, atol=1e-15)
+        sources = ps.gamma_minus_indices
+        q = rng.standard_normal(len(sources))
+        lm = assemble_layer_matrix(targets, sources, kind, ps)
+        direct = apply_layer_matrix(targets, sources, q, kind, ps)
+        np.testing.assert_allclose(direct, lm @ q, rtol=1e-13, atol=1e-15)
 
 
 def test_zero_density_gives_zero_field(circle_setup):
     _, _, ps = circle_setup
-    q = DensityVector(ps.gamma_minus_indices, np.zeros(len(ps.gamma_minus_indices)))
-    out = apply_layer_matrix(ps.gamma_plus_indices[:5], q, LayerKind.SINGLE, ps)
+    q = np.zeros(len(ps.gamma_minus_indices))
+    out = apply_layer_matrix(ps.gamma_plus_indices[:5], ps.gamma_minus_indices, q,
+                             LayerKind.SINGLE, ps)
     assert np.all(out == 0.0)
 
 
@@ -446,20 +445,14 @@ def test_unit_density_reproduces_matrix_column(circle_setup):
     n = len(ps.gamma_minus_indices)
     values = np.zeros(n)
     values[7] = 1.0
-    q = DensityVector(ps.gamma_minus_indices, values)
     targets = ps.gamma_plus_indices[:20]
     lm = assemble_layer_matrix(targets, ps.gamma_minus_indices, LayerKind.SINGLE, ps)
-    out = apply_layer_matrix(targets, q, LayerKind.SINGLE, ps)
-    np.testing.assert_allclose(out, lm.entries[:, 7], rtol=1e-14)
+    out = apply_layer_matrix(targets, ps.gamma_minus_indices, values, LayerKind.SINGLE, ps)
+    np.testing.assert_allclose(out, lm[:, 7], rtol=1e-14)
 
 
-def test_density_vector_validates_lengths(circle_setup):
+def test_product_validates_density_length(circle_setup):
     _, _, ps = circle_setup
-    with pytest.raises(AssemblyError):
-        DensityVector(ps.gamma_minus_indices, np.zeros(3))
-
-
-def test_layer_matrix_validates_shape():
-    with pytest.raises(AssemblyError):
-        LayerMatrix(rows=np.zeros((3, 2), dtype=int), cols=np.zeros((2, 2), dtype=int),
-                    entries=np.zeros((3, 3)))
+    sources = ps.gamma_minus_indices
+    with pytest.raises(AssemblyError, match=rf"3 values on {len(sources)} support nodes"):
+        apply_layer_matrix(ps.gamma_plus_indices, sources, np.zeros(3), LayerKind.SINGLE, ps)

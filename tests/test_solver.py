@@ -15,7 +15,7 @@ from latticebae.errors import (
 )
 from latticebae.lgf import kernel_table
 
-FORMULATION_TAGS = ("single-direct", "single-schur", "double-direct", "double-schur")
+FORMULATION_TAGS = harness.FORMULATIONS
 
 
 def centered_grid(half, n):
@@ -122,7 +122,7 @@ def test_condition_number_rejects_non_finite_entries():
 
 def _s_minus(ps, cm):
     return potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus,
-                                            potentials.LayerKind.SINGLE, ps).entries
+                                            potentials.LayerKind.SINGLE, ps)
 
 
 def test_s_minus_condition_number_matches_the_svd(circle_problem):
@@ -151,6 +151,12 @@ def test_formulation_tags_round_trip():
         solver.formulation_from_tag("quadruple-direct")
 
 
+@pytest.mark.parametrize("tag", [None, 3, b"single-direct"])
+def test_formulation_tag_must_be_a_string(tag):
+    with pytest.raises(AssemblyError, match="formulation tag must be a string"):
+        solver.formulation_from_tag(tag)
+
+
 # ---------------------------------------------------------------------------
 # assembly guards
 
@@ -172,9 +178,8 @@ def _plant_in_k_minus(monkeypatch, cm, plant):
 def test_schur_rejects_singular_kernel_matrix(circle_problem, monkeypatch):
     grid, ps, cm = circle_problem
     _plant_in_k_minus(monkeypatch, cm, lambda k_minus: k_minus.fill(0.0))
-    form = solver.formulation_from_tag("single-schur")
     with pytest.raises(FormulationSingularError):
-        solver.assemble_system(form, cm, ps)
+        solver.condition_numbers(potentials.LayerKind.SINGLE, cm, ps)
 
 
 def test_schur_solve_factors_k_minus_only_for_its_condition_number(circle_problem, monkeypatch):
@@ -213,7 +218,7 @@ def test_schur_assembly_rejects_a_non_finite_kernel_matrix(circle_problem, monke
     _nan_k_minus(monkeypatch, cm)
     name = "S-" if tag.startswith("single") else "D-"
     with pytest.raises(AssemblyError, match=f"{name} contains non-finite"):
-        solver.assemble_system(solver.formulation_from_tag(tag), cm, ps)
+        solver.solve_system(solver.formulation_from_tag(tag), cm, ps, compute_cond=True)
 
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
@@ -286,7 +291,7 @@ def test_schur_solve_is_the_direct_solve(request, problem, kernel):
     ps, cm = request.getfixturevalue(problem)[-2:]
     direct, schur = (solver.solve_system(solver.formulation_from_tag(f"{kernel}-{form}"), cm, ps)
                      for form in ("direct", "schur"))
-    assert np.array_equal(schur.density.values, direct.density.values)
+    assert np.array_equal(schur.density, direct.density)
     assert np.array_equal(schur.trace, direct.trace)
     assert np.array_equal(schur.trace_minus, direct.trace_minus)
 
@@ -314,7 +319,8 @@ def test_solve_cond_is_of_the_unfactored_matrix(circle_problem, tag):
     # taken before the factor overwrites it.
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
-    expected = solver.condition_number(solver.assemble_system(form, cm, ps).matrix)
+    _, cond_schur, cond_direct = solver.condition_numbers(form.kernel, cm, ps)
+    expected = cond_schur if form.form is solver.SystemForm.SCHUR else cond_direct
     result = solver.solve_system(form, cm, ps, compute_cond=True)
     assert result.system_cond == expected
     assert solver.solve_system(form, cm, ps).system_cond is None
@@ -324,13 +330,13 @@ def test_solve_cond_is_of_the_unfactored_matrix(circle_problem, tag):
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
 def test_condition_numbers_match_each_system(request, problem, kernel):
     # One gather serves K- and both forms; each number is bitwise the one
-    # its own assembly gives, Robin closures (C- beyond Phi-) included.
+    # its own solve gives, Robin closures (C- beyond Phi-) included.
     ps, cm = request.getfixturevalue(problem)[-2:]
     k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    expected = [solver.condition_number(k_minus.entries)]
+    expected = [solver.condition_number(k_minus)]
     for form in (solver.SystemForm.SCHUR, solver.SystemForm.DIRECT):
-        system = solver.assemble_system(solver.Formulation(kernel, form), cm, ps)
-        expected.append(solver.condition_number(system.matrix))
+        result = solver.solve_system(solver.Formulation(kernel, form), cm, ps, compute_cond=True)
+        expected.append(result.system_cond)
     assert solver.condition_numbers(kernel, cm, ps) == tuple(expected)
 
 
@@ -364,7 +370,7 @@ def test_robin_system_solves_and_satisfies_closure():
         k_plus = potentials.assemble_layer_matrix(
             cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
         )
-        trace_plus = k_plus.entries @ result.density.values
+        trace_plus = k_plus @ result.density
         tp = cm.gamma_tilde_plus
         on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
         assert not on_gamma.all()
@@ -374,7 +380,7 @@ def test_robin_system_solves_and_satisfies_closure():
         k_minus = potentials.assemble_layer_matrix(
             cm.gamma_minus, cm.gamma_minus, form.kernel, ps
         )
-        trace_minus = k_minus.entries @ result.density.values
+        trace_minus = k_minus @ result.density
         eta_vals = -(cm.r_plus @ trace_plus + cm.r_minus @ trace_minus)
         lhs = (
             cm.phi_plus @ trace_plus
@@ -439,11 +445,11 @@ def test_direct_matrix_is_one_contraction_of_the_held_blocks(robin_ellipse256, k
     ps, cm = robin_ellipse256
     seam = _seam_block(cm)
     assert seam[0] < len(cm.gamma_tilde_plus) < seam[-1]  # a block straddles the seam
-    system = solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)
+    matrix = solver.assemble_system(kernel, cm, ps)
     k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
     k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    reference = cm.c_plus @ k_plus.entries + cm.c_minus @ k_minus.entries
-    np.testing.assert_allclose(system.matrix, reference, rtol=1e-14,
+    reference = cm.c_plus @ k_plus + cm.c_minus @ k_minus
+    np.testing.assert_allclose(matrix, reference, rtol=1e-14,
                                atol=1e-14 * np.abs(reference).max())
 
 
@@ -481,13 +487,13 @@ def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     result = solver.solve_system(form, cm, ps)
-    q = result.density.values
+    q = result.density
     k_plus_gamma = potentials.assemble_layer_matrix(
         ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
     )
-    np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma.entries @ q, rtol=1e-14)
+    np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma @ q, rtol=1e-14)
     k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
-    np.testing.assert_allclose(result.trace_minus, k_minus.entries @ q, rtol=1e-14)
+    np.testing.assert_allclose(result.trace_minus, k_minus @ q, rtol=1e-14)
 
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
@@ -511,7 +517,6 @@ def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatc
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
     ps, cm = robin_ellipse256
-    form = solver.formulation_from_tag("single-schur")
     shapes = []
     lu_solve = scipy.linalg.lu_solve
 
@@ -520,25 +525,36 @@ def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, mo
         return lu_solve(lu_and_piv, b, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_solve", recorded)
-    solver.assemble_system(form, cm, ps)
+    solver.condition_numbers(potentials.LayerKind.SINGLE, cm, ps)
     n = len(cm.gamma_minus)
     assert len(cm.gamma_tilde_plus) != n
     assert shapes == [(n, n)]
 
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
-def test_schur_matrix_is_the_textbook_form(robin_ellipse256, kernel):
+def test_schur_matrix_is_the_textbook_form(robin_ellipse256, monkeypatch, kernel):
     # The Schur matrix, right-divided from the direct one, against
     # C+ K+ K-^{-1} + C- from the held blocks, within the rounding that
-    # the right division by K- allows.
+    # the right division by K- allows.  A Schur solve with its condition
+    # number hands that matrix to condition_number first.
     ps, cm = robin_ellipse256
-    system = solver.assemble_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps)
+    seen = []
+    condition_number = solver.condition_number
+
+    def recorded(matrix):
+        seen.append(matrix)
+        return condition_number(matrix)
+
+    monkeypatch.setattr(solver, "condition_number", recorded)
+    solver.solve_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps,
+                        compute_cond=True)
+    assert len(seen) == 1
     k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
     k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
-    reference = scipy.linalg.solve(k_minus.entries.T, (cm.c_plus @ k_plus.entries).T).T
+    reference = scipy.linalg.solve(k_minus.T, (cm.c_plus @ k_plus).T).T
     reference += cm.c_minus.toarray()
-    bound = 10 * np.finfo(float).eps * solver.condition_number(k_minus.entries)
-    error = np.abs(system.matrix - reference).max() / np.abs(reference).max()
+    bound = 10 * np.finfo(float).eps * condition_number(k_minus)
+    error = np.abs(seen[0] - reference).max() / np.abs(reference).max()
     assert error <= bound
 
 
@@ -561,9 +577,8 @@ def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
     contraction = ["contract_layer_matrix", "_row_gatherer"]
     schur = solver.Formulation(kernel, solver.SystemForm.SCHUR)
     for call in (lambda: solver.condition_numbers(kernel, cm, ps),
-                 lambda: solver.assemble_system(schur, cm, ps),
-                 lambda: solver.assemble_system(
-                     solver.Formulation(kernel, solver.SystemForm.DIRECT), cm, ps)):
+                 lambda: solver.assemble_system(kernel, cm, ps, with_k_minus=True),
+                 lambda: solver.assemble_system(kernel, cm, ps)):
         calls.clear()
         call()
         assert calls == contraction
@@ -578,25 +593,37 @@ def test_stacked_contraction_is_bitwise_the_held_k_minus_and_the_direct_matrix(
         request, problem, kernel):
     # Signs of zero included; both halves are C-ordered, so K-^T factors in place.
     ps, cm = request.getfixturevalue(problem)[-2:]
-    stacked = solver._direct_matrix(cm, ps, kernel, with_k_minus=True)
+    stacked = solver.assemble_system(kernel, cm, ps, with_k_minus=True)
     matrix, k_minus = np.split(stacked, 2)
-    held = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps).entries
-    for got, expected in ((k_minus, held), (matrix, solver._direct_matrix(cm, ps, kernel))):
+    held = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    for got, expected in ((k_minus, held), (matrix, solver.assemble_system(kernel, cm, ps))):
         assert got.flags.c_contiguous
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_direct_assembly_owns_exactly_its_matrix(circle_problem, kernel):
+    # An M-only assembly is one P x P array, not a view keeping a larger
+    # product alive.
+    grid, ps, cm = circle_problem
+    n = len(cm.gamma_minus)
+    matrix = solver.assemble_system(kernel, cm, ps)
+    assert type(matrix) is np.ndarray
+    assert matrix.shape == (n, n)
+    assert matrix.base is None and matrix.flags.owndata
+    assert matrix.nbytes == 8 * n * n
 
 
 def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
     cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=64)
     _, ps, _ = harness._discretize(cfg, 64)
     kernel = potentials.LayerKind.SINGLE
-    q = potentials.DensityVector(
-        ps.gamma_minus_indices,
-        np.random.default_rng(7).standard_normal(len(ps.gamma_minus_indices)))
+    sources = ps.gamma_minus_indices
+    q = np.random.default_rng(7).standard_normal(len(sources))
     edge = diffpot.edge_nodes(ps)
-    expected_edge = potentials.apply_layer_matrix(edge, q, kernel, ps)
-    expected_trace = potentials.apply_layer_matrix(ps.gamma_indices, q, kernel, ps)
+    expected_edge = potentials.apply_layer_matrix(edge, sources, q, kernel, ps)
+    expected_trace = potentials.apply_layer_matrix(ps.gamma_indices, sources, q, kernel, ps)
     targets = []
     apply_layer_matrix = solver.apply_layer_matrix
 
@@ -605,7 +632,7 @@ def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
         return apply_layer_matrix(points, *args, **kwargs)
 
     monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
-    result = solver.recover(q.values, kernel, ps)
+    result = solver.recover(q, kernel, ps)
     assert len(edge) == 4 * (ps.grid.nx - 1)
     assert len(targets) == 1
     assert np.array_equal(targets[0], np.concatenate([ps.gamma_indices, edge]))
