@@ -26,6 +26,12 @@ The same box solver, on the same window, yields particular solutions of
 the nonhomogeneous problem from rhs = h^2 f on M+, after which the
 boundary right-hand side is corrected; the caller adds the homogeneous
 and particular parts, reading both through :meth:`GridFunction.at`.
+
+Memory: a box solve holds its rhs and one new window array, the
+solution, into which the rhs is copied and transformed in place.  Each
+rhs is built in one window array, f one block of window rows at a time
+and [A u] only next to the nodes that carry data, so no stage holds a
+window-sized float temporary.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from scipy import fft as sfft
 
 from .closure import ClosureMatrices
 from .errors import AssemblyError, BoxTooSmallError
-from .geometry import Grid, PointSets
+from .geometry import _ROW_BLOCK, DIRECTIONS, Grid, PointSets
 
 #: How many nodes inside the window edge the gamma and closure nodes must
 #: lie, so that every node whose [A u] reads them is off the edge, where
@@ -110,6 +116,20 @@ def _window_of(mask: np.ndarray, grid: Grid, offset) -> np.ndarray:
     return mask[j0 : j0 + grid.nx, k0 : k0 + grid.ny]
 
 
+def _neighbours(j: np.ndarray, k: np.ndarray):
+    """The nodes (j, k) and their four lattice neighbours, as one index
+    pair with repeats."""
+    steps = ((0, 0), *DIRECTIONS)
+    return (np.concatenate([j + dj for dj, _ in steps]),
+            np.concatenate([k + dk for _, dk in steps]))
+
+
+def _stencil_at(values: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[A u] at off-edge nodes (j, k), term for term as :func:`apply_stencil`."""
+    return (4.0 * values[j, k] - values[j - 1, k] - values[j + 1, k]
+            - values[j, k - 1] - values[j, k + 1])
+
+
 def apply_stencil(values: np.ndarray) -> np.ndarray:
     """[A u] at box-interior nodes (edges return 0), A the 5-point operator."""
     out = np.zeros_like(values)
@@ -128,13 +148,16 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
 
     The sine basis diagonalizes the 5-point operator on the interior
     nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
-    n's counting grid intervals per axis.  A zero rhs returns zero
+    n's counting grid intervals per axis.  The solution is the one new
+    window array: the rhs interior is copied into it and transformed in
+    place, so the rhs is left as it was.  A zero rhs returns zero
     without transforms (the exterior's particular solution).  The
     solution keeps the rhs's offset.
     """
     grid = rhs.grid
+    w = GridFunction.zeros(grid, rhs.offset)
     if not rhs.values.any():
-        return GridFunction.zeros(grid, rhs.offset)
+        return w
     edge_max = max(
         np.abs(rhs.values[0, :]).max(),
         np.abs(rhs.values[-1, :]).max(),
@@ -144,14 +167,16 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     if edge_max != 0.0:
         raise AssemblyError("rhs carries data on the box boundary")
     mx, my = grid.nx - 1, grid.ny - 1
-    j = np.arange(1, mx)
-    k = np.arange(1, my)
-    lam = (4.0 - 2.0 * np.cos(np.pi * j / mx))[:, None] - 2.0 * np.cos(
-        np.pi * k / my
-    )[None, :]
-    coeff = sfft.dstn(rhs.values[1:-1, 1:-1], type=1)
-    w = GridFunction.zeros(grid, rhs.offset)
-    w.values[1:-1, 1:-1] = sfft.idstn(coeff / lam, type=1)
+    lam_x = 4.0 - 2.0 * np.cos(np.pi * np.arange(1, mx) / mx)
+    lam_y = 2.0 * np.cos(np.pi * np.arange(1, my) / my)
+    inner = w.values[1:-1, 1:-1]
+    inner[...] = rhs.values[1:-1, 1:-1]
+    coeff = sfft.dstn(inner, type=1, overwrite_x=True)
+    for lo in range(0, mx - 1, _ROW_BLOCK):
+        coeff[lo : lo + _ROW_BLOCK] /= lam_x[lo : lo + _ROW_BLOCK, None] - lam_y
+    values = sfft.idstn(coeff, type=1, overwrite_x=True)
+    if not np.may_share_memory(values, inner):  # overwrite_x permits, not promises
+        inner[...] = values
     return w
 
 
@@ -184,18 +209,29 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
         raise AssemblyError(
             f"edge data has shape {u_edge.shape}, expected ({len(on_edge)},)"
         )
-    extension = np.zeros((grid.nx, grid.ny))
-    extension[_local(ps.gamma_indices, grid, offset, _INSET)] = u_gamma
+    # One window array holds the rhs and, in turn, each zero-extension whose
+    # [A u] it needs; [A u] is evaluated only next to the extended nodes.
     rhs = GridFunction.zeros(grid, offset)
-    band = ~_window_of(ps.m_plus, grid, offset) & ~_edge_mask(grid)
-    rhs.values[band] = apply_stencil(extension)[band]
-    if len(on_edge):
-        # Lift the edge values into the rhs of the adjacent interior ring.
-        lift = np.zeros_like(extension)
-        lift[on_edge[:, 0], on_edge[:, 1]] = u_edge
-        rhs.values -= apply_stencil(lift)
+    # Lift the edge values into the rhs of the adjacent interior ring.
+    ej, ek = on_edge.T
+    rhs.values[ej, ek] = u_edge
+    j, k = _neighbours(ej, ek)
+    ring = (np.minimum(j, k) > 0) & (j < grid.nx - 1) & (k < grid.ny - 1)
+    rj, rk = j[ring], k[ring]
+    lift = _stencil_at(rhs.values, rj, rk)
+    rhs.values[ej, ek] = 0.0
+    # [A u] of the gamma data, kept on the exterior band.
+    gj, gk = _local(ps.gamma_indices, grid, offset, _INSET)
+    rhs.values[gj, gk] = u_gamma
+    j, k = _neighbours(gj, gk)
+    band = ~ps.m_plus[j + offset[0], k + offset[1]]
+    j, k = j[band], k[band]
+    applied = _stencil_at(rhs.values, j, k)
+    rhs.values[gj, gk] = 0.0
+    rhs.values[j, k] = applied
+    rhs.values[rj, rk] -= lift
     w = fft_poisson_solve(rhs)
-    w.values[on_edge[:, 0], on_edge[:, 1]] = u_edge
+    w.values[ej, ek] = u_edge
     return w
 
 
@@ -204,13 +240,17 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     on :attr:`PointSets.box_window`.
 
     f is evaluated only at the window-interior nodes of M+, at the
-    coordinates ``ps.grid`` gives them.
+    coordinates ``ps.grid`` gives them, one block of window rows at a
+    time.
     """
     grid, offset = ps.box_window
     rhs = GridFunction.zeros(grid, offset)
-    inside = _window_of(ps.m_plus, grid, offset) & ~_edge_mask(grid)
-    x, y = ps.grid.nodes(np.argwhere(inside) + offset).T
-    rhs.values[inside] = grid.h**2 * np.asarray(f(x, y))
+    interior = rhs.values[1:-1, 1:-1]
+    inside = _window_of(ps.m_plus, grid, offset)[1:-1, 1:-1]
+    for lo in range(0, len(interior), _ROW_BLOCK):
+        rows = inside[lo : lo + _ROW_BLOCK]
+        nodes = np.argwhere(rows) + (offset[0] + 1 + lo, offset[1] + 1)
+        interior[lo : lo + _ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(*ps.grid.nodes(nodes).T))
     return fft_poisson_solve(rhs)
 
 

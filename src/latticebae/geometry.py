@@ -53,6 +53,10 @@ WINDOW_MARGIN = 3
 _BISECT_ITERS = 50
 _MULTI_ROOT_SAMPLES = 17
 
+#: Grid rows per block wherever a stage runs over the grid or the box
+#: window, so its temporaries never grow to the grid's size.
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -101,8 +105,8 @@ class Grid:
     def nodes(self, indices: np.ndarray) -> np.ndarray:
         """Coordinates of an (n, 2) integer index array, shape (n, 2).
 
-        Built in one array: callers pass every M+ node, several MB at
-        n = 1024, and a solve's memory peak can fall on this call."""
+        Built in one array.  Callers pass boundary nodes, or grid nodes
+        one block of rows at a time, never the whole grid at once."""
         xy = np.multiply(indices, self.h)
         return np.add(xy, self.origin, out=xy)
 
@@ -259,6 +263,9 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
     """Build the M/N/gamma node sets for a shape on a grid.
 
+    psi is evaluated one block of grid rows at a time, so no float array
+    of the grid's size is held.
+
     Raises
     ------
     DegenerateDomainError
@@ -268,8 +275,11 @@ def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
         If boundary-layer nodes reach into the outermost two node rings,
         i.e. Gamma runs within about 2h of the box edge.
     """
-    x, y = grid.mesh()
-    m_plus = np.asarray(shape.psi(x, y)) <= 0.0
+    xs = grid.xs()
+    m_plus = np.empty((grid.nx, grid.ny), dtype=bool)
+    for lo in range(0, grid.nx, _ROW_BLOCK):
+        x, y = np.meshgrid(xs[lo : lo + _ROW_BLOCK], grid.ys(), indexing="ij")
+        m_plus[lo : lo + _ROW_BLOCK] = np.asarray(shape.psi(x, y)) <= 0.0
     if not m_plus.any():
         raise DegenerateDomainError("no grid node lies inside the domain")
     n_plus = _dilate(m_plus)
@@ -277,10 +287,7 @@ def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
     gamma = n_plus & n_minus
     if not gamma.any():
         raise DegenerateDomainError("zero level set does not cross the computational box")
-    rim = np.zeros_like(gamma)
-    rim[:2, :] = rim[-2:, :] = True
-    rim[:, :2] = rim[:, -2:] = True
-    if (gamma & rim).any():
+    if gamma[:2].any() or gamma[-2:].any() or gamma[:, :2].any() or gamma[:, -2:].any():
         raise GeometryTooTightError(
             "boundary runs within 2h of the box edge; enlarge the box or refine"
         )

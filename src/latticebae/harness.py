@@ -45,6 +45,8 @@ CONDITIONING_LABELS = ("S-", "D-", "A_s", "A_d", "M_s", "M_d")
 
 def _check_n(n) -> None:
     """ConfigError unless ``n`` is an integer power of two in [32, 2048]."""
+    if isinstance(n, str):
+        raise ConfigError(f"n must be a power of two in [32, 2048], got the string {n!r}")
     if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
         raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
 
@@ -78,6 +80,11 @@ class ExperimentConfig:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                                and 0.0 < value < np.inf):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        if not isinstance(self.compute_cond, (bool, np.bool_)):
+            raise ConfigError(f"compute_cond must be a bool, got {self.compute_cond!r}")
+        # A string is a sequence of characters, not of sizes.
+        if isinstance(self.n_list, str):
+            raise ConfigError(f"n_list must be a sequence of sizes, got the string {self.n_list!r}")
         # Frozen and hashable: a list of sizes would stay mutable after its check.
         try:
             object.__setattr__(self, "n_list", tuple(self.n_list))
@@ -235,6 +242,17 @@ def _discretize(cfg: ExperimentConfig, n: int):
     return mf, ps, closure_mod.assemble_closure(ps, xs, bc)
 
 
+def _m_plus_blocks(ps: geometry.PointSets):
+    """The M+ nodes one block of grid rows at a time: (slice, indices)
+    pairs, the slice locating the block in canonical M+ order."""
+    start = 0
+    for lo in range(0, ps.grid.nx, geometry._ROW_BLOCK):
+        mp = np.argwhere(ps.m_plus[lo : lo + geometry._ROW_BLOCK])
+        mp[:, 0] += lo
+        yield slice(start, start + len(mp)), mp
+        start += len(mp)
+
+
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
     """Run the full pipeline for one grid size."""
     n = cfg.single_n() if n is None else n
@@ -255,12 +273,13 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     # potential K q, so the closure rows read it there.
     residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)
                             + cm.c_minus @ result.trace_minus - cm.rhs).max())
-    mp = ps.m_plus_indices
     u_h.values += u_p.values  # both box solves ran on the window of ps
-    values = u_h.at(mp)
-
-    x, y = ps.grid.nodes(mp).T
-    exact = mf.u(x, y)
+    values = np.empty(np.count_nonzero(ps.m_plus))
+    exact = np.empty_like(values)
+    for rows, mp in _m_plus_blocks(ps):
+        values[rows] = u_h.at(mp)
+        x, y = ps.grid.nodes(mp).T
+        exact[rows] = mf.u(x, y)
     return SolutionField(ps=ps, values=values, exact=exact, result=result, residual=residual)
 
 
@@ -379,8 +398,9 @@ def dump_solution_csv(sol: SolutionField, path) -> None:
     """Error-surface dump: x,y,value,exact,error over interior nodes."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,value,exact,error\n")
-        for (x, y), v, e in zip(sol.grid.nodes(sol.ps.m_plus_indices), sol.values, sol.exact):
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
+        for rows, mp in _m_plus_blocks(sol.ps):
+            for (x, y), v, e in zip(sol.grid.nodes(mp), sol.values[rows], sol.exact[rows]):
+                fh.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
 
 
 _PLOT_PREAMBLE = """\

@@ -263,6 +263,10 @@ def lgf_recursion_table(jmax: int) -> LgfTable:
     return table
 
 
+#: Octant rows per block of :func:`_half_table`'s build, so its index and
+#: value temporaries stay a block's size.
+_ROW_BLOCK = 64
+
 #: The one table that :func:`kernel_table` returns; None until it is first asked for.
 _KERNEL_TABLE: np.ndarray | None = None
 
@@ -272,24 +276,28 @@ def _half_table(rx: int, ry: int) -> np.ndarray:
     holding G(j, k).
 
     Only the octant b <= a of the quadrant [0, max(rx, ry)] x
-    [0, min(rx, ry)] is evaluated, in place: the near field through the
-    memo table (quadrature), the far field by the vectorized expansion.
-    The quadrant is completed by symmetry and mirrored in k, so every
-    entry is bitwise the matching entry of any larger table.
+    [0, min(rx, ry)] is evaluated, in place and one block of octant rows
+    at a time: the near field through the memo table (quadrature), the
+    far field by the vectorized expansion.  The quadrant is completed by
+    symmetry row by row and mirrored in k, so every entry is bitwise the
+    matching entry of any larger table.
     """
     big, small = max(rx, ry), min(rx, ry)
     half = np.zeros((rx + 1, 2 * ry + 1))
     quad = half[:, ry:]
     # The octant b <= a, zero above its diagonal, as a view of the quadrant.
     octant = quad if rx >= ry else quad.T
-    a_idx, b_idx = np.tril_indices(big + 1, 0, small + 1)
-    far = np.hypot(a_idx, b_idx) >= R_SWITCH
-    octant[a_idx[far], b_idx[far]] = _asymptotic_array(a_idx[far], b_idx[far])
-    for a, b in zip(a_idx[~far].tolist(), b_idx[~far].tolist()):
-        octant[a, b] = lgf((a, b))
-    square = octant[: small + 1]
-    square += np.triu(square.T, 1)
-    half[:, :ry] = quad[:, ry:0:-1]
+    for lo in range(0, big + 1, _ROW_BLOCK):
+        a_idx, b_idx = np.tril_indices(min(_ROW_BLOCK, big + 1 - lo), lo, small + 1)
+        a_idx += lo
+        far = np.hypot(a_idx, b_idx) >= R_SWITCH
+        octant[a_idx[far], b_idx[far]] = _asymptotic_array(a_idx[far], b_idx[far])
+        for a, b in zip(a_idx[~far].tolist(), b_idx[~far].tolist()):
+            octant[a, b] = lgf((a, b))
+    for a in range(small):
+        octant[a, a + 1 : small + 1] = octant[a + 1 : small + 1, a]
+    for lo in range(0, rx + 1, _ROW_BLOCK):
+        half[lo : lo + _ROW_BLOCK, :ry] = quad[lo : lo + _ROW_BLOCK, ry:0:-1]
     half.flags.writeable = False
     return half
 

@@ -63,6 +63,42 @@ def test_classify_matches_brute_force(shape):
     np.testing.assert_array_equal(ps.gamma_plus, ps.n_minus & m_plus)
 
 
+STAR = custom(lambda x, y: np.hypot(x, y) - 0.7 * (1.0 + 0.25 * np.cos(5.0 * np.arctan2(y, x))),
+              label="star")
+
+
+@pytest.mark.parametrize("shape, half_width", [
+    (ellipse(2.0), 1.15), (diamond(0.9, 0.5), 1.15), (circle_exterior(), 3.0), (STAR, 1.15),
+])
+def test_classify_in_row_blocks_is_bitwise_the_full_grid_psi(shape, half_width):
+    # 201 nodes per axis: three full blocks of rows and a partial one.
+    grid = centered_grid(half_width, 200)
+    x, y = grid.mesh()
+    np.testing.assert_array_equal(classify(grid, shape).m_plus, shape.psi(x, y) <= 0.0)
+
+
+def test_classify_holds_its_masks_and_one_block_of_rows(traced_peak):
+    # Exterior n=256.  The six masks are 0.75 float grid arrays, and one
+    # 64-row block of psi temporaries a quarter grid each; measured 1.38
+    # grid arrays (margin 27%), and 4.0 when psi was evaluated on the
+    # whole grid at once.
+    grid = centered_grid(3.0, 256)
+    peak, _ = traced_peak(classify, grid, circle_exterior())
+    assert peak <= 1.75 * 8 * grid.nx * grid.ny
+
+
+@pytest.mark.parametrize("centre", [(-0.12, 0.0), (0.12, 0.0), (0.0, -0.12), (0.0, 0.12)])
+def test_classify_rejects_a_boundary_near_any_one_edge(centre):
+    # The unit circle in a box of half-width 1.15, shifted towards one
+    # edge, passes within 2h of that edge alone.
+    grid = centered_grid(1.15, 32)
+    cx, cy = centre
+    near = custom(lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - 1.0)
+    with pytest.raises(GeometryTooTightError):
+        classify(grid, near)
+    classify(grid, ellipse(1.0))
+
+
 def test_boundary_node_counts_as_inside():
     # h = 0.5 with the box [-2.5, 2.5]: nodes at +-1.0 sit exactly on
     # the unit circle and must land in M+ (and in gamma+).

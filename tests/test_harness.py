@@ -85,6 +85,33 @@ def test_config_rejects_selectors_of_the_wrong_type(name, value):
         harness.ExperimentConfig(geometry="ellipse", bc="robin", **{name: value})
 
 
+@pytest.mark.parametrize("value", ["no", 1])
+def test_config_rejects_a_compute_cond_that_is_not_a_bool(value):
+    # "no" is truthy: accepted, it would run the SVD the caller meant to skip.
+    with pytest.raises(ConfigError, match="compute_cond must be a bool"):
+        harness.ExperimentConfig(geometry="ellipse", bc="robin", compute_cond=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_config_takes_a_bool_compute_cond(value):
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="robin", compute_cond=value)
+    assert cfg.compute_cond == value
+
+
+def test_config_says_a_size_is_a_string():
+    with pytest.raises(ConfigError, match="got the string '64'"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n="64")
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64)
+    with pytest.raises(ConfigError, match="got the string '64'"):
+        harness.solve_problem(cfg, "64")
+
+
+def test_config_does_not_iterate_a_string_of_sizes():
+    with pytest.raises(ConfigError, match="n_list must be a sequence of sizes, "
+                                          "got the string '64,128,256'"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n_list="64,128,256")
+
+
 def test_config_takes_its_sizes_as_a_tuple_and_hashes():
     sizes = [64, 128, 256]
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n_list=sizes)
@@ -451,6 +478,23 @@ def test_dump_solution_csv(tmp_path):
     first = records[0]
     assert abs(float(first["error"])
                - abs(float(first["value"]) - float(first["exact"]))) < 1e-15
+
+
+def test_solution_read_out_and_dump_are_bitwise_the_whole_m_plus_build(tmp_path):
+    # 129 grid rows: M+ spans three blocks of rows.  The references read
+    # every M+ node's indices and coordinates at once.
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=128)
+    sol = harness.solve_problem(cfg)
+    mp = sol.ps.m_plus_indices
+    x, y = sol.grid.nodes(mp).T
+    assert sol.exact.tobytes() == harness.manufactured_solution(cfg).u(x, y).tobytes()
+    reference = io.StringIO()
+    reference.write("x,y,value,exact,error\n")
+    for (x, y), v, e in zip(sol.grid.nodes(mp), sol.values, sol.exact):
+        reference.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
+    path = tmp_path / "field.csv"
+    harness.dump_solution_csv(sol, path)
+    assert path.read_bytes() == reference.getvalue().encode("ascii")
 
 
 def test_cli_dump_solution_solves_once(tmp_path, monkeypatch):
