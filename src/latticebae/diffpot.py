@@ -25,7 +25,8 @@ artificial boundary condition.
 The same box solver, on the same window, yields particular solutions of
 the nonhomogeneous problem from rhs = h^2 f on M+, after which the
 boundary right-hand side is corrected; the caller adds the homogeneous
-and particular parts, reading both through :meth:`GridFunction.at`.
+and particular parts.  Laplace data (the exterior's) has no particular
+part, and its solves skip both steps.
 
 Memory: a box solve holds its rhs and one new window array, the
 solution, into which the rhs is copied and transformed in place.  Each
@@ -50,14 +51,6 @@ from .geometry import _ROW_BLOCK, DIRECTIONS, Grid, PointSets
 #: lie, so that every node whose [A u] reads them is off the edge, where
 #: the box solve takes its Dirichlet data.
 _INSET = 2
-
-
-def _edge_mask(grid: Grid) -> np.ndarray:
-    """The nodes on the edge of a grid, where box solves take Dirichlet data."""
-    mask = np.zeros((grid.nx, grid.ny), dtype=bool)
-    mask[0, :] = mask[-1, :] = True
-    mask[:, 0] = mask[:, -1] = True
-    return mask
 
 
 def _local(indices: np.ndarray, grid: Grid, offset, inset: int):
@@ -151,8 +144,7 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     n's counting grid intervals per axis.  The solution is the one new
     window array: the rhs interior is copied into it and transformed in
     place, so the rhs is left as it was.  A zero rhs returns zero
-    without transforms (the exterior's particular solution).  The
-    solution keeps the rhs's offset.
+    without transforms.  The solution keeps the rhs's offset.
     """
     grid = rhs.grid
     w = GridFunction.zeros(grid, rhs.offset)
@@ -185,8 +177,15 @@ def edge_nodes(ps: PointSets) -> np.ndarray:
     lives.  A bounded domain has none; on the exterior they are the grid
     edge."""
     grid, offset = ps.box_window
-    on_edge = _edge_mask(grid) & _window_of(ps.m_plus, grid, offset)
-    return np.argwhere(on_edge) + offset
+    inside = _window_of(ps.m_plus, grid, offset)
+    # Row 0, then the two ends of each middle row, then the last row.
+    first, last = np.flatnonzero(inside[0]), np.flatnonzero(inside[-1])
+    j, side = np.nonzero(inside[1:-1, [0, -1]])
+    return np.concatenate([
+        np.column_stack([np.full_like(first, 0), first]),
+        np.column_stack([j + 1, side * (grid.ny - 1)]),
+        np.column_stack([np.full_like(last, grid.nx - 1), last]),
+    ]) + offset
 
 
 def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridFunction:
@@ -241,7 +240,9 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
 
     f is evaluated only at the window-interior nodes of M+, at the
     coordinates ``ps.grid`` gives them, one block of window rows at a
-    time.
+    time, each block's nodes picked by its rows of the M+ mask.  A
+    harmonic problem has no forcing and need not call this: its
+    particular solution is zero.
     """
     grid, offset = ps.box_window
     rhs = GridFunction.zeros(grid, offset)
@@ -249,8 +250,8 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     inside = _window_of(ps.m_plus, grid, offset)[1:-1, 1:-1]
     for lo in range(0, len(interior), _ROW_BLOCK):
         rows = inside[lo : lo + _ROW_BLOCK]
-        nodes = np.argwhere(rows) + (offset[0] + 1 + lo, offset[1] + 1)
-        interior[lo : lo + _ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(*ps.grid.nodes(nodes).T))
+        x, y = ps.grid.nodes_where(rows, (offset[0] + 1 + lo, offset[1] + 1))
+        interior[lo : lo + _ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(x, y))
     return fft_poisson_solve(rhs)
 
 

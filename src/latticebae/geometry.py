@@ -105,10 +105,21 @@ class Grid:
     def nodes(self, indices: np.ndarray) -> np.ndarray:
         """Coordinates of an (n, 2) integer index array, shape (n, 2).
 
-        Built in one array.  Callers pass boundary nodes, or grid nodes
-        one block of rows at a time, never the whole grid at once."""
+        Built in one array.  Callers pass boundary nodes, never the
+        whole grid at once; blocks of grid rows go through
+        :meth:`nodes_where`."""
         xy = np.multiply(indices, self.h)
         return np.add(xy, self.origin, out=xy)
+
+    def nodes_where(self, mask: np.ndarray, corner) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (x, y) of the nodes where ``mask`` is true, in
+        canonical order; ``mask`` covers the grid rows and columns from
+        node ``corner`` on.  Each coordinate is an index times h plus the
+        origin, as :meth:`nodes` computes it, so the two agree bitwise."""
+        (j0, k0), shape = corner, np.shape(mask)
+        x = np.arange(j0, j0 + shape[0]) * self.h + self.origin[0]
+        y = np.arange(k0, k0 + shape[1]) * self.h + self.origin[1]
+        return np.broadcast_to(x[:, None], shape)[mask], np.broadcast_to(y, shape)[mask]
 
 
 @dataclass(frozen=True)
@@ -208,16 +219,27 @@ class PointSets:
         return ~self.m_plus
 
     @cached_property
+    def _gamma_box(self) -> tuple[slice, slice]:
+        """The bounding box of gamma, which holds gamma+ and gamma- too."""
+        j = np.flatnonzero(self.gamma.any(axis=1))
+        k = np.flatnonzero(self.gamma.any(axis=0))
+        return slice(int(j[0]), int(j[-1]) + 1), slice(int(k[0]), int(k[-1]) + 1)
+
+    def _indices_in_gamma_box(self, mask: np.ndarray) -> np.ndarray:
+        rows, cols = self._gamma_box
+        return np.argwhere(mask[rows, cols]) + (rows.start, cols.start)
+
+    @cached_property
     def gamma_indices(self) -> np.ndarray:
-        return np.argwhere(self.gamma)
+        return self._indices_in_gamma_box(self.gamma)
 
     @cached_property
     def gamma_plus_indices(self) -> np.ndarray:
-        return np.argwhere(self.gamma_plus)
+        return self._indices_in_gamma_box(self.gamma_plus)
 
     @cached_property
     def gamma_minus_indices(self) -> np.ndarray:
-        return np.argwhere(self.gamma_minus)
+        return self._indices_in_gamma_box(self.gamma_minus)
 
     @property
     def m_plus_indices(self) -> np.ndarray:

@@ -4,13 +4,13 @@ Bounded runs all solve the Poisson problem manufactured from
 u = sin(x)cos(y) (which is not discretely harmonic, so the particular
 solution machinery is always exercised); boundary data comes from the
 same u.  The unbounded study solves potential flow past the unit circle
-with u = x/(x^2 + y^2), harmonic away from the origin, so its forcing
-is zero.  Every solve recovers interior values
-through the same difference-potential box solve of what the solver
-recovers; on the exterior the box edge lies in the domain and takes the
-lattice potential's own values there, which the solver streams from the
-density in the same product as the trace on gamma, so this module does
-no kernel work of its own.
+with u = x/(x^2 + y^2), harmonic away from the origin, so it carries no
+forcing and its solves skip the particular solution.  Every solve
+recovers interior values through the same difference-potential box
+solve of what the solver recovers; on the exterior the box edge lies in
+the domain and takes the lattice potential's own values there, which
+the solver streams from the density in the same product as the trace on
+gamma, so this module does no kernel work of its own.
 
 Timings are measured but written into the CSV only on request; the
 default output is byte-identical across runs for identical configs,
@@ -130,9 +130,12 @@ class ResultRow:
 
 @dataclass
 class Manufactured:
+    """A solution u of -lap u = f with its gradient; ``f=None`` means
+    Laplace data (f = 0), which needs no particular solution."""
+
     u: Callable
     grad: Callable
-    f: Callable
+    f: Optional[Callable]
 
 
 def build_shape(cfg: ExperimentConfig) -> geometry.LevelSetShape:
@@ -161,7 +164,7 @@ def manufactured_solution(cfg: ExperimentConfig) -> Manufactured:
             r2 = x**2 + y**2
             return (y**2 - x**2) / r2**2, -2.0 * x * y / r2**2
 
-        return Manufactured(u=u, grad=grad, f=lambda x, y: np.zeros_like(x))
+        return Manufactured(u=u, grad=grad, f=None)
 
     def u(x, y):
         return np.sin(x) * np.cos(y)
@@ -242,15 +245,31 @@ def _discretize(cfg: ExperimentConfig, n: int):
     return mf, ps, closure_mod.assemble_closure(ps, xs, bc)
 
 
-def _m_plus_blocks(ps: geometry.PointSets):
-    """The M+ nodes one block of grid rows at a time: (slice, indices)
-    pairs, the slice locating the block in canonical M+ order."""
+def _m_plus_rows(ps: geometry.PointSets):
+    """The M+ nodes one block of box-window rows at a time, in canonical
+    order: (out, rows, mask, x, y), ``out`` locating the block in M+
+    order, ``rows`` its window rows, ``mask`` their M+ nodes over the
+    window's columns, and (x, y) those nodes' coordinates.  M+ lies
+    inside the window, which holds N+."""
+    window, (j0, k0) = ps.box_window
+    inside = diffpot._window_of(ps.m_plus, window, (j0, k0))
     start = 0
-    for lo in range(0, ps.grid.nx, geometry._ROW_BLOCK):
-        mp = np.argwhere(ps.m_plus[lo : lo + geometry._ROW_BLOCK])
-        mp[:, 0] += lo
-        yield slice(start, start + len(mp)), mp
-        start += len(mp)
+    for lo in range(0, window.nx, geometry._ROW_BLOCK):
+        mask = inside[lo : lo + geometry._ROW_BLOCK]
+        x, y = ps.grid.nodes_where(mask, (j0 + lo, k0))
+        yield slice(start, start + len(x)), slice(lo, lo + len(mask)), mask, x, y
+        start += len(x)
+
+
+def _read_out(ps: geometry.PointSets, u_h: diffpot.GridFunction, u: Callable):
+    """The values of u_h, a field on the box window, and of the exact
+    solution u at the M+ nodes, in canonical order."""
+    values = np.empty(np.count_nonzero(ps.m_plus))
+    exact = np.empty_like(values)
+    for out, rows, mask, x, y in _m_plus_rows(ps):
+        values[out] = u_h.values[rows][mask]
+        exact[out] = u(x, y)
+    return values, exact
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
@@ -264,22 +283,20 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
         )
     mf, ps, cm = _discretize(cfg, n)
     # The box solve's window-sized transients come before the kernel blocks
-    # are held, not on top of them.
-    u_p = diffpot.particular_solution(mf.f, ps)
-    cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    # are held, not on top of them.  Laplace data has no particular part.
+    u_p = None
+    if mf.f is not None:
+        u_p = diffpot.particular_solution(mf.f, ps)
+        cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
     result = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
     u_h = diffpot.difference_potential(result.trace, ps, result.edge)
     # gamma~+ lies in M+, where the difference potential is the layer
     # potential K q, so the closure rows read it there.
     residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)
                             + cm.c_minus @ result.trace_minus - cm.rhs).max())
-    u_h.values += u_p.values  # both box solves ran on the window of ps
-    values = np.empty(np.count_nonzero(ps.m_plus))
-    exact = np.empty_like(values)
-    for rows, mp in _m_plus_blocks(ps):
-        values[rows] = u_h.at(mp)
-        x, y = ps.grid.nodes(mp).T
-        exact[rows] = mf.u(x, y)
+    if u_p is not None:
+        u_h.values += u_p.values  # both box solves ran on the window of ps
+    values, exact = _read_out(ps, u_h, mf.u)
     return SolutionField(ps=ps, values=values, exact=exact, result=result, residual=residual)
 
 
@@ -398,8 +415,8 @@ def dump_solution_csv(sol: SolutionField, path) -> None:
     """Error-surface dump: x,y,value,exact,error over interior nodes."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,value,exact,error\n")
-        for rows, mp in _m_plus_blocks(sol.ps):
-            for (x, y), v, e in zip(sol.grid.nodes(mp), sol.values[rows], sol.exact[rows]):
+        for out, _, _, xs, ys in _m_plus_rows(sol.ps):
+            for x, y, v, e in zip(xs, ys, sol.values[out], sol.exact[out]):
                 fh.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
 
 

@@ -204,25 +204,33 @@ def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointS
     weights = sparse.coo_array(weights)
     if weights.shape[1] != len(targets):
         raise AssemblyError(f"{weights.shape[1]} weight columns for {len(targets)} targets")
-    # The weights' entries grouped by the row block of their column.
+    # The weights' entries sorted once by (row block of their column, row,
+    # column): each block's entries are then its slab's CSR entries, each
+    # run of one row a slab row.
+    weights.sum_duplicates()
     blocks = weights.col // _ROW_BLOCK
-    order = np.argsort(blocks, kind="stable")
-    rows, cols, values = weights.row[order], weights.col[order], weights.data[order]
+    order = np.lexsort((weights.col, weights.row, blocks))
+    blocks, rows = blocks[order], weights.row[order]
+    cols, values = weights.col[order], weights.data[order]
+    runs = np.flatnonzero(np.diff(blocks, prepend=-1) | np.diff(rows, prepend=-1))
     starts = np.arange(0, len(targets), _ROW_BLOCK)
-    edges = np.searchsorted(blocks[order], np.arange(len(starts) + 1))
+    edges = np.searchsorted(blocks, np.arange(len(starts) + 1))
+    run_edges = np.searchsorted(runs, edges)
     product = np.zeros((weights.shape[0], len(sources)))
     scratch = np.empty((min(_ROW_BLOCK, len(targets)), len(sources)))
-    for start, first, last in zip(starts, edges[:-1], edges[1:]):
+    for start, first, last, run_lo, run_hi in zip(
+        starts, edges[:-1], edges[1:], run_edges[:-1], run_edges[1:]
+    ):
         if first == last:
             continue
         block = scratch[: len(targets) - start]
         fill(block, start)
-        reached, local = np.unique(rows[first:last], return_inverse=True)
+        heads = runs[run_lo:run_hi]
         slab = sparse.csr_array(
-            (values[first:last], (local, cols[first:last] - start)),
-            shape=(len(reached), len(block)),
+            (values[first:last], cols[first:last] - start, np.append(heads, last) - first),
+            shape=(len(heads), len(block)),
         )
-        product[reached] += slab @ block
+        product[rows[heads]] += slab @ block
     return product
 
 

@@ -23,6 +23,14 @@ def ellipse_box():
     return grid, ps
 
 
+def edge_mask(grid):
+    """The nodes on the edge of a grid, where box solves take Dirichlet data."""
+    mask = np.zeros((grid.nx, grid.ny), dtype=bool)
+    mask[0, :] = mask[-1, :] = True
+    mask[:, 0] = mask[:, -1] = True
+    return mask
+
+
 def dense_interior_solve(rhs_interior):
     """Independent dense solve of the 5-point system with zero edges."""
     a, b = rhs_interior.shape
@@ -128,7 +136,7 @@ def difference_potential_rhs_reference(u_gamma, ps, u_edge):
     extension = np.zeros((grid.nx, grid.ny))
     extension[diffpot._local(ps.gamma_indices, grid, offset, 0)] = u_gamma
     rhs = np.zeros_like(extension)
-    band = ~diffpot._window_of(ps.m_plus, grid, offset) & ~diffpot._edge_mask(grid)
+    band = ~diffpot._window_of(ps.m_plus, grid, offset) & ~edge_mask(grid)
     rhs[band] = diffpot.apply_stencil(extension)[band]
     lift = np.zeros_like(extension)
     lift[diffpot._local(diffpot.edge_nodes(ps), grid, offset, 0)] = u_edge
@@ -139,7 +147,7 @@ def particular_rhs_reference(f, ps):
     """h^2 f at the window-interior nodes of M+, from window-sized arrays."""
     grid, offset = ps.box_window
     rhs = np.zeros((grid.nx, grid.ny))
-    inside = diffpot._window_of(ps.m_plus, grid, offset) & ~diffpot._edge_mask(grid)
+    inside = diffpot._window_of(ps.m_plus, grid, offset) & ~edge_mask(grid)
     x, y = ps.grid.nodes(np.argwhere(inside) + offset).T
     rhs[inside] = grid.h**2 * np.asarray(f(x, y))
     return rhs
@@ -166,6 +174,32 @@ def test_particular_rhs_is_bitwise_the_window_sized_build(monkeypatch, sets128):
     ps = sets128
     rhs = box_solve_rhs(monkeypatch, diffpot.particular_solution, forcing, ps)
     assert rhs.tobytes() == particular_rhs_reference(forcing, ps).tobytes()
+
+
+def random_sets(seed):
+    """Point sets of a random M+ mask on a 40 x 30 grid: the window is the
+    grid, and M+ holds a random part of its edge, corners included."""
+    grid = geometry.Grid(h=0.1, origin=(0.0, 0.0), nx=40, ny=30)
+    m_plus = np.random.default_rng(seed).random((40, 30)) < 0.5
+    n_plus = geometry._dilate(m_plus)
+    n_minus = geometry._dilate(~m_plus)
+    gamma = n_plus & n_minus
+    return geometry.PointSets(grid=grid, m_plus=m_plus, n_plus=n_plus, n_minus=n_minus,
+                              gamma=gamma, gamma_plus=gamma & m_plus, gamma_minus=gamma & ~m_plus)
+
+
+@pytest.mark.parametrize("sets", ["ellipse", "circle-exterior", 0, 1, 2])
+def test_edge_nodes_are_bitwise_the_window_mask_argwhere(sets):
+    if isinstance(sets, str):
+        ps = harness._discretize(harness.ExperimentConfig(sets, "dirichlet", n=128), 128)[1]
+    else:
+        ps = random_sets(sets)
+        assert ps.box_window[0] == ps.grid
+    grid, offset = ps.box_window
+    reference = np.argwhere(edge_mask(grid) & diffpot._window_of(ps.m_plus, grid, offset)) + offset
+    nodes = diffpot.edge_nodes(ps)
+    assert nodes.dtype == reference.dtype and nodes.shape == reference.shape
+    assert nodes.tobytes() == reference.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +348,7 @@ def test_particular_solution_stencil_residual(ellipse_box):
     stencil = diffpot.apply_stencil(u_p.values)
     scale = np.abs(rhs_exact[m_plus]).max()
     # Every M+ node lies inside the window, off its edge.
-    inner = ~diffpot._edge_mask(window)
+    inner = ~edge_mask(window)
     assert np.count_nonzero(m_plus & inner) == np.count_nonzero(ps.m_plus)
     assert np.abs(stencil - rhs_exact)[m_plus].max() <= 1e-11 * scale
     # Outside the domain the forcing is zeroed.
@@ -338,7 +372,7 @@ def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
     u_p = diffpot.particular_solution(recorded, ps)
     window, (j0, k0) = ps.box_window
     crop = (slice(j0, j0 + window.nx), slice(k0, k0 + window.ny))
-    inside = ps.m_plus[crop] & ~diffpot._edge_mask(window)
+    inside = ps.m_plus[crop] & ~edge_mask(window)
     assert shapes == [(int(inside.sum()),)]
     x, y = grid.mesh()
     rhs = diffpot.GridFunction.zeros(window, (j0, k0))
@@ -397,7 +431,7 @@ def full_grid_values(cfg):
     classification grid (no edge data, since M+ stays off the grid edge)."""
     mf, ps, cm = harness._discretize(cfg, cfg.n)
     grid = ps.grid
-    edge = diffpot._edge_mask(grid)
+    edge = edge_mask(grid)
     rhs = diffpot.GridFunction.zeros(grid)
     inside = ps.m_plus & ~edge
     x, y = grid.nodes(np.argwhere(inside)).T

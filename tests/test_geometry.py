@@ -77,6 +77,18 @@ def test_classify_in_row_blocks_is_bitwise_the_full_grid_psi(shape, half_width):
     np.testing.assert_array_equal(classify(grid, shape).m_plus, shape.psi(x, y) <= 0.0)
 
 
+@pytest.mark.parametrize("shape, half_width", [
+    (ellipse(2.0), 1.15), (diamond(0.9, 0.5), 1.15), (circle_exterior(), 3.0), (STAR, 1.15),
+])
+def test_gamma_index_sets_are_bitwise_the_full_grid_argwhere(shape, half_width):
+    ps = classify(centered_grid(half_width, 200), shape)
+    for mask, indices in ((ps.gamma, ps.gamma_indices), (ps.gamma_plus, ps.gamma_plus_indices),
+                          (ps.gamma_minus, ps.gamma_minus_indices)):
+        reference = np.argwhere(mask)
+        assert indices.dtype == reference.dtype and indices.shape == reference.shape
+        assert indices.tobytes() == reference.tobytes()
+
+
 def test_classify_holds_its_masks_and_one_block_of_rows(traced_peak):
     # Exterior n=256.  The six masks are 0.75 float grid arrays, and one
     # 64-row block of psi temporaries a quarter grid each; measured 1.38

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from latticebae import closure, harness
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
@@ -287,6 +288,52 @@ def test_contraction_matches_full_block(closure256, kind, on_gamma_plus, off_gam
     assert product.shape == (len(cm.gamma_minus), len(cm.gamma_minus))
     scale = np.abs(reference).max() if reference.size else 0.0
     np.testing.assert_allclose(product, reference, rtol=1e-13, atol=1e-13 * scale)
+
+
+def per_block_contraction(weights, targets, sources, kind, ps):
+    """``weights @ K`` a row block of K at a time, each block's slab
+    built from its entries by np.unique and a COO to CSR conversion."""
+    full = assemble_layer_matrix(targets, sources, kind, ps)
+    weights = sparse.coo_array(weights)
+    blocks = weights.col // _ROW_BLOCK
+    product = np.zeros((weights.shape[0], len(sources)))
+    for start in range(0, len(targets), _ROW_BLOCK):
+        pick = np.flatnonzero(blocks == start // _ROW_BLOCK)
+        if not len(pick):
+            continue
+        block = full[start : start + _ROW_BLOCK]
+        reached, local = np.unique(weights.row[pick], return_inverse=True)
+        slab = sparse.csr_array(
+            (weights.data[pick], (local, weights.col[pick] - start)),
+            shape=(len(reached), len(block)),
+        )
+        product[reached] += slab @ block
+    return product
+
+
+@pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
+@pytest.mark.parametrize("weighting", ["system", "shuffled"])
+def test_contraction_is_bitwise_the_per_block_slabs(closure256, kind, weighting):
+    # "system": the solver's [C+ C-; 0 I] over gamma~+ and gamma-.
+    # "shuffled": random weights in random entry order, with explicit
+    # zeros of both signs, rows reached from far-apart blocks, and a
+    # block that no weight reaches.
+    ps, cm = closure256
+    targets = np.concatenate([cm.gamma_tilde_plus, cm.gamma_minus])
+    p = len(cm.gamma_minus)
+    if weighting == "system":
+        weights = sparse.bmat([[cm.c_plus, cm.c_minus], [None, sparse.identity(p)]])
+    else:
+        rng = np.random.default_rng(9)
+        cells = rng.choice(np.flatnonzero(np.arange(len(targets)) // _ROW_BLOCK != 1), 600,
+                           replace=False)
+        rows = rng.integers(0, 40, len(cells))
+        data = rng.standard_normal(len(cells))
+        data[:50], data[50:100] = 0.0, -0.0
+        weights = sparse.coo_array((data, (rows, cells)), shape=(40, len(targets)))
+    product = contract_layer_matrix(weights, targets, cm.gamma_minus, kind, ps)
+    reference = per_block_contraction(weights, targets, cm.gamma_minus, kind, ps)
+    assert product.tobytes() == reference.tobytes()
 
 
 def test_contraction_validates_its_weights(closure256):
