@@ -329,7 +329,7 @@ def _eta_stencils(eta: np.ndarray, ps: PointSets) -> np.ndarray:
     within = ((nodes >= 0) & (nodes < (ps.grid.nx, ps.grid.ny))).all(axis=-1)
     j = np.clip(nodes[..., 0], 0, ps.grid.nx - 1)
     k = np.clip(nodes[..., 1], 0, ps.grid.ny - 1)
-    usable = within & (ps.m_plus | ps.gamma_minus)[j, k]
+    usable = within & ps.n_plus[j, k]
     runs = np.cumprod(usable, axis=2).sum(axis=2)  # (E, direction)
     axis_runs = runs.reshape(-1, 2, 2).max(axis=2)
     feasible = (axis_runs == 3).any(axis=1)

@@ -28,11 +28,12 @@ boundary right-hand side is corrected; the caller adds the homogeneous
 and particular parts.  Laplace data (the exterior's) has no particular
 part, and its solves skip both steps.
 
-Memory: a box solve holds its rhs and one new window array, the
-solution, into which the rhs is copied and transformed in place.  Each
-rhs is built in one window array, f one block of window rows at a time
-and [A u] only next to the nodes that carry data, so no stage holds a
-window-sized float temporary.
+Memory: each solve holds one window array.  Its rhs is built there, f
+one block of window rows at a time and [A u] only next to the nodes
+that carry data, and is then transformed in place into the solution, so
+no stage holds a second window-sized float array.  The public
+:func:`fft_poisson_solve` leaves its argument as it was and solves in a
+copy.
 """
 
 from __future__ import annotations
@@ -141,15 +142,19 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
 
     The sine basis diagonalizes the 5-point operator on the interior
     nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
-    n's counting grid intervals per axis.  The solution is the one new
-    window array: the rhs interior is copied into it and transformed in
-    place, so the rhs is left as it was.  A zero rhs returns zero
+    n's counting grid intervals per axis.  The solution is a new window
+    array, so the rhs is left as it was.  A zero rhs returns zero
     without transforms.  The solution keeps the rhs's offset.
     """
+    return _solve_in_place(GridFunction(rhs.grid, rhs.values.copy(), rhs.offset))
+
+
+def _solve_in_place(rhs: GridFunction) -> GridFunction:
+    """:func:`fft_poisson_solve` in the rhs's own array: its interior is
+    transformed in place and returned as the solution."""
     grid = rhs.grid
-    w = GridFunction.zeros(grid, rhs.offset)
     if not rhs.values.any():
-        return w
+        return rhs
     edge_max = max(
         np.abs(rhs.values[0, :]).max(),
         np.abs(rhs.values[-1, :]).max(),
@@ -161,15 +166,14 @@ def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
     mx, my = grid.nx - 1, grid.ny - 1
     lam_x = 4.0 - 2.0 * np.cos(np.pi * np.arange(1, mx) / mx)
     lam_y = 2.0 * np.cos(np.pi * np.arange(1, my) / my)
-    inner = w.values[1:-1, 1:-1]
-    inner[...] = rhs.values[1:-1, 1:-1]
+    inner = rhs.values[1:-1, 1:-1]
     coeff = sfft.dstn(inner, type=1, overwrite_x=True)
     for lo in range(0, mx - 1, _ROW_BLOCK):
         coeff[lo : lo + _ROW_BLOCK] /= lam_x[lo : lo + _ROW_BLOCK, None] - lam_y
     values = sfft.idstn(coeff, type=1, overwrite_x=True)
     if not np.may_share_memory(values, inner):  # overwrite_x permits, not promises
         inner[...] = values
-    return w
+    return rhs
 
 
 def edge_nodes(ps: PointSets) -> np.ndarray:
@@ -229,7 +233,7 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
     rhs.values[gj, gk] = 0.0
     rhs.values[j, k] = applied
     rhs.values[rj, rk] -= lift
-    w = fft_poisson_solve(rhs)
+    w = _solve_in_place(rhs)
     w.values[ej, ek] = u_edge
     return w
 
@@ -252,7 +256,7 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
         rows = inside[lo : lo + _ROW_BLOCK]
         x, y = ps.grid.nodes_where(rows, (offset[0] + 1 + lo, offset[1] + 1))
         interior[lo : lo + _ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(x, y))
-    return fft_poisson_solve(rhs)
+    return _solve_in_place(rhs)
 
 
 def correct_boundary_rhs(cm: ClosureMatrices, u_p: GridFunction) -> np.ndarray:

@@ -200,17 +200,17 @@ def custom(psi: Callable, grad: Optional[Callable] = None, label: str = "custom"
 class PointSets:
     """Node classification masks on a grid, all shaped (nx, ny).
 
-    The index arrays derived from each mask (``*_indices``) list nodes in
-    canonical order: lexicographic by (j, k).  Every matrix and vector in
-    the package is ordered by these arrays, so they are the single source
-    of truth for degrees of freedom.
+    Three masks are stored: M+, gamma+ and gamma-.  The others are exact
+    unions of these, built anew on each read: N+ = M+ | gamma-,
+    N- = M- | gamma+ and gamma = gamma+ | gamma-.  The index arrays
+    derived from each mask (``*_indices``) list nodes in canonical order:
+    lexicographic by (j, k).  Every matrix and vector in the package is
+    ordered by these arrays, so they are the single source of truth for
+    degrees of freedom.
     """
 
     grid: Grid
     m_plus: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    gamma: np.ndarray
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
 
@@ -218,20 +218,43 @@ class PointSets:
     def m_minus(self) -> np.ndarray:
         return ~self.m_plus
 
+    @property
+    def n_plus(self) -> np.ndarray:
+        return self.m_plus | self.gamma_minus
+
+    @property
+    def n_minus(self) -> np.ndarray:
+        return ~self.m_plus | self.gamma_plus
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.gamma_plus | self.gamma_minus
+
+    def _spans(self, *masks) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Per axis, the first and last grid index that the union of
+        ``masks`` occupies, found without building the union."""
+        spans = []
+        # Reducing over axis 1 finds the occupied x indices, over axis 0 the y ones.
+        for axis in (1, 0):
+            occupied = np.flatnonzero(np.logical_or.reduce([m.any(axis=axis) for m in masks]))
+            spans.append((int(occupied[0]), int(occupied[-1])))
+        return tuple(spans)
+
     @cached_property
     def _gamma_box(self) -> tuple[slice, slice]:
         """The bounding box of gamma, which holds gamma+ and gamma- too."""
-        j = np.flatnonzero(self.gamma.any(axis=1))
-        k = np.flatnonzero(self.gamma.any(axis=0))
-        return slice(int(j[0]), int(j[-1]) + 1), slice(int(k[0]), int(k[-1]) + 1)
+        (j0, j1), (k0, k1) = self._spans(self.gamma_plus, self.gamma_minus)
+        return slice(j0, j1 + 1), slice(k0, k1 + 1)
 
-    def _indices_in_gamma_box(self, mask: np.ndarray) -> np.ndarray:
-        rows, cols = self._gamma_box
-        return np.argwhere(mask[rows, cols]) + (rows.start, cols.start)
+    def _indices_in_gamma_box(self, *masks) -> np.ndarray:
+        """The nodes of the union of ``masks``, all inside gamma's box."""
+        box = self._gamma_box
+        union = np.logical_or.reduce([m[box] for m in masks])
+        return np.argwhere(union) + (box[0].start, box[1].start)
 
     @cached_property
     def gamma_indices(self) -> np.ndarray:
-        return self._indices_in_gamma_box(self.gamma)
+        return self._indices_in_gamma_box(self.gamma_plus, self.gamma_minus)
 
     @cached_property
     def gamma_plus_indices(self) -> np.ndarray:
@@ -248,9 +271,24 @@ class PointSets:
         return np.argwhere(self.m_plus)
 
     @cached_property
+    def kernel_reach(self) -> tuple[int, int]:
+        """The half-widths (rx, ry) of the Green's-function table that a
+        kernel gather on these sets reads.
+
+        A gather's targets lie in N+, and every node it reads from lies in
+        gamma- or is one step from it (a double-layer source's exterior
+        connections), so within the bounding box of gamma- grown by one
+        node.  Per axis the reach is the largest distance from N+'s
+        bounding box to that grown box.
+        """
+        targets = self._spans(self.m_plus, self.gamma_minus)
+        sources = self._spans(self.gamma_minus)
+        return tuple(max(t1 - (s0 - 1), (s1 + 1) - t0)
+                     for (t0, t1), (s0, s1) in zip(targets, sources))
+
+    @cached_property
     def box_window(self) -> tuple[Grid, tuple[int, int]]:
-        """The window of ``grid`` on which box solves run and from whose
-        Green's-function table kernels are gathered.
+        """The window of ``grid`` on which box solves run.
 
         The bounding box of N+, grown by ``WINDOW_MARGIN`` nodes and
         clipped to the grid, is widened on each axis to a 5-smooth
@@ -260,11 +298,10 @@ class PointSets:
         node (0, 0).
         """
         spans = []
-        # Reducing over axis 1 finds the occupied x indices, over axis 0 the y ones.
-        for axis, n_nodes in ((1, self.grid.nx), (0, self.grid.ny)):
-            occupied = np.flatnonzero(self.n_plus.any(axis=axis))
-            lo = max(int(occupied[0]) - WINDOW_MARGIN, 0)
-            hi = min(int(occupied[-1]) + WINDOW_MARGIN, n_nodes - 1)
+        occupied = self._spans(self.m_plus, self.gamma_minus)
+        for (first, last), n_nodes in zip(occupied, (self.grid.nx, self.grid.ny)):
+            lo = max(first - WINDOW_MARGIN, 0)
+            hi = min(last + WINDOW_MARGIN, n_nodes - 1)
             m = min(sfft.next_fast_len(hi - lo, real=True), n_nodes - 1)
             lo = max(0, min(lo - (m - (hi - lo)) // 2, n_nodes - 1 - m))
             spans.append((lo, m + 1))
@@ -283,7 +320,7 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
-    """Build the M/N/gamma node sets for a shape on a grid.
+    """Build the M+, gamma+ and gamma- node sets for a shape on a grid.
 
     psi is evaluated one block of grid rows at a time, so no float array
     of the grid's size is held.
@@ -304,25 +341,22 @@ def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
         m_plus[lo : lo + _ROW_BLOCK] = np.asarray(shape.psi(x, y)) <= 0.0
     if not m_plus.any():
         raise DegenerateDomainError("no grid node lies inside the domain")
-    n_plus = _dilate(m_plus)
-    n_minus = _dilate(~m_plus)
-    gamma = n_plus & n_minus
-    if not gamma.any():
+    # gamma+ = M+ nodes with an outside neighbour, gamma- = M- nodes with
+    # an inside neighbour.
+    gamma_plus = _dilate(~m_plus)
+    gamma_plus &= m_plus
+    gamma_minus = _dilate(m_plus)
+    gamma_minus &= ~m_plus
+    if not gamma_minus.any():  # then M- is empty, and gamma+ with it
         raise DegenerateDomainError("zero level set does not cross the computational box")
-    if gamma[:2].any() or gamma[-2:].any() or gamma[:, :2].any() or gamma[:, -2:].any():
-        raise GeometryTooTightError(
-            "boundary runs within 2h of the box edge; enlarge the box or refine"
-        )
-    for mask in (m_plus, n_plus, n_minus, gamma):
+    for gamma in (gamma_plus, gamma_minus):
+        if gamma[:2].any() or gamma[-2:].any() or gamma[:, :2].any() or gamma[:, -2:].any():
+            raise GeometryTooTightError(
+                "boundary runs within 2h of the box edge; enlarge the box or refine"
+            )
+    for mask in (m_plus, gamma_plus, gamma_minus):
         mask.flags.writeable = False
-    gamma_plus = gamma & m_plus
-    gamma_minus = gamma & ~m_plus
-    gamma_plus.flags.writeable = False
-    gamma_minus.flags.writeable = False
-    return PointSets(
-        grid=grid, m_plus=m_plus, n_plus=n_plus, n_minus=n_minus,
-        gamma=gamma, gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-    )
+    return PointSets(grid=grid, m_plus=m_plus, gamma_plus=gamma_plus, gamma_minus=gamma_minus)
 
 
 @dataclass(frozen=True)

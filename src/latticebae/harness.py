@@ -201,18 +201,21 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
 
 @dataclass
 class SolutionField:
-    """A solved problem with its pointwise errors on the interior nodes.
+    """A solved problem: the recovered values on the interior nodes, in
+    canonical order, and the exact solution ``u`` they approximate.
 
-    ``residual`` is the closure residual of the recovered field,
-    max |C+ u_h(gamma~+) + C- t- - g| with u_h the difference potential
-    (before the particular solution is added), t- the gamma- trace and
-    g the corrected right-hand side.  It checks assembly, the traces and
-    the box solve together.
+    ``exact``, ``errors`` and ``max_error`` evaluate u at the M+ nodes
+    anew on each read, one block of box-window rows at a time, so a
+    result holds no array of exact values.  ``residual`` is the closure
+    residual of the recovered field, max |C+ u_h(gamma~+) + C- t- - g|
+    with u_h the difference potential (before the particular solution is
+    added), t- the gamma- trace and g the corrected right-hand side.  It
+    checks assembly, the traces and the box solve together.
     """
 
     ps: geometry.PointSets
     values: np.ndarray
-    exact: np.ndarray
+    u: Callable
     result: solver.SolveResult
     residual: float
 
@@ -220,13 +223,34 @@ class SolutionField:
     def grid(self) -> geometry.Grid:
         return self.ps.grid
 
+    def _exact_rows(self):
+        """(out, x, y, exact) one block of M+ nodes at a time, ``out``
+        locating the block in M+ order and (x, y) its coordinates."""
+        _, (j0, k0) = self.ps.box_window
+        for out, rows, mask in _m_plus_rows(self.ps):
+            x, y = self.ps.grid.nodes_where(mask, (j0 + rows.start, k0))
+            yield out, x, y, self.u(x, y)
+
+    @property
+    def exact(self) -> np.ndarray:
+        exact = np.empty_like(self.values)
+        for out, _, _, block in self._exact_rows():
+            exact[out] = block
+        return exact
+
     @property
     def errors(self) -> np.ndarray:
         return np.abs(self.values - self.exact)
 
     @property
     def max_error(self) -> float:
-        return float(self.errors.max())
+        """max |values - exact|, folded over the blocks; NaN if either
+        holds one."""
+        worst = 0.0
+        for out, _, _, block in self._exact_rows():
+            if len(block):
+                worst = np.maximum(worst, np.abs(self.values[out] - block).max())
+        return float(worst)
 
 
 def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> bool:
@@ -247,29 +271,29 @@ def _discretize(cfg: ExperimentConfig, n: int):
 
 def _m_plus_rows(ps: geometry.PointSets):
     """The M+ nodes one block of box-window rows at a time, in canonical
-    order: (out, rows, mask, x, y), ``out`` locating the block in M+
-    order, ``rows`` its window rows, ``mask`` their M+ nodes over the
-    window's columns, and (x, y) those nodes' coordinates.  M+ lies
-    inside the window, which holds N+."""
-    window, (j0, k0) = ps.box_window
-    inside = diffpot._window_of(ps.m_plus, window, (j0, k0))
+    order: (out, rows, mask), ``out`` locating the block in M+ order,
+    ``rows`` its window rows and ``mask`` their M+ nodes over the
+    window's columns.  M+ lies inside the window, which holds N+."""
+    window, offset = ps.box_window
+    inside = diffpot._window_of(ps.m_plus, window, offset)
     start = 0
     for lo in range(0, window.nx, geometry._ROW_BLOCK):
         mask = inside[lo : lo + geometry._ROW_BLOCK]
-        x, y = ps.grid.nodes_where(mask, (j0 + lo, k0))
-        yield slice(start, start + len(x)), slice(lo, lo + len(mask)), mask, x, y
-        start += len(x)
+        count = np.count_nonzero(mask)
+        yield slice(start, start + count), slice(lo, lo + len(mask)), mask
+        start += count
 
 
-def _read_out(ps: geometry.PointSets, u_h: diffpot.GridFunction, u: Callable):
-    """The values of u_h, a field on the box window, and of the exact
-    solution u at the M+ nodes, in canonical order."""
-    values = np.empty(np.count_nonzero(ps.m_plus))
-    exact = np.empty_like(values)
-    for out, rows, mask, x, y in _m_plus_rows(ps):
-        values[out] = u_h.values[rows][mask]
-        exact[out] = u(x, y)
-    return values, exact
+def _pack_m_plus(ps: geometry.PointSets, window: np.ndarray) -> int:
+    """Move the M+ values of a box-window array, in canonical order, to
+    its front, one block of window rows at a time; returns their count.
+    A block's M+ values are read before they are written, and land no
+    further on than the block itself, so no value is overwritten before
+    it is read."""
+    flat = window.reshape(-1)
+    for out, rows, mask in _m_plus_rows(ps):
+        flat[out] = window[rows][mask]
+    return out.stop  # the window has rows, so the loop ran
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
@@ -296,8 +320,12 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
                             + cm.c_minus @ result.trace_minus - cm.rhs).max())
     if u_p is not None:
         u_h.values += u_p.values  # both box solves ran on the window of ps
-    values, exact = _read_out(ps, u_h, mf.u)
-    return SolutionField(ps=ps, values=values, exact=exact, result=result, residual=residual)
+    # The window array becomes the values: its M+ values are packed to its
+    # front and the rest is cut off, so it owns exactly its |M+| doubles.
+    values = u_h.values
+    del u_h, u_p  # resize needs values to be the array's one reference
+    values.resize((_pack_m_plus(ps, values),))
+    return SolutionField(ps=ps, values=values, u=mf.u, result=result, residual=residual)
 
 
 def solve_with_row(cfg: ExperimentConfig, n: Optional[int] = None):
@@ -415,8 +443,8 @@ def dump_solution_csv(sol: SolutionField, path) -> None:
     """Error-surface dump: x,y,value,exact,error over interior nodes."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,y,value,exact,error\n")
-        for out, _, _, xs, ys in _m_plus_rows(sol.ps):
-            for x, y, v, e in zip(xs, ys, sol.values[out], sol.exact[out]):
+        for out, xs, ys, exact in sol._exact_rows():
+            for x, y, v, e in zip(xs, ys, sol.values[out], exact):
                 fh.write(f"{x:.17g},{y:.17g},{v:.17g},{e:.17g},{abs(v - e):.17g}\n")
 
 

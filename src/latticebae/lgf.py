@@ -303,13 +303,16 @@ def _half_table(rx: int, ry: int) -> np.ndarray:
 
 
 def kernel_table(rx: int, ry: int) -> np.ndarray:
-    """The process's table of G, covering the window [-rx, rx] x [-ry, ry].
+    """The process's table of G, covering the offsets [-rx, rx] x [-ry, ry].
 
-    Since G(-m) = G(m), half the window holds every value: entry
+    Since G(-m) = G(m), half of that window holds every value: entry
     ``[j, k + Ry]`` holds G(j, k) for j in [0, Rx] and k in [-Ry, Ry],
     where (Rx, Ry) are the table's own half-widths, at least (rx, ry).
     Raveled from entry ``[0, Ry]`` on, with W = 2 Ry + 1 its row length,
     it holds G(j, k) at flat offset |j W + k| for |j| <= Rx, |k| <= Ry.
+    Kernel gathers ask for the reach of their point sets
+    (:attr:`latticebae.geometry.PointSets.kernel_reach`), the largest
+    offsets they read, and no more.
 
     A process holds one table, read-only, and returns it for every
     window it covers.  A window that exceeds it on either axis replaces

@@ -26,11 +26,13 @@ Everything is dense: at the intended problem sizes (a few thousand
 boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
 gathered from the process's one table of G (:func:`latticebae.lgf.kernel_table`),
-grown when needed to cover every index difference between two nodes of
-the box window (:attr:`PointSets.box_window`, the window the box solves
-run on), so each distinct lattice offset costs one evaluation in total.
-Since G depends only on m - n and G(-d) = G(d), the table holds half of
-the window, rows j in [0, Rx] by columns k in [-Ry, Ry], and is read
+grown when needed to cover the point sets' kernel reach
+(:attr:`PointSets.kernel_reach`): every offset from a target in N+ to a
+node within one step of gamma-, which is every offset a gather reads.
+So each distinct lattice offset costs one evaluation in total, and no
+entry is built that no gather reads.  Since G depends only on m - n and
+G(-d) = G(d), the table holds half of the offsets [-Rx, Rx] x [-Ry, Ry],
+rows j in [0, Rx] by columns k in [-Ry, Ry], and is read
 raveled from its entry (0, 0) on: with W = 2Ry + 1 its row length,
 G(m - n) sits at flat offset |t(m) - s(n)|, where t(m) = m1 W + m2 and
 s(n) = n1 W + n2 are computed once per target and once per source.  A
@@ -92,8 +94,11 @@ def _as_index_array(indices) -> np.ndarray:
     return arr
 
 
-def _check_membership(indices, mask, what):
-    inside = mask[indices[:, 0], indices[:, 1]]
+def _check_membership(indices, what, *masks):
+    """AssemblyError unless every node lies in the union of ``masks``,
+    which are read at the nodes only."""
+    j, k = indices.T
+    inside = np.logical_or.reduce([mask[j, k] for mask in masks])
     if not inside.all():
         bad = indices[~inside][0]
         raise AssemblyError(f"{what} contains node {tuple(int(v) for v in bad)} outside its allowed set")
@@ -108,7 +113,7 @@ def _exterior_connections(ps: PointSets, sources):
     sparse, |E| x |sources|: column n holds |D_n| at n's row and -1 at
     the row of each connection, so every column sums to zero.
     """
-    connectable = np.pad(~(ps.m_plus | ps.gamma_minus), 1)  # False outside the box
+    connectable = np.pad(~ps.n_plus, 1)  # False outside the box
     neighbours = sources[:, None, :] + np.array(DIRECTIONS)
     present = connectable[neighbours[..., 0] + 1, neighbours[..., 1] + 1]
     counts = present.sum(axis=1)
@@ -137,17 +142,17 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
 
     The double kernel gathers a row block of the single kernel over E,
     as an |E| x rows array (|s - t| = |t - s|), and combines its rows
-    through B.  Targets in N+, sources in gamma- and their exterior
-    connections all lie in the box window, which the table covers, so no
-    flat offset leaves the table, and the lookups clip instead of
+    through B.  Every offset from a target in N+ to a source in gamma-
+    or to one of its exterior connections lies within the sets' kernel
+    reach (:attr:`PointSets.kernel_reach`), which the table covers, so
+    no flat offset leaves the table, and the lookups clip instead of
     checking (a checked ``np.take`` buffers and copies its whole output).
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
-    _check_membership(sources, ps.gamma_minus, "source set")
-    _check_membership(targets, ps.n_plus, "target set")
-    window, _ = ps.box_window
-    table = kernel_table(window.nx - 1, window.ny - 1)
+    _check_membership(sources, "source set", ps.gamma_minus)
+    _check_membership(targets, "target set", ps.m_plus, ps.gamma_minus)  # N+
+    table = kernel_table(*ps.kernel_reach)
     width = table.shape[1]
     flat = table.ravel()[width // 2 :]
     b_t = None

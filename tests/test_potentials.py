@@ -178,23 +178,29 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
 @pytest.mark.parametrize("geometry", ["ellipse", "diamond", "circle-exterior"])
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
 def test_gather_offsets_stay_in_the_table(monkeypatch, kind, geometry, n):
-    # The gather reads the table without bounds checks, so every N+
-    # target and every node it reads from (gamma-, and for the double
-    # kernel the exterior connections too) must lie in the box window,
-    # which the table covers; then every flat offset |t(m) - s(n)|, in
-    # the table's own row width, indexes the table from its entry (0, 0)
-    # on.  So it does for the window's own table and for a larger one.
+    # The gather reads the table without bounds checks, so every offset
+    # from an N+ target to a node it reads from (gamma-, and for the
+    # double kernel the exterior connections too) must lie within the
+    # sets' kernel reach on each axis, which the table covers; then every
+    # flat offset |t(m) - s(n)|, in the table's own row width, indexes
+    # the table from its entry (0, 0) on, and at the entry of that very
+    # offset.  So it does for the reach's own table and for a larger one.
     cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet", n=n)
     ps = classify(harness.build_grid(cfg, n), harness.build_shape(cfg))
-    window, (j0, k0) = ps.box_window
     sources = ps.gamma_minus_indices
     if kind is LayerKind.DOUBLE:
         sources = _exterior_connections(ps, sources)[0]
     targets = np.argwhere(ps.n_plus)
+    rx, ry = ps.kernel_reach
+    for axis, reach in enumerate((rx, ry)):
+        furthest = max(targets[:, axis].max() - sources[:, axis].min(),
+                       sources[:, axis].max() - targets[:, axis].min())
+        assert furthest <= reach
+    window, (j0, k0) = ps.box_window
     lo, hi = np.array([j0, k0]), np.array([j0 + window.nx, k0 + window.ny])
     for nodes in (targets, sources):
         assert (nodes >= lo).all() and (nodes < hi).all()
-    rx, ry = window.nx - 1, window.ny - 1
+    assert rx < window.nx and ry < window.ny
     monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
     for grow in ((0, 0), (7, 19)):
         kernel_table(rx + grow[0], ry + grow[1])
@@ -210,32 +216,33 @@ def test_gather_offsets_stay_in_the_table(monkeypatch, kind, geometry, n):
 @pytest.mark.parametrize("formulation", ["single-direct", "double-schur"])
 @pytest.mark.parametrize("geometry", ["ellipse", "diamond"])
 def test_solve_is_bitwise_the_same_from_a_larger_table(monkeypatch, geometry, formulation):
-    # A gather may read a table built for a larger window (an earlier
-    # solve's): every M+ value is bitwise the one from the window's own.
+    # A gather may read a table built for a larger reach (an earlier
+    # solve's): every M+ value is bitwise the one from the reach's own.
     cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet",
                                    formulation=formulation, n=256, aspect=2.0)
     monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
     own = harness.solve_problem(cfg)
+    rx, ry = own.ps.kernel_reach
+    assert kernel_table(0, 0).shape == (rx + 1, 2 * ry + 1)
     window, _ = own.ps.box_window
-    assert kernel_table(0, 0).shape == (window.nx, 2 * window.ny - 1)
     kernel_table(window.nx + 40, window.ny + 90)
     larger = harness.solve_problem(cfg)
     assert np.array_equal(larger.values, own.values)
 
 
 def test_a_process_holds_one_table(monkeypatch):
-    # Solving a second window that the first one's table does not cover
-    # leaves one table covering both: the first is released, not kept.
+    # Solving a second problem whose reach the first one's table does not
+    # cover leaves one table covering both: the first is released, not kept.
     monkeypatch.setattr(lgf_module, "_KERNEL_TABLE", None)
-    windows, tables = [], []
+    reaches, tables = [], []
     for geometry in ("diamond", "ellipse"):
         cfg = harness.ExperimentConfig(geometry=geometry, bc="dirichlet", n=128)
-        windows.append(harness.solve_problem(cfg).ps.box_window[0])
+        reaches.append(harness.solve_problem(cfg).ps.kernel_reach)
         tables.append(weakref.ref(kernel_table(0, 0)))
     first, last = tables[0](), tables[1]()
     assert first is None and last is not None
-    assert windows[1].ny > windows[0].ny
-    assert last.shape == (max(w.nx for w in windows), 2 * max(w.ny for w in windows) - 1)
+    assert reaches[1][1] > reaches[0][1]
+    assert last.shape == (max(r[0] for r in reaches) + 1, 2 * max(r[1] for r in reaches) + 1)
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
