@@ -37,10 +37,8 @@ from .lgf import (
     canonical_index,
     lgf,
     lgf_asymptotic,
-    lgf_grid,
     lgf_quadrature,
     lgf_recursion_table,
-    warm,
 )
 from .geometry import (
     Grid,
@@ -56,7 +54,6 @@ from .geometry import (
 from .potentials import (
     LayerKind,
     apply_layer_matrix,
-    assemble_layer_matrix,
     contract_layer_matrix,
 )
 from .closure import (

@@ -119,22 +119,10 @@ def _neighbours(j: np.ndarray, k: np.ndarray):
 
 
 def _stencil_at(values: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """[A u] at off-edge nodes (j, k), term for term as :func:`apply_stencil`."""
+    """[A u] at off-edge nodes (j, k), A the 5-point operator: the centre
+    term, then the neighbours in the order -x, +x, -y, +y."""
     return (4.0 * values[j, k] - values[j - 1, k] - values[j + 1, k]
             - values[j, k - 1] - values[j, k + 1])
-
-
-def apply_stencil(values: np.ndarray) -> np.ndarray:
-    """[A u] at box-interior nodes (edges return 0), A the 5-point operator."""
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1] = (
-        4.0 * values[1:-1, 1:-1]
-        - values[:-2, 1:-1]
-        - values[2:, 1:-1]
-        - values[1:-1, :-2]
-        - values[1:-1, 2:]
-    )
-    return out
 
 
 def fft_poisson_solve(rhs: GridFunction) -> GridFunction:

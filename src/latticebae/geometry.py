@@ -96,9 +96,6 @@ class Grid:
     def ys(self) -> np.ndarray:
         return self.origin[1] + self.h * np.arange(self.ny)
 
-    def mesh(self):
-        return np.meshgrid(self.xs(), self.ys(), indexing="ij")
-
     def node(self, j: int, k: int) -> tuple[float, float]:
         return (self.origin[0] + j * self.h, self.origin[1] + k * self.h)
 
@@ -201,10 +198,12 @@ class PointSets:
     """Node classification masks on a grid, all shaped (nx, ny).
 
     Three masks are stored: M+, gamma+ and gamma-.  The others are exact
-    unions of these, built anew on each read: N+ = M+ | gamma-,
-    N- = M- | gamma+ and gamma = gamma+ | gamma-.  The index arrays
-    derived from each mask (``*_indices``) list nodes in canonical order:
-    lexicographic by (j, k).  Every matrix and vector in the package is
+    unions and complements of these: N+ = M+ | gamma- and
+    gamma = gamma+ | gamma- are built anew on each read; nothing in the
+    package reads M- = ~M+ or N- = M- | gamma+, so neither is built.
+    The index arrays derived from the gamma masks (``*_indices``) list
+    nodes in canonical order: lexicographic by (j, k), as ``np.argwhere``
+    lists any mask's nodes.  Every matrix and vector in the package is
     ordered by these arrays, so they are the single source of truth for
     degrees of freedom.
     """
@@ -215,16 +214,8 @@ class PointSets:
     gamma_minus: np.ndarray
 
     @property
-    def m_minus(self) -> np.ndarray:
-        return ~self.m_plus
-
-    @property
     def n_plus(self) -> np.ndarray:
         return self.m_plus | self.gamma_minus
-
-    @property
-    def n_minus(self) -> np.ndarray:
-        return ~self.m_plus | self.gamma_plus
 
     @property
     def gamma(self) -> np.ndarray:
@@ -263,12 +254,6 @@ class PointSets:
     @cached_property
     def gamma_minus_indices(self) -> np.ndarray:
         return self._indices_in_gamma_box(self.gamma_minus)
-
-    @property
-    def m_plus_indices(self) -> np.ndarray:
-        # Not cached: at n = 1024 it is megabytes, read once per solve,
-        # and a cached copy would stay pinned by any result kept alive.
-        return np.argwhere(self.m_plus)
 
     @cached_property
     def kernel_reach(self) -> tuple[int, int]:

@@ -31,11 +31,11 @@ both regimes; it loses roughly one digit per ring of indices and is never
 used for production values.
 
 All functions accept any pair-like index (tuple or ``LatticeIndex``).
-They are pure; the module-level memo table and the one kernel table of
-:func:`kernel_table` (half of a window of G, which every kernel gather
-and :func:`lgf_grid` read) are the only shared state, and both follow a
-single-writer contract (pre-populate the memo via :func:`warm` before any
-concurrent use, and ask for tables from one thread).
+They are pure; the module-level memo table of :func:`lgf`
+(:func:`default_table`) and the one kernel table of :func:`kernel_table`
+(half of a window of G, which every kernel gather reads) are the only
+shared state, and both follow a single-writer contract: evaluate and ask
+for tables from one thread.
 """
 
 from __future__ import annotations
@@ -186,9 +186,6 @@ class LgfTable:
 
     values: dict = field(default_factory=dict)
 
-    def store(self, m, value: float) -> None:
-        self.values[canonical_index(m)] = float(value)
-
 
 _DEFAULT_TABLE = LgfTable()
 
@@ -198,7 +195,7 @@ def default_table() -> LgfTable:
     return _DEFAULT_TABLE
 
 
-def lgf(m, table: LgfTable | None = None) -> float:
+def lgf(m) -> float:
     """Evaluate G(m), dispatching on |m| and memoizing.
 
     Quadrature below ``R_SWITCH``, asymptotic expansion at or beyond.
@@ -206,27 +203,15 @@ def lgf(m, table: LgfTable | None = None) -> float:
     kernel assembly touches each distinct index once.
     """
     key = canonical_index(m)
-    if table is None:
-        table = _DEFAULT_TABLE
-    cached = table.values.get(key)
+    cached = _DEFAULT_TABLE.values.get(key)
     if cached is not None:
         return cached
     if math.hypot(key.m1, key.m2) < R_SWITCH:
         value = lgf_quadrature(key, 1e-14)
     else:
         value = lgf_asymptotic(key)
-    table.store(key, value)
+    _DEFAULT_TABLE.values[key] = value
     return value
-
-
-def warm(radius: int, table: LgfTable | None = None) -> LgfTable:
-    """Pre-populate the memo table for all |m_i| <= radius."""
-    if table is None:
-        table = _DEFAULT_TABLE
-    for a in range(radius + 1):
-        for b in range(a + 1):
-            lgf((a, b), table)
-    return table
 
 
 def lgf_recursion_table(jmax: int) -> LgfTable:
@@ -329,20 +314,3 @@ def kernel_table(rx: int, ry: int) -> np.ndarray:
         _KERNEL_TABLE = table = None  # released before its replacement is built
     _KERNEL_TABLE = _half_table(rx, ry)
     return _KERNEL_TABLE
-
-
-def lgf_grid(rx: int, ry: int) -> np.ndarray:
-    """Dense table of G over the window [-rx, rx] x [-ry, ry].
-
-    Entry ``[i, j]`` holds G(i - rx, j - ry), mirrored from
-    :func:`kernel_table`, so every entry is bitwise the matching entry of
-    any larger table and the value kernel gathers read.  A new read-only
-    array on each call.
-    """
-    half = kernel_table(rx, ry)
-    centre = half.shape[1] // 2
-    full = np.empty((2 * rx + 1, 2 * ry + 1))
-    full[rx:] = half[: rx + 1, centre - ry : centre + ry + 1]
-    full[:rx] = full[2 * rx : rx : -1]
-    full.flags.writeable = False
-    return full

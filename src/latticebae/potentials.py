@@ -58,13 +58,10 @@ block by the density, so neither holds the block whole.  The contraction
 gives every matrix the solver factors (the direct matrix, and K- with it
 where K- is factored); the product gives, in one call, the trace on
 gamma and the potential on the exterior's box-window edge.  Interior
-values come from the box solve in :mod:`latticebae.diffpot`.
-:func:`assemble_layer_matrix`, which holds a block whole, is the
-reference those two are checked against; no solve path calls it.  All
-three take (n, 2) index arrays, the product one density value per
-source, and return plain arrays; the gather they share converts and
-checks the index sets (sources in gamma-, targets in N+) before it reads
-them.
+values come from the box solve in :mod:`latticebae.diffpot`.  Both
+take (n, 2) index arrays, the product one density value per source, and
+return plain arrays; the gather they share converts and checks the index
+sets (sources in gamma-, targets in N+) before it reads them.
 """
 
 from __future__ import annotations
@@ -177,21 +174,6 @@ def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
                 block[...] = (b_t @ np.take(flat, offsets(s_flat[:, None], rows), mode="clip")).T
 
     return fill
-
-
-def assemble_layer_matrix(targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:
-    """Dense kernel block for the given target and source index lists: the
-    held-block reference for :func:`contract_layer_matrix` and
-    :func:`apply_layer_matrix`, which no solve path calls.
-
-    Sources must lie in gamma-; targets anywhere in N+.  For the double
-    kernel the exterior connections are resolved once per source, and a
-    source with none aborts assembly (the unbounded-domain failure mode).
-    """
-    fill = _row_gatherer(targets, sources, kind, ps)
-    entries = np.empty((len(targets), len(sources)))
-    fill(entries)
-    return entries
 
 
 def contract_layer_matrix(weights, targets, sources, kind: LayerKind, ps: PointSets) -> np.ndarray:

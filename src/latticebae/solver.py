@@ -58,8 +58,10 @@ such matrix, since G(d) = G(-d) and its gather reads entries (i, j) and
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, and a singular K-, where it is factored,
 FormulationSingularError.  A matrix that is factored, or whose condition
-number is taken, is scanned for finiteness once, here rather than again
-inside LAPACK, and a non-finite one raises AssemblyError.
+number is taken, is checked for finiteness here rather than again inside
+LAPACK, and a non-finite one raises AssemblyError.  A factored matrix
+needs no scan of its own for it: the scale its pivot guard reads,
+max |entry|, is NaN or inf exactly when an entry is.
 
 Everything here is dense: at desk scales |gamma-| stays in the low
 thousands, and the conditioning study wants the explicit matrices
@@ -150,11 +152,14 @@ def assemble_system(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets,
     )
 
 
-def _guarded_lu(matrix: np.ndarray, singular_error: type, message: str):
-    """LU factors, or ``singular_error(message)`` if a pivot is below
-    threshold.  Consumes ``matrix``, which must be finite: a
-    Fortran-ordered float array is factored in place."""
+def _guarded_lu(matrix: np.ndarray, name: str, singular_error: type, message: str):
+    """LU factors; AssemblyError if ``matrix`` has a non-finite entry, and
+    ``singular_error(message)`` if a pivot is below threshold.  Consumes
+    ``matrix``: a Fortran-ordered float array is factored in place."""
+    # NaN or inf exactly when an entry is, so the scale is the finiteness check.
     scale = max(matrix.max(), -matrix.min())
+    if not np.isfinite(scale):
+        raise AssemblyError(f"{name} contains non-finite entries")
     # The pivot check below is the singularity diagnosis; scipy's own
     # warning about exact zeros would just duplicate it on stderr.
     with warnings.catch_warnings():
@@ -177,7 +182,7 @@ def _right_divide(matrix: np.ndarray, k_minus: np.ndarray, kernel: LayerKind) ->
     over K-'s own entries, and |gamma-| right-hand sides are solved
     against it."""
     name = "D-" if kernel is LayerKind.DOUBLE else "S-"
-    kernel_lu = _guarded_lu(_finite(k_minus.T, name), FormulationSingularError,
+    kernel_lu = _guarded_lu(k_minus.T, name, FormulationSingularError,
                             f"{name} is numerically singular; its Schur form is unavailable")
     return linalg.lu_solve(kernel_lu, matrix.T, overwrite_b=True, check_finite=False).T
 
@@ -198,7 +203,7 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape[:1] != matrix.shape[:1]:
         raise AssemblyError(f"right-hand side has shape {rhs.shape} for a "
                             f"{matrix.shape} system matrix")
-    lu = _guarded_lu(_finite(matrix.T, "system matrix"), SingularSystemError,
+    lu = _guarded_lu(matrix.T, "system matrix", SingularSystemError,
                      "system matrix is numerically singular")
     return linalg.lu_solve(lu, _finite(rhs, "right-hand side"), trans=1, check_finite=False)
 

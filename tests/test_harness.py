@@ -484,7 +484,7 @@ def test_solution_read_out_and_dump_are_bitwise_the_whole_m_plus_build(tmp_path)
     # every M+ node's indices and coordinates at once.
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=128)
     sol = harness.solve_problem(cfg)
-    mp = sol.ps.m_plus_indices
+    mp = np.argwhere(sol.ps.m_plus)
     x, y = sol.grid.nodes(mp).T
     assert sol.exact.tobytes() == harness.manufactured_solution(cfg).u(x, y).tobytes()
     reference = io.StringIO()
@@ -514,7 +514,7 @@ def test_read_out_is_bitwise_the_whole_m_plus_read(monkeypatch, geometry_name):
     sol = harness.solve_problem(cfg)
     (u_h,) = fields
     assert sol.ps.box_window[0].nx > geometry._ROW_BLOCK
-    mp = sol.ps.m_plus_indices
+    mp = np.argwhere(sol.ps.m_plus)
     assert sol.values.tobytes() == u_h.at(mp).tobytes()
     x, y = sol.grid.nodes(mp).T
     assert sol.exact.tobytes() == harness.manufactured_solution(cfg).u(x, y).tobytes()
@@ -530,7 +530,7 @@ def test_read_out_holds_its_outputs_and_one_block(traced_peak):
     mf, ps, _ = harness._discretize(cfg, 256)
     u_h = diffpot.GridFunction.zeros(*ps.box_window)
     u_h.values[...] = np.random.default_rng(6).standard_normal(u_h.values.shape)
-    reference = u_h.at(ps.m_plus_indices)
+    reference = u_h.at(np.argwhere(ps.m_plus))
     peak, count = traced_peak(harness._pack_m_plus, ps, u_h.values)
     assert count == len(reference)
     assert u_h.values.reshape(-1)[:count].tobytes() == reference.tobytes()
@@ -555,6 +555,35 @@ def test_values_own_exactly_their_doubles():
     sol = harness.solve_problem(cfg)
     assert sol.values.base is None and sol.values.flags.owndata
     assert sol.values.nbytes == 8 * np.count_nonzero(sol.ps.m_plus)
+
+
+TRACED_CASES = {
+    "ellipse-robin": harness.ExperimentConfig(geometry="ellipse", aspect=2.0, bc="robin", n=64),
+    "circle-exterior": harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", n=64),
+}
+
+
+@pytest.mark.parametrize("set_hook, get_hook", [(sys.setprofile, sys.getprofile),
+                                                 (sys.settrace, sys.gettrace)],
+                         ids=["setprofile", "settrace"])
+@pytest.mark.parametrize("case", TRACED_CASES)
+def test_solve_under_a_tracer_is_bitwise_the_untraced_solve(case, set_hook, get_hook):
+    # A profiler, debugger or coverage tool holds the solve's locals
+    # through its frame, so the read-out's array has references beyond
+    # the solve's own.
+    cfg = TRACED_CASES[case]
+    untraced = harness.solve_problem(cfg).values
+
+    def tracer(frame, event, arg):
+        return tracer
+
+    previous = get_hook()
+    set_hook(tracer)
+    try:
+        traced = harness.solve_problem(cfg).values
+    finally:
+        set_hook(previous)
+    assert traced.tobytes() == untraced.tobytes()
 
 
 def test_exterior_solve_holds_its_values_and_one_box_solve(traced_peak):

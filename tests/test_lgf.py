@@ -13,14 +13,14 @@ from latticebae.lgf import (
     R_SWITCH,
     _asymptotic_array,
     canonical_index,
+    default_table,
     kernel_table,
     lgf,
     lgf_asymptotic,
-    lgf_grid,
     lgf_quadrature,
     lgf_recursion_table,
-    warm,
 )
+from reference import lgf_grid
 
 # The module, which the package's ``lgf`` function shadows as an attribute.
 lgf_module = importlib.import_module("latticebae.lgf")
@@ -88,7 +88,6 @@ def test_lattice_index_arithmetic():
 def test_delta_identity_through_dispatcher():
     # Sweep all indices with |m| <= 40; the stencil reaches across the
     # quadrature/asymptotic switch so this exercises both regimes.
-    warm(42)
     for m1 in range(-40, 41):
         for m2 in range(-40, 41):
             if math.hypot(m1, m2) > 40.0:
@@ -169,11 +168,13 @@ def test_recursion_values_satisfy_interior_stencil():
         assert abs(stencil_residual(fn, m)) < 1e-12
 
 
-def test_dispatcher_memoizes():
-    table = LgfTable()
-    value = lgf((4, 1), table)
-    assert table.values[(4, 1)] == value
-    assert lgf((-1, 4), table) == value
+def test_dispatcher_memoizes(monkeypatch):
+    # One entry per canonical index, in the process's one memo table.
+    monkeypatch.setattr(lgf_module, "_DEFAULT_TABLE", LgfTable())
+    value = lgf((4, 1))
+    assert default_table().values == {(4, 1): value}
+    assert lgf((-1, 4)) == value
+    assert len(default_table().values) == 1
 
 
 def test_grid_matches_pointwise_values():

@@ -14,6 +14,7 @@ from latticebae.errors import (
     SingularSystemError,
 )
 from latticebae.lgf import kernel_table
+from reference import assemble_layer_matrix
 
 FORMULATION_TAGS = harness.FORMULATIONS
 
@@ -24,7 +25,7 @@ def centered_grid(half, n):
 
 def interior_values(result, ps):
     w = diffpot.difference_potential(result.trace, ps)
-    return w.at(ps.m_plus_indices)
+    return w.at(np.argwhere(ps.m_plus))
 
 
 def gamma_plus_part(result, ps):
@@ -91,10 +92,11 @@ def test_dense_solve_rejects_singular():
 
 
 def test_dense_solve_rejects_non_finite_entries():
-    matrix = np.eye(3)
-    matrix[1, 2] = np.nan
-    with pytest.raises(AssemblyError, match="system matrix contains non-finite"):
-        solver.dense_solve(matrix, np.ones(3))
+    for value in (np.nan, np.inf, -np.inf):
+        matrix = np.eye(3)
+        matrix[1, 2] = value
+        with pytest.raises(AssemblyError, match="system matrix contains non-finite"):
+            solver.dense_solve(matrix, np.ones(3))
     with pytest.raises(AssemblyError, match="right-hand side contains non-finite"):
         solver.dense_solve(np.eye(3), np.array([1.0, np.inf, 0.0]))
 
@@ -121,8 +123,7 @@ def test_condition_number_rejects_non_finite_entries():
 
 
 def _s_minus(ps, cm):
-    return potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus,
-                                            potentials.LayerKind.SINGLE, ps)
+    return assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, potentials.LayerKind.SINGLE, ps)
 
 
 def test_s_minus_condition_number_matches_the_svd(circle_problem):
@@ -332,7 +333,7 @@ def test_condition_numbers_match_each_system(request, problem, kernel):
     # One gather serves K- and both forms; each number is bitwise the one
     # its own solve gives, Robin closures (C- beyond Phi-) included.
     ps, cm = request.getfixturevalue(problem)[-2:]
-    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     expected = [solver.condition_number(k_minus)]
     for form in (solver.SystemForm.SCHUR, solver.SystemForm.DIRECT):
         result = solver.solve_system(solver.Formulation(kernel, form), cm, ps, compute_cond=True)
@@ -367,7 +368,7 @@ def test_robin_system_solves_and_satisfies_closure():
         form = solver.formulation_from_tag(tag)
         result = solver.solve_system(form, cm, ps)
         # The trace is on gamma only; the closure rows need all of gamma~+.
-        k_plus = potentials.assemble_layer_matrix(
+        k_plus = assemble_layer_matrix(
             cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
         )
         trace_plus = k_plus @ result.density
@@ -377,7 +378,7 @@ def test_robin_system_solves_and_satisfies_closure():
         assert np.array_equal(ps.gamma_plus_indices, tp[on_gamma])
         np.testing.assert_allclose(gamma_plus_part(result, ps), trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
-        k_minus = potentials.assemble_layer_matrix(
+        k_minus = assemble_layer_matrix(
             cm.gamma_minus, cm.gamma_minus, form.kernel, ps
         )
         trace_minus = k_minus @ result.density
@@ -446,8 +447,8 @@ def test_direct_matrix_is_one_contraction_of_the_held_blocks(robin_ellipse256, k
     seam = _seam_block(cm)
     assert seam[0] < len(cm.gamma_tilde_plus) < seam[-1]  # a block straddles the seam
     matrix = solver.assemble_system(kernel, cm, ps)
-    k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
-    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    k_plus = assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     reference = cm.c_plus @ k_plus + cm.c_minus @ k_minus
     np.testing.assert_allclose(matrix, reference, rtol=1e-14,
                                atol=1e-14 * np.abs(reference).max())
@@ -488,11 +489,11 @@ def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
     form = solver.formulation_from_tag(tag)
     result = solver.solve_system(form, cm, ps)
     q = result.density
-    k_plus_gamma = potentials.assemble_layer_matrix(
+    k_plus_gamma = assemble_layer_matrix(
         ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
     )
     np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma @ q, rtol=1e-14)
-    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
+    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
     np.testing.assert_allclose(result.trace_minus, k_minus @ q, rtol=1e-14)
 
 
@@ -549,13 +550,31 @@ def test_schur_matrix_is_the_textbook_form(robin_ellipse256, monkeypatch, kernel
     solver.solve_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps,
                         compute_cond=True)
     assert len(seen) == 1
-    k_plus = potentials.assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
-    k_minus = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    k_plus = assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
+    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     reference = scipy.linalg.solve(k_minus.T, (cm.c_plus @ k_plus).T).T
     reference += cm.c_minus.toarray()
     bound = 10 * np.finfo(float).eps * condition_number(k_minus)
     error = np.abs(seen[0] - reference).max() / np.abs(reference).max()
     assert error <= bound
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("shape, bc", [("ellipse", "dirichlet"), ("ellipse", "robin"),
+                                       ("diamond", "dirichlet")])
+def test_schur_matrix_does_not_depend_on_the_kernel(shape, bc, n):
+    # K+ K-^{-1} maps the trace on gamma- to the discrete harmonic
+    # extension through M+ (A w = 0 there), read on gamma~+, whichever
+    # kernel spans it; so A_s = M_s S-^{-1} and A_d = M_d D-^{-1} are one
+    # matrix in exact arithmetic.  Measured 6.1e-12 to 1.2e-11.
+    cfg = harness.ExperimentConfig(shape, bc, n=n, aspect=2.0)
+    _, ps, cm = harness._discretize(cfg, n)
+    schur = []
+    for kernel in potentials.LayerKind:
+        matrix, k_minus = np.split(solver.assemble_system(kernel, cm, ps, with_k_minus=True), 2)
+        schur.append(solver._right_divide(matrix, k_minus, kernel))
+    a_s, a_d = schur
+    assert np.abs(a_s - a_d).max() <= 1e-9 * np.abs(a_s).max()
 
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
@@ -595,7 +614,7 @@ def test_stacked_contraction_is_bitwise_the_held_k_minus_and_the_direct_matrix(
     ps, cm = request.getfixturevalue(problem)[-2:]
     stacked = solver.assemble_system(kernel, cm, ps, with_k_minus=True)
     matrix, k_minus = np.split(stacked, 2)
-    held = potentials.assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    held = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     for got, expected in ((k_minus, held), (matrix, solver.assemble_system(kernel, cm, ps))):
         assert got.flags.c_contiguous
         assert np.array_equal(got, expected)
