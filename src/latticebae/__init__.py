@@ -6,12 +6,13 @@ classical 5-point stencil on a regular lattice that does not fit the
 boundary.  The discrete solution is represented by single- or
 double-layer lattice potentials whose densities live on a thin layer of
 exterior grid nodes; boundary conditions enter through local polynomial
-interpolation on cut cells, and interior values are recovered by an
-FFT-accelerated difference-potential solve on the lattice's own
-rectangular box.  On the unbounded exterior the box edge lies inside the
-domain; there the box solve takes the lattice potential's own edge
-values, streamed from the density in the same kernel product as its
-trace on the boundary layer, so no artificial boundary condition enters.
+interpolation on cut cells.  Interior values are the lattice potential
+itself, recovered by one FFT box solve on a rectangular window of the
+lattice: its right-hand side is the density's lattice sources, and its
+edge data the potential's own values on the window edge, streamed from
+the density in one kernel product.  Bounded domains and the unbounded
+exterior take the same path, and no artificial boundary condition
+enters.
 """
 
 from .errors import (
@@ -75,6 +76,7 @@ from .solver import (
     condition_numbers,
     dense_solve,
     formulation_from_tag,
+    recover,
     solve_system,
 )
 from .diffpot import (

@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for configuration mistakes (bad flags,
-inconsistent selections), 3 when a formulation is structurally
-inapplicable to the requested problem (for example the double layer on
-the unbounded domain), 4 for any other failure raised by the library.
+inconsistent selections, an output path that cannot be written), 3 when
+a formulation is structurally inapplicable to the requested problem (for
+example the double layer on the unbounded domain), 4 for any other
+failure raised by the library.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -66,21 +68,45 @@ def _parse_n_list(text: str):
         raise ConfigError(f"bad n-list {text!r}; expected comma-separated integers")
 
 
+def _check_outputs(args) -> None:
+    """ConfigError, before any solve, for an output selection that cannot
+    be written: a plot script without its CSV, or a path whose directory
+    is missing or that is itself a directory."""
+    if getattr(args, "plot_script", None) and not args.out:
+        raise ConfigError("--plot-script needs --out, the CSV it will read")
+    for name in ("out", "dump_solution", "plot_script"):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot write {path}: no directory {directory}")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
+def _write(path, write, *args, **kwargs) -> None:
+    """``write(*args, **kwargs)``, which writes ``path``; an OSError, such
+    as a directory without write permission, becomes a ConfigError."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
 def _emit(rows, cfg, args) -> None:
     if args.out:
-        harness.emit_csv(rows, args.out, include_timing=args.timing,
-                         metadata=harness.csv_metadata(cfg))
-        print(f"wrote {args.out}")
+        _write(args.out, harness.emit_csv, rows, args.out, include_timing=args.timing,
+               metadata=harness.csv_metadata(cfg))
 
 
 def _emit_study(rows, cfg, args) -> None:
     """The CSV, then the plot script of the study named by the subcommand."""
     _emit(rows, cfg, args)
     if args.plot_script:
-        if not args.out:
-            raise ConfigError("--plot-script needs --out, the CSV it will read")
-        harness.write_plot_script(args.out, args.plot_script, args.command)
-        print(f"wrote {args.plot_script}")
+        _write(args.plot_script, harness.write_plot_script, args.out, args.plot_script,
+               args.command)
 
 
 def _cmd_solve(args) -> int:
@@ -91,8 +117,7 @@ def _cmd_solve(args) -> int:
           f"{row.formulation}  max_error={row.max_error:.6e}{cond}")
     _emit([row], cfg, args)
     if args.dump_solution:
-        harness.dump_solution_csv(sol, args.dump_solution)
-        print(f"wrote {args.dump_solution}")
+        _write(args.dump_solution, harness.dump_solution_csv, sol, args.dump_solution)
     return 0
 
 
@@ -167,6 +192,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,26 +1,26 @@
-"""Difference potentials and particular solutions by fast box solves.
+"""Layer potentials, difference potentials and particular solutions by
+fast box solves.
 
-Interior values of a homogeneous solution could be recovered by direct
-lattice convolution at O(N^3) cost.  Cheaper: solve the 5-point system
-with a sine transform on a window of the classification grid, whose edge
-is the box edge.  The window, :attr:`PointSets.box_window`, is the
-bounding box of N+ grown by ``geometry.WINDOW_MARGIN`` nodes, clipped
-to the grid and widened to a fast transform length; any box whose interior holds gamma plus one ring gives
-the same potential on M+, up to rounding.  The difference potential of
-boundary data u_gamma is the box solution whose right-hand side is [A u] of the zero-extension of
-u_gamma, restricted to the exterior band; it is discretely harmonic on
-M+ and reproduces u_gamma on gamma, so a single FFT solve replaces the
-convolution.
+Interior values of a lattice layer potential Kq could be recovered by
+direct lattice convolution at O(N^3) cost.  Cheaper: solve the 5-point
+system with a sine transform on a window of the classification grid.
+The window, :attr:`PointSets.box_window`, is the bounding box of N+
+grown by ``geometry.WINDOW_MARGIN`` nodes, clipped to the grid and
+widened to a fast transform length; on the unbounded exterior, where M+
+reaches the grid edge, it is the whole grid.  The 5-point operator A
+applied to Kq is the density's lattice sources, zero elsewhere (A G is
+the unit impulse), so :func:`box_solve` of those sources, with Kq's own
+values on the window edge (:func:`edge_nodes`) as Dirichlet data, is Kq
+on the whole window.  This is how :func:`latticebae.solver.recover`
+recovers every domain, bounded or not, without any artificial boundary
+condition.
 
-The box edge carries Dirichlet data: zero where the edge lies outside
-the domain, and the lattice potential's own values on the edge nodes of
-M+ (:func:`edge_nodes`).  A bounded domain has no such nodes.  On the
-unbounded exterior M+ reaches the grid edge, so the window is the whole
-grid, every edge node is one of them, and its value, which
-:func:`latticebae.solver.recover` streams from the density in the same
-kernel product as the trace on gamma, makes the box solve reproduce the
-lattice potential on the whole box-restricted domain without any
-artificial boundary condition.
+The paper's difference potential of boundary data u_gamma is the box
+solution, zero on the window edge, whose right-hand side is [A u] of the
+zero-extension of u_gamma restricted to the exterior band; it is
+discretely harmonic on M+ and reproduces u_gamma on gamma when u_gamma
+is the trace of such a field, as a layer potential's trace is
+(:func:`difference_potential`).
 
 The same box solver, on the same window, yields particular solutions of
 the nonhomogeneous problem from rhs = h^2 f on M+, after which the
@@ -165,28 +165,50 @@ def _solve_in_place(rhs: GridFunction) -> GridFunction:
 
 
 def edge_nodes(ps: PointSets) -> np.ndarray:
-    """The M+ nodes on the window edge, in canonical order: where u_edge
-    lives.  A bounded domain has none; on the exterior they are the grid
-    edge."""
+    """The 2(nx + ny) - 4 edge nodes of :attr:`PointSets.box_window`, in
+    canonical order: row 0, the two ends of each middle row, then the
+    last row."""
     grid, offset = ps.box_window
-    inside = _window_of(ps.m_plus, grid, offset)
-    # Row 0, then the two ends of each middle row, then the last row.
-    first, last = np.flatnonzero(inside[0]), np.flatnonzero(inside[-1])
-    j, side = np.nonzero(inside[1:-1, [0, -1]])
-    return np.concatenate([
-        np.column_stack([np.full_like(first, 0), first]),
-        np.column_stack([j + 1, side * (grid.ny - 1)]),
-        np.column_stack([np.full_like(last, grid.nx - 1), last]),
+    nx, ny = grid.nx, grid.ny
+    cols = np.arange(ny)
+    return np.column_stack([
+        np.concatenate([np.zeros(ny, int), np.repeat(np.arange(1, nx - 1), 2),
+                        np.full(ny, nx - 1)]),
+        np.concatenate([cols, np.tile([0, ny - 1], nx - 2), cols]),
     ]) + offset
 
 
-def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridFunction:
+def box_solve(sources: np.ndarray, charges, edge_values, ps: PointSets) -> GridFunction:
+    """Solve [Aw] = ``charges`` at ``sources`` and 0 at the other interior
+    nodes of :attr:`PointSets.box_window`, with w = ``edge_values`` on
+    :func:`edge_nodes`, in one window array.
+
+    The edge values are lifted into the rhs of the adjacent ring of
+    interior nodes, the interior is solved in place, and the edge values
+    are written onto the solution's edge.  Every source must lie inside
+    the window edge.
+    """
+    grid, offset = ps.box_window
+    rhs = GridFunction.zeros(grid, offset)
+    values = rhs.values
+    values[_local(sources, grid, offset, 1)] = charges
+    first, last = edge_values[: grid.ny], edge_values[-grid.ny :]
+    sides = np.reshape(edge_values[grid.ny : -grid.ny], (-1, 2))
+    values[1, 1:-1] += first[1:-1]
+    values[-2, 1:-1] += last[1:-1]
+    values[1:-1, 1] += sides[:, 0]
+    values[1:-1, -2] += sides[:, 1]
+    w = _solve_in_place(rhs)
+    values[0], values[-1], values[1:-1, 0], values[1:-1, -1] = first, last, *sides.T
+    return w
+
+
+def difference_potential(u_gamma: np.ndarray, ps: PointSets) -> GridFunction:
     """Box solution reproducing u_gamma on gamma, discretely harmonic on M+.
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
     result on the exterior band only, and solves the box system on
-    :attr:`PointSets.box_window` with u_edge imposed on :func:`edge_nodes`
-    (zero on the rest of the window edge).
+    :attr:`PointSets.box_window` with zero on the window edge.
     """
     u_gamma = np.asarray(u_gamma, dtype=float)
     if u_gamma.shape != (len(ps.gamma_indices),):
@@ -194,24 +216,9 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
             f"gamma data has shape {u_gamma.shape}, expected ({len(ps.gamma_indices)},)"
         )
     grid, offset = ps.box_window
-    on_edge = edge_nodes(ps) - offset
-    u_edge = np.asarray(u_edge, dtype=float)
-    if u_edge.shape != (len(on_edge),):
-        raise AssemblyError(
-            f"edge data has shape {u_edge.shape}, expected ({len(on_edge)},)"
-        )
-    # One window array holds the rhs and, in turn, each zero-extension whose
+    # One window array holds the rhs and, in turn, the zero-extension whose
     # [A u] it needs; [A u] is evaluated only next to the extended nodes.
     rhs = GridFunction.zeros(grid, offset)
-    # Lift the edge values into the rhs of the adjacent interior ring.
-    ej, ek = on_edge.T
-    rhs.values[ej, ek] = u_edge
-    j, k = _neighbours(ej, ek)
-    ring = (np.minimum(j, k) > 0) & (j < grid.nx - 1) & (k < grid.ny - 1)
-    rj, rk = j[ring], k[ring]
-    lift = _stencil_at(rhs.values, rj, rk)
-    rhs.values[ej, ek] = 0.0
-    # [A u] of the gamma data, kept on the exterior band.
     gj, gk = _local(ps.gamma_indices, grid, offset, _INSET)
     rhs.values[gj, gk] = u_gamma
     j, k = _neighbours(gj, gk)
@@ -220,10 +227,7 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets, u_edge=()) -> GridF
     applied = _stencil_at(rhs.values, j, k)
     rhs.values[gj, gk] = 0.0
     rhs.values[j, k] = applied
-    rhs.values[rj, rk] -= lift
-    w = _solve_in_place(rhs)
-    w.values[ej, ek] = u_edge
-    return w
+    return _solve_in_place(rhs)
 
 
 def particular_solution(f: Callable, ps: PointSets) -> GridFunction:

@@ -260,16 +260,16 @@ class PointSets:
         """The half-widths (rx, ry) of the Green's-function table that a
         kernel gather on these sets reads.
 
-        A gather's targets lie in N+, and every node it reads from lies in
-        gamma- or is one step from it (a double-layer source's exterior
-        connections), so within the bounding box of gamma- grown by one
-        node.  Per axis the reach is the largest distance from N+'s
-        bounding box to that grown box.
+        A gather's targets lie in :attr:`box_window`, and every node it
+        reads from lies in gamma- or is one step from it (a double-layer
+        source's exterior connections), so within the bounding box of
+        gamma- grown by one node.  Per axis the reach is the largest
+        distance from the window to that grown box.
         """
-        targets = self._spans(self.m_plus, self.gamma_minus)
+        window, offset = self.box_window
         sources = self._spans(self.gamma_minus)
-        return tuple(max(t1 - (s0 - 1), (s1 + 1) - t0)
-                     for (t0, t1), (s0, s1) in zip(targets, sources))
+        return tuple(max(t0 + n - s0, s1 + 1 - t0)
+                     for t0, n, (s0, s1) in zip(offset, (window.nx, window.ny), sources))
 
     @cached_property
     def box_window(self) -> tuple[Grid, tuple[int, int]]:

@@ -5,12 +5,12 @@ u = sin(x)cos(y) (which is not discretely harmonic, so the particular
 solution machinery is always exercised); boundary data comes from the
 same u.  The unbounded study solves potential flow past the unit circle
 with u = x/(x^2 + y^2), harmonic away from the origin, so it carries no
-forcing and its solves skip the particular solution.  Every solve
-recovers interior values through the same difference-potential box
-solve of what the solver recovers; on the exterior the box edge lies in
-the domain and takes the lattice potential's own values there, which
-the solver streams from the density in the same product as the trace on
-gamma, so this module does no kernel work of its own.
+forcing and its solves skip the particular solution.  Every solve, on
+a bounded domain or the exterior alike, takes its interior values from
+:func:`latticebae.solver.recover`: the lattice potential of the solved
+density on the box window, one box solve of its sources with its own
+values on the window edge, so this module does no kernel work of its
+own.
 
 Timings are measured but written into the CSV only on request; the
 default output is byte-identical across runs for identical configs,
@@ -207,10 +207,10 @@ class SolutionField:
     ``exact``, ``errors`` and ``max_error`` evaluate u at the M+ nodes
     anew on each read, one block of box-window rows at a time, so a
     result holds no array of exact values.  ``residual`` is the closure
-    residual of the recovered field, max |C+ u_h(gamma~+) + C- t- - g|
-    with u_h the difference potential (before the particular solution is
-    added), t- the gamma- trace and g the corrected right-hand side.  It
-    checks assembly, the traces and the box solve together.
+    residual of the recovered field, max |C+ u_h(gamma~+) + C- u_h(gamma-) - g|
+    with u_h the recovered layer potential (before the particular
+    solution is added) and g the corrected right-hand side.  It checks
+    assembly, the edge values and the box solve together.
     """
 
     ps: geometry.PointSets
@@ -312,12 +312,12 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     if mf.f is not None:
         u_p = diffpot.particular_solution(mf.f, ps)
         cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    # The factored system is freed when solve_system returns, before the
+    # recovery's window array exists.
     result = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
-    u_h = diffpot.difference_potential(result.trace, ps, result.edge)
-    # gamma~+ lies in M+, where the difference potential is the layer
-    # potential K q, so the closure rows read it there.
+    u_h = solver.recover(result.density, form.kernel, ps)
     residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)
-                            + cm.c_minus @ result.trace_minus - cm.rhs).max())
+                            + cm.c_minus @ u_h.at(cm.gamma_minus) - cm.rhs).max())
     if u_p is not None:
         u_h.values += u_p.values  # both box solves ran on the window of ps
     # The window array becomes the values: its M+ values are packed to its

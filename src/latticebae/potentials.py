@@ -18,17 +18,18 @@ operator blocks are restrictions of these kernels:
     S-, D-  : targets gamma-  (square, |gamma-| x |gamma-|),
     S+, D+  : targets gamma+  (|gamma+| x |gamma-|),
 
-and any other target set inside N+ (augmented interpolation sets, for
-example) is equally legal since interior targets do not change the
-structure.
+and any other target set inside the box window (augmented
+interpolation sets, or the window's own edge) is equally legal since
+the kernels are defined on the whole lattice.
 
 Everything is dense: at the intended problem sizes (a few thousand
 boundary nodes) dense assembly plus LAPACK factorizations is both
 simpler and faster than hierarchical compression.  Kernel values are
 gathered from the process's one table of G (:func:`latticebae.lgf.kernel_table`),
 grown when needed to cover the point sets' kernel reach
-(:attr:`PointSets.kernel_reach`): every offset from a target in N+ to a
-node within one step of gamma-, which is every offset a gather reads.
+(:attr:`PointSets.kernel_reach`): every offset from a target in the
+box window to a node within one step of gamma-, which is every offset a
+gather reads.
 So each distinct lattice offset costs one evaluation in total, and no
 entry is built that no gather reads.  Since G depends only on m - n and
 G(-d) = G(d), the table holds half of the offsets [-Rx, Rx] x [-Ry, Ry],
@@ -56,12 +57,17 @@ combinations of their rows and their products with a density:
 as it is gathered, and :func:`apply_layer_matrix` multiplies each row
 block by the density, so neither holds the block whole.  The contraction
 gives every matrix the solver factors (the direct matrix, and K- with it
-where K- is factored); the product gives, in one call, the trace on
-gamma and the potential on the exterior's box-window edge.  Interior
-values come from the box solve in :mod:`latticebae.diffpot`.  Both
-take (n, 2) index arrays, the product one density value per source, and
-return plain arrays; the gather they share converts and checks the index
-sets (sources in gamma-, targets in N+) before it reads them.
+where K- is factored); the product gives, in one call, the potential
+on the box-window edge.  Both take (n, 2) index arrays, the product one
+density value per source, and return plain arrays; the gather they
+share converts and checks the index sets (sources in gamma-, targets in
+the box window) before it reads them.
+
+Values off the window edge need no gather: A G is the unit impulse, so
+[A K q] is q on gamma- for the single kernel and B q on E for the
+double (:func:`layer_sources`) and zero elsewhere, and the box solve in
+:mod:`latticebae.diffpot` of those sources, with the edge values the
+product gives, is K q on the whole window.
 """
 
 from __future__ import annotations
@@ -91,11 +97,9 @@ def _as_index_array(indices) -> np.ndarray:
     return arr
 
 
-def _check_membership(indices, what, *masks):
-    """AssemblyError unless every node lies in the union of ``masks``,
-    which are read at the nodes only."""
-    j, k = indices.T
-    inside = np.logical_or.reduce([mask[j, k] for mask in masks])
+def _check_membership(indices, what, inside):
+    """AssemblyError unless ``inside``, one flag per node, holds for
+    every node."""
     if not inside.all():
         bad = indices[~inside][0]
         raise AssemblyError(f"{what} contains node {tuple(int(v) for v in bad)} outside its allowed set")
@@ -131,24 +135,40 @@ def _exterior_connections(ps: PointSets, sources):
     return np.column_stack(np.divmod(keys, ps.grid.ny)), b
 
 
+def layer_sources(density, kind: LayerKind, ps: PointSets):
+    """The nodes where [A K density] is nonzero, A the 5-point operator,
+    and its values there: A G is the unit impulse, so they are the density
+    on gamma- for the single kernel, and B density on E for the double."""
+    sources = ps.gamma_minus_indices
+    if kind is LayerKind.SINGLE:
+        return sources, density
+    nodes, b = _exterior_connections(ps, sources)
+    return nodes, b @ density
+
+
 def _row_gatherer(targets, sources, kind: LayerKind, ps: PointSets):
     """A function ``fill(out, start=0)`` writing the kernel rows
     ``start : start + len(out)`` of the (targets, sources) block into
     ``out``, one row block at a time, from the table of G.  Sources
-    outside gamma- or targets outside N+ raise AssemblyError first.
+    outside gamma- or targets outside :attr:`PointSets.box_window` raise
+    AssemblyError first.
 
     The double kernel gathers a row block of the single kernel over E,
     as an |E| x rows array (|s - t| = |t - s|), and combines its rows
-    through B.  Every offset from a target in N+ to a source in gamma-
-    or to one of its exterior connections lies within the sets' kernel
-    reach (:attr:`PointSets.kernel_reach`), which the table covers, so
-    no flat offset leaves the table, and the lookups clip instead of
-    checking (a checked ``np.take`` buffers and copies its whole output).
+    through B.  Every offset from a target in the box window to a source
+    in gamma- or to one of its exterior connections lies within the sets'
+    kernel reach (:attr:`PointSets.kernel_reach`), which the table
+    covers, so no flat offset leaves the table, and the lookups clip
+    instead of checking (a checked ``np.take`` buffers and copies its
+    whole output).
     """
     targets = _as_index_array(targets)
     sources = _as_index_array(sources)
-    _check_membership(sources, "source set", ps.gamma_minus)
-    _check_membership(targets, "target set", ps.m_plus, ps.gamma_minus)  # N+
+    _check_membership(sources, "source set", ps.gamma_minus[sources[:, 0], sources[:, 1]])
+    window, offset = ps.box_window
+    local = targets - offset
+    _check_membership(targets, "target set",
+                      ((local >= 0) & (local < (window.nx, window.ny))).all(axis=1))
     table = kernel_table(*ps.kernel_reach)
     width = table.shape[1]
     flat = table.ravel()[width // 2 :]
@@ -225,7 +245,7 @@ def apply_layer_matrix(targets, sources, density, kind: LayerKind, ps: PointSets
     """``K @ density`` for K the kernel block on (targets, sources), with
     one density value per source, without ever holding K.
 
-    Targets may lie anywhere in N+.  K is gathered one row block at a
+    Targets may lie anywhere in the box window.  K is gathered one row block at a
     time, and each block is multiplied by the density as it is gathered;
     a double block is formed as S(block, E) B before it meets the density.
     """

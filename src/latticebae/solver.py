@@ -38,22 +38,26 @@ gathers them from the closure it is given and returns the direct matrix
 as a plain array, with K- stacked under it when asked.  Only
 :func:`_right_divide` forms the Schur matrix from those two.
 :func:`dense_solve` factors the matrix in place, so a solve peaks at one
-|gamma-|^2 array.  Once the density q is known, :func:`recover` streams
-the layer potential on gamma, in the canonical order the difference
-potential reads, and on the box-window edge nodes of M+ (the exterior's
-box-solve data; a bounded domain has none) through the kernel gather in
-one product, never holding a block.  :func:`solve_system` runs the whole
-line in one call; asked for the condition number of a Schur form, it
+|gamma-|^2 array.  :func:`solve_system` runs that line in one call and
+returns the density q; asked for the condition number of a Schur form, it
 contracts [M; K-] and right-divides a copy of M before M is factored, so
 only then does a solve gather and factor K-.  :func:`condition_numbers`
 serves the conditioning study from the same contraction of [M; K-]: it
 takes cond(K-), then cond(M), which it then right-divides in place into
 the Schur matrix for the third; no array is copied.
+
 :func:`condition_number` takes the singular values of an exactly
 symmetric matrix as the moduli of its eigenvalues, from the symmetric
 eigensolver at about a quarter of the cost of an SVD.  S- is the one
 such matrix, since G(d) = G(-d) and its gather reads entries (i, j) and
 (j, i) at the same table offset; every other matrix takes the SVD.
+
+Once the density q is known, and the solve's matrix is freed,
+:func:`recover` gives its layer potential K q on the box window, for
+bounded and unbounded domains alike: K q on the window edge, streamed
+through the kernel gather in one product that never holds a block, and
+one box solve of q's lattice sources with those edge values
+(:func:`latticebae.diffpot.box_solve`).
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, and a singular K-, where it is factored,
@@ -80,10 +84,10 @@ from scipy import linalg, sparse
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
-from .diffpot import edge_nodes
+from .diffpot import GridFunction, box_solve, edge_nodes
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
-from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix
+from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix, layer_sources
 
 #: Relative pivot threshold below which an LU factor counts as singular.
 _PIVOT_RTOL = 1e-14
@@ -119,17 +123,11 @@ def formulation_from_tag(tag: str) -> Formulation:
 
 @dataclass
 class SolveResult:
-    """A solved density on gamma- with the layer potential's ``trace`` on
-    gamma, both plain arrays in canonical order; ``trace_minus`` is the
-    trace's gamma- part, and ``edge`` the potential on the box-window edge
-    nodes of M+ (:func:`latticebae.diffpot.edge_nodes`; none on a bounded
-    domain).  ``system_cond`` is the system's condition number when
-    :func:`solve_system` was asked for it."""
+    """A solved density on gamma-, a plain array in canonical order, and
+    the system's condition number when :func:`solve_system` was asked for
+    it."""
 
     density: np.ndarray
-    trace: np.ndarray
-    trace_minus: np.ndarray
-    edge: np.ndarray
     system_cond: Optional[float] = None
 
 
@@ -229,21 +227,17 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(largest / smallest)
 
 
-def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> SolveResult:
-    """The solved density and its layer potential on gamma, then on the
-    box-window edge nodes of M+, streamed through the kernel gather on
-    ``ps`` in one product."""
-    gamma = ps.gamma_indices
-    values = apply_layer_matrix(np.concatenate([gamma, edge_nodes(ps)]),
-                                ps.gamma_minus_indices, density, kernel, ps)
-    trace, edge = values[: len(gamma)], values[len(gamma) :]
-    return SolveResult(density=density, trace=trace, edge=edge,
-                       trace_minus=trace[ps.gamma_minus[gamma[:, 0], gamma[:, 1]]])
+def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> GridFunction:
+    """The layer potential of ``density`` on :attr:`PointSets.box_window`:
+    one box solve of its lattice sources, with its own values on the
+    window edge, streamed through the kernel gather in one product."""
+    edge = apply_layer_matrix(edge_nodes(ps), ps.gamma_minus_indices, density, kernel, ps)
+    return box_solve(*layer_sources(density, kernel, ps), edge, ps)
 
 
 def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
                  compute_cond: bool = False) -> SolveResult:
-    """Gather, assemble, solve, and recover in one sweep.  Either form
+    """Gather, assemble and solve in one sweep.  Either form
     solves the direct system, so a Schur solve is bitwise the direct solve
     of its kernel.  The condition number, when asked for, is of the
     formulation's own matrix, taken before the direct one is factored in
@@ -258,9 +252,7 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
         cond = condition_number(_right_divide(matrix.copy(), k_minus, kernel))
     elif compute_cond:
         cond = condition_number(matrix)
-    result = recover(dense_solve(matrix, cm.rhs), kernel, ps)
-    result.system_cond = cond
-    return result
+    return SolveResult(density=dense_solve(matrix, cm.rhs), system_cond=cond)
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:

@@ -1,14 +1,15 @@
 """Reference oracles the tests compare the package against.
 
 Each builds whole what the package only streams or reads in part: a held
-kernel block, a dense full-window table of G, and the 5-point operator
-over a whole array.  No solve path needs them, so they live here.
+kernel block, a density's trace on all of gamma, a dense full-window
+table of G, and the 5-point operator over a whole array.  No solve path
+needs them, so they live here.
 """
 
 import numpy as np
 
 from latticebae.lgf import kernel_table
-from latticebae.potentials import LayerKind, _row_gatherer
+from latticebae.potentials import LayerKind, _row_gatherer, apply_layer_matrix
 
 
 def assemble_layer_matrix(targets, sources, kind: LayerKind, ps) -> np.ndarray:
@@ -16,7 +17,7 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps) -> np.ndarray:
     held-block reference for ``contract_layer_matrix`` and
     ``apply_layer_matrix``, filled by the gather they share.
 
-    Sources must lie in gamma-; targets anywhere in N+.  For the double
+    Sources must lie in gamma-; targets anywhere in the box window.  For the double
     kernel the exterior connections are resolved once per source, and a
     source with none aborts assembly (the unbounded-domain failure mode).
     """
@@ -24,6 +25,13 @@ def assemble_layer_matrix(targets, sources, kind: LayerKind, ps) -> np.ndarray:
     entries = np.empty((len(targets), len(sources)))
     fill(entries)
     return entries
+
+
+def gamma_trace(density, kind: LayerKind, ps) -> np.ndarray:
+    """The layer potential of a gamma- density on ``ps.gamma_indices``, in
+    canonical order, as the gathered kernel product: the trace that the
+    closure rows and the difference potential read."""
+    return apply_layer_matrix(ps.gamma_indices, ps.gamma_minus_indices, density, kind, ps)
 
 
 def lgf_grid(rx: int, ry: int) -> np.ndarray:

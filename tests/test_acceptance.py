@@ -25,7 +25,7 @@ from latticebae.lgf import (
     lgf_quadrature,
     lgf_recursion_table,
 )
-from reference import assemble_layer_matrix, lgf_grid
+from reference import assemble_layer_matrix, gamma_trace, lgf_grid
 
 LADDER = (64, 128, 256, 512)
 COND_LADDER = (128, 256, 512)
@@ -278,7 +278,8 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(lambda x, y: 1.0))
     result = solver.solve_system(solver.formulation_from_tag("single-direct"),
                                  cm, ps)
-    u = diffpot.difference_potential(result.trace, ps)
+    u = diffpot.difference_potential(
+        gamma_trace(result.density, potentials.LayerKind.SINGLE, ps), ps)
     mp = np.argwhere(ps.m_plus)
     assert np.abs(u.at(mp) - 1.0).max() <= 1e-9
 

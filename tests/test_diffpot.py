@@ -9,7 +9,8 @@ from scipy import sparse
 
 from latticebae import diffpot, geometry, harness, potentials, solver
 from latticebae.errors import AssemblyError, BoxTooSmallError
-from reference import apply_stencil, assemble_layer_matrix
+from latticebae.lgf import kernel_table
+from reference import apply_stencil, assemble_layer_matrix, gamma_trace
 
 
 def centered_grid(half, n):
@@ -132,19 +133,34 @@ def box_solve_rhs(monkeypatch, fn, *args):
     return rhs
 
 
-def difference_potential_rhs_reference(u_gamma, ps, u_edge):
+def difference_potential_rhs_reference(u_gamma, ps):
     """[A u] of the zero-extension of the gamma data on the exterior band,
-    minus [A u] of the zero-extension of the edge data, from window-sized
-    arrays."""
+    from window-sized arrays."""
     grid, offset = ps.box_window
     extension = np.zeros((grid.nx, grid.ny))
     extension[diffpot._local(ps.gamma_indices, grid, offset, 0)] = u_gamma
     rhs = np.zeros_like(extension)
     band = ~diffpot._window_of(ps.m_plus, grid, offset) & ~edge_mask(grid)
     rhs[band] = apply_stencil(extension)[band]
-    lift = np.zeros_like(extension)
-    lift[diffpot._local(diffpot.edge_nodes(ps), grid, offset, 0)] = u_edge
-    return rhs - apply_stencil(lift)
+    return rhs
+
+
+def recover_rhs_reference(density, kind, ps):
+    """The lattice sources of the density's layer potential, minus [A u]
+    of the zero-extension of its window-edge values, from window-sized
+    arrays: the sources are the density on gamma-, or B density on E."""
+    grid, offset = ps.box_window
+    edge = diffpot.edge_nodes(ps)
+    extension = np.zeros((grid.nx, grid.ny))
+    extension[diffpot._local(edge, grid, offset, 0)] = potentials.apply_layer_matrix(
+        edge, ps.gamma_minus_indices, density, kind, ps)
+    rhs = 0.0 - apply_stencil(extension)
+    sources, charges = ps.gamma_minus_indices, density
+    if kind is potentials.LayerKind.DOUBLE:
+        sources, b = potentials._exterior_connections(ps, sources)
+        charges = b @ density
+    rhs[diffpot._local(sources, grid, offset, 0)] += charges
+    return rhs
 
 
 def particular_rhs_reference(f, ps):
@@ -169,9 +185,16 @@ def test_difference_potential_rhs_is_bitwise_the_window_sized_build(monkeypatch,
     ps = sets128
     rng = np.random.default_rng(3)
     u_gamma = rng.standard_normal(len(ps.gamma_indices))
-    u_edge = rng.standard_normal(len(diffpot.edge_nodes(ps)))
-    rhs = box_solve_rhs(monkeypatch, diffpot.difference_potential, u_gamma, ps, u_edge)
-    assert rhs.tobytes() == difference_potential_rhs_reference(u_gamma, ps, u_edge).tobytes()
+    rhs = box_solve_rhs(monkeypatch, diffpot.difference_potential, u_gamma, ps)
+    assert rhs.tobytes() == difference_potential_rhs_reference(u_gamma, ps).tobytes()
+
+
+@pytest.mark.parametrize("kind", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
+def test_recover_rhs_is_bitwise_the_window_sized_build(monkeypatch, sets128, kind):
+    ps = sets128
+    density = np.random.default_rng(3).standard_normal(len(ps.gamma_minus_indices))
+    rhs = box_solve_rhs(monkeypatch, solver.recover, density, kind, ps)
+    assert rhs.tobytes() == recover_rhs_reference(density, kind, ps).tobytes()
 
 
 def test_particular_rhs_is_bitwise_the_window_sized_build(monkeypatch, sets128):
@@ -203,7 +226,8 @@ def test_edge_nodes_are_bitwise_the_window_mask_argwhere(sets):
         ps = random_sets(sets)
         assert ps.box_window[0] == ps.grid
     grid, offset = ps.box_window
-    reference = np.argwhere(edge_mask(grid) & diffpot._window_of(ps.m_plus, grid, offset)) + offset
+    reference = np.argwhere(edge_mask(grid)) + offset
+    assert len(reference) == 2 * (grid.nx + grid.ny) - 4
     nodes = diffpot.edge_nodes(ps)
     assert nodes.dtype == reference.dtype and nodes.shape == reference.shape
     assert nodes.tobytes() == reference.tobytes()
@@ -213,6 +237,7 @@ def test_edge_nodes_are_bitwise_the_window_mask_argwhere(sets):
 def exterior256():
     cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=256)
     ps = harness._discretize(cfg, 256)[1]
+    kernel_table(*ps.kernel_reach)  # the table recover's gather reads
     window, _ = ps.box_window
     return ps, 8 * window.nx * window.ny
 
@@ -224,8 +249,7 @@ def test_difference_potential_holds_at_most_three_window_arrays(exterior256, tra
     ps, window_bytes = exterior256
     rng = np.random.default_rng(4)
     u_gamma = rng.standard_normal(len(ps.gamma_indices))
-    u_edge = rng.standard_normal(len(diffpot.edge_nodes(ps)))
-    peak, _ = traced_peak(diffpot.difference_potential, u_gamma, ps, u_edge)
+    peak, _ = traced_peak(diffpot.difference_potential, u_gamma, ps)
     assert peak <= 3 * window_bytes
 
 
@@ -236,8 +260,25 @@ def test_difference_potential_solves_in_its_rhs(exterior256, traced_peak):
     ps, window_bytes = exterior256
     rng = np.random.default_rng(4)
     u_gamma = rng.standard_normal(len(ps.gamma_indices))
-    u_edge = rng.standard_normal(len(diffpot.edge_nodes(ps)))
-    peak, _ = traced_peak(diffpot.difference_potential, u_gamma, ps, u_edge)
+    peak, _ = traced_peak(diffpot.difference_potential, u_gamma, ps)
+    assert peak <= 1.9 * window_bytes
+
+
+def test_recover_holds_at_most_three_window_arrays(exterior256, traced_peak):
+    # The difference potential's bounds hold for the recovery's one box
+    # solve too: the product for the edge values, whose row blocks are
+    # smaller than a window here, ends before the window array exists.
+    # Measured 1.53 window arrays.
+    ps, window_bytes = exterior256
+    density = np.random.default_rng(4).standard_normal(len(ps.gamma_minus_indices))
+    peak, _ = traced_peak(solver.recover, density, potentials.LayerKind.SINGLE, ps)
+    assert peak <= 3 * window_bytes
+
+
+def test_recover_solves_in_its_rhs(exterior256, traced_peak):
+    ps, window_bytes = exterior256
+    density = np.random.default_rng(4).standard_normal(len(ps.gamma_minus_indices))
+    peak, _ = traced_peak(solver.recover, density, potentials.LayerKind.SINGLE, ps)
     assert peak <= 1.9 * window_bytes
 
 
@@ -307,25 +348,19 @@ def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
         direct = potentials.apply_layer_matrix(
             np.argwhere(ps.m_plus), sources, q, potentials.LayerKind.SINGLE, ps
         )
-        k_gamma = assemble_layer_matrix(
-            ps.gamma_indices, sources, potentials.LayerKind.SINGLE, ps
-        )
-        # Empty for the bounded ellipse; every box-edge node for the exterior.
-        u_edge = potentials.apply_layer_matrix(
-            diffpot.edge_nodes(ps), sources, q, potentials.LayerKind.SINGLE, ps
-        )
-        w = diffpot.difference_potential(k_gamma @ q, ps, u_edge)
+        w = solver.recover(q, potentials.LayerKind.SINGLE, ps)
         assert np.abs(w.at(np.argwhere(ps.m_plus)) - direct).max() < 1e-8
 
 
-def test_difference_potential_rejects_wrong_edge_length(exterior_box):
+def test_recovery_rejects_wrong_data_lengths(exterior_box):
     _, ps = exterior_box
     n_edge = len(diffpot.edge_nodes(ps))
     assert n_edge == 4 * (ps.grid.nx - 1)
     with pytest.raises(AssemblyError):
-        diffpot.difference_potential(
-            np.zeros(len(ps.gamma_indices)), ps, np.zeros(n_edge - 1)
-        )
+        diffpot.difference_potential(np.zeros(len(ps.gamma_indices) - 1), ps)
+    with pytest.raises(AssemblyError):
+        solver.recover(np.zeros(len(ps.gamma_minus_indices) - 1),
+                       potentials.LayerKind.SINGLE, ps)
 
 
 def test_box_margin_is_enforced():
@@ -446,9 +481,10 @@ def full_grid_values(cfg):
     rhs.values[inside] = grid.h**2 * mf.f(x, y)
     u_p = diffpot.fft_poisson_solve(rhs)
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    kernel = solver.formulation_from_tag(cfg.formulation).kernel
     result = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
     extension = np.zeros((grid.nx, grid.ny))
-    extension[ps.gamma] = result.trace
+    extension[ps.gamma] = gamma_trace(result.density, kernel, ps)
     rhs = diffpot.GridFunction.zeros(grid)
     band = ~ps.m_plus & ~edge
     rhs.values[band] = apply_stencil(extension)[band]

@@ -673,6 +673,63 @@ def test_cli_exit_codes(capsys, code, argv, message):
     assert err.startswith(message) if message else err == ""
 
 
+def _refuse_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no solve may run")
+
+    for name in ("solve_problem", "run_convergence", "run_conditioning"):
+        monkeypatch.setattr(harness, name, refuse)
+
+
+@pytest.mark.parametrize("command, flags", [("solve", ["--n", "32"]),
+                                            ("convergence", ["--n-list", "32,64,128"]),
+                                            ("conditioning", ["--n-list", "32,64,128"])])
+def test_cli_unwritable_out_exits_2_before_any_solve(capsys, monkeypatch, tmp_path,
+                                                     command, flags):
+    _refuse_solves(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    code = cli.main([command, "--geometry", "ellipse", "--bc", "dirichlet", *flags,
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: no directory {out.parent}\n"
+
+
+@pytest.mark.parametrize("flag, target", [("--dump-solution", "missing"),
+                                          ("--dump-solution", "directory"),
+                                          ("--plot-script", "missing")])
+def test_cli_unwritable_dump_or_plot_script_exits_2_before_any_solve(
+        capsys, monkeypatch, tmp_path, flag, target):
+    _refuse_solves(monkeypatch)
+    path = tmp_path / "missing" / "p.py" if target == "missing" else tmp_path
+    argv = (["solve", "--n", "32"] if flag == "--dump-solution"
+            else ["convergence", "--n-list", "32,64,128", "--out", str(tmp_path / "c.csv")])
+    code = cli.main([*argv, "--geometry", "ellipse", "--bc", "dirichlet", flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_write_failure_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    # A failure the up-front check cannot see, such as a directory without
+    # write permission, is caught where the CSV is written.
+    out = tmp_path / "row.csv"
+
+    def denied(rows, path, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(harness, "emit_csv", denied)
+    code = cli.main(["solve", "--geometry", "ellipse", "--bc", "dirichlet", "--n", "32",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("n=32")
+    assert captured.err == f"error: cannot write {out}: Permission denied\n"
+
+
 def test_cli_takes_its_choices_and_defaults_from_the_harness():
     assert harness.FORMULATIONS == ("single-direct", "single-schur",
                                     "double-direct", "double-schur")
@@ -742,3 +799,4 @@ class TestCli:
         assert proc.returncode == 2
         assert "--plot-script needs --out" in proc.stderr
         assert not script.exists()
+        assert proc.stdout == ""  # refused before the first rung is solved

@@ -179,8 +179,9 @@ def test_gather_is_bitwise_reference(ellipse256, kind):
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])
 def test_gather_offsets_stay_in_the_table(monkeypatch, kind, geometry, n):
     # The gather reads the table without bounds checks, so every offset
-    # from an N+ target to a node it reads from (gamma-, and for the
-    # double kernel the exterior connections too) must lie within the
+    # from a target in the box window, its edge included, to a node it
+    # reads from (gamma-, and for the double kernel the exterior
+    # connections too) must lie within the
     # sets' kernel reach on each axis, which the table covers; then every
     # flat offset |t(m) - s(n)|, in the table's own row width, indexes
     # the table from its entry (0, 0) on, and at the entry of that very
@@ -190,13 +191,14 @@ def test_gather_offsets_stay_in_the_table(monkeypatch, kind, geometry, n):
     sources = ps.gamma_minus_indices
     if kind is LayerKind.DOUBLE:
         sources = _exterior_connections(ps, sources)[0]
-    targets = np.argwhere(ps.n_plus)
+    window, (j0, k0) = ps.box_window
+    targets = np.argwhere(np.ones((window.nx, window.ny), dtype=bool)) + (j0, k0)
+    assert ps.n_plus[tuple(targets.T)].sum() == ps.n_plus.sum()  # the window holds N+
     rx, ry = ps.kernel_reach
     for axis, reach in enumerate((rx, ry)):
         furthest = max(targets[:, axis].max() - sources[:, axis].min(),
                        sources[:, axis].max() - targets[:, axis].min())
         assert furthest <= reach
-    window, (j0, k0) = ps.box_window
     lo, hi = np.array([j0, k0]), np.array([j0 + window.nx, k0 + window.ny])
     for nodes in (targets, sources):
         assert (nodes >= lo).all() and (nodes < hi).all()
@@ -432,14 +434,23 @@ def test_block_dimensions(circle_setup):
     assert lm.shape == (len(ps.gamma_plus_indices), len(ps.gamma_minus_indices))
 
 
-def test_assembly_validates_memberships(circle_setup):
-    _, _, ps = circle_setup
+def test_assembly_validates_memberships(ellipse256):
+    # Sources must lie in gamma-, and targets in the box window, which
+    # the kernel table covers: its corners are legal, and the grid's
+    # corner and one node beyond each side of the window are not.
+    ps = ellipse256
+    sources = ps.gamma_minus_indices
     with pytest.raises(AssemblyError):
         assemble_layer_matrix(ps.gamma_plus_indices, ps.gamma_plus_indices,
                               LayerKind.SINGLE, ps)
-    deep_outside = np.array([[0, 0]])
-    with pytest.raises(AssemblyError):
-        assemble_layer_matrix(deep_outside, ps.gamma_minus_indices, LayerKind.SINGLE, ps)
+    window, (j0, k0) = ps.box_window
+    j1, k1 = j0 + window.nx - 1, k0 + window.ny - 1
+    corners = np.array([[j0, k0], [j0, k1], [j1, k0], [j1, k1]])
+    assert assemble_layer_matrix(corners, sources, LayerKind.SINGLE, ps).shape == (4, len(sources))
+    jm, km = (j0 + j1) // 2, (k0 + k1) // 2
+    for outside in ([0, 0], [j0 - 1, km], [j1 + 1, km], [jm, k0 - 1], [jm, k1 + 1]):
+        with pytest.raises(AssemblyError, match="target set"):
+            assemble_layer_matrix(np.array([outside]), sources, LayerKind.SINGLE, ps)
 
 
 @pytest.mark.parametrize("kind", [LayerKind.SINGLE, LayerKind.DOUBLE])

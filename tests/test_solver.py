@@ -14,7 +14,7 @@ from latticebae.errors import (
     SingularSystemError,
 )
 from latticebae.lgf import kernel_table
-from reference import assemble_layer_matrix
+from reference import assemble_layer_matrix, gamma_trace
 
 FORMULATION_TAGS = harness.FORMULATIONS
 
@@ -23,15 +23,16 @@ def centered_grid(half, n):
     return geometry.Grid.from_box((-half, half), (-half, half), n)
 
 
-def interior_values(result, ps):
-    w = diffpot.difference_potential(result.trace, ps)
+def interior_values(result, kernel, ps):
+    w = diffpot.difference_potential(gamma_trace(result.density, kernel, ps), ps)
     return w.at(np.argwhere(ps.m_plus))
 
 
-def gamma_plus_part(result, ps):
-    """The trace on gamma+, in canonical gamma+ order."""
+def gamma_part(result, kernel, ps, mask):
+    """The trace of the solved density on the gamma nodes in ``mask``
+    (gamma+ or gamma-), in canonical order."""
     gamma = ps.gamma_indices
-    return result.trace[ps.gamma_plus[gamma[:, 0], gamma[:, 1]]]
+    return gamma_trace(result.density, kernel, ps)[mask[gamma[:, 0], gamma[:, 1]]]
 
 
 @pytest.fixture(scope="module")
@@ -237,9 +238,8 @@ def test_condition_numbers_reject_a_non_finite_kernel_matrix(circle_problem, mon
 
 def test_recover_zero_density(circle_problem):
     grid, ps, cm = circle_problem
-    result = solver.recover(np.zeros(len(cm.gamma_minus)), potentials.LayerKind.SINGLE, ps)
-    assert np.all(result.trace_minus == 0.0)
-    assert np.all(result.trace == 0.0)
+    w = solver.recover(np.zeros(len(cm.gamma_minus)), potentials.LayerKind.SINGLE, ps)
+    assert np.all(w.values == 0.0)
 
 
 @pytest.mark.parametrize("tag", ["single-direct", "double-direct"])
@@ -247,7 +247,7 @@ def test_constant_dirichlet_is_exact(circle_problem, tag):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag(tag)
     result = solver.solve_system(form, cm, ps)
-    u = interior_values(result, ps)
+    u = interior_values(result, form.kernel, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
 
@@ -257,11 +257,12 @@ def test_formulation_equivalence(circle_problem):
     for tag in FORMULATION_TAGS:
         form = solver.formulation_from_tag(tag)
         result = solver.solve_system(form, cm, ps)
-        solutions[tag] = interior_values(result, ps)
+        solutions[tag] = interior_values(result, form.kernel, ps)
+        trace_minus = gamma_part(result, form.kernel, ps, ps.gamma_minus)
         if form.form is solver.SystemForm.DIRECT:
-            direct_trace = result.trace_minus
+            direct_trace = trace_minus
         else:
-            assert np.abs(result.trace_minus - direct_trace).max() <= 1e-8
+            assert np.abs(trace_minus - direct_trace).max() <= 1e-8
     values = list(solutions.values())
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -292,16 +293,20 @@ def test_schur_solve_is_the_direct_solve(request, problem, kernel):
     ps, cm = request.getfixturevalue(problem)[-2:]
     direct, schur = (solver.solve_system(solver.formulation_from_tag(f"{kernel}-{form}"), cm, ps)
                      for form in ("direct", "schur"))
+    kind = potentials.LayerKind(kernel)
     assert np.array_equal(schur.density, direct.density)
-    assert np.array_equal(schur.trace, direct.trace)
-    assert np.array_equal(schur.trace_minus, direct.trace_minus)
+    assert np.array_equal(gamma_trace(schur.density, kind, ps),
+                          gamma_trace(direct.density, kind, ps))
+    assert np.array_equal(solver.recover(schur.density, kind, ps).values,
+                          solver.recover(direct.density, kind, ps).values)
 
 
 def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm = circle_problem
     form = solver.formulation_from_tag("single-direct")
     result = solver.solve_system(form, cm, ps)
-    lhs = cm.phi_plus @ gamma_plus_part(result, ps) + cm.phi_minus @ result.trace_minus
+    lhs = (cm.phi_plus @ gamma_part(result, form.kernel, ps, ps.gamma_plus)
+           + cm.phi_minus @ gamma_part(result, form.kernel, ps, ps.gamma_minus))
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
 
@@ -376,7 +381,8 @@ def test_robin_system_solves_and_satisfies_closure():
         on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
         assert not on_gamma.all()
         assert np.array_equal(ps.gamma_plus_indices, tp[on_gamma])
-        np.testing.assert_allclose(gamma_plus_part(result, ps), trace_plus[on_gamma],
+        np.testing.assert_allclose(gamma_part(result, form.kernel, ps, ps.gamma_plus),
+                                   trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
         k_minus = assemble_layer_matrix(
             cm.gamma_minus, cm.gamma_minus, form.kernel, ps
@@ -389,7 +395,7 @@ def test_robin_system_solves_and_satisfies_closure():
             + cm.phi_prime_minus @ eta_vals
         )
         assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
-        interiors[tag] = interior_values(result, ps)
+        interiors[tag] = interior_values(result, form.kernel, ps)
     diff = np.abs(interiors["single-direct"] - interiors["single-schur"]).max()
     assert diff <= 1e-8
 
@@ -407,13 +413,12 @@ def robin_ellipse256():
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
-    # The peak of layer build, assembly, solve and recovery is bounded by
-    # the arrays that must be held: the direct matrix, factored in place
-    # in either form, and two row blocks over E, with |gamma-|^2 / 2 to
-    # spare for library workspace.  The matrix is one contraction, so no
-    # kernel block is held; the traces are streamed, so neither K- nor the
-    # gamma+ rows of K+ is held through the solve, and the
-    # |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2 here) never is.
+    # The peak of layer build, assembly and solve is bounded by the
+    # arrays that must be held: the direct matrix, factored in place in
+    # either form, and two row blocks over E, with |gamma-|^2 / 2 to spare
+    # for library workspace.  The matrix is one contraction, so no kernel
+    # block is held, and the |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2
+    # here) never is.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     window, _ = ps.box_window
@@ -484,22 +489,31 @@ def test_seam_block_adds_only_the_rows_it_reaches(robin_ellipse256, kernel):
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
 def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
-    # The streamed traces are the products of the held kernel blocks.
+    # The streamed values on the window edge, which the recovered field
+    # keeps there, and the traces that the closure rows read, are the
+    # products of the held kernel blocks.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     result = solver.solve_system(form, cm, ps)
     q = result.density
+    edge = diffpot.edge_nodes(ps)
+    k_edge = assemble_layer_matrix(edge, cm.gamma_minus, form.kernel, ps)
+    np.testing.assert_allclose(solver.recover(q, form.kernel, ps).at(edge), k_edge @ q,
+                               rtol=1e-14)
     k_plus_gamma = assemble_layer_matrix(
         ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
     )
-    np.testing.assert_allclose(gamma_plus_part(result, ps), k_plus_gamma @ q, rtol=1e-14)
+    np.testing.assert_allclose(gamma_part(result, form.kernel, ps, ps.gamma_plus),
+                               k_plus_gamma @ q, rtol=1e-14)
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
-    np.testing.assert_allclose(result.trace_minus, k_minus @ q, rtol=1e-14)
+    np.testing.assert_allclose(gamma_part(result, form.kernel, ps, ps.gamma_minus),
+                               k_minus @ q, rtol=1e-14)
 
 
 @pytest.mark.parametrize("tag", FORMULATION_TAGS)
-def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatch, tag):
-    # Every form streams the whole trace on gamma in one product.
+def test_recover_streams_one_product_in_window_edge_order(robin_ellipse256, monkeypatch, tag):
+    # Every form's recovery streams the layer potential on the window
+    # edge, in canonical order, in one product, and the solve none.
     ps, cm = robin_ellipse256
     form = solver.formulation_from_tag(tag)
     targets = []
@@ -511,9 +525,13 @@ def test_recover_streams_one_product_in_gamma_order(robin_ellipse256, monkeypatc
 
     monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
     result = solver.solve_system(form, cm, ps)
-    assert result.trace.shape == (len(ps.gamma_indices),)
+    assert targets == []
+    w = solver.recover(result.density, form.kernel, ps)
+    window, offset = ps.box_window
+    assert (w.grid, w.offset) == (window, offset)
     assert len(targets) == 1
-    assert np.array_equal(targets[0], ps.gamma_indices)
+    assert len(targets[0]) == 2 * (window.nx + window.ny) - 4
+    assert np.array_equal(targets[0], diffpot.edge_nodes(ps))
 
 
 def test_schur_assembly_solves_gamma_minus_right_hand_sides(robin_ellipse256, monkeypatch):
@@ -580,8 +598,8 @@ def test_schur_matrix_does_not_depend_on_the_kernel(shape, bc, n):
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
 def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
     # Wherever K- is factored, one contraction gives it together with the
-    # direct matrix, and no other kernel gather runs; a solve adds only
-    # the one trace product of its recovery.
+    # direct matrix, and no other kernel gather runs; the recovery adds
+    # only its one product on the window edge.
     grid, ps, cm = circle_problem
     calls = []
     for owner, name in ((solver, "contract_layer_matrix"), (solver, "apply_layer_matrix"),
@@ -602,8 +620,11 @@ def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
         call()
         assert calls == contraction
     calls.clear()
-    solver.solve_system(schur, cm, ps, compute_cond=True)
-    assert calls == contraction + ["apply_layer_matrix", "_row_gatherer"]
+    result = solver.solve_system(schur, cm, ps, compute_cond=True)
+    assert calls == contraction
+    calls.clear()
+    solver.recover(result.density, kernel, ps)
+    assert calls == ["apply_layer_matrix", "_row_gatherer"]
 
 
 @pytest.mark.parametrize("problem", ["circle_problem", "robin_ellipse256"])
@@ -634,7 +655,37 @@ def test_direct_assembly_owns_exactly_its_matrix(circle_problem, kernel):
     assert matrix.nbytes == 8 * n * n
 
 
-def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
+# The diamond's corners leave Robin closures without extrapolation
+# stencils (ExtrapolationStencilError, by design), so it has no Robin
+# case; its point sets, all that recovery reads, are its Dirichlet case's.
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("shape, bc, kernel", [
+    (shape, bc, kernel)
+    for shape, bc in (("ellipse", "dirichlet"), ("ellipse", "robin"), ("diamond", "dirichlet"))
+    for kernel in ("single", "double")
+] + [("circle-exterior", "dirichlet", "single")])
+def test_recovered_field_is_the_lattice_potential(shape, bc, kernel, n):
+    # [A K q] is the density's lattice sources, so their box solve with
+    # K q on the window edge is K q on the whole window: at seeded M+
+    # samples and on gamma+ and gamma-, against the held kernel block,
+    # for the solved density and a seeded one.  Measured 5e-13 to 2.4e-12
+    # (single layer) and 7e-12 to 2.0e-11 (double layer).
+    cfg = harness.ExperimentConfig(shape, bc, formulation=f"{kernel}-direct", n=n, aspect=2.0)
+    _, ps, cm = harness._discretize(cfg, n)
+    kind = potentials.LayerKind(kernel)
+    rng = np.random.default_rng(n)
+    m_plus = np.argwhere(ps.m_plus)
+    targets = np.concatenate([m_plus[rng.choice(len(m_plus), 200, replace=False)],
+                              ps.gamma_plus_indices, ps.gamma_minus_indices])
+    k_targets = assemble_layer_matrix(targets, cm.gamma_minus, kind, ps)
+    solved = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps).density
+    for q in (solved, rng.standard_normal(len(cm.gamma_minus))):
+        expected = k_targets @ q
+        error = np.abs(solver.recover(q, kind, ps).at(targets) - expected).max()
+        assert error <= 1e-10 * np.abs(expected).max()
+
+
+def test_recover_streams_the_exterior_edge_values(monkeypatch):
     cfg = harness.ExperimentConfig("circle-exterior", "dirichlet", n=64)
     _, ps, _ = harness._discretize(cfg, 64)
     kernel = potentials.LayerKind.SINGLE
@@ -642,7 +693,6 @@ def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
     q = np.random.default_rng(7).standard_normal(len(sources))
     edge = diffpot.edge_nodes(ps)
     expected_edge = potentials.apply_layer_matrix(edge, sources, q, kernel, ps)
-    expected_trace = potentials.apply_layer_matrix(ps.gamma_indices, sources, q, kernel, ps)
     targets = []
     apply_layer_matrix = solver.apply_layer_matrix
 
@@ -651,16 +701,23 @@ def test_recover_streams_the_exterior_edge_values_with_the_trace(monkeypatch):
         return apply_layer_matrix(points, *args, **kwargs)
 
     monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
-    result = solver.recover(q, kernel, ps)
+    w = solver.recover(q, kernel, ps)
     assert len(edge) == 4 * (ps.grid.nx - 1)
     assert len(targets) == 1
-    assert np.array_equal(targets[0], np.concatenate([ps.gamma_indices, edge]))
-    assert np.array_equal(result.edge, expected_edge)
-    assert np.array_equal(result.trace, expected_trace)
+    assert np.array_equal(targets[0], edge)
+    assert np.array_equal(w.at(edge), expected_edge)
 
 
-def test_recover_has_no_edge_values_on_a_bounded_domain(circle_problem):
+def test_recover_keeps_the_edge_values_of_a_bounded_domain(circle_problem):
+    # The window edge lies outside a bounded domain, and the layer
+    # potential's values there are the box solve's edge data all the same.
     grid, ps, cm = circle_problem
-    result = solver.recover(np.ones(len(cm.gamma_minus)), potentials.LayerKind.SINGLE, ps)
-    assert len(diffpot.edge_nodes(ps)) == 0
-    assert result.edge.shape == (0,)
+    sources = ps.gamma_minus_indices
+    edge = diffpot.edge_nodes(ps)
+    q = np.ones(len(sources))
+    w = solver.recover(q, potentials.LayerKind.SINGLE, ps)
+    window, _ = ps.box_window
+    assert len(edge) == 2 * (window.nx + window.ny) - 4
+    assert not ps.m_plus[edge[:, 0], edge[:, 1]].any()
+    expected = potentials.apply_layer_matrix(edge, sources, q, potentials.LayerKind.SINGLE, ps)
+    assert np.array_equal(w.at(edge), expected)
