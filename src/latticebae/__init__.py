@@ -12,7 +12,8 @@ lattice: its right-hand side is the density's lattice sources, and its
 edge data the potential's own values on the window edge, streamed from
 the density in one kernel product.  Bounded domains and the unbounded
 exterior take the same path, and no artificial boundary condition
-enters.
+enters.  Plain arrays cross every layer: a window field is a float array
+shaped like the window, and a solve returns the pair (density, cond).
 """
 
 from .errors import (
@@ -69,7 +70,6 @@ from .closure import (
 )
 from .solver import (
     Formulation,
-    SolveResult,
     SystemForm,
     assemble_system,
     condition_number,
@@ -80,7 +80,6 @@ from .solver import (
     solve_system,
 )
 from .diffpot import (
-    GridFunction,
     correct_boundary_rhs,
     difference_potential,
     fft_poisson_solve,

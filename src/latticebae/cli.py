@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for configuration mistakes (bad flags,
-inconsistent selections, an output path that cannot be written), 3 when
-a formulation is structurally inapplicable to the requested problem (for
-example the double layer on the unbounded domain), 4 for any other
-failure raised by the library.
+inconsistent selections, an output path that cannot be written, two
+output flags naming one file), 3 when a formulation is structurally
+inapplicable to the requested problem (for example the double layer on
+the unbounded domain, refused before a solve or a ladder's first rung),
+4 for any other failure raised by the library.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ def _parse_n_list(text: str):
 
 def _check_outputs(args) -> None:
     """ConfigError, before any solve, for an output selection that cannot
-    be written: a plot script without its CSV, or a path whose directory
-    is missing or that is itself a directory."""
+    be written: a plot script without its CSV, a path whose directory is
+    missing or that is itself a directory, or two flags naming one file."""
     if getattr(args, "plot_script", None) and not args.out:
         raise ConfigError("--plot-script needs --out, the CSV it will read")
+    flags = {}
     for name in ("out", "dump_solution", "plot_script"):
         path = getattr(args, name, None)
         if not path:
@@ -83,6 +85,10 @@ def _check_outputs(args) -> None:
             raise ConfigError(f"cannot write {path}: no directory {directory}")
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path}: it is a directory")
+        flag = "--" + name.replace("_", "-")
+        other = flags.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{other} and {flag} both name the file {path}")
 
 
 def _write(path, write, *args, **kwargs) -> None:

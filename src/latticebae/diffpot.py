@@ -7,13 +7,18 @@ system with a sine transform on a window of the classification grid.
 The window, :attr:`PointSets.box_window`, is the bounding box of N+
 grown by ``geometry.WINDOW_MARGIN`` nodes, clipped to the grid and
 widened to a fast transform length; on the unbounded exterior, where M+
-reaches the grid edge, it is the whole grid.  The 5-point operator A
-applied to Kq is the density's lattice sources, zero elsewhere (A G is
-the unit impulse), so :func:`box_solve` of those sources, with Kq's own
-values on the window edge (:func:`edge_nodes`) as Dirichlet data, is Kq
-on the whole window.  This is how :func:`latticebae.solver.recover`
-recovers every domain, bounded or not, without any artificial boundary
-condition.
+reaches the grid edge, it is the whole grid.  A field on the window is a
+plain float array shaped (nx, ny) like the window, in lattice units: its
+node (0, 0) is the classification-grid node that ``box_window`` pairs
+with the window, and :func:`window_values` reads it at
+classification-grid indices.
+
+The 5-point operator A applied to Kq is the density's lattice sources,
+zero elsewhere (A G is the unit impulse), so :func:`box_solve` of those
+sources, with Kq's own values on the window edge (:func:`edge_nodes`)
+as Dirichlet data, is Kq on the whole window.  This is how
+:func:`latticebae.solver.recover` recovers every domain, bounded or
+not, without any artificial boundary condition.
 
 The paper's difference potential of boundary data u_gamma is the box
 solution, zero on the window edge, whose right-hand side is [A u] of the
@@ -38,7 +43,6 @@ copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,18 +58,19 @@ from .geometry import _ROW_BLOCK, DIRECTIONS, Grid, PointSets
 _INSET = 2
 
 
-def _local(indices: np.ndarray, grid: Grid, offset, inset: int):
+def _local(indices: np.ndarray, shape, offset, inset: int):
     """(n, 2) classification-grid indices as an index pair (j, k) into a
-    window at ``offset``.
+    window array of ``shape`` whose node (0, 0) is node ``offset``.
 
     Raises BoxTooSmallError when a node lies fewer than ``inset`` nodes
     inside the window edge (``inset = 0``: outside the window).
     """
     j = indices[:, 0] - offset[0]
     k = indices[:, 1] - offset[1]
+    nx, ny = shape
     if len(j) and (min(j.min(), k.min()) < inset
-                   or j.max() >= grid.nx - inset or k.max() >= grid.ny - inset):
-        bad = (np.minimum(j, k) < inset) | (j >= grid.nx - inset) | (k >= grid.ny - inset)
+                   or j.max() >= nx - inset or k.max() >= ny - inset):
+        bad = (np.minimum(j, k) < inset) | (j >= nx - inset) | (k >= ny - inset)
         node = tuple(int(v) for v in indices[np.argmax(bad)])
         raise BoxTooSmallError(
             f"node {node} lies fewer than {inset} nodes inside the box-solve window edge"
@@ -73,35 +78,11 @@ def _local(indices: np.ndarray, grid: Grid, offset, inset: int):
     return j, k
 
 
-@dataclass
-class GridFunction:
-    """A real field sampled on every node of a grid.
-
-    The grid may be a window of the classification grid: its node (0, 0)
-    is node ``offset`` there, and :meth:`at` reads the field at
-    classification-grid indices.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    offset: tuple = (0, 0)
-
-    def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != shape:
-            raise AssemblyError(
-                f"grid function has shape {self.values.shape}, grid wants {shape}"
-            )
-
-    @classmethod
-    def zeros(cls, grid: Grid, offset=(0, 0)) -> "GridFunction":
-        return cls(grid=grid, values=np.zeros((grid.nx, grid.ny)), offset=offset)
-
-    def at(self, indices: np.ndarray, inset: int = 0) -> np.ndarray:
-        """Values at (n, 2) classification-grid indices, each of which must
-        lie at least ``inset`` nodes inside this grid's edge."""
-        return self.values[_local(indices, self.grid, self.offset, inset)]
+def window_values(values: np.ndarray, indices: np.ndarray, ps: PointSets,
+                  inset: int = 0) -> np.ndarray:
+    """A box-window array's values at (n, 2) classification-grid indices,
+    each of which must lie at least ``inset`` nodes inside its edge."""
+    return values[_local(indices, values.shape, ps.box_window[1], inset)]
 
 
 def _window_of(mask: np.ndarray, grid: Grid, offset) -> np.ndarray:
@@ -125,36 +106,38 @@ def _stencil_at(values: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
             - values[j, k - 1] - values[j, k + 1])
 
 
-def fft_poisson_solve(rhs: GridFunction) -> GridFunction:
+def fft_poisson_solve(rhs: np.ndarray) -> np.ndarray:
     """Solve [Aw] = rhs with w = 0 on the box edge via DST-I.
 
-    The sine basis diagonalizes the 5-point operator on the interior
-    nodes with eigenvalues 4 - 2cos(j pi / nx) - 2cos(k pi / ny), the
-    n's counting grid intervals per axis.  The solution is a new window
-    array, so the rhs is left as it was.  A zero rhs returns zero
-    without transforms.  The solution keeps the rhs's offset.
+    ``rhs`` is any 2-D array whose edge is zero.  The sine basis
+    diagonalizes the 5-point operator on its interior nodes with
+    eigenvalues 4 - 2cos(j pi / mx) - 2cos(k pi / my), the m's counting
+    intervals per axis.  The solution is a new array, so the rhs is left
+    as it was.  A zero rhs returns zero without transforms.
     """
-    return _solve_in_place(GridFunction(rhs.grid, rhs.values.copy(), rhs.offset))
+    rhs = np.array(rhs, dtype=float)
+    if rhs.ndim != 2:
+        raise AssemblyError(f"box-solve rhs has shape {rhs.shape}; it needs two axes")
+    return _solve_in_place(rhs)
 
 
-def _solve_in_place(rhs: GridFunction) -> GridFunction:
+def _solve_in_place(rhs: np.ndarray) -> np.ndarray:
     """:func:`fft_poisson_solve` in the rhs's own array: its interior is
     transformed in place and returned as the solution."""
-    grid = rhs.grid
-    if not rhs.values.any():
+    if not rhs.any():
         return rhs
     edge_max = max(
-        np.abs(rhs.values[0, :]).max(),
-        np.abs(rhs.values[-1, :]).max(),
-        np.abs(rhs.values[:, 0]).max(),
-        np.abs(rhs.values[:, -1]).max(),
+        np.abs(rhs[0, :]).max(),
+        np.abs(rhs[-1, :]).max(),
+        np.abs(rhs[:, 0]).max(),
+        np.abs(rhs[:, -1]).max(),
     )
     if edge_max != 0.0:
         raise AssemblyError("rhs carries data on the box boundary")
-    mx, my = grid.nx - 1, grid.ny - 1
+    mx, my = rhs.shape[0] - 1, rhs.shape[1] - 1
     lam_x = 4.0 - 2.0 * np.cos(np.pi * np.arange(1, mx) / mx)
     lam_y = 2.0 * np.cos(np.pi * np.arange(1, my) / my)
-    inner = rhs.values[1:-1, 1:-1]
+    inner = rhs[1:-1, 1:-1]
     coeff = sfft.dstn(inner, type=1, overwrite_x=True)
     for lo in range(0, mx - 1, _ROW_BLOCK):
         coeff[lo : lo + _ROW_BLOCK] /= lam_x[lo : lo + _ROW_BLOCK, None] - lam_y
@@ -178,7 +161,7 @@ def edge_nodes(ps: PointSets) -> np.ndarray:
     ]) + offset
 
 
-def box_solve(sources: np.ndarray, charges, edge_values, ps: PointSets) -> GridFunction:
+def box_solve(sources: np.ndarray, charges, edge_values, ps: PointSets) -> np.ndarray:
     """Solve [Aw] = ``charges`` at ``sources`` and 0 at the other interior
     nodes of :attr:`PointSets.box_window`, with w = ``edge_values`` on
     :func:`edge_nodes`, in one window array.
@@ -189,21 +172,20 @@ def box_solve(sources: np.ndarray, charges, edge_values, ps: PointSets) -> GridF
     the window edge.
     """
     grid, offset = ps.box_window
-    rhs = GridFunction.zeros(grid, offset)
-    values = rhs.values
-    values[_local(sources, grid, offset, 1)] = charges
+    values = np.zeros((grid.nx, grid.ny))
+    values[_local(sources, values.shape, offset, 1)] = charges
     first, last = edge_values[: grid.ny], edge_values[-grid.ny :]
     sides = np.reshape(edge_values[grid.ny : -grid.ny], (-1, 2))
     values[1, 1:-1] += first[1:-1]
     values[-2, 1:-1] += last[1:-1]
     values[1:-1, 1] += sides[:, 0]
     values[1:-1, -2] += sides[:, 1]
-    w = _solve_in_place(rhs)
+    _solve_in_place(values)
     values[0], values[-1], values[1:-1, 0], values[1:-1, -1] = first, last, *sides.T
-    return w
+    return values
 
 
-def difference_potential(u_gamma: np.ndarray, ps: PointSets) -> GridFunction:
+def difference_potential(u_gamma: np.ndarray, ps: PointSets) -> np.ndarray:
     """Box solution reproducing u_gamma on gamma, discretely harmonic on M+.
 
     Zero-extends the gamma data, applies the 5-point operator, keeps the
@@ -218,19 +200,19 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets) -> GridFunction:
     grid, offset = ps.box_window
     # One window array holds the rhs and, in turn, the zero-extension whose
     # [A u] it needs; [A u] is evaluated only next to the extended nodes.
-    rhs = GridFunction.zeros(grid, offset)
-    gj, gk = _local(ps.gamma_indices, grid, offset, _INSET)
-    rhs.values[gj, gk] = u_gamma
+    rhs = np.zeros((grid.nx, grid.ny))
+    gj, gk = _local(ps.gamma_indices, rhs.shape, offset, _INSET)
+    rhs[gj, gk] = u_gamma
     j, k = _neighbours(gj, gk)
     band = ~ps.m_plus[j + offset[0], k + offset[1]]
     j, k = j[band], k[band]
-    applied = _stencil_at(rhs.values, j, k)
-    rhs.values[gj, gk] = 0.0
-    rhs.values[j, k] = applied
+    applied = _stencil_at(rhs, j, k)
+    rhs[gj, gk] = 0.0
+    rhs[j, k] = applied
     return _solve_in_place(rhs)
 
 
-def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
+def particular_solution(f: Callable, ps: PointSets) -> np.ndarray:
     """Box solve of [Au] = h^2 f on M+ (zero forcing outside the domain),
     on :attr:`PointSets.box_window`.
 
@@ -241,8 +223,8 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     particular solution is zero.
     """
     grid, offset = ps.box_window
-    rhs = GridFunction.zeros(grid, offset)
-    interior = rhs.values[1:-1, 1:-1]
+    rhs = np.zeros((grid.nx, grid.ny))
+    interior = rhs[1:-1, 1:-1]
     inside = _window_of(ps.m_plus, grid, offset)[1:-1, 1:-1]
     for lo in range(0, len(interior), _ROW_BLOCK):
         rows = inside[lo : lo + _ROW_BLOCK]
@@ -251,18 +233,19 @@ def particular_solution(f: Callable, ps: PointSets) -> GridFunction:
     return _solve_in_place(rhs)
 
 
-def correct_boundary_rhs(cm: ClosureMatrices, u_p: GridFunction) -> np.ndarray:
-    """Boundary data for the homogeneous part after splitting off u_p.
+def correct_boundary_rhs(cm: ClosureMatrices, u_p: np.ndarray, ps: PointSets) -> np.ndarray:
+    """Boundary data for the homogeneous part after splitting off u_p, a
+    box-window array of ``ps``.
 
     Substituting u = u^h + u^p into the closure rows moves the particular
     values to the right-hand side.  The extrapolation identity is imposed
     on the homogeneous part alone, so the eta columns are charged with
     u^p sampled at the eta nodes themselves; the R blocks stay untouched.
-    Every closure node must lie two nodes inside u^p's window edge.
+    Every closure node must lie two nodes inside u^p's edge.
     """
     return (
         cm.rhs
-        - cm.phi_plus @ u_p.at(cm.gamma_tilde_plus, _INSET)
-        - cm.phi_minus @ u_p.at(cm.gamma_minus, _INSET)
-        - cm.phi_prime_minus @ u_p.at(cm.eta, _INSET)
+        - cm.phi_plus @ window_values(u_p, cm.gamma_tilde_plus, ps, _INSET)
+        - cm.phi_minus @ window_values(u_p, cm.gamma_minus, ps, _INSET)
+        - cm.phi_prime_minus @ window_values(u_p, cm.eta, ps, _INSET)
     )

@@ -125,17 +125,13 @@ class LevelSetShape:
 
     ``psi`` must accept numpy arrays and broadcast.  ``grad`` (optional)
     returns the two gradient components; when absent, intersection
-    normals fall back to central differences.
+    normals fall back to central differences.  ``label`` names the shape
+    in result rows.
     """
 
-    kind: str
     psi: Callable
     grad: Optional[Callable] = None
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", self.kind)
+    label: str = "custom"
 
 
 def ellipse(aspect: float = 1.0) -> LevelSetShape:
@@ -150,9 +146,7 @@ def ellipse(aspect: float = 1.0) -> LevelSetShape:
     def grad(x, y):
         return 2.0 * x, 2.0 * a2 * y
 
-    return LevelSetShape(
-        kind="ellipse", psi=psi, grad=grad, label=f"ellipse-a{aspect:g}"
-    )
+    return LevelSetShape(psi=psi, grad=grad, label=f"ellipse-a{aspect:g}")
 
 
 def diamond(r1: float = 0.9, r2: float = 0.5) -> LevelSetShape:
@@ -167,9 +161,7 @@ def diamond(r1: float = 0.9, r2: float = 0.5) -> LevelSetShape:
         # copysign keeps a deterministic one-sided value on the axes.
         return np.copysign(1.0 / r1, x), np.copysign(1.0 / r2, y)
 
-    return LevelSetShape(
-        kind="diamond", psi=psi, grad=grad, label=f"diamond-r{r1:g}x{r2:g}"
-    )
+    return LevelSetShape(psi=psi, grad=grad, label=f"diamond-r{r1:g}x{r2:g}")
 
 
 def circle_exterior(radius: float = 1.0) -> LevelSetShape:
@@ -184,13 +176,11 @@ def circle_exterior(radius: float = 1.0) -> LevelSetShape:
     def grad(x, y):
         return -2.0 * x, -2.0 * y
 
-    return LevelSetShape(
-        kind="circle_exterior", psi=psi, grad=grad, label=f"circle-exterior-r{radius:g}"
-    )
+    return LevelSetShape(psi=psi, grad=grad, label=f"circle-exterior-r{radius:g}")
 
 
 def custom(psi: Callable, grad: Optional[Callable] = None, label: str = "custom") -> LevelSetShape:
-    return LevelSetShape(kind="custom", psi=psi, grad=grad, label=label)
+    return LevelSetShape(psi=psi, grad=grad, label=label)
 
 
 @dataclass

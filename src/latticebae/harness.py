@@ -8,9 +8,13 @@ with u = x/(x^2 + y^2), harmonic away from the origin, so it carries no
 forcing and its solves skip the particular solution.  Every solve, on
 a bounded domain or the exterior alike, takes its interior values from
 :func:`latticebae.solver.recover`: the lattice potential of the solved
-density on the box window, one box solve of its sources with its own
-values on the window edge, so this module does no kernel work of its
-own.
+density as a plain array on the box window, one box solve of its
+sources with its own values on the window edge, so this module does no
+kernel work of its own.  The particular solution is added to that array
+in place, and its M+ values, packed to its front, become the result's
+values; the result keeps the condition number, when asked for, beside
+them.  Every grid size comes from a validated :class:`ExperimentConfig`:
+a ladder solves its config with ``n`` replaced by each rung's.
 
 Timings are measured but written into the CSV only on request; the
 default output is byte-identical across runs for identical configs,
@@ -20,6 +24,7 @@ which keeps diffs meaningful.
 from __future__ import annotations
 
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -41,14 +46,6 @@ ROBIN_COEFFS = (1.0, 1.0)
 
 #: Conditioning study matrices, in output order.
 CONDITIONING_LABELS = ("S-", "D-", "A_s", "A_d", "M_s", "M_d")
-
-
-def _check_n(n) -> None:
-    """ConfigError unless ``n`` is an integer power of two in [32, 2048]."""
-    if isinstance(n, str):
-        raise ConfigError(f"n must be a power of two in [32, 2048], got the string {n!r}")
-    if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
-        raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,10 @@ class ExperimentConfig:
         except TypeError:
             raise ConfigError(f"n_list must be a sequence of sizes, got {self.n_list!r}") from None
         for n in self.all_n():
-            _check_n(n)
+            if isinstance(n, str):
+                raise ConfigError(f"n must be a power of two in [32, 2048], got the string {n!r}")
+            if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
+                raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
 
     @property
     def unbounded(self) -> bool:
@@ -202,7 +202,8 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
 @dataclass
 class SolutionField:
     """A solved problem: the recovered values on the interior nodes, in
-    canonical order, and the exact solution ``u`` they approximate.
+    canonical order, the exact solution ``u`` they approximate, and the
+    system's condition number when the config asked for it.
 
     ``exact``, ``errors`` and ``max_error`` evaluate u at the M+ nodes
     anew on each read, one block of box-window rows at a time, so a
@@ -216,7 +217,7 @@ class SolutionField:
     ps: geometry.PointSets
     values: np.ndarray
     u: Callable
-    result: solver.SolveResult
+    cond: Optional[float]
     residual: float
 
     @property
@@ -258,9 +259,22 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
     return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
+def _formulation(cfg: ExperimentConfig) -> solver.Formulation:
+    """The formulation of ``cfg``, refused before any solve where it is
+    inapplicable: the double-layer matrix D- is singular on the unbounded
+    exterior."""
+    form = solver.formulation_from_tag(cfg.formulation)
+    if _double_on_exterior(cfg, form.kernel):
+        raise DoubleLayerInapplicableError(
+            "the double-layer matrix D- is singular for the unbounded exterior "
+            "domain; use a single-layer formulation"
+        )
+    return form
+
+
 def _discretize(cfg: ExperimentConfig, n: int):
-    """Manufactured solution, point sets and closure for one grid size."""
-    _check_n(n)
+    """Manufactured solution, point sets and closure for one grid size,
+    which a validated config gives."""
     shape = build_shape(cfg)
     mf = manufactured_solution(cfg)
     ps = geometry.classify(build_grid(cfg, n), shape)
@@ -297,61 +311,57 @@ def _pack_m_plus(ps: geometry.PointSets, window: np.ndarray) -> int:
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
-    """Run the full pipeline for one grid size."""
-    n = cfg.single_n() if n is None else n
-    form = solver.formulation_from_tag(cfg.formulation)
-    if _double_on_exterior(cfg, form.kernel):
-        raise DoubleLayerInapplicableError(
-            "the double-layer matrix D- is singular for the unbounded exterior "
-            "domain; use a single-layer formulation"
-        )
-    mf, ps, cm = _discretize(cfg, n)
+    """Run the full pipeline for the config's grid size, or for ``n``,
+    which the config validates in its place."""
+    if n is not None:
+        cfg = replace(cfg, n=n)
+    form = _formulation(cfg)
+    mf, ps, cm = _discretize(cfg, cfg.single_n())
     # The box solve's window-sized transients come before the kernel blocks
     # are held, not on top of them.  Laplace data has no particular part.
     u_p = None
     if mf.f is not None:
         u_p = diffpot.particular_solution(mf.f, ps)
-        cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+        cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p, ps))
     # The factored system is freed when solve_system returns, before the
     # recovery's window array exists.
-    result = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
-    u_h = solver.recover(result.density, form.kernel, ps)
-    residual = float(np.abs(cm.c_plus @ u_h.at(cm.gamma_tilde_plus)
-                            + cm.c_minus @ u_h.at(cm.gamma_minus) - cm.rhs).max())
+    density, cond = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
+    u_h = solver.recover(density, form.kernel, ps)
+    residual = float(np.abs(cm.c_plus @ diffpot.window_values(u_h, cm.gamma_tilde_plus, ps)
+                            + cm.c_minus @ diffpot.window_values(u_h, cm.gamma_minus, ps)
+                            - cm.rhs).max())
     if u_p is not None:
-        u_h.values += u_p.values  # both box solves ran on the window of ps
+        u_h += u_p  # both box solves ran on the window of ps
+    del u_p  # its window array is freed before the resize
     # The window array becomes the values: its M+ values are packed to its
     # front and the rest is cut off, so it owns exactly its |M+| doubles.
-    values = u_h.values
-    del u_h, u_p  # u_p's window array is freed; no field sees values resized
     # No view of the window array outlives _pack_m_plus, so the resize
     # skips numpy's reference check, which counts the references that a
     # profiler or debugger holds to the locals of this frame and refuses.
-    values.resize((_pack_m_plus(ps, values),), refcheck=False)
-    return SolutionField(ps=ps, values=values, u=mf.u, result=result, residual=residual)
+    u_h.resize((_pack_m_plus(ps, u_h),), refcheck=False)
+    return SolutionField(ps=ps, values=u_h, u=mf.u, cond=cond, residual=residual)
 
 
-def solve_with_row(cfg: ExperimentConfig, n: Optional[int] = None):
-    """Solve one grid size; the SolutionField and its timed CSV row."""
-    n = cfg.single_n() if n is None else n
+def solve_with_row(cfg: ExperimentConfig):
+    """Solve the config's grid size; the SolutionField and its timed CSV row."""
     start = time.perf_counter()
-    sol = solve_problem(cfg, n)
+    sol = solve_problem(cfg)
     elapsed = time.perf_counter() - start
     row = ResultRow(
-        n=n,
+        n=cfg.n,
         h=sol.grid.h,
         geometry=build_shape(cfg).label,
         bc=cfg.bc,
         formulation=cfg.formulation,
         max_error=sol.max_error,
-        cond=sol.result.system_cond,
+        cond=sol.cond,
         wall_time=elapsed,
     )
     return sol, row
 
 
-def run_solve(cfg: ExperimentConfig, n: Optional[int] = None) -> ResultRow:
-    return solve_with_row(cfg, n)[1]
+def run_solve(cfg: ExperimentConfig) -> ResultRow:
+    return solve_with_row(cfg)[1]
 
 
 @dataclass
@@ -362,12 +372,14 @@ class ConvergenceReport:
 
 
 def run_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
-    """Solve the ladder and fit the error order in h."""
+    """Solve the ladder and fit the error order in h.  A formulation that
+    is inapplicable to the problem is refused before any rung."""
+    _formulation(cfg)
     rows = []
     failures = []
     for n in cfg.ladder():
         try:
-            rows.append(run_solve(cfg, n))
+            rows.append(run_solve(replace(cfg, n=n)))
         except LatticeBaeError as exc:  # keep the partial table
             failures.append(f"n={n}: {type(exc).__name__}: {exc}")
     order = None
@@ -514,12 +526,11 @@ print("wrote", HERE / "conditioning.png")
 
 
 def write_plot_script(csv_path, script_path, kind: str) -> None:
-    """Companion script reading the CSV by relative path."""
-    import os
-
+    """Companion script reading the CSV by its path relative to the
+    script's own directory."""
     if kind not in ("convergence", "conditioning"):
         raise ConfigError(f"unknown plot kind {kind!r}")
-    rel = os.path.basename(str(csv_path))
+    rel = os.path.relpath(csv_path, os.path.dirname(os.path.abspath(script_path)))
     body = _CONVERGENCE_BODY if kind == "convergence" else _CONDITIONING_BODY
     with open(script_path, "w", encoding="ascii") as fh:
         fh.write(_PLOT_PREAMBLE.format(csv=rel))

@@ -64,15 +64,6 @@ class LatticeIndex(NamedTuple):
     m1: int
     m2: int
 
-    def __add__(self, other):
-        return LatticeIndex(self.m1 + other[0], self.m2 + other[1])
-
-    def __sub__(self, other):
-        return LatticeIndex(self.m1 - other[0], self.m2 - other[1])
-
-    def __neg__(self):
-        return LatticeIndex(-self.m1, -self.m2)
-
 
 def canonical_index(m) -> LatticeIndex:
     """Map an index to its symmetry representative with m1 >= m2 >= 0.

@@ -39,9 +39,10 @@ as a plain array, with K- stacked under it when asked.  Only
 :func:`_right_divide` forms the Schur matrix from those two.
 :func:`dense_solve` factors the matrix in place, so a solve peaks at one
 |gamma-|^2 array.  :func:`solve_system` runs that line in one call and
-returns the density q; asked for the condition number of a Schur form, it
-contracts [M; K-] and right-divides a copy of M before M is factored, so
-only then does a solve gather and factor K-.  :func:`condition_numbers`
+returns the pair (q, cond): the density, a plain array, and the
+condition number, None unless asked for.  For the condition number of a
+Schur form it contracts [M; K-] and right-divides a copy of M before M
+is factored, so only then does a solve gather and factor K-.  :func:`condition_numbers`
 serves the conditioning study from the same contraction of [M; K-]: it
 takes cond(K-), then cond(M), which it then right-divides in place into
 the Schur matrix for the third; no array is copied.
@@ -53,11 +54,11 @@ such matrix, since G(d) = G(-d) and its gather reads entries (i, j) and
 (j, i) at the same table offset; every other matrix takes the SVD.
 
 Once the density q is known, and the solve's matrix is freed,
-:func:`recover` gives its layer potential K q on the box window, for
-bounded and unbounded domains alike: K q on the window edge, streamed
-through the kernel gather in one product that never holds a block, and
-one box solve of q's lattice sources with those edge values
-(:func:`latticebae.diffpot.box_solve`).
+:func:`recover` gives its layer potential K q as a plain array on the
+box window, for bounded and unbounded domains alike: K q on the window
+edge, streamed through the kernel gather in one product that never
+holds a block, and one box solve of q's lattice sources with those edge
+values (:func:`latticebae.diffpot.box_solve`).
 
 All factorizations share one pivot-guarded LU: a singular system raises
 SingularSystemError, and a singular K-, where it is factored,
@@ -77,14 +78,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
 import numpy as np
 from scipy import linalg, sparse
 from scipy.linalg import LinAlgWarning
 
 from .closure import ClosureMatrices
-from .diffpot import GridFunction, box_solve, edge_nodes
+from .diffpot import box_solve, edge_nodes
 from .errors import AssemblyError, FormulationSingularError, SingularSystemError
 from .geometry import PointSets
 from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix, layer_sources
@@ -119,16 +118,6 @@ def formulation_from_tag(tag: str) -> Formulation:
         return Formulation(kernel=LayerKind(kernel_name), form=SystemForm(form_name))
     except ValueError:
         raise AssemblyError(f"unknown formulation tag {tag!r}") from None
-
-
-@dataclass
-class SolveResult:
-    """A solved density on gamma-, a plain array in canonical order, and
-    the system's condition number when :func:`solve_system` was asked for
-    it."""
-
-    density: np.ndarray
-    system_cond: Optional[float] = None
 
 
 def assemble_system(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets,
@@ -227,22 +216,25 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(largest / smallest)
 
 
-def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> GridFunction:
-    """The layer potential of ``density`` on :attr:`PointSets.box_window`:
-    one box solve of its lattice sources, with its own values on the
-    window edge, streamed through the kernel gather in one product."""
+def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> np.ndarray:
+    """The layer potential of ``density`` as a window array of
+    :attr:`PointSets.box_window`: one box solve of its lattice sources,
+    with its own values on the window edge, streamed through the kernel
+    gather in one product."""
     edge = apply_layer_matrix(edge_nodes(ps), ps.gamma_minus_indices, density, kernel, ps)
     return box_solve(*layer_sources(density, kernel, ps), edge, ps)
 
 
 def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
-                 compute_cond: bool = False) -> SolveResult:
-    """Gather, assemble and solve in one sweep.  Either form
-    solves the direct system, so a Schur solve is bitwise the direct solve
-    of its kernel.  The condition number, when asked for, is of the
-    formulation's own matrix, taken before the direct one is factored in
-    place; for the Schur form it is of M K-^{-1}, right-divided in a copy
-    of M's half of the one contraction of [M; K-]."""
+                 compute_cond: bool = False) -> tuple:
+    """Gather, assemble and solve in one sweep; returns ``(density, cond)``,
+    the density on gamma- in canonical order and the system's condition
+    number, None unless ``compute_cond``.  Either form solves the direct
+    system, so a Schur solve is bitwise the direct solve of its kernel.
+    The condition number is of the formulation's own matrix, taken before
+    the direct one is factored in place; for the Schur form it is of
+    M K-^{-1}, right-divided in a copy of M's half of the one contraction
+    of [M; K-]."""
     kernel = formulation.kernel
     schur_cond = compute_cond and formulation.form is SystemForm.SCHUR
     matrix = assemble_system(kernel, cm, ps, with_k_minus=schur_cond)
@@ -252,7 +244,7 @@ def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
         cond = condition_number(_right_divide(matrix.copy(), k_minus, kernel))
     elif compute_cond:
         cond = condition_number(matrix)
-    return SolveResult(density=dense_solve(matrix, cm.rhs), system_cond=cond)
+    return dense_solve(matrix, cm.rhs), cond
 
 
 def condition_numbers(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets) -> tuple:

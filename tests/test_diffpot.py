@@ -53,8 +53,8 @@ def dense_interior_solve(rhs_interior):
 
 def test_fft_zero_rhs_gives_zero(ellipse_box):
     grid, _ = ellipse_box
-    w = diffpot.fft_poisson_solve(diffpot.GridFunction.zeros(grid))
-    assert np.all(w.values == 0.0)
+    w = diffpot.fft_poisson_solve(np.zeros((grid.nx, grid.ny)))
+    assert np.all(w == 0.0)
 
 
 def test_fft_eigenfunction_round_trip():
@@ -66,28 +66,28 @@ def test_fft_eigenfunction_round_trip():
     lam = 4.0 - 4.0 * np.cos(np.pi / 16.0)
     stencil = apply_stencil(sine)
     assert np.abs(stencil[1:-1, 1:-1] - lam * sine[1:-1, 1:-1]).max() < 1e-13
-    rhs = diffpot.GridFunction(grid=grid, values=lam * sine)
+    rhs = lam * sine
     w = diffpot.fft_poisson_solve(rhs)
-    assert np.abs(w.values - sine).max() < 1e-13
+    assert np.abs(w - sine).max() < 1e-13
 
 
 @pytest.mark.parametrize("n_nodes", [16, 32])
 def test_fft_matches_dense_oracle(n_nodes):
     grid = geometry.Grid(h=0.1, origin=(0.0, 0.0), nx=n_nodes, ny=n_nodes)
     rng = np.random.default_rng(17 + n_nodes)
-    rhs = diffpot.GridFunction.zeros(grid)
-    rhs.values[1:-1, 1:-1] = rng.standard_normal((n_nodes - 2, n_nodes - 2))
+    rhs = np.zeros((grid.nx, grid.ny))
+    rhs[1:-1, 1:-1] = rng.standard_normal((n_nodes - 2, n_nodes - 2))
     w = diffpot.fft_poisson_solve(rhs)
-    oracle = dense_interior_solve(rhs.values[1:-1, 1:-1])
-    assert np.abs(w.values[1:-1, 1:-1] - oracle).max() < 1e-12
-    assert np.all(w.values[0, :] == 0.0)
-    assert np.all(w.values[:, -1] == 0.0)
+    oracle = dense_interior_solve(rhs[1:-1, 1:-1])
+    assert np.abs(w[1:-1, 1:-1] - oracle).max() < 1e-12
+    assert np.all(w[0, :] == 0.0)
+    assert np.all(w[:, -1] == 0.0)
 
 
 def test_fft_rejects_boundary_data(ellipse_box):
     grid, _ = ellipse_box
-    rhs = diffpot.GridFunction.zeros(grid)
-    rhs.values[0, 3] = 1.0
+    rhs = np.zeros((grid.nx, grid.ny))
+    rhs[0, 3] = 1.0
     with pytest.raises(AssemblyError):
         diffpot.fft_poisson_solve(rhs)
 
@@ -96,9 +96,9 @@ def test_fft_in_place_is_bitwise_the_out_of_place_solve():
     # 151 x 97 nodes: the interior rows make two full 64-row blocks and a
     # partial one.  The rhs is left as it was.
     grid = geometry.Grid(h=0.1, origin=(0.0, 0.0), nx=151, ny=97)
-    rhs = diffpot.GridFunction.zeros(grid, offset=(3, 5))
-    rhs.values[1:-1, 1:-1] = np.random.default_rng(5).standard_normal((149, 95))
-    given = rhs.values.copy()
+    rhs = np.zeros((grid.nx, grid.ny))
+    rhs[1:-1, 1:-1] = np.random.default_rng(5).standard_normal((149, 95))
+    given = rhs.copy()
     w = diffpot.fft_poisson_solve(rhs)
     mx, my = grid.nx - 1, grid.ny - 1
     lam = (4.0 - 2.0 * np.cos(np.pi * np.arange(1, mx) / mx))[:, None] - 2.0 * np.cos(
@@ -106,9 +106,9 @@ def test_fft_in_place_is_bitwise_the_out_of_place_solve():
     )[None, :]
     reference = np.zeros_like(given)
     reference[1:-1, 1:-1] = sfft.idstn(sfft.dstn(given[1:-1, 1:-1], type=1) / lam, type=1)
-    assert w.values.tobytes() == reference.tobytes()
-    assert rhs.values.tobytes() == given.tobytes()
-    assert w.offset == (3, 5)
+    assert w.tobytes() == reference.tobytes()
+    assert rhs.tobytes() == given.tobytes()
+    assert w.shape == (grid.nx, grid.ny)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +122,9 @@ def box_solve_rhs(monkeypatch, fn, *args):
     solve = diffpot._solve_in_place
 
     def recorded(rhs):
-        seen.append(rhs.values.copy())
+        seen.append(rhs.copy())
         w = solve(rhs)
-        assert w.values is rhs.values
+        assert w is rhs
         return w
 
     monkeypatch.setattr(diffpot, "_solve_in_place", recorded)
@@ -138,7 +138,7 @@ def difference_potential_rhs_reference(u_gamma, ps):
     from window-sized arrays."""
     grid, offset = ps.box_window
     extension = np.zeros((grid.nx, grid.ny))
-    extension[diffpot._local(ps.gamma_indices, grid, offset, 0)] = u_gamma
+    extension[diffpot._local(ps.gamma_indices, extension.shape, offset, 0)] = u_gamma
     rhs = np.zeros_like(extension)
     band = ~diffpot._window_of(ps.m_plus, grid, offset) & ~edge_mask(grid)
     rhs[band] = apply_stencil(extension)[band]
@@ -152,14 +152,14 @@ def recover_rhs_reference(density, kind, ps):
     grid, offset = ps.box_window
     edge = diffpot.edge_nodes(ps)
     extension = np.zeros((grid.nx, grid.ny))
-    extension[diffpot._local(edge, grid, offset, 0)] = potentials.apply_layer_matrix(
+    extension[diffpot._local(edge, extension.shape, offset, 0)] = potentials.apply_layer_matrix(
         edge, ps.gamma_minus_indices, density, kind, ps)
     rhs = 0.0 - apply_stencil(extension)
     sources, charges = ps.gamma_minus_indices, density
     if kind is potentials.LayerKind.DOUBLE:
         sources, b = potentials._exterior_connections(ps, sources)
         charges = b @ density
-    rhs[diffpot._local(sources, grid, offset, 0)] += charges
+    rhs[diffpot._local(sources, rhs.shape, offset, 0)] += charges
     return rhs
 
 
@@ -299,7 +299,7 @@ def test_particular_solution_holds_its_rhs_solution_and_one_block(exterior256, t
 def test_difference_potential_of_zero_data(ellipse_box):
     _, ps = ellipse_box
     w = diffpot.difference_potential(np.zeros(len(ps.gamma_indices)), ps)
-    assert np.all(w.values == 0.0)
+    assert np.all(w == 0.0)
 
 
 @pytest.mark.parametrize("kind", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
@@ -314,7 +314,7 @@ def test_trace_reproduction_for_layer_data(ellipse_box, kind):
         q = rng.standard_normal(k_gamma.shape[1])
         u_gamma = k_gamma @ q
         w = diffpot.difference_potential(u_gamma, ps)
-        trace = w.at(gamma)
+        trace = diffpot.window_values(w, gamma, ps)
         assert np.abs(trace - u_gamma).max() <= 1e-10 * np.abs(u_gamma).max()
 
 
@@ -324,7 +324,7 @@ def test_projection_idempotence(ellipse_box):
     rng = np.random.default_rng(2)
 
     def project(data):
-        return diffpot.difference_potential(data, ps).at(gamma)
+        return diffpot.window_values(diffpot.difference_potential(data, ps), gamma, ps)
 
     for _ in range(5):
         u_gamma = rng.standard_normal(len(gamma))
@@ -349,7 +349,8 @@ def test_interior_equivalence_with_direct_summation(ellipse_box, exterior_box):
             np.argwhere(ps.m_plus), sources, q, potentials.LayerKind.SINGLE, ps
         )
         w = solver.recover(q, potentials.LayerKind.SINGLE, ps)
-        assert np.abs(w.at(np.argwhere(ps.m_plus)) - direct).max() < 1e-8
+        recovered = diffpot.window_values(w, np.argwhere(ps.m_plus), ps)
+        assert np.abs(recovered - direct).max() < 1e-8
 
 
 def test_recovery_rejects_wrong_data_lengths(exterior_box):
@@ -384,11 +385,11 @@ def test_particular_solution_stencil_residual(ellipse_box):
     grid, ps = ellipse_box
     u_p = diffpot.particular_solution(forcing, ps)
     window, (j0, k0) = ps.box_window
-    assert u_p.grid == window and u_p.offset == (j0, k0)
+    assert u_p.shape == (window.nx, window.ny)
     x, y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     rhs_exact = (grid.h**2 * forcing(x, y))[j0 : j0 + window.nx, k0 : k0 + window.ny]
     m_plus = ps.m_plus[j0 : j0 + window.nx, k0 : k0 + window.ny]
-    stencil = apply_stencil(u_p.values)
+    stencil = apply_stencil(u_p)
     scale = np.abs(rhs_exact[m_plus]).max()
     # Every M+ node lies inside the window, off its edge.
     inner = ~edge_mask(window)
@@ -401,7 +402,7 @@ def test_particular_solution_stencil_residual(ellipse_box):
 def test_particular_solution_of_zero_forcing(ellipse_box):
     _, ps = ellipse_box
     u_p = diffpot.particular_solution(lambda x, y: np.zeros_like(x), ps)
-    assert np.all(u_p.values == 0.0)
+    assert np.all(u_p == 0.0)
 
 
 def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
@@ -418,28 +419,28 @@ def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
     inside = ps.m_plus[crop] & ~edge_mask(window)
     assert shapes == [(int(inside.sum()),)]
     x, y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    rhs = diffpot.GridFunction.zeros(window, (j0, k0))
-    rhs.values[inside] = grid.h**2 * forcing(x[crop], y[crop])[inside]
-    assert np.array_equal(u_p.values, diffpot.fft_poisson_solve(rhs).values)
+    rhs = np.zeros((window.nx, window.ny))
+    rhs[inside] = grid.h**2 * forcing(x[crop], y[crop])[inside]
+    assert np.array_equal(u_p, diffpot.fft_poisson_solve(rhs))
 
 
 def test_rhs_correction_trivial_and_affine(ellipse_box):
     from latticebae import closure
 
-    grid, ps = ellipse_box
+    _, ps = ellipse_box
     shape = geometry.ellipse(2.0)
     xs = geometry.select_intersections(ps, shape)
     cm = closure.assemble_dirichlet(ps, xs, lambda x, y: np.sin(x) * np.cos(y))
-    zero = diffpot.GridFunction.zeros(grid)
-    assert np.array_equal(diffpot.correct_boundary_rhs(cm, zero), cm.rhs)
+    window, _ = ps.box_window
+    zero = np.zeros((window.nx, window.ny))
+    assert np.array_equal(diffpot.correct_boundary_rhs(cm, zero, ps), cm.rhs)
     rng = np.random.default_rng(7)
-    u1 = diffpot.GridFunction(grid=grid, values=rng.standard_normal(zero.values.shape))
-    u2 = diffpot.GridFunction(grid=grid, values=rng.standard_normal(zero.values.shape))
-    both = diffpot.GridFunction(grid=grid, values=u1.values + u2.values)
-    lhs = diffpot.correct_boundary_rhs(cm, both)
+    u1 = rng.standard_normal(zero.shape)
+    u2 = rng.standard_normal(zero.shape)
+    lhs = diffpot.correct_boundary_rhs(cm, u1 + u2, ps)
     rhs = (
-        diffpot.correct_boundary_rhs(cm, u1)
-        + diffpot.correct_boundary_rhs(cm, u2)
+        diffpot.correct_boundary_rhs(cm, u1, ps)
+        + diffpot.correct_boundary_rhs(cm, u2, ps)
         - cm.rhs
     )
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -475,22 +476,26 @@ def full_grid_values(cfg):
     mf, ps, cm = harness._discretize(cfg, cfg.n)
     grid = ps.grid
     edge = edge_mask(grid)
-    rhs = diffpot.GridFunction.zeros(grid)
+    rhs = np.zeros((grid.nx, grid.ny))
     inside = ps.m_plus & ~edge
     x, y = grid.nodes(np.argwhere(inside)).T
-    rhs.values[inside] = grid.h**2 * mf.f(x, y)
+    rhs[inside] = grid.h**2 * mf.f(x, y)
     u_p = diffpot.fft_poisson_solve(rhs)
-    cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p))
+    # The correction reads the whole-grid solve at the closure nodes, which
+    # the window holds.
+    window, (j0, k0) = ps.box_window
+    u_p_window = u_p[j0 : j0 + window.nx, k0 : k0 + window.ny]
+    cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p_window, ps))
     kernel = solver.formulation_from_tag(cfg.formulation).kernel
-    result = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
+    density, _ = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
     extension = np.zeros((grid.nx, grid.ny))
-    extension[ps.gamma] = gamma_trace(result.density, kernel, ps)
-    rhs = diffpot.GridFunction.zeros(grid)
+    extension[ps.gamma] = gamma_trace(density, kernel, ps)
+    rhs = np.zeros((grid.nx, grid.ny))
     band = ~ps.m_plus & ~edge
-    rhs.values[band] = apply_stencil(extension)[band]
+    rhs[band] = apply_stencil(extension)[band]
     u_h = diffpot.fft_poisson_solve(rhs)
     mp = np.argwhere(ps.m_plus)
-    return (u_h.values + u_p.values)[mp[:, 0], mp[:, 1]]
+    return (u_h + u_p)[mp[:, 0], mp[:, 1]]
 
 
 # The diamond's corners leave Robin closures without extrapolation
@@ -546,15 +551,11 @@ def test_gamma_and_eta_lie_two_nodes_inside_the_window(bc):
     for nodes in (ps.gamma_indices, cm.eta):
         local = nodes - offset
         assert (local >= 2).all() and (local <= (window.nx - 3, window.ny - 3)).all()
-    # The library checks this rather than assuming it: a window one node
-    # too tight for the closure nodes is refused.
+    # The library checks this rather than assuming it: a window array one
+    # node too tight for the closure nodes is refused.
     u_p = diffpot.particular_solution(mf.f, ps)
-    lo = min(nodes.min() for nodes in (ps.gamma_indices, cm.gamma_tilde_plus, cm.eta)
+    hi = max(nodes[:, 0].max() for nodes in (ps.gamma_indices, cm.gamma_tilde_plus, cm.eta)
              if len(nodes)) - offset[0]
-    tight = diffpot.GridFunction(
-        grid=geometry.Grid(h=window.h, origin=window.node(lo - 1, 0),
-                           nx=window.nx - lo + 1, ny=window.ny),
-        values=u_p.values[lo - 1 :], offset=(offset[0] + lo - 1, offset[1]),
-    )
+    tight = u_p[: hi + 2]
     with pytest.raises(AssemblyError):
-        diffpot.correct_boundary_rhs(cm, tight)
+        diffpot.correct_boundary_rhs(cm, tight, ps)

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from latticebae import cli, diffpot, geometry, harness, solver
-from latticebae.errors import ConfigError
+from latticebae.errors import ConfigError, DoubleLayerInapplicableError
 
 
 def test_config_rejects_bad_selectors():
@@ -355,8 +356,8 @@ def test_conditioning_rows_are_the_solves_condition_numbers(bc):
     for row in harness.run_conditioning(cfg).rows:
         if row.formulation in names:
             solve_cfg = replace(cfg, formulation=names[row.formulation], compute_cond=True)
-            sol = harness.solve_problem(solve_cfg, row.n)
-            assert sol.result.system_cond == row.cond
+            sol = harness.solve_problem(replace(solve_cfg, n=row.n))
+            assert sol.cond == row.cond
 
 
 @pytest.mark.parametrize("geometry_name", ["ellipse", "diamond"])
@@ -450,6 +451,21 @@ def test_plot_scripts_reference_csv_by_basename(tmp_path):
         harness.write_plot_script(csv_path, script, "histogram")
 
 
+@pytest.mark.parametrize("csv_name, script_name", [("results/conv.csv", "plot.py"),
+                                                   ("conv.csv", "scripts/plot.py")])
+def test_plot_script_reads_its_csv_from_another_directory(monkeypatch, tmp_path,
+                                                          csv_name, script_name):
+    # The script opens its CSV relative to its own directory, wherever the
+    # two were written from.  The text is read, not run: it needs matplotlib.
+    monkeypatch.chdir(tmp_path)
+    for name in (csv_name, script_name):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+    harness.write_plot_script(csv_name, script_name, "convergence")
+    script = tmp_path / script_name
+    (rel,) = re.findall(r'open\(HERE / "([^"]*)"\)', script.read_text())
+    assert (script.parent / rel).resolve() == (tmp_path / csv_name).resolve()
+
+
 def test_plot_script_runs_if_matplotlib_available(tmp_path):
     pytest.importorskip("matplotlib")
     csv_path = tmp_path / "table.csv"
@@ -499,14 +515,13 @@ def test_solution_read_out_and_dump_are_bitwise_the_whole_m_plus_build(tmp_path)
 @pytest.mark.parametrize("geometry_name", ["ellipse", "circle-exterior"])
 def test_read_out_is_bitwise_the_whole_m_plus_read(monkeypatch, geometry_name):
     # The references read a copy of the recovered field, taken as the
-    # read-out starts packing it in place, through GridFunction.at, and
+    # read-out starts packing it in place, through window_values, and
     # the exact solution at Grid.nodes, at every M+ node at once.
     fields = []
     pack = harness._pack_m_plus
 
     def recorded(ps, window):
-        grid, offset = ps.box_window
-        fields.append(diffpot.GridFunction(grid, window.copy(), offset))
+        fields.append(window.copy())
         return pack(ps, window)
 
     monkeypatch.setattr(harness, "_pack_m_plus", recorded)
@@ -515,7 +530,7 @@ def test_read_out_is_bitwise_the_whole_m_plus_read(monkeypatch, geometry_name):
     (u_h,) = fields
     assert sol.ps.box_window[0].nx > geometry._ROW_BLOCK
     mp = np.argwhere(sol.ps.m_plus)
-    assert sol.values.tobytes() == u_h.at(mp).tobytes()
+    assert sol.values.tobytes() == diffpot.window_values(u_h, mp, sol.ps).tobytes()
     x, y = sol.grid.nodes(mp).T
     assert sol.exact.tobytes() == harness.manufactured_solution(cfg).u(x, y).tobytes()
 
@@ -528,13 +543,13 @@ def test_read_out_holds_its_outputs_and_one_block(traced_peak):
     # values and the exact solution were new arrays.
     cfg = harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", n=256)
     mf, ps, _ = harness._discretize(cfg, 256)
-    u_h = diffpot.GridFunction.zeros(*ps.box_window)
-    u_h.values[...] = np.random.default_rng(6).standard_normal(u_h.values.shape)
-    reference = u_h.at(np.argwhere(ps.m_plus))
-    peak, count = traced_peak(harness._pack_m_plus, ps, u_h.values)
+    window, _ = ps.box_window
+    u_h = np.random.default_rng(6).standard_normal((window.nx, window.ny))
+    reference = diffpot.window_values(u_h, np.argwhere(ps.m_plus), ps)
+    peak, count = traced_peak(harness._pack_m_plus, ps, u_h)
     assert count == len(reference)
-    assert u_h.values.reshape(-1)[:count].tobytes() == reference.tobytes()
-    assert peak <= 0.3 * 8 * u_h.values.size
+    assert u_h.reshape(-1)[:count].tobytes() == reference.tobytes()
+    assert peak <= 0.3 * 8 * u_h.size
 
 
 @pytest.mark.parametrize("geometry_name", ["ellipse", "diamond", "circle-exterior"])
@@ -713,6 +728,41 @@ def test_cli_unwritable_dump_or_plot_script_exits_2_before_any_solve(
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    (["solve", "--n", "32", "--out", "same.csv", "--dump-solution", "same.csv"],
+     "--out", "--dump-solution"),
+    (["convergence", "--n-list", "32,64,128", "--out", "same.csv", "--plot-script", "link.py"],
+     "--out", "--plot-script"),
+    (["conditioning", "--n-list", "32,64,128", "--out", "same.csv",
+      "--plot-script", "./same.csv"], "--out", "--plot-script"),
+])
+def test_cli_two_outputs_naming_one_file_exit_2_before_any_solve(
+        capsys, monkeypatch, tmp_path, argv, first, second):
+    # Spelled the same, through a symbolic link, or with a "./" prefix: the
+    # paths resolve to one file, which one output would overwrite.
+    _refuse_solves(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.py").symlink_to("same.csv")
+    code = cli.main([*argv, "--geometry", "ellipse", "--bc", "dirichlet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {first} and {second} both name the file {argv[-1]}\n"
+    assert not (tmp_path / "same.csv").exists()
+
+
+def test_run_convergence_refuses_the_double_layer_on_the_exterior(monkeypatch):
+    # Refused before the first rung, not reported as a failure per rung.
+    def refuse(cfg):
+        raise AssertionError("no rung may be solved")
+
+    monkeypatch.setattr(harness, "solve_problem", refuse)
+    cfg = harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet",
+                                   formulation="double-direct", n_list=(32, 64, 128))
+    with pytest.raises(DoubleLayerInapplicableError, match="D-"):
+        harness.run_convergence(cfg)
+
+
 def test_cli_write_failure_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
     # A failure the up-front check cannot see, such as a directory without
     # write permission, is caught where the CSV is written.
@@ -779,6 +829,16 @@ class TestCli:
                             "--formulation", "double-direct", "--n", "32")
         assert proc.returncode == 3
         assert "D-" in proc.stderr
+
+    def test_unbounded_double_ladder_exits_3_before_any_rung(self, tmp_path):
+        out = tmp_path / "conv.csv"
+        proc = self.run_cli("convergence", "--geometry", "circle-exterior",
+                            "--bc", "dirichlet", "--formulation", "double-direct",
+                            "--n-list", "32,64,128", "--out", str(out))
+        assert proc.returncode == 3
+        assert "D-" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_convergence_prints_order(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -8,7 +8,6 @@ import pytest
 
 from latticebae.errors import QuadratureError
 from latticebae.lgf import (
-    LatticeIndex,
     LgfTable,
     R_SWITCH,
     _asymptotic_array,
@@ -76,13 +75,6 @@ def test_canonicalization_covers_symmetry_group():
         assert rep.m1 >= rep.m2 >= 0
         assert {abs(m1), abs(m2)} == {rep.m1, rep.m2}
         assert lgf((m1, m2)) == lgf((m2, m1)) == lgf((-m1, m2)) == lgf((m1, -m2))
-
-
-def test_lattice_index_arithmetic():
-    m = LatticeIndex(3, -2)
-    assert m + LatticeIndex(1, 0) == LatticeIndex(4, -2)
-    assert m - (0, 1) == LatticeIndex(3, -3)
-    assert -m == LatticeIndex(-3, 2)
 
 
 def test_delta_identity_through_dispatcher():
