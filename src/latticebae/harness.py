@@ -475,7 +475,7 @@ import matplotlib.pyplot as plt
 
 HERE = Path(__file__).resolve().parent
 ROWS = [row for row in csv.DictReader(
-    (line for line in open(HERE / "{csv}") if not line.startswith("#"))
+    (line for line in open(HERE / {csv}) if not line.startswith("#"))
 )]
 """
 
@@ -525,13 +525,20 @@ print("wrote", HERE / "conditioning.png")
 """
 
 
+def _string_literal(text: str) -> str:
+    """``text`` as a double-quoted Python string literal in ASCII."""
+    escaped = text.encode("unicode_escape").decode("ascii").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def write_plot_script(csv_path, script_path, kind: str) -> None:
     """Companion script reading the CSV by its path relative to the
-    script's own directory."""
+    script's own directory, written as an ASCII string literal, so any
+    file name reads back as itself."""
     if kind not in ("convergence", "conditioning"):
         raise ConfigError(f"unknown plot kind {kind!r}")
     rel = os.path.relpath(csv_path, os.path.dirname(os.path.abspath(script_path)))
     body = _CONVERGENCE_BODY if kind == "convergence" else _CONDITIONING_BODY
     with open(script_path, "w", encoding="ascii") as fh:
-        fh.write(_PLOT_PREAMBLE.format(csv=rel))
+        fh.write(_PLOT_PREAMBLE.format(csv=_string_literal(rel)))
         fh.write(body)

@@ -51,7 +51,14 @@ the Schur matrix for the third; no array is copied.
 symmetric matrix as the moduli of its eigenvalues, from the symmetric
 eigensolver at about a quarter of the cost of an SVD.  S- is the one
 such matrix, since G(d) = G(-d) and its gather reads entries (i, j) and
-(j, i) at the same table offset; every other matrix takes the SVD.
+(j, i) at the same table offset.  Every other matrix A takes only its
+extreme singular values, from one blocked tridiagonalization of its
+Gram matrix A^T A, formed in one array without copying A: the largest
+from the tridiagonal's top eigenvalue, and the smallest as the Rayleigh
+value on A of the Ritz vector of the Gram matrix's bottom two
+eigenvectors, carried back through the tridiagonalization's
+reflectors, which keeps the SVD's own eps cond relative accuracy at
+about a quarter of its cost.
 
 Once the density q is known, and the solve's matrix is freed,
 :func:`recover` gives its layer potential K q as a plain array on the
@@ -90,6 +97,10 @@ from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix, la
 
 #: Relative pivot threshold below which an LU factor counts as singular.
 _PIVOT_RTOL = 1e-14
+
+#: Largest entry moduli whose squares, summed over a row of up to 2^20
+#: entries, stay normal and finite in a Gram matrix.
+_GRAM_SCALES = (2.0 ** -500, 2.0 ** 500)
 
 
 class SystemForm(Enum):
@@ -196,24 +207,82 @@ def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def condition_number(matrix: np.ndarray) -> float:
-    """2-norm condition number; +inf when the smallest singular value is 0,
-    and AssemblyError for a non-finite matrix.
+    """2-norm condition number of a square matrix; +inf when the smallest
+    singular value is 0, and AssemblyError for a non-finite or non-square
+    matrix, or one whose Gram matrix would overflow or underflow.
 
     An exactly symmetric matrix takes its singular values as the moduli
     of its eigenvalues, from the symmetric eigensolver (as backward
-    stable as the SVD, at about a quarter of its cost); any other matrix
-    takes the SVD.
+    stable as the SVD, at about a quarter of its cost).  Any other matrix
+    A takes its extreme ones from one tridiagonalization of its Gram
+    matrix A^T A (:func:`_gram_extremes`): sigma_max is the square root
+    of the Gram matrix's top eigenvalue, and sigma_min the Rayleigh value
+    ||A z|| / ||z|| of a vector z from its bottom eigenvectors, which is
+    accurate to eps cond relative, as the SVD's own, where the square
+    root of its bottom eigenvalue would be accurate only to eps cond^2.
+    Since cond is at least 1, a ratio that rounds below 1 reads 1.
     """
     matrix = _finite(np.asarray(matrix, dtype=float), "matrix")
-    if matrix.shape[0] == matrix.shape[-1] and linalg.issymmetric(matrix):
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise AssemblyError(f"condition number of a matrix of shape {matrix.shape}")
+    if linalg.issymmetric(matrix):
         sv = np.abs(linalg.eigvalsh(matrix, check_finite=False))
         largest, smallest = sv.max(), sv.min()
     else:
-        sv = linalg.svdvals(matrix, check_finite=False)
-        largest, smallest = sv[0], sv[-1]
+        largest, smallest = _gram_extremes(matrix)
     if smallest == 0.0:
         return np.inf
-    return float(largest / smallest)
+    return max(float(largest / smallest), 1.0)
+
+
+def _gram_extremes(matrix: np.ndarray) -> tuple:
+    """(sigma_max, sigma_min) of a square, non-symmetric ``matrix`` A
+    from one blocked tridiagonalization Q^T G Q = T of G = A^T A, held in
+    one array: G is formed from A's transpose, a Fortran-ordered view of
+    a C-ordered A, so A is not copied, and is tridiagonalized in place.
+
+    sigma_max is sqrt(lambda_max(T)).  sigma_min is a Rayleigh value,
+    never below the true one and off by the square of its vector's angle
+    error: T's two bottom eigenvectors are carried back to G's through
+    the reflectors where LAPACK left them, one contiguous column each,
+    and the Ritz vector of A on their span is taken.  Two, not one,
+    because a pair of nearly equal smallest singular values (the
+    symmetric shapes give them) mixes G's bottom two eigenvectors by
+    far more than eps, which one vector would pass on into sigma_min."""
+    scale = max(matrix.max(), -matrix.min())
+    if not _GRAM_SCALES[0] < scale < _GRAM_SCALES[1]:
+        raise AssemblyError(f"matrix entries of modulus up to {scale:g} are out of "
+                            "range for its Gram matrix")
+    n = len(matrix)
+    gram = linalg.blas.dsyrk(1.0, matrix.T, trans=0, lower=1)
+    # An explicit lwork runs the blocked code; the default runs the unblocked.
+    lwork, _ = linalg.lapack.dsytrd_lwork(n, lower=1)
+    reflectors, diag, off, tau, _ = linalg.lapack.dsytrd(gram, lower=1, lwork=int(lwork),
+                                                         overwrite_a=1)
+    # All of T's eigenvalues, by the QL/QR of dsterf, then its bottom two
+    # eigenvectors by inverse iteration on T as one block: both in O(n)
+    # memory (dstemr holds n x n vectors, and dstebz's bisection for the
+    # top one alone fails on the clustered spectra of orthogonal matrices).
+    values, info = linalg.lapack.dsterf(diag, off)
+    bottom, stein_info = linalg.lapack.dstein(diag, off, values[:2], np.ones(n, np.int32),
+                                             np.full(n, n, np.int32))
+    if info or stein_info:
+        raise AssemblyError("the tridiagonal eigensolver did not converge")
+    z = bottom.T  # the two vectors as C-ordered rows
+    # z <- z Q^T with Q = H_0 ... H_{n-3}, H_i = I - tau_i v v^T, where v
+    # is reflectors[i + 1:, i] with its leading entry, T's off-diagonal
+    # (already in ``off``), set to 1 (H_{n-2} = I).
+    reflectors[np.arange(1, n), np.arange(n - 1)] = 1.0
+    for i in range(n - 3, -1, -1):
+        v = reflectors[i + 1:, i]
+        w = tau[i] * (z[:, i + 1:] @ v)
+        z[:, i + 1:] -= w[:, None] * v
+    # Two matrix-vector products: one matrix product would touch the
+    # packing buffers of numpy's own BLAS, 2 MB more peak memory.
+    az = np.array([matrix @ row for row in z])
+    _, c = linalg.eigh(az @ az.T, z @ z.T, subset_by_index=[0, 0])
+    c = c[:, 0]
+    return np.sqrt(values[-1]), np.linalg.norm(c @ az) / np.linalg.norm(c @ z)
 
 
 def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> np.ndarray:

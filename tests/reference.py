@@ -2,11 +2,12 @@
 
 Each builds whole what the package only streams or reads in part: a held
 kernel block, a density's trace on all of gamma, a dense full-window
-table of G, and the 5-point operator over a whole array.  No solve path
-needs them, so they live here.
+table of G, the 5-point operator over a whole array, and every singular
+value of a matrix.  No solve path needs them, so they live here.
 """
 
 import numpy as np
+import scipy.linalg
 
 from latticebae.lgf import kernel_table
 from latticebae.potentials import LayerKind, _row_gatherer, apply_layer_matrix
@@ -63,3 +64,11 @@ def apply_stencil(values: np.ndarray) -> np.ndarray:
         - values[1:-1, 2:]
     )
     return out
+
+
+def svd_condition_number(matrix) -> float:
+    """2-norm condition number from the full SVD: the reference for
+    ``solver.condition_number``, which takes only the extreme singular
+    values."""
+    sv = scipy.linalg.svdvals(matrix)
+    return sv[0] / sv[-1]

@@ -1,5 +1,6 @@
 """Experiment engine tests: configs, manufactured data, pipelines, CSV."""
 
+import ast
 import csv
 import io
 import math
@@ -363,20 +364,22 @@ def test_conditioning_rows_are_the_solves_condition_numbers(bc):
 @pytest.mark.parametrize("geometry_name", ["ellipse", "diamond"])
 def test_conditioning_takes_s_minus_from_the_eigensolver(monkeypatch, geometry_name):
     # S- is exactly symmetric, so its condition number comes from its
-    # eigenvalues; the other five study matrices of a rung take the SVD.
-    calls = {"svdvals": 0, "eigvalsh": 0}
+    # eigenvalues; the other five study matrices of a rung take one
+    # tridiagonalization of their Gram matrix each, and none the SVD.
+    calls = {"svdvals": 0, "eigvalsh": 0, "dsytrd": 0}
     for name in calls:
-        original = getattr(scipy.linalg, name)
+        module = scipy.linalg.lapack if name == "dsytrd" else scipy.linalg
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = harness.ExperimentConfig(geometry=geometry_name, bc="dirichlet",
                                    n_list=(32, 64, 128))
     harness.run_conditioning(cfg)
-    assert calls == {"svdvals": 5 * 3, "eigvalsh": 1 * 3}
+    assert calls == {"svdvals": 0, "eigvalsh": 1 * 3, "dsytrd": 5 * 3}
 
 
 def _csv_bytes(rows, **kw):
@@ -408,6 +411,18 @@ def test_csv_deterministic_and_parseable():
     for rec in parsed:
         assert rec["wall_time"] == ""
         float(rec["max_error"])
+
+
+def test_conditioning_csv_deterministic():
+    # The condition numbers run through threaded BLAS, twice in one process.
+    cfg = harness.ExperimentConfig(geometry="ellipse", bc="robin", aspect=2.0,
+                                   n_list=(32, 64, 128))
+    b1 = _csv_bytes(harness.run_conditioning(cfg).rows)
+    b2 = _csv_bytes(harness.run_conditioning(cfg).rows)
+    assert b1 == b2
+    parsed = list(csv.DictReader(io.StringIO(b1.decode("ascii"))))
+    assert len(parsed) == 3 * len(harness.CONDITIONING_LABELS)
+    assert all(float(rec["cond"]) >= 1.0 for rec in parsed)
 
 
 def test_csv_timing_and_metadata():
@@ -464,6 +479,18 @@ def test_plot_script_reads_its_csv_from_another_directory(monkeypatch, tmp_path,
     script = tmp_path / script_name
     (rel,) = re.findall(r'open\(HERE / "([^"]*)"\)', script.read_text())
     assert (script.parent / rel).resolve() == (tmp_path / csv_name).resolve()
+
+
+@pytest.mark.parametrize("csv_name", ["r\u00e9sum\u00e9.csv", 'a"b.csv', "a\\b.csv"])
+def test_plot_script_reads_a_csv_with_an_unusual_name(tmp_path, csv_name):
+    # The path is an escaped ASCII literal, so a non-ASCII name can be
+    # written and a double quote or backslash still parses as itself.
+    script = tmp_path / "plot.py"
+    harness.write_plot_script(tmp_path / csv_name, script, "conditioning")
+    text = script.read_text(encoding="ascii")
+    (path,) = [ast.literal_eval(node.args[0].right) for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"]
+    assert script.parent / path == tmp_path / csv_name
 
 
 def test_plot_script_runs_if_matplotlib_available(tmp_path):
