@@ -24,7 +24,10 @@ from .errors import (
 )
 
 
-def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+def _add_problem_flags(parser: argparse.ArgumentParser, solves: bool = True) -> None:
+    """The problem's flags; ``--formulation`` and ``--timing`` only for a
+    command that ``solves``, since the conditioning study reads every
+    formulation and times nothing."""
     defaults = harness.ExperimentConfig
     parser.add_argument("--geometry", required=True, choices=harness.GEOMETRIES)
     parser.add_argument("--aspect", type=float, default=defaults.aspect,
@@ -36,21 +39,22 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=defaults.radius,
                         help="excluded-circle radius for circle-exterior")
     parser.add_argument("--bc", required=True, choices=harness.BCS)
-    parser.add_argument("--formulation", default=defaults.formulation,
-                        choices=harness.FORMULATIONS)
     parser.add_argument("--ell", type=float, default=defaults.ell,
                         help="computational box margin beyond the unit geometry; "
                              "bounded geometries only (circle-exterior uses [-3, 3]^2)")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall times in the CSV output")
     parser.add_argument("--out", default=None, help="CSV output path")
+    if solves:
+        parser.add_argument("--formulation", default=defaults.formulation,
+                            choices=harness.FORMULATIONS)
+        parser.add_argument("--timing", action="store_true",
+                            help="include wall times in the CSV output")
 
 
 def _config_from_args(args, n=None, n_list=()) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
         geometry=args.geometry,
         bc=args.bc,
-        formulation=args.formulation,
+        formulation=getattr(args, "formulation", harness.ExperimentConfig.formulation),
         n=n,
         n_list=tuple(n_list),
         aspect=args.aspect,
@@ -103,7 +107,8 @@ def _write(path, write, *args, **kwargs) -> None:
 
 def _emit(rows, cfg, args) -> None:
     if args.out:
-        _write(args.out, harness.emit_csv, rows, args.out, include_timing=args.timing,
+        _write(args.out, harness.emit_csv, rows, args.out,
+               include_timing=getattr(args, "timing", False),
                metadata=harness.csv_metadata(cfg))
 
 
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("conditioning", "condition numbers of the six study matrices", _cmd_conditioning),
     ):
         p_study = sub.add_parser(name, help=help_text)
-        _add_problem_flags(p_study)
+        _add_problem_flags(p_study, solves=func is _cmd_convergence)
         p_study.add_argument("--n-list", default="64,128,256,512")
         p_study.add_argument("--plot-script", default=None)
         p_study.set_defaults(func=func)

@@ -209,6 +209,38 @@ def _block(keep, rows, cols, values, shape) -> sparse.csr_array:
     return sparse.csr_array((values[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def _scatter(ps: PointSets, nodes, weights, gamma_tilde_plus, eta, stencils,
+             rhs) -> ClosureMatrices:
+    """The closure blocks of boundary rows and their eta rows.
+
+    Boundary row i weights the lattice nodes ``nodes[i]`` (P, m, 2) by
+    ``weights[i]`` (P, m), and the rows go to the blocks by node class:
+    M+ nodes to Phi+ (columns over ``gamma_tilde_plus``), gamma- nodes to
+    Phi-, the rest to Phi'- (columns over ``eta``).  The extrapolation
+    rows take the nodes of ``stencils`` (E, 3, 2) with weights
+    -``_EXTRAP_WEIGHTS`` into R+ and R- the same way.
+    """
+    n, n_tilde, n_eta = len(nodes), len(gamma_tilde_plus), len(eta)
+    labels = _labels(ps.grid, gamma_tilde_plus, ps.gamma_minus_indices, eta)
+    j, k = nodes[..., 0], nodes[..., 1]
+    rows, cols = _rows(n, nodes.shape[1]), labels[j, k]
+    interior, minus = ps.m_plus[j, k], ps.gamma_minus[j, k]
+    sj, sk = stencils[..., 0], stencils[..., 1]
+    r_rows, r_cols, r_interior = _rows(n_eta, 3), labels[sj, sk], ps.m_plus[sj, sk]
+    r_weights = np.broadcast_to(-np.array(_EXTRAP_WEIGHTS), (n_eta, 3))
+    return ClosureMatrices(
+        phi_plus=_block(interior, rows, cols, weights, (n, n_tilde)),
+        phi_minus=_block(minus, rows, cols, weights, (n, n)),
+        phi_prime_minus=_block(~interior & ~minus, rows, cols, weights, (n, n_eta)),
+        r_plus=_block(r_interior, r_rows, r_cols, r_weights, (n_eta, n_tilde)),
+        r_minus=_block(~r_interior, r_rows, r_cols, r_weights, (n_eta, n)),
+        rhs=rhs,
+        gamma_tilde_plus=np.array(gamma_tilde_plus, copy=True),
+        gamma_minus=np.array(ps.gamma_minus_indices, copy=True),
+        eta=np.array(eta, copy=True),
+    )
+
+
 def assemble_dirichlet(ps: PointSets, xs: Intersections, g: Callable) -> ClosureMatrices:
     """Bilinear interpolation rows at the intersection points.
 
@@ -219,26 +251,15 @@ def assemble_dirichlet(ps: PointSets, xs: Intersections, g: Callable) -> Closure
     point would leak one-ulp weights onto third nodes.
     """
     _check_owners(xs, ps)
-    j, k = xs.inner.T
-    on_plus = ps.gamma_plus[j, k]
+    on_plus = ps.gamma_plus[xs.inner[:, 0], xs.inner[:, 1]]
     if not on_plus.all():
         i = int(np.argmin(on_plus))
         raise AssemblyError(f"inner node {tuple(map(int, xs.inner[i]))} of the intersection "
                             f"at {tuple(map(float, xs.location[i]))} is not a gamma+ node")
-    n, n_plus = len(xs), len(ps.gamma_plus_indices)
-    rows = np.arange(n, dtype=np.int32)
-    cols = _labels(ps.grid, ps.gamma_plus_indices)[j, k]
-    return ClosureMatrices(
-        phi_plus=_block(True, rows, cols, 1.0 - xs.alpha, (n, n_plus)),
-        phi_minus=_block(True, rows, rows, xs.alpha, (n, n)),
-        phi_prime_minus=sparse.csr_array((n, 0)),
-        r_plus=sparse.csr_array((0, n_plus)),
-        r_minus=sparse.csr_array((0, n)),
-        rhs=_boundary_data(g, xs),
-        gamma_tilde_plus=np.array(ps.gamma_plus_indices, copy=True),
-        gamma_minus=np.array(ps.gamma_minus_indices, copy=True),
-        eta=np.empty((0, 2), dtype=np.int64),
-    )
+    no_eta = np.empty((0, 2), dtype=np.int64)
+    return _scatter(ps, np.stack([xs.inner, xs.owner], axis=1),
+                    np.stack([1.0 - xs.alpha, xs.alpha], axis=1), ps.gamma_plus_indices,
+                    no_eta, no_eta.reshape(0, 3, 2), _boundary_data(g, xs))
 
 
 @dataclass
@@ -257,13 +278,6 @@ class RobinSupport:
     gamma_tilde_plus: np.ndarray
     eta: np.ndarray
     eta_stencils: np.ndarray
-
-
-def _cell_nodes(anchors: np.ndarray):
-    """Lattice indices (j, k) of the 9 nodes of each 3x3 cell, each
-    (P, 9) in local order (x offset major)."""
-    nodes = anchors[:, None, :] + _CELL
-    return nodes[..., 0], nodes[..., 1]
 
 
 def build_support_cells(xs: Intersections, ps: PointSets) -> RobinSupport:
@@ -299,8 +313,9 @@ def build_support_cells(xs: Intersections, ps: PointSets) -> RobinSupport:
     points = np.arange(len(xs))
     anchors = np.stack([ca[points, best // 3], cb[points, best % 3]], axis=1)
 
+    cells = anchors[:, None] + _CELL
     covered = np.zeros_like(ps.m_plus)
-    covered[_cell_nodes(anchors)] = True
+    covered[cells[..., 0], cells[..., 1]] = True
     eta = np.argwhere(covered & ~ps.m_plus & ~ps.gamma_minus)
     stencils = _eta_stencils(eta, ps)
     covered[stencils[..., 0], stencils[..., 1]] = True
@@ -358,25 +373,8 @@ def assemble_robin(ps: PointSets, xs: Intersections, support: RobinSupport,
     value, gx, gy = quadratic_basis(support.anchors, xs.location, ps.grid)
     nx_, ny_ = xs.normal[:, 0, None, None], xs.normal[:, 1, None, None]
     coeff = (bc.alpha_coef * (gx * nx_ + gy * ny_) + bc.beta_coef * value).reshape(-1, 9)
-    n, n_tilde, n_eta = len(xs), len(support.gamma_tilde_plus), len(support.eta)
-    labels = _labels(ps.grid, support.gamma_tilde_plus, ps.gamma_minus_indices, support.eta)
-    j, k = _cell_nodes(support.anchors)
-    rows, cols = _rows(n, 9), labels[j, k]
-    interior, minus = ps.m_plus[j, k], ps.gamma_minus[j, k]
-    sj, sk = support.eta_stencils[..., 0], support.eta_stencils[..., 1]
-    r_rows, r_cols, r_interior = _rows(n_eta, 3), labels[sj, sk], ps.m_plus[sj, sk]
-    weights = np.broadcast_to(-np.array(_EXTRAP_WEIGHTS), (n_eta, 3))
-    return ClosureMatrices(
-        phi_plus=_block(interior, rows, cols, coeff, (n, n_tilde)),
-        phi_minus=_block(minus, rows, cols, coeff, (n, n)),
-        phi_prime_minus=_block(~interior & ~minus, rows, cols, coeff, (n, n_eta)),
-        r_plus=_block(r_interior, r_rows, r_cols, weights, (n_eta, n_tilde)),
-        r_minus=_block(~r_interior, r_rows, r_cols, weights, (n_eta, n)),
-        rhs=_boundary_data(bc.data, xs),
-        gamma_tilde_plus=np.array(support.gamma_tilde_plus, copy=True),
-        gamma_minus=np.array(ps.gamma_minus_indices, copy=True),
-        eta=np.array(support.eta, copy=True),
-    )
+    return _scatter(ps, support.anchors[:, None] + _CELL, coeff, support.gamma_tilde_plus,
+                    support.eta, support.eta_stencils, _boundary_data(bc.data, xs))
 
 
 def assemble_closure(ps: PointSets, xs: Intersections, bc: BoundaryCondition) -> ClosureMatrices:

@@ -374,6 +374,8 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     neighbours crosses Gamma; among those candidates the crossing closest
     to the gamma- node (largest alpha) wins, with ties resolved by the
     fixed direction order (x before y, positive step before negative).
+    Only the winners are located and given a normal, so the shape's
+    gradient is evaluated once per gamma- node.
 
     Raises
     ------
@@ -383,6 +385,9 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     InconsistentClassificationError
         If a gamma- node has no inside neighbour (classification and
         root finding disagree; should be impossible).
+    UnderResolvedBoundaryError
+        If the level-set gradient vanishes at a winning crossing, where
+        no normal can be taken.
     """
     owners = ps.gamma_minus_indices
     # classify keeps gamma out of the outer two rings, so every neighbour
@@ -400,15 +405,17 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     cand_owner_row, cand_dir = np.nonzero(candidate)
     outer_idx = owners[cand_owner_row]
     inner_idx = outer_idx + steps[cand_dir]
-    outer_xy = ps.grid.nodes(outer_idx)
-    inner_xy = ps.grid.nodes(inner_idx)
+    # Each segment runs from the outer node (t = 0) to the inner one (t = 1)
+    # along its coordinate step; outer + t * step is its point at t.
+    outer = ps.grid.nodes(outer_idx)
+    step = ps.grid.nodes(inner_idx) - outer
+    (ox, oy), (sx, sy) = outer.T, step.T
 
     # Screen for multiple crossings: sample psi along each segment and
     # count sign transitions of the inside indicator.
     ts = np.linspace(0.0, 1.0, _MULTI_ROOT_SAMPLES)
-    seg_x = outer_xy[:, 0, None] + ts[None, :] * (inner_xy[:, 0, None] - outer_xy[:, 0, None])
-    seg_y = outer_xy[:, 1, None] + ts[None, :] * (inner_xy[:, 1, None] - outer_xy[:, 1, None])
-    inside_samples = np.asarray(shape.psi(seg_x, seg_y)) <= 0.0
+    inside_samples = np.asarray(shape.psi(ox[:, None] + ts * sx[:, None],
+                                          oy[:, None] + ts * sy[:, None])) <= 0.0
     transitions = np.count_nonzero(inside_samples[:, 1:] != inside_samples[:, :-1], axis=1)
     if (transitions > 1).any():
         bad = int(np.argmax(transitions > 1))
@@ -425,37 +432,26 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     hi = np.ones(len(cand_dir))
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        mx = outer_xy[:, 0] + mid * (inner_xy[:, 0] - outer_xy[:, 0])
-        my = outer_xy[:, 1] + mid * (inner_xy[:, 1] - outer_xy[:, 1])
-        neg = np.asarray(shape.psi(mx, my)) <= 0.0
+        neg = np.asarray(shape.psi(ox + mid * sx, oy + mid * sy)) <= 0.0
         hi = np.where(neg, mid, hi)
         lo = np.where(neg, lo, mid)
-    t_root = hi
-    alphas = 1.0 - t_root
-    snap = alphas < 1e-12
-    alphas[snap] = 0.0
-
-    loc_x = np.where(snap, inner_xy[:, 0], outer_xy[:, 0] + t_root * (inner_xy[:, 0] - outer_xy[:, 0]))
-    loc_y = np.where(snap, inner_xy[:, 1], outer_xy[:, 1] + t_root * (inner_xy[:, 1] - outer_xy[:, 1]))
-    gx, gy = _gradient_at(shape, loc_x, loc_y, ps.grid.h)
-    norms = np.hypot(gx, gy)
-    if (norms < 1e-300).any():
-        raise UnderResolvedBoundaryError("vanishing level-set gradient at a boundary crossing")
-    gx = gx / norms
-    gy = gy / norms
+    alphas = 1.0 - hi
+    alphas[alphas < 1e-12] = 0.0  # a snapped crossing is its inner node
 
     # Per owner, the first largest alpha in direction order wins (-1 marks
     # the directions that are not candidates); the winners stay in owner order.
     table = np.full(candidate.shape, -1.0)
     table[cand_owner_row, cand_dir] = alphas
     best = np.flatnonzero(cand_dir == table.argmax(axis=1)[cand_owner_row])
-    return Intersections(
-        owner=outer_idx[best],
-        inner=inner_idx[best],
-        alpha=alphas[best],
-        location=np.stack([loc_x, loc_y], axis=1)[best],
-        normal=np.stack([gx, gy], axis=1)[best],
-    )
+    inner, alpha = inner_idx[best], alphas[best]
+    location = np.where((alpha == 0.0)[:, None], ps.grid.nodes(inner),
+                        outer[best] + hi[best, None] * step[best])
+    gx, gy = _gradient_at(shape, *location.T, ps.grid.h)
+    norms = np.hypot(gx, gy)
+    if (norms < 1e-300).any():
+        raise UnderResolvedBoundaryError("vanishing level-set gradient at a boundary crossing")
+    return Intersections(owner=outer_idx[best], inner=inner, alpha=alpha, location=location,
+                         normal=np.stack([gx / norms, gy / norms], axis=1))
 
 
 def dump_classification_csv(ps: PointSets, path) -> None:

@@ -3,12 +3,20 @@
 Each builds whole what the package only streams or reads in part: a held
 kernel block, a density's trace on all of gamma, a dense full-window
 table of G, the 5-point operator over a whole array, and every singular
-value of a matrix.  No solve path needs them, so they live here.
+value of a matrix.  One more takes a route the package does not: a
+whole bounded solve without the lattice Green's function.  No solve
+path needs them, so they live here.
 """
 
 import numpy as np
 import scipy.linalg
 
+from latticebae.diffpot import (
+    correct_boundary_rhs,
+    difference_potential,
+    particular_solution,
+    window_values,
+)
 from latticebae.lgf import kernel_table
 from latticebae.potentials import LayerKind, _row_gatherer, apply_layer_matrix
 
@@ -72,3 +80,45 @@ def svd_condition_number(matrix) -> float:
     values."""
     sv = scipy.linalg.svdvals(matrix)
     return sv[0] / sv[-1]
+
+
+def auxiliary_domain_solve(mf, ps, cm) -> np.ndarray:
+    """The discrete solution on M+, in canonical order, by the paper's
+    bounded auxiliary domain instead of the lattice Green's function.
+
+    The unknown is the trace u_gamma on all of gamma.  The projection
+    P_gamma has as column j the difference potential of the j-th unit
+    vector on gamma, one box solve each, read at gamma and gamma~+.  The
+    homogeneous part satisfies the boundary equation with projection,
+    u_gamma - P_gamma,gamma u_gamma = 0, and the closure rows give the
+    rest, C+ P_gamma~+,gamma u_gamma + C- E- u_gamma = g, E- selecting
+    gamma- from gamma and g the right-hand side corrected for the
+    particular solution u_p.  The stacked system is solved by least
+    squares, and the values are the difference potential of u_gamma
+    plus u_p.  This route shares the closure ``cm`` and the box solver
+    with the package's solve, and no Green's-function table, kernel
+    gather, double-layer connection matrix or LU.
+
+    ``mf``, ``ps`` and ``cm`` are what ``harness._discretize`` returns.
+    Bounded domains only: on the unbounded exterior, M+ reaches the
+    window edge, where the difference potential's zero edge values are
+    not the solution's, and only the lattice potential gives those.
+    """
+    gamma = ps.gamma_indices
+    targets = np.concatenate([gamma, cm.gamma_tilde_plus])
+    projection = np.empty((len(targets), len(gamma)))
+    unit = np.zeros(len(gamma))
+    for j in range(len(gamma)):
+        unit[j] = 1.0
+        projection[:, j] = window_values(difference_potential(unit, ps), targets, ps)
+        unit[j] = 0.0
+    closure_rows = cm.c_plus @ projection[len(gamma):]
+    closure_rows[:, ps.gamma_minus[gamma[:, 0], gamma[:, 1]]] += cm.c_minus.toarray()
+    u_p = None if mf.f is None else particular_solution(mf.f, ps)
+    g = cm.rhs if u_p is None else correct_boundary_rhs(cm, u_p, ps)
+    system = np.vstack([np.eye(len(gamma)) - projection[: len(gamma)], closure_rows])
+    u_gamma = scipy.linalg.lstsq(system, np.concatenate([np.zeros(len(gamma)), g]))[0]
+    values = difference_potential(u_gamma, ps)
+    if u_p is not None:
+        values += u_p
+    return window_values(values, np.argwhere(ps.m_plus), ps)

@@ -8,7 +8,12 @@ import pytest
 from scipy import sparse
 
 from latticebae import closure, geometry
-from latticebae.errors import AssemblyError, ConfigError, ExtrapolationStencilError
+from latticebae.errors import (
+    AssemblyError,
+    ConfigError,
+    ExtrapolationStencilError,
+    UnderResolvedBoundaryError,
+)
 
 
 def centered_grid(half, n):
@@ -230,6 +235,19 @@ def test_support_cells_match_a_per_point_search(ellipse_setup):
                     best, best_count = (a, b), inside
         assert tuple(map(int, anchor)) == best
         assert count == best_count
+
+
+@pytest.mark.parametrize("location", [(-1.6, 0.0), (0.0, 1.6)])
+def test_crossing_off_the_grid_has_no_support_cell(ellipse_setup, location):
+    # Per axis the candidate anchors run from ceil(xi) - 2 to floor(xi),
+    # which meets the anchors a grid holds, [0, nx - 3], for every xi in
+    # [0, nx - 1]: a crossing select_intersections gives always has a cell.
+    # One moved off the grid (the grid spans [-1.5, 1.5]^2) has none.
+    grid, ps, xs = ellipse_setup
+    moved = xs.location.copy()
+    moved[len(xs) // 2] = location
+    with pytest.raises(UnderResolvedBoundaryError, match="no 3x3 support cell fits around"):
+        closure.build_support_cells(replace(xs, location=moved), ps)
 
 
 def test_support_sets_are_consistent(ellipse_setup):

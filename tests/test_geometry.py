@@ -7,10 +7,13 @@ from latticebae.errors import (
     AssemblyError,
     DegenerateDomainError,
     GeometryTooTightError,
+    InconsistentClassificationError,
+    UnderResolvedBoundaryError,
 )
 from latticebae.geometry import (
     DIRECTIONS,
     Grid,
+    PointSets,
     circle_exterior,
     classify,
     custom,
@@ -271,6 +274,52 @@ def test_multi_crossing_segment_rejected():
     ps = classify(grid, strips)
     with pytest.raises(GeometryTooTightError):
         select_intersections(ps, strips)
+
+
+def test_vanishing_gradient_at_a_crossing_raises_typed():
+    # A gradient that is zero everywhere leaves no normal to take.
+    circle = ellipse(1.0)
+    flat = custom(circle.psi, grad=lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    ps = classify(centered_grid(1.5, 32), flat)
+    with pytest.raises(UnderResolvedBoundaryError, match="vanishing level-set gradient"):
+        select_intersections(ps, flat)
+
+
+@pytest.mark.parametrize("shape", [ellipse(2.0), diamond(0.9, 0.5)])
+def test_gradient_is_evaluated_at_the_winning_crossings_only(shape):
+    # Only the winners are located and oriented, so the gradient sees one
+    # point per gamma- node, though there are more candidate crossings.
+    seen = []
+
+    def grad(x, y):
+        seen.append(np.size(x))
+        return shape.grad(x, y)
+
+    recording = custom(shape.psi, grad)
+    ps = classify(centered_grid(1.15, 64), recording)
+    owners = ps.gamma_minus_indices
+    neighbours = owners[:, None, :] + np.array(DIRECTIONS)
+    candidates = np.count_nonzero(ps.m_plus[neighbours[..., 0], neighbours[..., 1]])
+    assert candidates > len(owners)
+    points = select_intersections(ps, recording)
+    assert sum(seen) == len(owners)
+    plain = select_intersections(ps, shape)
+    for name in ("owner", "inner", "alpha", "location", "normal"):
+        assert np.array_equal(getattr(points, name), getattr(plain, name))
+
+
+def test_gamma_minus_node_without_inside_neighbour_raises_typed():
+    # Hand-built sets that classify never gives: a gamma- node far from M+.
+    grid = centered_grid(1.15, 32)
+    ps = classify(grid, ellipse(2.0))
+    stray = ps.gamma_minus.copy()
+    stray[3, 3] = True
+    assert not ps.m_plus[2:5, 2:5].any()
+    broken = PointSets(grid=grid, m_plus=ps.m_plus, gamma_plus=ps.gamma_plus,
+                       gamma_minus=stray)
+    with pytest.raises(InconsistentClassificationError,
+                       match=r"gamma- node \(3, 3\) has no inside neighbour"):
+        select_intersections(broken, ellipse(2.0))
 
 
 def brute_force_connections(ps, node):

@@ -205,6 +205,35 @@ def test_solve_bounded_dirichlet_accuracy():
     assert len(sol.values) == int(sol.ps.m_plus.sum())
 
 
+#: Patch fields (u, grad u, f) that a closure row reproduces exactly: the
+#: Dirichlet segment row is linear along its grid line, where xy + x is,
+#: and the Robin 3x3 cell is quadratic.  Harmonic fields carry f=None.
+PATCH_FIELDS = {
+    "xy+x": (lambda x, y: x * y + x, lambda x, y: (y + 1.0, x), None),
+    "x2-y2": (lambda x, y: x * x - y * y, lambda x, y: (2.0 * x, -2.0 * y), None),
+    "x2+y2": (lambda x, y: x * x + y * y, lambda x, y: (2.0 * x, 2.0 * y),
+              lambda x, y: np.full(np.shape(x), -4.0)),
+}
+
+
+# Robin on the diamond raises ExtrapolationStencilError by design, so it
+# has no case here.
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("tag", harness.FORMULATIONS)
+@pytest.mark.parametrize("geometry_name, bc, field", [
+    ("ellipse", "dirichlet", "xy+x"), ("diamond", "dirichlet", "xy+x"),
+    ("ellipse", "robin", "x2-y2"), ("ellipse", "robin", "x2+y2"),
+])
+def test_closure_reproduces_patch_fields(monkeypatch, geometry_name, bc, field, tag, n):
+    # A wrong closure weight or kernel offset shows at any n.  Measured:
+    # 4.9e-13 to 4.7e-12 for the single layer, up to 6.4e-11 for the
+    # double layer (Robin x^2 - y^2, n = 64), its box-solve rounding.
+    monkeypatch.setattr(harness, "manufactured_solution",
+                        lambda cfg: harness.Manufactured(*PATCH_FIELDS[field]))
+    cfg = harness.ExperimentConfig(geometry_name, bc, formulation=tag, n=n, aspect=2.0)
+    assert harness.solve_problem(cfg).max_error <= 1e-10
+
+
 #: Bound on the closure residual of the recovered field at n <= 128 (the
 #: data are O(1)).  It is box-solve rounding amplified by the closure
 #: weights: about 1e-9 for Robin double layers at n = 128, 3e-13 for
@@ -816,7 +845,12 @@ def test_cli_takes_its_choices_and_defaults_from_the_harness():
         choices = {action.dest: action.choices for action in sub._actions}
         assert choices["geometry"] == harness.GEOMETRIES
         assert choices["bc"] == harness.BCS
-        assert choices["formulation"] == harness.FORMULATIONS
+        # The conditioning study reads every formulation and times nothing.
+        if command == "conditioning":
+            assert "formulation" not in choices and "timing" not in choices
+        else:
+            assert choices["formulation"] == harness.FORMULATIONS
+            assert "timing" in choices
     args = parser.parse_args(["solve", "--geometry", "ellipse", "--bc", "robin", "--n", "64"])
     assert cli._config_from_args(args, n=64) == harness.ExperimentConfig("ellipse", "robin", n=64)
 
@@ -877,6 +911,16 @@ class TestCli:
         assert "fitted order" in proc.stdout
         assert script.exists()
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("flag", [["--formulation", "double-schur"], ["--timing"]])
+    def test_conditioning_refuses_the_flags_it_would_not_read(self, tmp_path, flag):
+        out = tmp_path / "cond.csv"
+        proc = self.run_cli("conditioning", "--geometry", "ellipse", "--bc", "robin",
+                            "--n-list", "32,64,128", *flag, "--out", str(out))
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["convergence", "conditioning"])
     def test_plot_script_without_out_exits_2(self, tmp_path, command):
