@@ -8,7 +8,7 @@ third route along the diagonal band.
 
 import math
 
-from latticebae import LatticeIndex, lgf, lgf_asymptotic, lgf_quadrature
+from latticebae import lgf, lgf_asymptotic, lgf_quadrature
 from latticebae.lgf import lgf_recursion_table
 
 CLOSED_FORMS = {
@@ -21,7 +21,7 @@ CLOSED_FORMS = {
 
 print("closed forms vs dispatcher")
 for m, exact in sorted(CLOSED_FORMS.items()):
-    value = lgf(LatticeIndex(*m))
+    value = lgf(m)
     print(f"  G{m} = {value:+.15f}   (exact {exact:+.15f}, "
           f"diff {abs(value - exact):.2e})")
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .lgf import (
     R_SWITCH,
-    LatticeIndex,
     LgfTable,
     canonical_index,
     lgf,
@@ -69,13 +68,11 @@ from .closure import (
     robin,
 )
 from .solver import (
-    Formulation,
     SystemForm,
     assemble_system,
     condition_number,
     condition_numbers,
     dense_solve,
-    formulation_from_tag,
     recover,
     solve_system,
 )
@@ -92,7 +89,6 @@ from .harness import (
     ResultRow,
     run_conditioning,
     run_convergence,
-    run_solve,
     solve_problem,
 )
 

@@ -11,11 +11,12 @@ the unbounded domain, refused before a solve or a ladder's first rung),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import harness
-from .lgf import LatticeIndex, lgf
+from .lgf import lgf
 from .errors import (
     ConfigError,
     DoubleLayerInapplicableError,
@@ -50,20 +51,12 @@ def _add_problem_flags(parser: argparse.ArgumentParser, solves: bool = True) -> 
                             help="include wall times in the CSV output")
 
 
-def _config_from_args(args, n=None, n_list=()) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig(
-        geometry=args.geometry,
-        bc=args.bc,
-        formulation=getattr(args, "formulation", harness.ExperimentConfig.formulation),
-        n=n,
-        n_list=tuple(n_list),
-        aspect=args.aspect,
-        r1=args.r1,
-        r2=args.r2,
-        radius=args.radius,
-        ell=args.ell,
-        compute_cond=getattr(args, "cond", False),
-    )
+def _config_from_args(args, **given) -> harness.ExperimentConfig:
+    """The config of the parsed flags whose ``dest`` names one of its
+    fields, with ``given`` in place of any of them."""
+    names = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    flags = {name: value for name, value in vars(args).items() if name in names}
+    return harness.ExperimentConfig(**{**flags, **given})
 
 
 def _parse_n_list(text: str):
@@ -121,7 +114,7 @@ def _emit_study(rows, cfg, args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config_from_args(args, n=args.n)
+    cfg = _config_from_args(args)
     sol, row = harness.solve_with_row(cfg)
     cond = "" if row.cond is None else f"  cond={row.cond:.6g}"
     print(f"n={row.n}  h={row.h:.6g}  {row.geometry}  {row.bc}  "
@@ -158,7 +151,7 @@ def _cmd_conditioning(args) -> int:
 
 
 def _cmd_lgf(args) -> int:
-    value = lgf(LatticeIndex(args.m1, args.m2))
+    value = lgf((args.m1, args.m2))
     print(f"{value:.17g}")
     return 0
 
@@ -175,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_solve)
     p_solve.add_argument("--n", type=int, required=True,
                          help="cells per box side (power of two in [32, 2048])")
-    p_solve.add_argument("--cond", action="store_true",
+    p_solve.add_argument("--cond", action="store_true", dest="compute_cond",
                          help="also report the system condition number")
     p_solve.add_argument("--dump-solution", default=None,
                          help="write x,y,value,exact,error CSV here")

@@ -33,16 +33,20 @@ import numpy as np
 
 from . import closure as closure_mod
 from . import diffpot, geometry, potentials, solver
-from .errors import AssemblyError, ConfigError, DoubleLayerInapplicableError, LatticeBaeError
+from .errors import ConfigError, DoubleLayerInapplicableError, LatticeBaeError
 
 CSV_HEADER = "n,h,geometry,bc,formulation,max_error,cond,wall_time"
 
 GEOMETRIES = ("ellipse", "diamond", "circle-exterior")
 BCS = ("dirichlet", "robin", "neumann")
-FORMULATIONS = tuple(solver.Formulation(kernel, form).tag
+FORMULATIONS = tuple(f"{kernel.value}-{form.value}"
                      for kernel in potentials.LayerKind for form in solver.SystemForm)
 #: Robin coefficients (normal-derivative, value) used throughout the study.
 ROBIN_COEFFS = (1.0, 1.0)
+
+#: Largest shape parameter or box margin: the shapes square their
+#: parameters, and psi the coordinates of a box of half-width 1 + ell.
+_MAX_LENGTH = np.sqrt(np.finfo(float).max)
 
 #: Conditioning study matrices, in output order.
 CONDITIONING_LABELS = ("S-", "D-", "A_s", "A_d", "M_s", "M_d")
@@ -67,16 +71,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
         if self.bc not in BCS:
             raise ConfigError(f"unknown boundary condition {self.bc!r}")
-        try:
-            solver.formulation_from_tag(self.formulation)
-        except AssemblyError as exc:
-            raise ConfigError(str(exc)) from None
-        for value, name in ((self.aspect, "aspect"), (self.r1, "r1"),
-                            (self.r2, "r2"), (self.radius, "radius"),
-                            (self.ell, "ell")):
+        if not isinstance(self.formulation, str):
+            raise ConfigError(f"formulation tag must be a string, got {self.formulation!r}")
+        if self.formulation not in FORMULATIONS:
+            raise ConfigError(f"unknown formulation tag {self.formulation!r}")
+        for name in ("aspect", "r1", "r2", "radius", "ell"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                                and 0.0 < value < np.inf):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+            if value >= _MAX_LENGTH:
+                raise ConfigError(f"{name} must be a finite positive number below "
+                                  f"{_MAX_LENGTH:.4g}, got {value!r}")
         if not isinstance(self.compute_cond, (bool, np.bool_)):
             raise ConfigError(f"compute_cond must be a bool, got {self.compute_cond!r}")
         # A string is a sequence of characters, not of sizes.
@@ -259,17 +265,18 @@ def _double_on_exterior(cfg: ExperimentConfig, kernel: potentials.LayerKind) -> 
     return cfg.unbounded and kernel is potentials.LayerKind.DOUBLE
 
 
-def _formulation(cfg: ExperimentConfig) -> solver.Formulation:
-    """The formulation of ``cfg``, refused before any solve where it is
-    inapplicable: the double-layer matrix D- is singular on the unbounded
-    exterior."""
-    form = solver.formulation_from_tag(cfg.formulation)
-    if _double_on_exterior(cfg, form.kernel):
+def _formulation(cfg: ExperimentConfig) -> tuple:
+    """The (kernel, form) that ``cfg``'s tag names, refused before any
+    solve where it is inapplicable: the double-layer matrix D- is singular
+    on the unbounded exterior."""
+    kernel_name, form_name = cfg.formulation.split("-")
+    kernel = potentials.LayerKind(kernel_name)
+    if _double_on_exterior(cfg, kernel):
         raise DoubleLayerInapplicableError(
             "the double-layer matrix D- is singular for the unbounded exterior "
             "domain; use a single-layer formulation"
         )
-    return form
+    return kernel, solver.SystemForm(form_name)
 
 
 def _discretize(cfg: ExperimentConfig, n: int):
@@ -315,7 +322,7 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
     which the config validates in its place."""
     if n is not None:
         cfg = replace(cfg, n=n)
-    form = _formulation(cfg)
+    kernel, form = _formulation(cfg)
     mf, ps, cm = _discretize(cfg, cfg.single_n())
     # The box solve's window-sized transients come before the kernel blocks
     # are held, not on top of them.  Laplace data has no particular part.
@@ -325,8 +332,8 @@ def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionFie
         cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p, ps))
     # The factored system is freed when solve_system returns, before the
     # recovery's window array exists.
-    density, cond = solver.solve_system(form, cm, ps, compute_cond=cfg.compute_cond)
-    u_h = solver.recover(density, form.kernel, ps)
+    density, cond = solver.solve_system(kernel, cm, ps, form if cfg.compute_cond else None)
+    u_h = solver.recover(density, kernel, ps)
     residual = float(np.abs(cm.c_plus @ diffpot.window_values(u_h, cm.gamma_tilde_plus, ps)
                             + cm.c_minus @ diffpot.window_values(u_h, cm.gamma_minus, ps)
                             - cm.rhs).max())
@@ -360,10 +367,6 @@ def solve_with_row(cfg: ExperimentConfig):
     return sol, row
 
 
-def run_solve(cfg: ExperimentConfig) -> ResultRow:
-    return solve_with_row(cfg)[1]
-
-
 @dataclass
 class ConvergenceReport:
     rows: list
@@ -379,7 +382,7 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     failures = []
     for n in cfg.ladder():
         try:
-            rows.append(run_solve(replace(cfg, n=n)))
+            rows.append(solve_with_row(replace(cfg, n=n))[1])
         except LatticeBaeError as exc:  # keep the partial table
             failures.append(f"n={n}: {type(exc).__name__}: {exc}")
     order = None

@@ -30,7 +30,7 @@ G(1,0) = -1/4 and G(1,1) = -1/pi provides an independent cross-check of
 both regimes; it loses roughly one digit per ring of indices and is never
 used for production values.
 
-All functions accept any pair-like index (tuple or ``LatticeIndex``).
+All functions accept any pair-like index, such as a tuple (m1, m2).
 They are pure; the module-level memo table of :func:`lgf`
 (:func:`default_table`) and the one kernel table of :func:`kernel_table`
 (half of a window of G, which every kernel gather reads) are the only
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,15 +57,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 4096
 
 
-class LatticeIndex(NamedTuple):
-    """Integer index on the infinite lattice."""
-
-    m1: int
-    m2: int
-
-
-def canonical_index(m) -> LatticeIndex:
-    """Map an index to its symmetry representative with m1 >= m2 >= 0.
+def canonical_index(m) -> tuple:
+    """Map an index to its symmetry representative (a, b), a >= b >= 0.
 
     G is invariant under sign flips of either component and under the
     swap (m1, m2) -> (m2, m1), so every index has a representative in
@@ -76,7 +68,7 @@ def canonical_index(m) -> LatticeIndex:
     b = abs(int(m[1]))
     if a < b:
         a, b = b, a
-    return LatticeIndex(a, b)
+    return a, b
 
 
 def _integrand(y, a, b):
@@ -197,7 +189,7 @@ def lgf(m) -> float:
     cached = _DEFAULT_TABLE.values.get(key)
     if cached is not None:
         return cached
-    if math.hypot(key.m1, key.m2) < R_SWITCH:
+    if math.hypot(*key) < R_SWITCH:
         value = lgf_quadrature(key, 1e-14)
     else:
         value = lgf_asymptotic(key)
@@ -233,10 +225,7 @@ def lgf_recursion_table(jmax: int) -> LgfTable:
         g[(j + 1, 0)] = 4.0 * g[(j, 0)] - g[(j - 1, 0)] - 2.0 * g[(j, 1)]
         for k in range(1, j):
             g[(j + 1, k)] = 4.0 * g[(j, k)] - g[(j - 1, k)] - g[(j, k + 1)] - g[(j, k - 1)]
-    table = LgfTable()
-    for key, value in g.items():
-        table.values[LatticeIndex(*key)] = value
-    return table
+    return LgfTable(values=g)
 
 
 #: Octant rows per block of :func:`_half_table`'s build, so its index and

@@ -17,11 +17,11 @@ K-,
 whose conditioning mirrors the preconditioned operator the trace map
 induces.  Both forms have the same solution, so a solve in either form
 solves the direct system for q; the Schur matrix is formed only where
-its conditioning is the point, for ``compute_cond`` and the conditioning
-study.  There the right division factors K-^T in place, over K-'s own
-entries (K- is C-ordered, so K-^T is Fortran-ordered and LAPACK needs no
-copy), and solves |gamma-| right-hand sides against it, in place in the
-direct matrix; no inverse is ever formed.  For Dirichlet closures eta is
+its conditioning is the point, for a solve's condition number and the
+conditioning study.  There the right division factors K-^T in place,
+over K-'s own entries (K- is C-ordered, so K-^T is Fortran-ordered and
+LAPACK needs no copy), and solves |gamma-| right-hand sides against it,
+in place in the direct matrix; no inverse is ever formed.  For Dirichlet closures eta is
 empty, so C+ = Phi+ and C- = Phi-.
 
 The direct matrix is built in one way only: one contraction of the
@@ -83,7 +83,6 @@ anyway.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 from scipy import linalg, sparse
@@ -106,29 +105,6 @@ _GRAM_SCALES = (2.0 ** -500, 2.0 ** 500)
 class SystemForm(Enum):
     DIRECT = "direct"
     SCHUR = "schur"
-
-
-@dataclass(frozen=True)
-class Formulation:
-    """Which kernel feeds the layer matrices, and which form of the system
-    is built; a solve in either form solves for the density."""
-
-    kernel: LayerKind
-    form: SystemForm
-
-    @property
-    def tag(self) -> str:
-        return f"{self.kernel.value}-{self.form.value}"
-
-
-def formulation_from_tag(tag: str) -> Formulation:
-    if not isinstance(tag, str):
-        raise AssemblyError(f"formulation tag must be a string, got {tag!r}")
-    try:
-        kernel_name, form_name = tag.split("-", 1)
-        return Formulation(kernel=LayerKind(kernel_name), form=SystemForm(form_name))
-    except ValueError:
-        raise AssemblyError(f"unknown formulation tag {tag!r}") from None
 
 
 def assemble_system(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets,
@@ -294,24 +270,22 @@ def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> np.ndarray
     return box_solve(*layer_sources(density, kernel, ps), edge, ps)
 
 
-def solve_system(formulation: Formulation, cm: ClosureMatrices, ps: PointSets,
-                 compute_cond: bool = False) -> tuple:
+def solve_system(kernel: LayerKind, cm: ClosureMatrices, ps: PointSets,
+                 cond_of: SystemForm | None = None) -> tuple:
     """Gather, assemble and solve in one sweep; returns ``(density, cond)``,
-    the density on gamma- in canonical order and the system's condition
-    number, None unless ``compute_cond``.  Either form solves the direct
-    system, so a Schur solve is bitwise the direct solve of its kernel.
-    The condition number is of the formulation's own matrix, taken before
-    the direct one is factored in place; for the Schur form it is of
-    M K-^{-1}, right-divided in a copy of M's half of the one contraction
-    of [M; K-]."""
-    kernel = formulation.kernel
-    schur_cond = compute_cond and formulation.form is SystemForm.SCHUR
-    matrix = assemble_system(kernel, cm, ps, with_k_minus=schur_cond)
+    the density on gamma- in canonical order and the condition number of
+    the ``cond_of`` form's matrix, None when ``cond_of`` is None.  Either
+    form solves the direct system, so the form decides only which matrix
+    that number is of.  It is taken before the direct matrix is factored
+    in place; for the Schur form it is of M K-^{-1}, right-divided in a
+    copy of M's half of the one contraction of [M; K-]."""
+    schur = cond_of is SystemForm.SCHUR
+    matrix = assemble_system(kernel, cm, ps, with_k_minus=schur)
     cond = None
-    if schur_cond:
+    if schur:
         matrix, k_minus = np.split(matrix, 2)
         cond = condition_number(_right_divide(matrix.copy(), k_minus, kernel))
-    elif compute_cond:
+    elif cond_of is SystemForm.DIRECT:
         cond = condition_number(matrix)
     return dense_solve(matrix, cm.rhs), cond
 

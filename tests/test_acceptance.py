@@ -274,8 +274,7 @@ def test_criterion_09_constant_dirichlet_exactness(kw):
     ps = geometry.classify(grid, shape)
     xs = geometry.select_intersections(ps, shape)
     cm = closure_mod.assemble_closure(ps, xs, closure_mod.dirichlet(lambda x, y: 1.0))
-    density, _ = solver.solve_system(solver.formulation_from_tag("single-direct"),
-                                     cm, ps)
+    density, _ = solver.solve_system(potentials.LayerKind.SINGLE, cm, ps)
     u = diffpot.difference_potential(
         gamma_trace(density, potentials.LayerKind.SINGLE, ps), ps)
     mp = np.argwhere(ps.m_plus)

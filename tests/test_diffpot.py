@@ -487,8 +487,8 @@ def full_grid_values(cfg):
     window, (j0, k0) = ps.box_window
     u_p_window = u_p[j0 : j0 + window.nx, k0 : k0 + window.ny]
     cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p_window, ps))
-    kernel = solver.formulation_from_tag(cfg.formulation).kernel
-    density, _ = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
+    kernel, _ = harness._formulation(cfg)
+    density, _ = solver.solve_system(kernel, cm, ps)
     extension = np.zeros((grid.nx, grid.ny))
     extension[ps.gamma] = gamma_trace(density, kernel, ps)
     rhs = np.zeros((grid.nx, grid.ny))

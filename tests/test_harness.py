@@ -7,7 +7,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,16 @@ def test_config_rejects_bad_selectors():
         harness.ExperimentConfig(geometry="pentagon", bc="dirichlet", n=32)
     with pytest.raises(ConfigError):
         harness.ExperimentConfig(geometry="ellipse", bc="absorbing", n=32)
-    with pytest.raises(ConfigError):
-        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
-                                 formulation="triple-direct", n=32)
+    for tag in ("triple-direct", "quadruple-direct"):
+        with pytest.raises(ConfigError, match="unknown formulation tag"):
+            harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", formulation=tag, n=32)
+
+
+def test_formulation_tags_name_their_kernel_and_form():
+    for tag in harness.FORMULATIONS:
+        cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", formulation=tag)
+        kernel, form = harness._formulation(cfg)
+        assert f"{kernel.value}-{form.value}" == tag
 
 
 def test_config_rejects_bad_grid_sizes():
@@ -73,14 +80,16 @@ def test_config_rejects_nonpositive_parameters():
 
 
 @pytest.mark.parametrize("name", ["aspect", "r1", "r2", "radius", "ell"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "2", None])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "2", None, 1e200, 1e308])
 def test_config_rejects_non_finite_or_non_numeric_parameters(name, value):
+    # A parameter whose square overflows breaks the shape or the box.
     with pytest.raises(ConfigError, match=f"{name} must be a finite positive number"):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: value})
 
 
 @pytest.mark.parametrize("name, value", [
     ("n_list", None), ("n_list", 5), ("formulation", None), ("formulation", 3),
+    ("formulation", b"single-direct"),
 ])
 def test_config_rejects_selectors_of_the_wrong_type(name, value):
     with pytest.raises(ConfigError, match=r"(n_list|formulation tag) must be"):
@@ -281,7 +290,7 @@ def test_schur_solve_is_the_direct_solve(kernel):
 def test_solve_rows_carry_metadata():
     cfg = harness.ExperimentConfig(geometry="diamond", bc="dirichlet",
                                    formulation="double-direct", n=32)
-    row = harness.run_solve(cfg)
+    _, row = harness.solve_with_row(cfg)
     assert row.geometry.startswith("diamond")
     assert row.bc == "dirichlet"
     assert row.formulation == "double-direct"
@@ -323,10 +332,10 @@ def test_convergence_keeps_partial_table_on_failure():
 
 def test_convergence_propagates_untyped_errors(monkeypatch):
     # Only library errors are ladder failures; a bug must not become a note.
-    def broken(cfg, n=None):
+    def broken(cfg):
         raise TypeError("bug in the pipeline")
 
-    monkeypatch.setattr(harness, "run_solve", broken)
+    monkeypatch.setattr(harness, "solve_with_row", broken)
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet",
                                    n_list=(32, 64, 128))
     with pytest.raises(TypeError, match="bug in the pipeline"):
@@ -735,13 +744,18 @@ def test_cli_timing_fills_wall_time(tmp_path):
          "--n", "32"], "error: the double-layer matrix D-"),
     (4, ["--geometry", "diamond", "--bc", "robin", "--n", "128"],
      "error: eta node (13, 62) has no direction"),
+    # Finite, but their squares overflow in the box and the shape.
+    (2, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--ell", "1e308"],
+     "error: ell must be a finite positive number below"),
+    (2, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--aspect", "1e200"],
+     "error: aspect must be a finite positive number below"),
 ])
 def test_cli_exit_codes(capsys, code, argv, message):
     # One solve per exit code of the README's contract; every failure is
     # one typed line on stderr, never a traceback.
     assert cli.main(["solve", *argv]) == code
     err = capsys.readouterr().err
-    assert err.startswith(message) if message else err == ""
+    assert err.startswith(message) and err.count("\n") == 1 if message else err == ""
 
 
 def _refuse_solves(monkeypatch):
@@ -853,6 +867,24 @@ def test_cli_takes_its_choices_and_defaults_from_the_harness():
             assert "timing" in choices
     args = parser.parse_args(["solve", "--geometry", "ellipse", "--bc", "robin", "--n", "64"])
     assert cli._config_from_args(args, n=64) == harness.ExperimentConfig("ellipse", "robin", n=64)
+
+
+#: Parsed flags that the command line reads itself, not the config.
+CLI_ONLY_DESTS = ("out", "timing", "dump_solution", "plot_script", "n_list", "command", "func")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--n", "64", "--cond"],
+                                  ["convergence", "--n-list", "32,64,128"],
+                                  ["conditioning", "--n-list", "32,64,128"]])
+def test_cli_flags_are_config_fields_or_read_by_the_cli(argv):
+    # The config is built from the flags whose dest names one of its
+    # fields, so a flag stored under any other name would be dropped.
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    args = cli.build_parser().parse_args([*argv, "--geometry", "ellipse", "--bc", "robin"])
+    for dest in vars(args):
+        assert dest in names or dest in CLI_ONLY_DESTS, dest
+    if argv[0] == "solve":
+        assert cli._config_from_args(args).compute_cond is True
 
 
 class TestCli:

@@ -72,8 +72,8 @@ def test_canonicalization_covers_symmetry_group():
     for _ in range(100):
         m1, m2 = rng.integers(-50, 51, size=2)
         rep = canonical_index((m1, m2))
-        assert rep.m1 >= rep.m2 >= 0
-        assert {abs(m1), abs(m2)} == {rep.m1, rep.m2}
+        assert rep[0] >= rep[1] >= 0
+        assert {abs(m1), abs(m2)} == {rep[0], rep[1]}
         assert lgf((m1, m2)) == lgf((m2, m1)) == lgf((-m1, m2)) == lgf((m1, -m2))
 
 

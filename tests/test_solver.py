@@ -20,6 +20,12 @@ FORMULATION_TAGS = harness.FORMULATIONS
 EPS = np.finfo(float).eps
 
 
+def kernel_and_form(tag):
+    """The (kernel, form) that a formulation tag names."""
+    kernel, form = tag.split("-")
+    return potentials.LayerKind(kernel), solver.SystemForm(form)
+
+
 def centered_grid(half, n):
     return geometry.Grid.from_box((-half, half), (-half, half), n)
 
@@ -238,19 +244,6 @@ def test_interior_neumann_direct_matrix_reads_singular():
         solver.assemble_system(potentials.LayerKind.SINGLE, cm, ps)) >= 1e11
 
 
-def test_formulation_tags_round_trip():
-    for tag in FORMULATION_TAGS:
-        assert solver.formulation_from_tag(tag).tag == tag
-    with pytest.raises(AssemblyError):
-        solver.formulation_from_tag("quadruple-direct")
-
-
-@pytest.mark.parametrize("tag", [None, 3, b"single-direct"])
-def test_formulation_tag_must_be_a_string(tag):
-    with pytest.raises(AssemblyError, match="formulation tag must be a string"):
-        solver.formulation_from_tag(tag)
-
-
 # ---------------------------------------------------------------------------
 # assembly guards
 
@@ -291,11 +284,11 @@ def test_schur_solve_factors_k_minus_only_for_its_condition_number(circle_proble
         return product
 
     monkeypatch.setattr(solver, "contract_layer_matrix", recorded)
-    form = solver.formulation_from_tag("single-schur")
-    solver.solve_system(form, cm, ps)
+    single = potentials.LayerKind.SINGLE
+    solver.solve_system(single, cm, ps)
     assert shapes == [(n, n)]  # no K- rows gathered
     with pytest.raises(FormulationSingularError):
-        solver.solve_system(form, cm, ps, compute_cond=True)
+        solver.solve_system(single, cm, ps, cond_of=solver.SystemForm.SCHUR)
     assert shapes == [(n, n), (2 * n, n)]
 
 
@@ -311,8 +304,9 @@ def test_schur_assembly_rejects_a_non_finite_kernel_matrix(circle_problem, monke
     grid, ps, cm = circle_problem
     _nan_k_minus(monkeypatch, cm)
     name = "S-" if tag.startswith("single") else "D-"
+    kernel, form = kernel_and_form(tag)
     with pytest.raises(AssemblyError, match=f"{name} contains non-finite"):
-        solver.solve_system(solver.formulation_from_tag(tag), cm, ps, compute_cond=True)
+        solver.solve_system(kernel, cm, ps, cond_of=form)
 
 
 @pytest.mark.parametrize("kernel", [potentials.LayerKind.SINGLE, potentials.LayerKind.DOUBLE])
@@ -337,9 +331,9 @@ def test_recover_zero_density(circle_problem):
 @pytest.mark.parametrize("tag", ["single-direct", "double-direct"])
 def test_constant_dirichlet_is_exact(circle_problem, tag):
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag(tag)
-    density, _ = solver.solve_system(form, cm, ps)
-    u = interior_values(density, form.kernel, ps)
+    kernel, _ = kernel_and_form(tag)
+    density, _ = solver.solve_system(kernel, cm, ps)
+    u = interior_values(density, kernel, ps)
     assert np.abs(u - 1.0).max() <= 1e-9
 
 
@@ -347,11 +341,11 @@ def test_formulation_equivalence(circle_problem):
     grid, ps, cm = circle_problem
     solutions = {}
     for tag in FORMULATION_TAGS:
-        form = solver.formulation_from_tag(tag)
-        density, _ = solver.solve_system(form, cm, ps)
-        solutions[tag] = interior_values(density, form.kernel, ps)
-        trace_minus = gamma_part(density, form.kernel, ps, ps.gamma_minus)
-        if form.form is solver.SystemForm.DIRECT:
+        kernel, form = kernel_and_form(tag)
+        density, _ = solver.solve_system(kernel, cm, ps, cond_of=form)
+        solutions[tag] = interior_values(density, kernel, ps)
+        trace_minus = gamma_part(density, kernel, ps, ps.gamma_minus)
+        if form is solver.SystemForm.DIRECT:
             direct_trace = trace_minus
         else:
             assert np.abs(trace_minus - direct_trace).max() <= 1e-8
@@ -365,7 +359,7 @@ def test_formulation_equivalence(circle_problem):
 def test_one_factorization_per_solve(circle_problem, monkeypatch, tag):
     # Either form factors the direct system once, and nothing else.
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag(tag)
+    kernel, _ = kernel_and_form(tag)
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
@@ -374,7 +368,7 @@ def test_one_factorization_per_solve(circle_problem, monkeypatch, tag):
         return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    solver.solve_system(form, cm, ps)
+    solver.solve_system(kernel, cm, ps)
     n = len(cm.gamma_minus)
     assert calls == [(n, n)]
 
@@ -383,9 +377,10 @@ def test_one_factorization_per_solve(circle_problem, monkeypatch, tag):
 @pytest.mark.parametrize("kernel", ["single", "double"])
 def test_schur_solve_is_the_direct_solve(request, problem, kernel):
     ps, cm = request.getfixturevalue(problem)[-2:]
-    forms = (solver.formulation_from_tag(f"{kernel}-{form}") for form in ("direct", "schur"))
-    direct, schur = (solver.solve_system(form, cm, ps)[0] for form in forms)
+    # Each with its own condition number, which must leave the solve as it was.
     kind = potentials.LayerKind(kernel)
+    direct, schur = (solver.solve_system(kind, cm, ps, cond_of=form)[0]
+                     for form in solver.SystemForm)
     assert np.array_equal(schur, direct)
     assert np.array_equal(gamma_trace(schur, kind, ps),
                           gamma_trace(direct, kind, ps))
@@ -395,10 +390,10 @@ def test_schur_solve_is_the_direct_solve(request, problem, kernel):
 
 def test_closure_rows_are_satisfied(circle_problem):
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag("single-direct")
-    density, _ = solver.solve_system(form, cm, ps)
-    lhs = (cm.phi_plus @ gamma_part(density, form.kernel, ps, ps.gamma_plus)
-           + cm.phi_minus @ gamma_part(density, form.kernel, ps, ps.gamma_minus))
+    single = potentials.LayerKind.SINGLE
+    density, _ = solver.solve_system(single, cm, ps)
+    lhs = (cm.phi_plus @ gamma_part(density, single, ps, ps.gamma_plus)
+           + cm.phi_minus @ gamma_part(density, single, ps, ps.gamma_minus))
     assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
 
 
@@ -416,12 +411,12 @@ def test_solve_cond_is_of_the_unfactored_matrix(circle_problem, tag):
     # The system is factored in place, so its condition number must be
     # taken before the factor overwrites it.
     grid, ps, cm = circle_problem
-    form = solver.formulation_from_tag(tag)
-    _, cond_schur, cond_direct = solver.condition_numbers(form.kernel, cm, ps)
-    expected = cond_schur if form.form is solver.SystemForm.SCHUR else cond_direct
-    _, cond = solver.solve_system(form, cm, ps, compute_cond=True)
+    kernel, form = kernel_and_form(tag)
+    _, cond_schur, cond_direct = solver.condition_numbers(kernel, cm, ps)
+    expected = cond_schur if form is solver.SystemForm.SCHUR else cond_direct
+    _, cond = solver.solve_system(kernel, cm, ps, cond_of=form)
     assert cond == expected
-    assert solver.solve_system(form, cm, ps)[1] is None
+    assert solver.solve_system(kernel, cm, ps)[1] is None
 
 
 @pytest.mark.parametrize("problem", ["circle_problem", "robin_ellipse256"])
@@ -433,7 +428,7 @@ def test_condition_numbers_match_each_system(request, problem, kernel):
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
     expected = [solver.condition_number(k_minus)]
     for form in (solver.SystemForm.SCHUR, solver.SystemForm.DIRECT):
-        _, cond = solver.solve_system(solver.Formulation(kernel, form), cm, ps, compute_cond=True)
+        _, cond = solver.solve_system(kernel, cm, ps, cond_of=form)
         expected.append(cond)
     assert solver.condition_numbers(kernel, cm, ps) == tuple(expected)
 
@@ -462,22 +457,22 @@ def test_robin_system_solves_and_satisfies_closure():
     cm = closure.assemble_closure(ps, xs, bc)
     interiors = {}
     for tag in ("single-direct", "single-schur"):
-        form = solver.formulation_from_tag(tag)
-        density, _ = solver.solve_system(form, cm, ps)
+        kernel, form = kernel_and_form(tag)
+        density, _ = solver.solve_system(kernel, cm, ps, cond_of=form)
         # The trace is on gamma only; the closure rows need all of gamma~+.
         k_plus = assemble_layer_matrix(
-            cm.gamma_tilde_plus, cm.gamma_minus, form.kernel, ps
+            cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps
         )
         trace_plus = k_plus @ density
         tp = cm.gamma_tilde_plus
         on_gamma = ps.gamma_plus[tp[:, 0], tp[:, 1]]
         assert not on_gamma.all()
         assert np.array_equal(ps.gamma_plus_indices, tp[on_gamma])
-        np.testing.assert_allclose(gamma_part(density, form.kernel, ps, ps.gamma_plus),
+        np.testing.assert_allclose(gamma_part(density, kernel, ps, ps.gamma_plus),
                                    trace_plus[on_gamma],
                                    rtol=1e-13, atol=1e-13 * np.abs(trace_plus).max())
         k_minus = assemble_layer_matrix(
-            cm.gamma_minus, cm.gamma_minus, form.kernel, ps
+            cm.gamma_minus, cm.gamma_minus, kernel, ps
         )
         trace_minus = k_minus @ density
         eta_vals = -(cm.r_plus @ trace_plus + cm.r_minus @ trace_minus)
@@ -487,7 +482,7 @@ def test_robin_system_solves_and_satisfies_closure():
             + cm.phi_prime_minus @ eta_vals
         )
         assert np.abs(lhs - cm.rhs).max() <= 1e-9 * np.abs(cm.rhs).max()
-        interiors[tag] = interior_values(density, form.kernel, ps)
+        interiors[tag] = interior_values(density, kernel, ps)
     diff = np.abs(interiors["single-direct"] - interiors["single-schur"]).max()
     assert diff <= 1e-8
 
@@ -512,18 +507,18 @@ def test_solve_holds_no_gamma_tilde_plus_block(robin_ellipse256, tag):
     # block is held, and the |gamma~+| x |gamma-| block K+ (2.6 |gamma-|^2
     # here) never is.
     ps, cm = robin_ellipse256
-    form = solver.formulation_from_tag(tag)
+    kernel, _ = kernel_and_form(tag)
     window, _ = ps.box_window
     kernel_table(window.nx - 1, window.ny - 1)  # the table the gather reads
     cm.c_plus, cm.c_minus  # sparse, and cached on the closure
     n = len(cm.gamma_minus)
     n_e = n
-    if form.kernel is potentials.LayerKind.DOUBLE:
+    if kernel is potentials.LayerKind.DOUBLE:
         n_e = len(potentials._exterior_connections(ps, cm.gamma_minus)[0])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solver.solve_system(form, cm, ps)
+        solver.solve_system(kernel, cm, ps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -585,20 +580,20 @@ def test_recover_streams_the_held_block_traces(robin_ellipse256, tag):
     # keeps there, and the traces that the closure rows read, are the
     # products of the held kernel blocks.
     ps, cm = robin_ellipse256
-    form = solver.formulation_from_tag(tag)
-    q, _ = solver.solve_system(form, cm, ps)
+    kernel, _ = kernel_and_form(tag)
+    q, _ = solver.solve_system(kernel, cm, ps)
     edge = diffpot.edge_nodes(ps)
-    k_edge = assemble_layer_matrix(edge, cm.gamma_minus, form.kernel, ps)
-    recovered = solver.recover(q, form.kernel, ps)
+    k_edge = assemble_layer_matrix(edge, cm.gamma_minus, kernel, ps)
+    recovered = solver.recover(q, kernel, ps)
     np.testing.assert_allclose(diffpot.window_values(recovered, edge, ps), k_edge @ q,
                                rtol=1e-14)
     k_plus_gamma = assemble_layer_matrix(
-        ps.gamma_plus_indices, cm.gamma_minus, form.kernel, ps
+        ps.gamma_plus_indices, cm.gamma_minus, kernel, ps
     )
-    np.testing.assert_allclose(gamma_part(q, form.kernel, ps, ps.gamma_plus),
+    np.testing.assert_allclose(gamma_part(q, kernel, ps, ps.gamma_plus),
                                k_plus_gamma @ q, rtol=1e-14)
-    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, form.kernel, ps)
-    np.testing.assert_allclose(gamma_part(q, form.kernel, ps, ps.gamma_minus),
+    k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
+    np.testing.assert_allclose(gamma_part(q, kernel, ps, ps.gamma_minus),
                                k_minus @ q, rtol=1e-14)
 
 
@@ -607,7 +602,7 @@ def test_recover_streams_one_product_in_window_edge_order(robin_ellipse256, monk
     # Every form's recovery streams the layer potential on the window
     # edge, in canonical order, in one product, and the solve none.
     ps, cm = robin_ellipse256
-    form = solver.formulation_from_tag(tag)
+    kernel, _ = kernel_and_form(tag)
     targets = []
     apply_layer_matrix = solver.apply_layer_matrix
 
@@ -616,9 +611,9 @@ def test_recover_streams_one_product_in_window_edge_order(robin_ellipse256, monk
         return apply_layer_matrix(points, *args, **kwargs)
 
     monkeypatch.setattr(solver, "apply_layer_matrix", recorded)
-    density, _ = solver.solve_system(form, cm, ps)
+    density, _ = solver.solve_system(kernel, cm, ps)
     assert targets == []
-    w = solver.recover(density, form.kernel, ps)
+    w = solver.recover(density, kernel, ps)
     window, offset = ps.box_window
     assert w.shape == (window.nx, window.ny)
     assert len(targets) == 1
@@ -657,8 +652,7 @@ def test_schur_matrix_is_the_textbook_form(robin_ellipse256, monkeypatch, kernel
         return condition_number(matrix)
 
     monkeypatch.setattr(solver, "condition_number", recorded)
-    solver.solve_system(solver.Formulation(kernel, solver.SystemForm.SCHUR), cm, ps,
-                        compute_cond=True)
+    solver.solve_system(kernel, cm, ps, cond_of=solver.SystemForm.SCHUR)
     assert len(seen) == 1
     k_plus = assemble_layer_matrix(cm.gamma_tilde_plus, cm.gamma_minus, kernel, ps)
     k_minus = assemble_layer_matrix(cm.gamma_minus, cm.gamma_minus, kernel, ps)
@@ -704,7 +698,6 @@ def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
 
         monkeypatch.setattr(owner, name, counted)
     contraction = ["contract_layer_matrix", "_row_gatherer"]
-    schur = solver.Formulation(kernel, solver.SystemForm.SCHUR)
     for call in (lambda: solver.condition_numbers(kernel, cm, ps),
                  lambda: solver.assemble_system(kernel, cm, ps, with_k_minus=True),
                  lambda: solver.assemble_system(kernel, cm, ps)):
@@ -712,7 +705,7 @@ def test_gather_counts_per_call(circle_problem, monkeypatch, kernel):
         call()
         assert calls == contraction
     calls.clear()
-    density, _ = solver.solve_system(schur, cm, ps, compute_cond=True)
+    density, _ = solver.solve_system(kernel, cm, ps, cond_of=solver.SystemForm.SCHUR)
     assert calls == contraction
     calls.clear()
     solver.recover(density, kernel, ps)
@@ -770,7 +763,7 @@ def test_recovered_field_is_the_lattice_potential(shape, bc, kernel, n):
     targets = np.concatenate([m_plus[rng.choice(len(m_plus), 200, replace=False)],
                               ps.gamma_plus_indices, ps.gamma_minus_indices])
     k_targets = assemble_layer_matrix(targets, cm.gamma_minus, kind, ps)
-    solved, _ = solver.solve_system(solver.formulation_from_tag(cfg.formulation), cm, ps)
+    solved, _ = solver.solve_system(kind, cm, ps)
     for q in (solved, rng.standard_normal(len(cm.gamma_minus))):
         expected = k_targets @ q
         recovered = diffpot.window_values(solver.recover(q, kind, ps), targets, ps)

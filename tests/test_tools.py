@@ -1,7 +1,10 @@
 """Tests for the repository's tools."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,3 +63,31 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n\nX = 1\n', encoding="utf-8")
     assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["a.py", "12", "b.py", "1", "total", "13"]
+
+
+#: A BLAS-free artifact and one whose solve runs through LAPACK.
+PARITY_CASES = ("closure/ellipse-a1-robin-64", "cli/solve-cond-single-schur")
+
+
+def test_parity_manifest_is_reproducible_and_sees_one_ulp(tmp_path, capsys):
+    parity = load_tool("parity")
+    first = parity.manifest(ROOT, PARITY_CASES)
+    assert list(first) == list(PARITY_CASES)
+    assert parity.manifest(ROOT, PARITY_CASES) == first
+    # The same closure in this process, then with one value one ulp up.
+    name = PARITY_CASES[0]
+    parts = parity.cases(parity.load(ROOT))[name]()
+    assert parity.record(parts) == first[name]
+    data = parts["phi_plus.data"].copy()
+    data[7] = np.nextafter(data[7], np.inf)
+    planted = dict(first, **{name: parity.record({**parts, "phi_plus.data": data})})
+    paths = []
+    for index, manifest in enumerate((first, first, planted)):
+        paths.append(tmp_path / f"{index}.json")
+        paths[-1].write_text(json.dumps(manifest))
+    assert parity.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out == "0 of 2 artifacts differ\n"
+    assert parity.main(["--compare", str(paths[0]), str(paths[2])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"differs  {name}  ")
+    assert lines[1] == "1 of 2 artifacts differ"
