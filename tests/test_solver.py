@@ -10,6 +10,7 @@ from scipy import sparse
 from latticebae import closure, diffpot, geometry, harness, potentials, solver
 from latticebae.errors import (
     AssemblyError,
+    ConfigError,
     FormulationSingularError,
     SingularSystemError,
 )
@@ -242,6 +243,14 @@ def test_interior_neumann_direct_matrix_reads_singular():
     _, ps, cm = harness._discretize(cfg, 64)
     assert solver.condition_number(
         solver.assemble_system(potentials.LayerKind.SINGLE, cm, ps)) >= 1e11
+
+
+@pytest.mark.parametrize("tag", [None, 3])
+def test_formulation_tag_must_be_a_string(tag):
+    # The solver takes a LayerKind and a SystemForm; a tag reaches it only
+    # through the config, which refuses one that is not a string.
+    with pytest.raises(ConfigError, match="formulation tag must be a string"):
+        harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", formulation=tag)
 
 
 # ---------------------------------------------------------------------------
