@@ -48,6 +48,9 @@ ROBIN_COEFFS = (1.0, 1.0)
 #: parameters, and psi the coordinates of a box of half-width 1 + ell.
 _MAX_LENGTH = np.sqrt(np.finfo(float).max)
 
+#: Half-width of the exterior's box, [-3, 3]^2, whose cell is h = 6 / n.
+_EXTERIOR_HALF = 3.0
+
 #: Conditioning study matrices, in output order.
 CONDITIONING_LABELS = ("S-", "D-", "A_s", "A_d", "M_s", "M_d")
 
@@ -98,6 +101,14 @@ class ExperimentConfig:
                 raise ConfigError(f"n must be a power of two in [32, 2048], got the string {n!r}")
             if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
                 raise ConfigError(f"n must be a power of two in [32, 2048], got {n}")
+            # No lattice node resolves a body no wider than one cell, and
+            # its solve is wrong: err R^3/h^2 reads 1.5-10 at r <= h, and
+            # 0.05-0.69 at r >= 1.1 h.
+            h = 2 * _EXTERIOR_HALF / n
+            if self.unbounded and self.radius <= h:
+                raise ConfigError(f"radius {self.radius!r} is {self.radius / h:.3g} cells "
+                                  f"at n={n} (h = {h:g}); the circle-exterior body must be "
+                                  "wider than one cell")
 
     @property
     def unbounded(self) -> bool:
@@ -156,7 +167,8 @@ def build_grid(cfg: ExperimentConfig, n: int) -> geometry.Grid:
     """The box [-1 - ell, 1 + ell]^2 for bounded geometries; the exterior
     ignores ``ell`` and takes [-3, 3]^2."""
     if cfg.unbounded:
-        return geometry.Grid.from_box((-3.0, 3.0), (-3.0, 3.0), n)
+        box = (-_EXTERIOR_HALF, _EXTERIOR_HALF)
+        return geometry.Grid.from_box(box, box, n)
     half = 1.0 + cfg.ell
     return geometry.Grid.from_box((-half, half), (-half, half), n)
 

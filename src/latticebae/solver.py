@@ -78,6 +78,19 @@ max |entry|, is NaN or inf exactly when an entry is.
 Everything here is dense: at desk scales |gamma-| stays in the low
 thousands, and the conditioning study wants the explicit matrices
 anyway.
+
+numpy and scipy each load their own OpenBLAS, and a pool's worker
+thread keeps spinning on a core for about 0.1 s after each call that
+woke it, while the other pool's LAPACK wants that core.  So every dense
+product here whose operands reach numpy's threading size goes through
+scipy's BLAS, as the factorizations do: numpy's gemv stays on one
+thread at 64 x 4000 and 500 x 500 and takes two at 64 x 8000 and
+700 x 700.  The Gram path's products A z reach that size on the
+n = 512 rung (|gamma-| near 1000), and run as scipy's dgemv on the
+Fortran-ordered view A^T that dsyrk reads, so A is not copied.  The
+products left to numpy stay below it at every n <= 2048: the 2-row
+products of the reflector loop, the 2 x 2 (A z)(A z)^T, and the 64-row
+gathers of :func:`latticebae.potentials.apply_layer_matrix`.
 """
 
 from __future__ import annotations
@@ -253,9 +266,8 @@ def _gram_extremes(matrix: np.ndarray) -> tuple:
         v = reflectors[i + 1:, i]
         w = tau[i] * (z[:, i + 1:] @ v)
         z[:, i + 1:] -= w[:, None] * v
-    # Two matrix-vector products: one matrix product would touch the
-    # packing buffers of numpy's own BLAS, 2 MB more peak memory.
-    az = np.array([matrix @ row for row in z])
+    # A z through scipy's BLAS on the view dsyrk read (module docstring).
+    az = np.array([linalg.blas.dgemv(1.0, matrix.T, row, trans=1) for row in z])
     _, c = linalg.eigh(az @ az.T, z @ z.T, subset_by_index=[0, 0])
     c = c[:, 0]
     return np.sqrt(values[-1]), np.linalg.norm(c @ az) / np.linalg.norm(c @ z)

@@ -138,6 +138,20 @@ def test_config_rejects_booleans_as_shape_parameters(name):
         harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=64, **{name: True})
 
 
+def test_config_refuses_a_circle_exterior_body_no_wider_than_one_cell():
+    # The smallest size of a ladder has the widest cell: h = 6/32 at n=32.
+    with pytest.raises(ConfigError, match=r"radius 0.1875 is 1 cells at n=32 \(h = 0.1875\)"):
+        harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", radius=0.1875,
+                                 n_list=(32, 64, 128))
+    cfg = harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", radius=0.1)
+    with pytest.raises(ConfigError, match="radius 0.1 is 0.533 cells at n=32"):
+        harness.solve_problem(cfg, 32)
+    assert harness.ExperimentConfig(geometry="circle-exterior", bc="dirichlet", radius=0.1,
+                                    n_list=(64, 128, 256)).radius == 0.1
+    # The bounded shapes do not read the radius.
+    harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", radius=1e-9, n=32)
+
+
 def test_manufactured_bounded_consistency():
     cfg = harness.ExperimentConfig(geometry="ellipse", bc="dirichlet", n=32)
     mf = harness.manufactured_solution(cfg)
@@ -749,6 +763,13 @@ def test_cli_timing_fills_wall_time(tmp_path):
      "error: ell must be a finite positive number below"),
     (2, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--aspect", "1e200"],
      "error: aspect must be a finite positive number below"),
+    # A circle-exterior body no wider than one cell (h = 0.1875) is refused.
+    (2, ["--geometry", "circle-exterior", "--bc", "dirichlet", "--n", "32", "--radius", "0.01"],
+     "error: radius 0.01 is 0.0533 cells at n=32"),
+    (2, ["--geometry", "circle-exterior", "--bc", "robin", "--n", "32", "--radius", "1e-9"],
+     "error: radius 1e-09 is 5.33e-09 cells at n=32"),
+    (0, ["--geometry", "circle-exterior", "--bc", "dirichlet", "--n", "32",
+         "--radius", "0.20625"], ""),
 ])
 def test_cli_exit_codes(capsys, code, argv, message):
     # One solve per exit code of the README's contract; every failure is

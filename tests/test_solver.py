@@ -1,5 +1,7 @@
 """Tests for the dense boundary-system solver."""
 
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -216,6 +218,60 @@ def test_random_orthogonal_matrices_read_one():
         q[:, 0] *= -1.0  # a 2 x 2 Q is one reflection, which is symmetric
         assert not scipy.linalg.issymmetric(q)
         assert 1.0 <= solver.condition_number(q) <= 1.0 + 16 * EPS, n
+
+
+def test_condition_number_does_not_copy_its_matrix(traced_peak):
+    # The Gram matrix is the one n^2 array it holds: dsyrk and dgemv both
+    # read the Fortran-ordered view A^T of a C-ordered A.  Measured 1.06;
+    # a copy of A would read about 2.
+    n = 600
+    matrix = np.random.default_rng(38).standard_normal((n, n))
+    peak, _ = traced_peak(solver.condition_number, matrix)
+    assert peak <= 1.25 * 8 * n * n
+
+
+def _thread_cpu_seconds():
+    """CPU seconds of each of this process's threads, by thread id."""
+    ticks = os.sysconf("SC_CLK_TCK")
+    seconds = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread ended
+            continue
+        seconds[tid] = (int(fields[11]) + int(fields[12])) / ticks
+    return seconds
+
+
+def test_condition_number_leaves_numpys_blas_pool_idle():
+    # numpy and scipy each load an OpenBLAS.  A pool woken by a threaded
+    # call keeps its worker spinning on a core for about 0.1 s, where it
+    # competes with the other pool's LAPACK; the Gram path's products A z
+    # in numpy woke numpy's pool (0.12 s of worker CPU per call).
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no per-thread CPU times without /proc")
+    matrix = np.random.default_rng(38).standard_normal((1024, 1024))
+    settle = 0.3  # longer than a woken worker spins
+
+    def ran_during(work):
+        before = _thread_cpu_seconds()
+        work()
+        time.sleep(settle)
+        after = _thread_cpu_seconds()
+        return {tid for tid, seconds in after.items() if seconds > before.get(tid, 0.0)}
+
+    time.sleep(settle)  # a worker that an earlier test woke stops
+    idle = ran_during(lambda: None)
+    scipys = ran_during(lambda: scipy.linalg.lu_factor(matrix))
+    numpys = ran_during(lambda: matrix @ matrix[0]) - idle - scipys
+    if not numpys:
+        pytest.skip("numpy's BLAS runs one thread")
+    before = _thread_cpu_seconds()
+    solver.condition_number(matrix)
+    time.sleep(settle)
+    after = _thread_cpu_seconds()
+    assert sum(after[tid] - before[tid] for tid in numpys) < 0.05
 
 
 def test_singular_non_symmetric_matrix_reads_inf():
