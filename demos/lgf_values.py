@@ -8,8 +8,7 @@ third route along the diagonal band.
 
 import math
 
-from latticebae import lgf, lgf_asymptotic, lgf_quadrature
-from latticebae.lgf import lgf_recursion_table
+from latticebae.lgf import lgf, lgf_asymptotic, lgf_quadrature, lgf_recursion_table
 
 CLOSED_FORMS = {
     (0, 0): 0.0,

@@ -14,6 +14,11 @@ the density in one kernel product.  Bounded domains and the unbounded
 exterior take the same path, and no artificial boundary condition
 enters.  Plain arrays cross every layer: a window field is a float array
 shaped like the window, and a solve returns the pair (density, cond).
+
+The package root holds the error types, the experiment entry points and
+the four geometry names a classification needs; every other name is
+imported from its own module (``latticebae.lgf``, ``latticebae.closure``,
+and so on), which is its one import path.
 """
 
 from .errors import (
@@ -32,64 +37,7 @@ from .errors import (
     SingularSystemError,
     UnderResolvedBoundaryError,
 )
-from .lgf import (
-    R_SWITCH,
-    LgfTable,
-    canonical_index,
-    lgf,
-    lgf_asymptotic,
-    lgf_quadrature,
-    lgf_recursion_table,
-)
-from .geometry import (
-    Grid,
-    Intersections,
-    LevelSetShape,
-    PointSets,
-    circle_exterior,
-    classify,
-    diamond,
-    ellipse,
-    select_intersections,
-)
-from .potentials import (
-    LayerKind,
-    apply_layer_matrix,
-    contract_layer_matrix,
-)
-from .closure import (
-    BoundaryCondition,
-    ClosureMatrices,
-    RobinSupport,
-    assemble_closure,
-    build_support_cells,
-    dirichlet,
-    neumann,
-    robin,
-)
-from .solver import (
-    SystemForm,
-    assemble_system,
-    condition_number,
-    condition_numbers,
-    dense_solve,
-    recover,
-    solve_system,
-)
-from .diffpot import (
-    correct_boundary_rhs,
-    difference_potential,
-    fft_poisson_solve,
-    particular_solution,
-)
-from .harness import (
-    ConditioningReport,
-    ConvergenceReport,
-    ExperimentConfig,
-    ResultRow,
-    run_conditioning,
-    run_convergence,
-    solve_problem,
-)
+from .geometry import Grid, classify, ellipse, select_intersections
+from .harness import ExperimentConfig, run_conditioning, run_convergence, solve_problem
 
 __version__ = "0.1.0"

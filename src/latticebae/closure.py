@@ -32,6 +32,14 @@ simply added to gamma~+ (interior target points do not alter the layer
 structure).  Lagrange denominators are recomputed from the node
 spacing; for the record, the correct barycentric weights on three
 equispaced nodes are (1/(2h^2), -1/h^2, 1/(2h^2)).
+
+The closure algebra lives here and nowhere else: only this module reads
+the Phi'-, R+ and R- blocks and eta.  Other modules see the eliminated
+weights C+ and C- (:attr:`ClosureMatrices.c_plus`, ``c_minus``), the
+right-hand side corrected for a particular solution
+(:func:`correct_boundary_rhs`) and the closure residual of a recovered
+field (:func:`residual`), the latter two read from box-window arrays
+by :func:`latticebae.diffpot.window_values`.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from .errors import (
     ExtrapolationStencilError,
     UnderResolvedBoundaryError,
 )
+from .diffpot import INSET, window_values
 from .geometry import DIRECTIONS, Grid, Intersections, PointSets
 
 #: Quadratic extrapolation weights at distances (1, 2, 3) from the target.
@@ -382,3 +391,30 @@ def assemble_closure(ps: PointSets, xs: Intersections, bc: BoundaryCondition) ->
     if bc.kind == "dirichlet":
         return assemble_dirichlet(ps, xs, bc.data)
     return assemble_robin(ps, xs, build_support_cells(xs, ps), bc)
+
+
+def correct_boundary_rhs(cm: ClosureMatrices, u_p: np.ndarray, ps: PointSets) -> np.ndarray:
+    """Boundary data for the homogeneous part after splitting off u_p, a
+    box-window array of ``ps``.
+
+    Substituting u = u^h + u^p into the closure rows moves the particular
+    values to the right-hand side.  The extrapolation identity is imposed
+    on the homogeneous part alone, so the eta columns are charged with
+    u^p sampled at the eta nodes themselves; the R blocks stay untouched.
+    Every closure node must lie two nodes inside u^p's edge.
+    """
+    return (
+        cm.rhs
+        - cm.phi_plus @ window_values(u_p, cm.gamma_tilde_plus, ps, INSET)
+        - cm.phi_minus @ window_values(u_p, cm.gamma_minus, ps, INSET)
+        - cm.phi_prime_minus @ window_values(u_p, cm.eta, ps, INSET)
+    )
+
+
+def residual(cm: ClosureMatrices, u_h: np.ndarray, ps: PointSets) -> float:
+    """max |C+ u_h(gamma~+) + C- u_h(gamma-) - rhs| of a box-window array
+    ``u_h`` of ``ps``: how far it is from satisfying the closure rows
+    once eta is eliminated."""
+    return float(np.abs(cm.c_plus @ window_values(u_h, cm.gamma_tilde_plus, ps)
+                        + cm.c_minus @ window_values(u_h, cm.gamma_minus, ps)
+                        - cm.rhs).max())

@@ -28,10 +28,15 @@ is the trace of such a field, as a layer potential's trace is
 (:func:`difference_potential`).
 
 The same box solver, on the same window, yields particular solutions of
-the nonhomogeneous problem from rhs = h^2 f on M+, after which the
-boundary right-hand side is corrected; the caller adds the homogeneous
-and particular parts.  Laplace data (the exterior's) has no particular
-part, and its solves skip both steps.
+the nonhomogeneous problem from rhs = h^2 f on M+, after which
+:func:`latticebae.closure.correct_boundary_rhs` corrects the boundary
+right-hand side; the caller adds the homogeneous and particular parts.
+Laplace data (the exterior's) has no particular part, and its solves
+skip both steps.  :func:`m_plus_rows` walks the M+ nodes of a window
+array one block of rows at a time, for whoever reads its M+ values.
+This module knows the window and the lattice, not the closure: the
+closure nodes it must serve only have to lie :data:`INSET` nodes inside
+the window edge.
 
 Memory: each solve holds one window array.  Its rhs is built there, f
 one block of window rows at a time and [A u] only next to the nodes
@@ -48,14 +53,13 @@ from typing import Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .closure import ClosureMatrices
 from .errors import AssemblyError, BoxTooSmallError
-from .geometry import _ROW_BLOCK, DIRECTIONS, Grid, PointSets
+from .geometry import DIRECTIONS, ROW_BLOCK, Grid, PointSets
 
 #: How many nodes inside the window edge the gamma and closure nodes must
 #: lie, so that every node whose [A u] reads them is off the edge, where
 #: the box solve takes its Dirichlet data.
-_INSET = 2
+INSET = 2
 
 
 def _local(indices: np.ndarray, shape, offset, inset: int):
@@ -89,6 +93,21 @@ def _window_of(mask: np.ndarray, grid: Grid, offset) -> np.ndarray:
     """The part of a classification-grid mask that the window covers."""
     j0, k0 = offset
     return mask[j0 : j0 + grid.nx, k0 : k0 + grid.ny]
+
+
+def m_plus_rows(ps: PointSets):
+    """The M+ nodes one block of box-window rows at a time, in canonical
+    order: (out, rows, mask), ``out`` locating the block in M+ order,
+    ``rows`` its window rows and ``mask`` their M+ nodes over the
+    window's columns.  M+ lies inside the window, which holds N+."""
+    window, offset = ps.box_window
+    inside = _window_of(ps.m_plus, window, offset)
+    start = 0
+    for lo in range(0, window.nx, ROW_BLOCK):
+        mask = inside[lo : lo + ROW_BLOCK]
+        count = np.count_nonzero(mask)
+        yield slice(start, start + count), slice(lo, lo + len(mask)), mask
+        start += count
 
 
 def _neighbours(j: np.ndarray, k: np.ndarray):
@@ -139,8 +158,8 @@ def _solve_in_place(rhs: np.ndarray) -> np.ndarray:
     lam_y = 2.0 * np.cos(np.pi * np.arange(1, my) / my)
     inner = rhs[1:-1, 1:-1]
     coeff = sfft.dstn(inner, type=1, overwrite_x=True)
-    for lo in range(0, mx - 1, _ROW_BLOCK):
-        coeff[lo : lo + _ROW_BLOCK] /= lam_x[lo : lo + _ROW_BLOCK, None] - lam_y
+    for lo in range(0, mx - 1, ROW_BLOCK):
+        coeff[lo : lo + ROW_BLOCK] /= lam_x[lo : lo + ROW_BLOCK, None] - lam_y
     values = sfft.idstn(coeff, type=1, overwrite_x=True)
     if not np.may_share_memory(values, inner):  # overwrite_x permits, not promises
         inner[...] = values
@@ -201,7 +220,7 @@ def difference_potential(u_gamma: np.ndarray, ps: PointSets) -> np.ndarray:
     # One window array holds the rhs and, in turn, the zero-extension whose
     # [A u] it needs; [A u] is evaluated only next to the extended nodes.
     rhs = np.zeros((grid.nx, grid.ny))
-    gj, gk = _local(ps.gamma_indices, rhs.shape, offset, _INSET)
+    gj, gk = _local(ps.gamma_indices, rhs.shape, offset, INSET)
     rhs[gj, gk] = u_gamma
     j, k = _neighbours(gj, gk)
     band = ~ps.m_plus[j + offset[0], k + offset[1]]
@@ -226,26 +245,8 @@ def particular_solution(f: Callable, ps: PointSets) -> np.ndarray:
     rhs = np.zeros((grid.nx, grid.ny))
     interior = rhs[1:-1, 1:-1]
     inside = _window_of(ps.m_plus, grid, offset)[1:-1, 1:-1]
-    for lo in range(0, len(interior), _ROW_BLOCK):
-        rows = inside[lo : lo + _ROW_BLOCK]
+    for lo in range(0, len(interior), ROW_BLOCK):
+        rows = inside[lo : lo + ROW_BLOCK]
         x, y = ps.grid.nodes_where(rows, (offset[0] + 1 + lo, offset[1] + 1))
-        interior[lo : lo + _ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(x, y))
+        interior[lo : lo + ROW_BLOCK][rows] = grid.h**2 * np.asarray(f(x, y))
     return _solve_in_place(rhs)
-
-
-def correct_boundary_rhs(cm: ClosureMatrices, u_p: np.ndarray, ps: PointSets) -> np.ndarray:
-    """Boundary data for the homogeneous part after splitting off u_p, a
-    box-window array of ``ps``.
-
-    Substituting u = u^h + u^p into the closure rows moves the particular
-    values to the right-hand side.  The extrapolation identity is imposed
-    on the homogeneous part alone, so the eta columns are charged with
-    u^p sampled at the eta nodes themselves; the R blocks stay untouched.
-    Every closure node must lie two nodes inside u^p's edge.
-    """
-    return (
-        cm.rhs
-        - cm.phi_plus @ window_values(u_p, cm.gamma_tilde_plus, ps, _INSET)
-        - cm.phi_minus @ window_values(u_p, cm.gamma_minus, ps, _INSET)
-        - cm.phi_prime_minus @ window_values(u_p, cm.eta, ps, _INSET)
-    )

@@ -55,7 +55,7 @@ _MULTI_ROOT_SAMPLES = 17
 
 #: Grid rows per block wherever a stage runs over the grid or the box
 #: window, so its temporaries never grow to the grid's size.
-_ROW_BLOCK = 64
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -311,9 +311,9 @@ def classify(grid: Grid, shape: LevelSetShape) -> PointSets:
     """
     xs = grid.xs()
     m_plus = np.empty((grid.nx, grid.ny), dtype=bool)
-    for lo in range(0, grid.nx, _ROW_BLOCK):
-        x, y = np.meshgrid(xs[lo : lo + _ROW_BLOCK], grid.ys(), indexing="ij")
-        m_plus[lo : lo + _ROW_BLOCK] = np.asarray(shape.psi(x, y)) <= 0.0
+    for lo in range(0, grid.nx, ROW_BLOCK):
+        x, y = np.meshgrid(xs[lo : lo + ROW_BLOCK], grid.ys(), indexing="ij")
+        m_plus[lo : lo + ROW_BLOCK] = np.asarray(shape.psi(x, y)) <= 0.0
     if not m_plus.any():
         raise DegenerateDomainError("no grid node lies inside the domain")
     # gamma+ = M+ nodes with an outside neighbour, gamma- = M- nodes with
@@ -356,7 +356,9 @@ class Intersections:
         return len(self.owner)
 
 
-def _gradient_at(shape: LevelSetShape, x, y, h: float):
+def gradient_at(shape: LevelSetShape, x, y, h: float):
+    """The shape's gradient (gx, gy) at points (x, y): its own, or else
+    central differences of psi on the scale of the grid spacing h."""
     if shape.grad is not None:
         gx, gy = shape.grad(x, y)
         return np.broadcast_to(gx, np.shape(x)).astype(float), \
@@ -387,7 +389,10 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
         root finding disagree; should be impossible).
     UnderResolvedBoundaryError
         If the level-set gradient vanishes at a winning crossing, where
-        no normal can be taken.
+        no normal can be taken.  The message names the gamma- node, its
+        inner node, whether the crossing snapped onto it, and h: a shape
+        much narrower than a cell has its crossings snap onto a node
+        where the gradient is zero.
     """
     owners = ps.gamma_minus_indices
     # classify keeps gamma out of the outer two rings, so every neighbour
@@ -446,10 +451,15 @@ def select_intersections(ps: PointSets, shape: LevelSetShape) -> Intersections:
     inner, alpha = inner_idx[best], alphas[best]
     location = np.where((alpha == 0.0)[:, None], ps.grid.nodes(inner),
                         outer[best] + hi[best, None] * step[best])
-    gx, gy = _gradient_at(shape, *location.T, ps.grid.h)
+    gx, gy = gradient_at(shape, *location.T, ps.grid.h)
     norms = np.hypot(gx, gy)
     if (norms < 1e-300).any():
-        raise UnderResolvedBoundaryError("vanishing level-set gradient at a boundary crossing")
+        i = int(np.argmax(norms < 1e-300))
+        owner, node = tuple(owners[i].tolist()), tuple(inner[i].tolist())
+        snap = "snapped onto" if alpha[i] == 0.0 else f"at alpha {alpha[i]:.3g} from"
+        raise UnderResolvedBoundaryError(
+            f"vanishing level-set gradient at the crossing of gamma- node {owner}, {snap} its "
+            f"inner node {node}, h = {ps.grid.h:g}; the grid does not resolve the boundary there")
     return Intersections(owner=outer_idx[best], inner=inner, alpha=alpha, location=location,
                          normal=np.stack([gx / norms, gy / norms], axis=1))
 

@@ -16,6 +16,12 @@ values; the result keeps the condition number, when asked for, beside
 them.  Every grid size comes from a validated :class:`ExperimentConfig`:
 a ladder solves its config with ``n`` replaced by each rung's.
 
+This module orders the stages and owns none of their decisions: the
+closure's right-hand side correction and residual are
+:mod:`latticebae.closure`'s, and the M+ nodes of a window array are
+walked by :func:`latticebae.diffpot.m_plus_rows`, which the read-out,
+the exact values and the solution dump share.
+
 Timings are measured but written into the CSV only on request; the
 default output is byte-identical across runs for identical configs,
 which keeps diffs meaningful.
@@ -96,7 +102,7 @@ class ExperimentConfig:
             object.__setattr__(self, "n_list", tuple(self.n_list))
         except TypeError:
             raise ConfigError(f"n_list must be a sequence of sizes, got {self.n_list!r}") from None
-        for n in self.all_n():
+        for n in self.n_list if self.n is None else (self.n, *self.n_list):
             if isinstance(n, str):
                 raise ConfigError(f"n must be a power of two in [32, 2048], got the string {n!r}")
             if not isinstance(n, (int, np.integer)) or not 32 <= n <= 2048 or n & (n - 1):
@@ -113,16 +119,6 @@ class ExperimentConfig:
     @property
     def unbounded(self) -> bool:
         return self.geometry == "circle-exterior"
-
-    def all_n(self):
-        if self.n is not None:
-            yield self.n
-        yield from self.n_list
-
-    def single_n(self) -> int:
-        if self.n is None:
-            raise ConfigError("this operation needs a single n")
-        return self.n
 
     def ladder(self) -> tuple:
         ns = self.n_list
@@ -209,7 +205,7 @@ def make_boundary_condition(cfg: ExperimentConfig, shape: geometry.LevelSetShape
     alpha_c, beta_c = ROBIN_COEFFS if cfg.bc == "robin" else (1.0, 0.0)
 
     def g(x, y):
-        gx, gy = geometry._gradient_at(shape, x, y, h)
+        gx, gy = geometry.gradient_at(shape, x, y, h)
         norm = np.hypot(gx, gy)
         ux, uy = mf.grad(x, y)
         return alpha_c * (ux * gx + uy * gy) / norm + beta_c * mf.u(x, y)
@@ -226,10 +222,11 @@ class SolutionField:
     ``exact``, ``errors`` and ``max_error`` evaluate u at the M+ nodes
     anew on each read, one block of box-window rows at a time, so a
     result holds no array of exact values.  ``residual`` is the closure
-    residual of the recovered field, max |C+ u_h(gamma~+) + C- u_h(gamma-) - g|
-    with u_h the recovered layer potential (before the particular
-    solution is added) and g the corrected right-hand side.  It checks
-    assembly, the edge values and the box solve together.
+    residual of the recovered field (:func:`latticebae.closure.residual`),
+    max |C+ u_h(gamma~+) + C- u_h(gamma-) - g| with u_h the recovered
+    layer potential (before the particular solution is added) and g the
+    corrected right-hand side.  It checks assembly, the edge values and
+    the box solve together.
     """
 
     ps: geometry.PointSets
@@ -246,7 +243,7 @@ class SolutionField:
         """(out, x, y, exact) one block of M+ nodes at a time, ``out``
         locating the block in M+ order and (x, y) its coordinates."""
         _, (j0, k0) = self.ps.box_window
-        for out, rows, mask in _m_plus_rows(self.ps):
+        for out, rows, mask in diffpot.m_plus_rows(self.ps):
             x, y = self.ps.grid.nodes_where(mask, (j0 + rows.start, k0))
             yield out, x, y, self.u(x, y)
 
@@ -302,21 +299,6 @@ def _discretize(cfg: ExperimentConfig, n: int):
     return mf, ps, closure_mod.assemble_closure(ps, xs, bc)
 
 
-def _m_plus_rows(ps: geometry.PointSets):
-    """The M+ nodes one block of box-window rows at a time, in canonical
-    order: (out, rows, mask), ``out`` locating the block in M+ order,
-    ``rows`` its window rows and ``mask`` their M+ nodes over the
-    window's columns.  M+ lies inside the window, which holds N+."""
-    window, offset = ps.box_window
-    inside = diffpot._window_of(ps.m_plus, window, offset)
-    start = 0
-    for lo in range(0, window.nx, geometry._ROW_BLOCK):
-        mask = inside[lo : lo + geometry._ROW_BLOCK]
-        count = np.count_nonzero(mask)
-        yield slice(start, start + count), slice(lo, lo + len(mask)), mask
-        start += count
-
-
 def _pack_m_plus(ps: geometry.PointSets, window: np.ndarray) -> int:
     """Move the M+ values of a box-window array, in canonical order, to
     its front, one block of window rows at a time; returns their count.
@@ -324,31 +306,41 @@ def _pack_m_plus(ps: geometry.PointSets, window: np.ndarray) -> int:
     further on than the block itself, so no value is overwritten before
     it is read."""
     flat = window.reshape(-1)
-    for out, rows, mask in _m_plus_rows(ps):
+    for out, rows, mask in diffpot.m_plus_rows(ps):
         flat[out] = window[rows][mask]
     return out.stop  # the window has rows, so the loop ran
 
 
 def solve_problem(cfg: ExperimentConfig, n: Optional[int] = None) -> SolutionField:
     """Run the full pipeline for the config's grid size, or for ``n``,
-    which the config validates in its place."""
+    which the config validates in its place; a config with neither
+    raises ConfigError.
+
+    Classify and find the crossings (:mod:`latticebae.geometry`),
+    assemble the closure and correct its right-hand side for the
+    particular solution (:func:`latticebae.closure.correct_boundary_rhs`),
+    solve for the density and recover its lattice potential
+    (:mod:`latticebae.solver`), take the closure residual of that field
+    (:func:`latticebae.closure.residual`), add the particular solution,
+    and keep the M+ values in place.
+    """
     if n is not None:
         cfg = replace(cfg, n=n)
     kernel, form = _formulation(cfg)
-    mf, ps, cm = _discretize(cfg, cfg.single_n())
+    if cfg.n is None:
+        raise ConfigError("this operation needs a single n")
+    mf, ps, cm = _discretize(cfg, cfg.n)
     # The box solve's window-sized transients come before the kernel blocks
     # are held, not on top of them.  Laplace data has no particular part.
     u_p = None
     if mf.f is not None:
         u_p = diffpot.particular_solution(mf.f, ps)
-        cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p, ps))
+        cm = replace(cm, rhs=closure_mod.correct_boundary_rhs(cm, u_p, ps))
     # The factored system is freed when solve_system returns, before the
     # recovery's window array exists.
     density, cond = solver.solve_system(kernel, cm, ps, form if cfg.compute_cond else None)
     u_h = solver.recover(density, kernel, ps)
-    residual = float(np.abs(cm.c_plus @ diffpot.window_values(u_h, cm.gamma_tilde_plus, ps)
-                            + cm.c_minus @ diffpot.window_values(u_h, cm.gamma_minus, ps)
-                            - cm.rhs).max())
+    residual = closure_mod.residual(cm, u_h, ps)
     if u_p is not None:
         u_h += u_p  # both box solves ran on the window of ps
     del u_p  # its window array is freed before the resize

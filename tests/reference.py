@@ -11,12 +11,8 @@ path needs them, so they live here.
 import numpy as np
 import scipy.linalg
 
-from latticebae.diffpot import (
-    correct_boundary_rhs,
-    difference_potential,
-    particular_solution,
-    window_values,
-)
+from latticebae.closure import correct_boundary_rhs
+from latticebae.diffpot import difference_potential, particular_solution, window_values
 from latticebae.lgf import kernel_table
 from latticebae.potentials import LayerKind, _row_gatherer, apply_layer_matrix
 

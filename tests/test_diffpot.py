@@ -8,7 +8,7 @@ import pytest
 from scipy import fft as sfft
 from scipy import sparse
 
-from latticebae import diffpot, geometry, harness, potentials, solver
+from latticebae import closure, diffpot, geometry, harness, potentials, solver
 from latticebae.errors import AssemblyError, BoxTooSmallError
 from latticebae.lgf import kernel_table
 from reference import apply_stencil, assemble_layer_matrix, auxiliary_domain_solve, gamma_trace
@@ -426,22 +426,20 @@ def test_particular_solution_evaluates_forcing_inside_only(ellipse_box):
 
 
 def test_rhs_correction_trivial_and_affine(ellipse_box):
-    from latticebae import closure
-
     _, ps = ellipse_box
     shape = geometry.ellipse(2.0)
     xs = geometry.select_intersections(ps, shape)
     cm = closure.assemble_dirichlet(ps, xs, lambda x, y: np.sin(x) * np.cos(y))
     window, _ = ps.box_window
     zero = np.zeros((window.nx, window.ny))
-    assert np.array_equal(diffpot.correct_boundary_rhs(cm, zero, ps), cm.rhs)
+    assert np.array_equal(closure.correct_boundary_rhs(cm, zero, ps), cm.rhs)
     rng = np.random.default_rng(7)
     u1 = rng.standard_normal(zero.shape)
     u2 = rng.standard_normal(zero.shape)
-    lhs = diffpot.correct_boundary_rhs(cm, u1 + u2, ps)
+    lhs = closure.correct_boundary_rhs(cm, u1 + u2, ps)
     rhs = (
-        diffpot.correct_boundary_rhs(cm, u1, ps)
-        + diffpot.correct_boundary_rhs(cm, u2, ps)
+        closure.correct_boundary_rhs(cm, u1, ps)
+        + closure.correct_boundary_rhs(cm, u2, ps)
         - cm.rhs
     )
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -486,7 +484,7 @@ def full_grid_values(cfg):
     # the window holds.
     window, (j0, k0) = ps.box_window
     u_p_window = u_p[j0 : j0 + window.nx, k0 : k0 + window.ny]
-    cm = replace(cm, rhs=diffpot.correct_boundary_rhs(cm, u_p_window, ps))
+    cm = replace(cm, rhs=closure.correct_boundary_rhs(cm, u_p_window, ps))
     kernel, _ = harness._formulation(cfg)
     density, _ = solver.solve_system(kernel, cm, ps)
     extension = np.zeros((grid.nx, grid.ny))
@@ -578,4 +576,4 @@ def test_gamma_and_eta_lie_two_nodes_inside_the_window(bc):
              if len(nodes)) - offset[0]
     tight = u_p[: hi + 2]
     with pytest.raises(AssemblyError):
-        diffpot.correct_boundary_rhs(cm, tight, ps)
+        closure.correct_boundary_rhs(cm, tight, ps)

@@ -607,7 +607,7 @@ def test_read_out_is_bitwise_the_whole_m_plus_read(monkeypatch, geometry_name):
     cfg = harness.ExperimentConfig(geometry=geometry_name, bc="dirichlet", n=128)
     sol = harness.solve_problem(cfg)
     (u_h,) = fields
-    assert sol.ps.box_window[0].nx > geometry._ROW_BLOCK
+    assert sol.ps.box_window[0].nx > geometry.ROW_BLOCK
     mp = np.argwhere(sol.ps.m_plus)
     assert sol.values.tobytes() == diffpot.window_values(u_h, mp, sol.ps).tobytes()
     x, y = sol.grid.nodes(mp).T
@@ -770,6 +770,17 @@ def test_cli_timing_fills_wall_time(tmp_path):
      "error: radius 1e-09 is 5.33e-09 cells at n=32"),
     (0, ["--geometry", "circle-exterior", "--bc", "dirichlet", "--n", "32",
          "--radius", "0.20625"], ""),
+    # An ellipse far narrower than a cell: a crossing snaps onto the centre
+    # node, where the level set's gradient is zero.
+    (4, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--ell", "1e100"],
+     "error: vanishing level-set gradient at the crossing of gamma- node (15, 16), snapped "
+     "onto its inner node (16, 16), h = 6.25e+98; the grid does not resolve the boundary"),
+    (4, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--ell", "1e30"],
+     "error: vanishing level-set gradient at the crossing of gamma- node (15, 16), snapped "
+     "onto its inner node (16, 16), h = 6.25e+28; the grid does not resolve the boundary"),
+    (4, ["--geometry", "ellipse", "--bc", "dirichlet", "--n", "32", "--aspect", "1e100"],
+     "error: vanishing level-set gradient at the crossing of gamma- node (16, 15), snapped "
+     "onto its inner node (16, 16), h = 0.071875; the grid does not resolve the boundary"),
 ])
 def test_cli_exit_codes(capsys, code, argv, message):
     # One solve per exit code of the README's contract; every failure is

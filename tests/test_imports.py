@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used, every
-top-level function and class of the package is referenced, every name
-the benchmark's tracer wraps resolves, and the library itself never
-imports matplotlib."""
+top-level function and class of the package is referenced, no package
+module reads another's underscore names, every name the benchmark's
+tracer wraps resolves, and the library itself never imports
+matplotlib."""
 
 import ast
 import importlib
@@ -94,6 +95,51 @@ def test_scan_flags_an_unreferenced_definition(tmp_path):
     assert unreferenced_definitions(tmp_path) == [
         "src/latticebae/module.py: Orphan", "src/latticebae/module.py: recursive",
     ]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(root: Path) -> list:
+    """Underscore names of one package module that another reads, as
+    ``from .x import _y`` or as the attribute ``x._y`` of a module that
+    ``from . import x`` bound; dunder names aside.  Each read is listed
+    once per reading module."""
+    found = set()
+    for path in sorted((root / "src" / "latticebae").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # bound name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "latticebae"):
+                for alias in node.names:
+                    if node.module in (None, "latticebae"):
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.add(f"{path.name}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.add(f"{path.name}: {modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert private_reads(ROOT) == []
+
+
+def test_scan_flags_a_private_name_read(tmp_path):
+    package = tmp_path / "src" / "latticebae"
+    package.mkdir(parents=True)
+    (package / "module.py").write_text(
+        "from __future__ import annotations\n"
+        "from . import other as alias\n"
+        "from .other import _hidden, public\n\n"
+        "def f(self):\n"
+        "    return alias._secret, alias._secret, alias.public, alias.__name__\n\n"
+        "def g(self):\n    return self._own, public\n"
+    )
+    assert private_reads(tmp_path) == ["module.py: other._hidden", "module.py: other._secret"]
 
 
 #: Spans of ``perfbench/tracing.py`` wrapped at names that the package no

@@ -1,11 +1,13 @@
 """Tests for the lattice Green's function evaluators."""
 
-import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import latticebae.lgf as lgf_module
+from latticebae import cli
 from latticebae.errors import QuadratureError
 from latticebae.lgf import (
     LgfTable,
@@ -20,9 +22,6 @@ from latticebae.lgf import (
     lgf_recursion_table,
 )
 from reference import lgf_grid
-
-# The module, which the package's ``lgf`` function shadows as an attribute.
-lgf_module = importlib.import_module("latticebae.lgf")
 
 # Closed forms: G(1,0) from the stencil identity at the origin, G(1,1)
 # analytically, the ring-2 values by substituting those into the stencil
@@ -297,3 +296,13 @@ def test_half_table_holds_the_table_and_one_block_of_rows(traced_peak):
 def test_quadrature_error_carries_estimate():
     err = QuadratureError("no convergence", achieved=3e-9)
     assert err.achieved == 3e-9
+
+
+def test_the_package_attribute_lgf_is_the_module(capsys):
+    # The package root imports no ``lgf`` function, so the submodule's
+    # attribute on the package is the module itself.
+    import latticebae.lgf as m
+
+    assert m is sys.modules["latticebae.lgf"]
+    assert cli.main(["lgf", "--m1", "5", "--m2", "3"]) == 0
+    assert capsys.readouterr().out == f"{m.lgf((5, 3)):.17g}\n"

@@ -1,6 +1,5 @@
 """Tests for lattice layer kernels and their dense assembly."""
 
-import importlib
 import tracemalloc
 import weakref
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import latticebae.lgf as lgf_module
 from latticebae import closure, harness
 from latticebae.errors import AssemblyError, DoubleLayerInapplicableError
 from latticebae.geometry import (
@@ -27,9 +27,6 @@ from latticebae.potentials import (
     contract_layer_matrix,
 )
 from reference import assemble_layer_matrix, lgf_grid
-
-# The module, which the package's ``lgf`` function shadows as an attribute.
-lgf_module = importlib.import_module("latticebae.lgf")
 
 
 def single_kernel(m, n) -> float:
