@@ -56,9 +56,11 @@ extreme singular values, from one blocked tridiagonalization of its
 Gram matrix A^T A, formed in one array without copying A: the largest
 from the tridiagonal's top eigenvalue, and the smallest as the Rayleigh
 value on A of the Ritz vector of the Gram matrix's bottom two
-eigenvectors, carried back through the tridiagonalization's
-reflectors, which keeps the SVD's own eps cond relative accuracy at
-about a quarter of its cost.
+eigenvectors, which keeps the SVD's own eps cond relative accuracy at
+about a quarter of its cost.  The tridiagonal, scaled exactly by a
+power of two, gives only those three eigenvalues, by bisection, and the
+two vectors, by inverse iteration; one blocked LAPACK dormqr carries
+the vectors back through the tridiagonalization's reflectors.
 
 Once the density q is known, and the solve's matrix is freed,
 :func:`recover` gives its layer potential K q as a plain array on the
@@ -88,9 +90,9 @@ thread at 64 x 4000 and 500 x 500 and takes two at 64 x 8000 and
 700 x 700.  The Gram path's products A z reach that size on the
 n = 512 rung (|gamma-| near 1000), and run as scipy's dgemv on the
 Fortran-ordered view A^T that dsyrk reads, so A is not copied.  The
-products left to numpy stay below it at every n <= 2048: the 2-row
-products of the reflector loop, the 2 x 2 (A z)(A z)^T, and the 64-row
-gathers of :func:`latticebae.potentials.apply_layer_matrix`.
+products left to numpy stay below it at every n <= 2048: the 2 x 2
+(A z)(A z)^T, and the 64-row gathers of
+:func:`latticebae.potentials.apply_layer_matrix`.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ from .potentials import LayerKind, apply_layer_matrix, contract_layer_matrix, la
 _PIVOT_RTOL = 1e-14
 
 #: Largest entry moduli whose squares, summed over a row of up to 2^20
-#: entries, stay normal and finite in a Gram matrix.
+#: entries, stay normal and finite in a Gram matrix.  They bound G
+#: alone: its tridiagonal is scaled to O(1) before it is bisected.
 _GRAM_SCALES = (2.0 ** -500, 2.0 ** 500)
 
 
@@ -230,14 +233,17 @@ def _gram_extremes(matrix: np.ndarray) -> tuple:
     one array: G is formed from A's transpose, a Fortran-ordered view of
     a C-ordered A, so A is not copied, and is tridiagonalized in place.
 
+    T is scaled exactly, by a power of two, to entries of modulus below
+    1, and only its extreme eigenvalues are computed, by bisection.
     sigma_max is sqrt(lambda_max(T)).  sigma_min is a Rayleigh value,
     never below the true one and off by the square of its vector's angle
-    error: T's two bottom eigenvectors are carried back to G's through
-    the reflectors where LAPACK left them, one contiguous column each,
-    and the Ritz vector of A on their span is taken.  Two, not one,
-    because a pair of nearly equal smallest singular values (the
-    symmetric shapes give them) mixes G's bottom two eigenvectors by
-    far more than eps, which one vector would pass on into sigma_min."""
+    error: T's two bottom eigenvectors, from inverse iteration, are
+    carried back to G's in one blocked dormqr over the reflectors where
+    LAPACK left them, and the Ritz vector of A on their span is taken.
+    Two, not one, because a pair of nearly equal smallest singular
+    values (the symmetric shapes give them) mixes G's bottom two
+    eigenvectors by far more than eps, which one vector would pass on
+    into sigma_min."""
     scale = max(matrix.max(), -matrix.min())
     if not _GRAM_SCALES[0] < scale < _GRAM_SCALES[1]:
         raise AssemblyError(f"matrix entries of modulus up to {scale:g} are out of "
@@ -248,29 +254,38 @@ def _gram_extremes(matrix: np.ndarray) -> tuple:
     lwork, _ = linalg.lapack.dsytrd_lwork(n, lower=1)
     reflectors, diag, off, tau, _ = linalg.lapack.dsytrd(gram, lower=1, lwork=int(lwork),
                                                          overwrite_a=1)
-    # All of T's eigenvalues, by the QL/QR of dsterf, then its bottom two
-    # eigenvectors by inverse iteration on T as one block: both in O(n)
-    # memory (dstemr holds n x n vectors, and dstebz's bisection for the
-    # top one alone fails on the clustered spectra of orthogonal matrices).
-    values, info = linalg.lapack.dsterf(diag, off)
+    # T scaled by a power of two, exactly, to max(|d|, |e|) in [0.5, 1):
+    # unscaled, bisection fails and inverse iteration returns NaN vectors
+    # once G's entries pass about 1e154.
+    exponent = np.frexp(max(np.abs(diag).max(), np.abs(off).max()))[1]
+    diag, off = np.ldexp(diag, -exponent), np.ldexp(off, -exponent)
+    # Only T's extreme eigenvalues, by bisection: the bottom two, and the
+    # top one as the bottom one of -T (bisected as the n-th, it fails on
+    # the clustered spectra of orthogonal matrices).  Then the bottom two
+    # eigenvectors, by inverse iteration on T as one block; all O(n) memory.
+    stebz = linalg.lapack.dstebz
+    _, values, _, _, info = stebz(diag, off, 2, 0.0, 0.0, 1, min(2, n), 0.0, b"E")
+    _, top, _, _, top_info = stebz(-diag, -off, 2, 0.0, 0.0, 1, 1, 0.0, b"E")
     bottom, stein_info = linalg.lapack.dstein(diag, off, values[:2], np.ones(n, np.int32),
                                              np.full(n, n, np.int32))
-    if info or stein_info:
+    if info or top_info or stein_info:
         raise AssemblyError("the tridiagonal eigensolver did not converge")
+    # bottom <- Q bottom with Q = H_0 ... H_{n-2} = diag(1, Q'), in one
+    # blocked dormqr.  H_i = I - tau_i v v^T, where v is reflectors[i + 1:, i]
+    # led by an implicit 1 (H_{n-2} = I), so Q' is the Q of a QR factor
+    # whose column i starts at row i of the (n, n - 1) view one element
+    # into reflectors: Fortran-ordered with leading dimension n, so f2py
+    # does not copy it, where reflectors[1:, :n - 1] would be copied.
+    if n > 2:
+        shifted = reflectors.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
+        bottom[1:], _, _ = linalg.lapack.dormqr(b"L", b"N", shifted, tau[:n - 1], bottom[1:],
+                                                lwork=2 * 64 + 4160)
     z = bottom.T  # the two vectors as C-ordered rows
-    # z <- z Q^T with Q = H_0 ... H_{n-3}, H_i = I - tau_i v v^T, where v
-    # is reflectors[i + 1:, i] with its leading entry, T's off-diagonal
-    # (already in ``off``), set to 1 (H_{n-2} = I).
-    reflectors[np.arange(1, n), np.arange(n - 1)] = 1.0
-    for i in range(n - 3, -1, -1):
-        v = reflectors[i + 1:, i]
-        w = tau[i] * (z[:, i + 1:] @ v)
-        z[:, i + 1:] -= w[:, None] * v
     # A z through scipy's BLAS on the view dsyrk read (module docstring).
     az = np.array([linalg.blas.dgemv(1.0, matrix.T, row, trans=1) for row in z])
     _, c = linalg.eigh(az @ az.T, z @ z.T, subset_by_index=[0, 0])
     c = c[:, 0]
-    return np.sqrt(values[-1]), np.linalg.norm(c @ az) / np.linalg.norm(c @ z)
+    return np.sqrt(np.ldexp(-top[0], exponent)), np.linalg.norm(c @ az) / np.linalg.norm(c @ z)
 
 
 def recover(density: np.ndarray, kernel: LayerKind, ps: PointSets) -> np.ndarray:

@@ -220,6 +220,52 @@ def test_random_orthogonal_matrices_read_one():
         assert 1.0 <= solver.condition_number(q) <= 1.0 + 16 * EPS, n
 
 
+def test_orthogonal_matrix_whose_top_eigenvalue_fails_to_bisect_by_index_reads_one(
+        monkeypatch):
+    # On this matrix of scipy's seeded orthogonal family, bisecting T's top
+    # eigenvalue as its n-th returns info 2 and no eigenvalue; bisected as
+    # the bottom one of -T, it converges.
+    from scipy.stats import ortho_group
+
+    q = ortho_group.rvs(13, random_state=130)
+    assert not scipy.linalg.issymmetric(q)
+    bisect = scipy.linalg.lapack.dstebz
+    bisected = []
+
+    def recorded(d, e, *args):
+        bisected.append((d, e))
+        return bisect(d, e, *args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", recorded)
+    assert 1.0 <= solver.condition_number(q) <= 1.0 + 16 * EPS
+    d, e = bisected[0]
+    assert bisect(d, e, 2, 0.0, 0.0, 13, 13, 0.0, b"E")[-1] == 2
+
+
+@pytest.mark.parametrize("exponent", [-450, -300, 300, 450])
+def test_scaled_matrices_read_the_unscaled_condition_number(exponent):
+    # G's tridiagonal T is scaled to max(|d|, |e|) in [0.5, 1) before it
+    # is bisected: unscaled, inverse iteration returned NaN vectors from
+    # about 2^300 on, and the final eigh raised a ValueError.
+    scale = 2.0 ** exponent
+    matrix = np.random.default_rng(1).standard_normal((50, 50))
+    assert _within_8_eps_cond(solver.condition_number(matrix * scale),
+                              svd_condition_number(matrix))
+    q = scipy.linalg.qr(np.random.default_rng(2).standard_normal((50, 50)))[0]
+    assert 1.0 <= solver.condition_number(q * scale) <= 1.0 + 16 * EPS
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrices_with_no_or_one_reflector_match_the_svd(n):
+    # n = 2 applies no reflector to T's eigenvectors, n = 3 one.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        matrix = rng.standard_normal((n, n))
+        assert not scipy.linalg.issymmetric(matrix)
+        assert _within_8_eps_cond(solver.condition_number(matrix),
+                                  svd_condition_number(matrix))
+
+
 def test_condition_number_does_not_copy_its_matrix(traced_peak):
     # The Gram matrix is the one n^2 array it holds: dsyrk and dgemv both
     # read the Fortran-ordered view A^T of a C-ordered A.  Measured 1.06;

@@ -91,3 +91,26 @@ def test_parity_manifest_is_reproducible_and_sees_one_ulp(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[0].startswith(f"differs  {name}  ")
     assert lines[1] == "1 of 2 artifacts differ"
+
+
+def test_parity_compare_names_the_parts_that_moved(tmp_path, capsys):
+    parity = load_tool("parity")
+    # A record shaped like a ``solve/*`` artifact, then with cond one ulp up.
+    values = np.random.default_rng(41).standard_normal(64)
+    parts = {"values": values, "cond": np.float64(1234.5), "residual": np.float64(3e-13),
+             "max_error": np.float64(2e-5)}
+    name = "solve/planted"
+    moved = parity.record({**parts, "cond": np.nextafter(parts["cond"], np.inf)})
+    manifests = {"a": {name: parity.record(parts)}, "b": {name: moved},
+                 # as written before records hashed their parts
+                 "c": {name: {key: moved[key] for key in ("sha1", "max_abs")}}}
+    paths = {}
+    for key, manifest in manifests.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(manifest))
+    assert parity.main(["--compare", str(paths["a"]), str(paths["b"])]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"differs  {name}  ") and line.endswith("  in: cond")
+    assert parity.main(["--compare", str(paths["a"]), str(paths["c"])]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"differs  {name}  ") and line.endswith(")")

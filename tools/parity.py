@@ -1,9 +1,10 @@
 """Parity manifest: one sha1 and one max |value| per named output of a checkout.
 
 A manifest names each artifact below and records the sha1 of its bytes
-(every array with its dtype and shape, every file as written) and the
-largest modulus among its numbers.  Two manifests, of two checkouts, say
-which outputs moved between them and roughly by how much:
+(every array with its dtype and shape, every file as written), the sha1
+of each of its parts, and the largest modulus among its numbers.  Two
+manifests, of two checkouts, say which outputs moved between them, in
+which parts, and roughly by how much:
 
 - ``intersections/*`` and ``closure/*``: the ``Intersections`` record and
   every array of the ``ClosureMatrices`` (the data, indices and indptr of
@@ -29,8 +30,10 @@ no manifest is committed.
 ``--src`` is the checkout whose ``src/latticebae`` is run (default: this
 one), for example a second checkout of a parent commit; ``--case``
 restricts the manifest to the named artifacts.  ``--compare`` prints each
-artifact whose sha1 differs, with the change of its max |value|, and each
-that only one manifest has; it exits 1 if it printed any, 0 otherwise.
+artifact whose sha1 differs, with the change of its max |value| and, where
+both manifests hash each part, the parts that moved (``in: cond``), and
+each artifact that only one manifest has; it exits 1 if it printed any, 0
+otherwise.
 """
 
 import argparse
@@ -204,10 +207,12 @@ def _numbers(text: str) -> np.ndarray:
 
 
 def record(parts: dict) -> dict:
-    """The sha1 of ``parts`` and the largest modulus among their floats
-    (the numbers of a text count as floats, index arrays not at all): 0
-    if there are none, NaN ignored, and NaN if every float is NaN."""
+    """The sha1 of ``parts``, one sha1 per part, and the largest modulus
+    among their floats (the numbers of a text count as floats, index
+    arrays not at all): 0 if there are none, NaN ignored, and NaN if
+    every float is NaN."""
     digest = hashlib.sha1()
+    hashes = {}
     biggest = []
     for key, value in parts.items():
         if isinstance(value, bytes):
@@ -215,13 +220,16 @@ def record(parts: dict) -> dict:
         else:
             array = np.ascontiguousarray(value)
             data, numbers, kind = array.tobytes(), array, f"{array.dtype.str}{array.shape}"
-        digest.update(f"{key}:{kind}:{len(data)}\n".encode())
-        digest.update(data)
+        part = hashlib.sha1()
+        for chunk in (f"{key}:{kind}:{len(data)}\n".encode(), data):
+            digest.update(chunk)
+            part.update(chunk)
+        hashes[key] = part.hexdigest()
         if np.issubdtype(numbers.dtype, np.floating) and numbers.size:
             biggest.append(np.abs(numbers).reshape(-1))
     moduli = np.concatenate(biggest) if biggest else np.zeros(1)
     peak = float(np.nanmax(moduli)) if not np.isnan(moduli).all() else float("nan")
-    return {"sha1": digest.hexdigest(), "max_abs": peak}
+    return {"sha1": digest.hexdigest(), "max_abs": peak, "parts": hashes}
 
 
 def load(src: Path):
@@ -266,8 +274,19 @@ def manifest(src: Path = ROOT, names=()) -> dict:
     return json.loads(proc.stdout)
 
 
+def _moved(a: dict, b: dict) -> str:
+    """``  in: `` and the parts whose sha1 differs or that one record
+    lacks, where both records hash their parts; otherwise nothing."""
+    if "parts" not in a or "parts" not in b:
+        return ""
+    x, y = a["parts"], b["parts"]
+    names = list(x) + [name for name in y if name not in x]
+    return "  in: " + ", ".join(name for name in names if x.get(name) != y.get(name))
+
+
 def compare(a: dict, b: dict) -> list:
-    """One line per artifact whose sha1 differs or that one manifest lacks."""
+    """One line per artifact whose sha1 differs, ending with the parts
+    that moved, or that one manifest lacks."""
     lines = []
     for name in list(a) + [name for name in b if name not in a]:
         if name not in b or name not in a:
@@ -277,7 +296,8 @@ def compare(a: dict, b: dict) -> list:
             change = abs(y - x)
             relative = change / abs(x) if x else float(change != 0.0)
             lines.append(f"differs  {name}  max|value| {x:.17g} -> {y:.17g}  "
-                         f"(change {change:.3g}, relative {relative:.3g})")
+                         f"(change {change:.3g}, relative {relative:.3g})"
+                         + _moved(a[name], b[name]))
     return lines
 
 
